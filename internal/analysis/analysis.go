@@ -42,6 +42,9 @@ type Pass struct {
 	Pkg      *Package
 
 	diags *[]Diagnostic
+	// callGraph returns the call graph over every package of the Run,
+	// built on first use and shared by all analyzers (callgraph.go).
+	callGraph func() *callGraph
 }
 
 // Reportf records a diagnostic at pos.
@@ -75,11 +78,12 @@ type Analyzer struct {
 	// given import path. Nil means "every package". The driver consults
 	// it; tests bypass it by invoking Run directly.
 	AppliesTo func(pkgPath string) bool
-	Run       func(*Pass)
+	// Run, when non-nil, analyzes one package.
+	Run func(*Pass)
 	// Finish, when non-nil, runs after every package has been analyzed
-	// (module-wide rules such as cross-package name collisions). The
-	// analyzer accumulates state in Run and reports through the final
-	// pass handed here.
+	// (module-wide rules such as cross-package name collisions and the
+	// call-graph contracts). The analyzer accumulates state in Run and
+	// reports through the final pass handed here.
 	Finish func(*Pass)
 	// Reset clears accumulated state so one Analyzer value can serve
 	// several driver invocations (tests).
@@ -142,6 +146,13 @@ func pathWithinOrRoot(prefixes ...string) func(string) bool {
 // back sorted by file, line, column, analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
+	var graph *callGraph
+	callGraph := func() *callGraph {
+		if graph == nil {
+			graph = buildCallGraph(pkgs)
+		}
+		return graph
+	}
 	for _, a := range analyzers {
 		if a.Reset != nil {
 			a.Reset()
@@ -150,16 +161,16 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, pkg := range pkgs {
 		pkg.scanDirectives()
 		for _, a := range analyzers {
-			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
+			if a.Run == nil || (a.AppliesTo != nil && !a.AppliesTo(pkg.Path)) {
 				continue
 			}
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags, callGraph: callGraph})
 		}
 		diags = append(diags, pkg.directiveProblems()...)
 	}
 	for _, a := range analyzers {
 		if a.Finish != nil {
-			a.Finish(&Pass{Analyzer: a, Pkg: lastPkg(pkgs), diags: &diags})
+			a.Finish(&Pass{Analyzer: a, Pkg: lastPkg(pkgs), diags: &diags, callGraph: callGraph})
 		}
 	}
 	diags = suppress(pkgs, diags)
@@ -252,7 +263,7 @@ type DirectiveKind uint8
 const (
 	// DirectiveAllow suppresses named analyzers on its (or the next) line:
 	//
-	//	//spawnvet:allow determinism heartbeat rate is wall-clock only
+	//	//spawnvet:allow purity heartbeat rate is wall-clock only
 	//
 	// The justification text after the analyzer list is mandatory.
 	DirectiveAllow DirectiveKind = iota
@@ -302,6 +313,16 @@ func (d *Directive) Allows(name string) bool {
 	return false
 }
 
+// trustDirectives are the function-level trust directives, keyed by
+// their word, with what the mandatory justification must explain.
+var trustDirectives = map[string]struct {
+	kind DirectiveKind
+	why  string
+}{
+	"pure":     {DirectivePure, "why the function honors the purity contract"},
+	"skipsafe": {DirectiveSkipSafe, "why the effects are invisible to a skipped idle span"},
+}
+
 // scanDirectives parses every //spawnvet: comment in the package.
 func (p *Package) scanDirectives() {
 	if p.directives != nil {
@@ -320,38 +341,22 @@ func (p *Package) scanDirectives() {
 					continue
 				}
 				d := &Directive{Pos: p.Fset.Position(c.Pos())}
+				word, rest := text, ""
+				if i := strings.IndexAny(text, " \t"); i >= 0 {
+					word, rest = text[:i], text[i:]
+				}
+				td, trust := trustDirectives[word]
 				switch {
 				case text == "hotpath":
 					d.Kind = DirectiveHotPath
-				case strings.HasPrefix(text, "pure"):
-					d.Kind = DirectivePure
-					rest := strings.TrimPrefix(text, "pure")
-					if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-						d.Err = fmt.Sprintf("unknown spawnvet directive %q", "//spawnvet:"+text)
-						break
-					}
+				case trust:
+					d.Kind = td.kind
 					d.Justification = strings.TrimSpace(rest)
 					if d.Justification == "" {
-						d.Err = "//spawnvet:pure needs a justification (why the function honors the purity contract)"
+						d.Err = fmt.Sprintf("//spawnvet:%s needs a justification (%s)", word, td.why)
 					}
-				case strings.HasPrefix(text, "skipsafe"):
-					d.Kind = DirectiveSkipSafe
-					rest := strings.TrimPrefix(text, "skipsafe")
-					if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-						d.Err = fmt.Sprintf("unknown spawnvet directive %q", "//spawnvet:"+text)
-						break
-					}
-					d.Justification = strings.TrimSpace(rest)
-					if d.Justification == "" {
-						d.Err = "//spawnvet:skipsafe needs a justification (why the effects are invisible to a skipped idle span)"
-					}
-				case strings.HasPrefix(text, "allow"):
+				case word == "allow":
 					d.Kind = DirectiveAllow
-					rest := strings.TrimPrefix(text, "allow")
-					if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-						d.Err = fmt.Sprintf("unknown spawnvet directive %q", "//spawnvet:"+text)
-						break
-					}
 					fields := strings.Fields(rest)
 					if len(fields) == 0 {
 						d.Err = "//spawnvet:allow needs an analyzer list and a justification"
@@ -410,45 +415,23 @@ func (p *Package) hotPathMarked(fn *ast.FuncDecl) bool {
 	return false
 }
 
-// skipsafeMarked reports whether the function declaration carries a
-// valid //spawnvet:skipsafe directive (with justification) in its doc
-// comment. Like pure, a malformed skipsafe directive fails closed.
-func (p *Package) skipsafeMarked(fn *ast.FuncDecl) bool {
+// marked reports whether the function declaration carries a valid
+// trust directive of the given kind (DirectivePure, DirectiveSkipSafe)
+// in its doc comment. Malformed trust directives confer no trust: they
+// surface as directive diagnostics and the function stays subject to
+// full analysis (fails closed).
+func (p *Package) marked(fn *ast.FuncDecl, kind DirectiveKind) bool {
 	if fn.Doc == nil {
 		return false
 	}
 	p.scanDirectives()
 	for _, c := range fn.Doc.List {
-		if !strings.HasPrefix(c.Text, "//spawnvet:skipsafe") {
+		if !strings.HasPrefix(c.Text, "//spawnvet:") {
 			continue
 		}
 		pos := p.Fset.Position(c.Pos())
 		for _, d := range p.directives {
-			if d.Kind == DirectiveSkipSafe && d.Err == "" &&
-				d.Pos.Filename == pos.Filename && d.Pos.Line == pos.Line {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pureMarked reports whether the function declaration carries a valid
-// //spawnvet:pure directive (with justification) in its doc comment.
-// Malformed pure directives confer no trust: they surface as directive
-// diagnostics and the function stays subject to full analysis.
-func (p *Package) pureMarked(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	p.scanDirectives()
-	for _, c := range fn.Doc.List {
-		if !strings.HasPrefix(c.Text, "//spawnvet:pure") {
-			continue
-		}
-		pos := p.Fset.Position(c.Pos())
-		for _, d := range p.directives {
-			if d.Kind == DirectivePure && d.Err == "" &&
+			if d.Kind == kind && d.Err == "" &&
 				d.Pos.Filename == pos.Filename && d.Pos.Line == pos.Line {
 				return true
 			}

@@ -7,25 +7,25 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer the purity analyzer builds on:
-// bottom-up function summaries stitched into a module-wide call graph.
-// Each package pass contributes one funcSummary per function
-// declaration (direct effects + static callee edges); after every
-// package has been analyzed, the analyzer closes the graph over its
-// roots and attributes each function's direct effects to the call
-// chains that reach it.
+// This file is the interprocedural layer purity, skipsafe, and
+// clockstep share: one bottom-up summary per function declaration
+// (direct effects + static callee edges), stitched into one call graph
+// per Run over every loaded package. A summary records the union of the
+// effect kinds the three contracts care about; each analyzer walks the
+// graph from its own roots under its own trust predicate and reports
+// the kinds its contract forbids, naming the call chain that reaches
+// each one.
 //
-// The engine mirrors the intraprocedural dataflow engine's design
-// choices (dataflow.go): it is deliberately over-approximate in the
-// safe direction, capped so pathological graphs stay cheap, and opaque
-// at boundaries it cannot see through. Concretely:
+// The graph is deliberately over-approximate in the safe direction,
+// capped so pathological graphs stay cheap, and opaque at boundaries it
+// cannot see through:
 //
 //   - dynamic dispatch (interface methods, func-typed values and
 //     fields) is an opaque boundary assumed to honor the contract of
 //     its declaration site — the callee cannot be resolved statically;
 //   - out-of-module callees carry no summary; they are classified by
-//     the per-analyzer external-call tables (ambient I/O packages,
-//     PureFuncs) instead of traversed;
+//     the external-call tables (ambient I/O packages, PureFuncs)
+//     instead of traversed;
 //   - exceeding the caps degrades to an explicit "unverifiable"
 //     diagnostic, never to silent trust.
 const (
@@ -49,26 +49,28 @@ const (
 	effectAmbientIO
 	// effectLeak: a package-level write whose value retains a pointer
 	// that flowed in through a parameter — caller memory escaping into
-	// state that outlives the call.
+	// state that outlives the call. It is a global write too.
 	effectLeak
 	// effectStateWrite: a write through a pointer-shaped parameter or
-	// receiver — caller-visible mutation (used by skipsafe, which is
+	// receiver — caller-visible mutation (skipsafe only, which is
 	// stricter than purity: even receiver state must stay frozen while
 	// the engine fast-forwards).
 	effectStateWrite
 	// effectSpawn / effectSend: goroutine launch and channel send —
-	// externally observable scheduling effects (skipsafe).
+	// externally observable scheduling effects (skipsafe only).
 	effectSpawn
 	effectSend
 )
 
-// effect is one direct contract violation found in a function body.
+// effect is one direct effect found in a function body.
 type effect struct {
 	kind effectKind
 	pos  token.Pos
 	// what names the offender: the written variable, the ambient callee,
-	// the leaked parameter.
+	// the mutated target.
 	what string
+	// param names the retained pointer parameter of an effectLeak.
+	param string
 }
 
 // funcSummary is the bottom-up summary of one function declaration.
@@ -77,7 +79,7 @@ type funcSummary struct {
 	decl *ast.FuncDecl
 	pkg  *Package
 
-	// effects are the function's direct violations, in source order.
+	// effects are the function's direct effects, in source order.
 	effects []effect
 	// callees are the module-resolvable static call edges, deduplicated
 	// in first-call order; calleePos holds the first call site of each.
@@ -86,9 +88,167 @@ type funcSummary struct {
 	// overflow marks callee fan-cap exhaustion: the summary is
 	// incomplete and the function must report as unverifiable.
 	overflow bool
-	// trusted marks a valid //spawnvet:pure directive: the function is
-	// an opaque pure leaf and is neither descended into nor reported.
-	trusted bool
+}
+
+// summarize records one function declaration's direct effects and
+// static call edges. Effects inside nested function literals are
+// attributed to the enclosing declaration (over-approximation: the
+// literal may run whenever the function does).
+func summarize(pkg *Package, fd *ast.FuncDecl, obj *types.Func) *funcSummary {
+	s := &funcSummary{obj: obj, decl: fd, pkg: pkg, calleePos: map[*types.Func]token.Pos{}}
+	walkStack(fd, func(n ast.Node, stack []ast.Node) {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			s.recordCall(n)
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				var rhs ast.Expr
+				if len(n.Lhs) == len(n.Rhs) {
+					rhs = n.Rhs[i]
+				}
+				s.recordWrite(stack, lhs, rhs)
+			}
+		case *ast.IncDecStmt:
+			s.recordWrite(stack, n.X, nil)
+		case *ast.GoStmt:
+			s.effects = append(s.effects, effect{kind: effectSpawn, pos: n.Pos(), what: "goroutine spawn"})
+		case *ast.SendStmt:
+			s.effects = append(s.effects, effect{kind: effectSend, pos: n.Pos(), what: "channel send"})
+		}
+	})
+	return s
+}
+
+// recordCall classifies one call site: pure-registry skip, ambient
+// effect, or static call-graph edge. Builtins, conversions, func-typed
+// values, and interface methods are opaque (see the file comment).
+func (s *funcSummary) recordCall(call *ast.CallExpr) {
+	fn, ok := calleeObject(s.pkg.Info, call).(*types.Func)
+	if !ok || fn.Pkg() == nil || PureFuncs[fn.FullName()] {
+		return
+	}
+	if ambientCall(fn) {
+		s.effects = append(s.effects, effect{kind: effectAmbientIO, pos: call.Pos(), what: fn.FullName()})
+		return
+	}
+	s.addCallee(fn, call.Pos())
+}
+
+// recordWrite classifies one assignment target. A package-level target
+// is a global write, or a leak when the value retains pointer-shaped
+// parameter memory. An indirect write through a reference-shaped local
+// is a global write when the local's origins include package-level
+// state, else a caller-visible state write when they include a
+// pointer-shaped parameter. Frame-local scratch is no effect.
+func (s *funcSummary) recordWrite(stack []ast.Node, lhs, rhs ast.Expr) {
+	base, hadStar, wrapped := writeBase(lhs)
+	if base == nil || base.Name == "_" {
+		return
+	}
+	v, ok := objOf(s.pkg.Info, base).(*types.Var)
+	if !ok || v.IsField() {
+		return
+	}
+	flows := s.pkg.flows()
+	if isPackageLevel(v) {
+		eff := effect{kind: effectGlobalWrite, pos: lhs.Pos(), what: "package-level variable " + v.Name()}
+		if p := leakedParam(flows.at(stack), rhs); p != nil {
+			eff.kind, eff.param = effectLeak, p.Name()
+		}
+		s.effects = append(s.effects, eff)
+		return
+	}
+	if !wrapped || (!hadStar && !refShaped(v.Type())) {
+		// Writing a local itself, or an element of a local value copy,
+		// stays inside the frame.
+		return
+	}
+	var stateWrite *effect
+	for _, o := range flows.at(stack).originsOf(base) {
+		switch o.Kind {
+		case OriginGlobal:
+			alias := exprText(o.Expr)
+			if o.Obj != nil {
+				alias = o.Obj.Name()
+			}
+			s.effects = append(s.effects, effect{kind: effectGlobalWrite, pos: lhs.Pos(),
+				what: "package-level state through " + base.Name + " (aliasing " + alias + ")"})
+			return
+		case OriginParam:
+			if p, ok := o.Obj.(*types.Var); ok && refShaped(p.Type()) && stateWrite == nil {
+				stateWrite = &effect{kind: effectStateWrite, pos: lhs.Pos(),
+					what: exprText(lhs) + " (caller-visible through " + p.Name() + ")"}
+			}
+		default:
+			// Literal/call/unknown-origined bases stay frame-local.
+		}
+	}
+	if stateWrite != nil {
+		s.effects = append(s.effects, *stateWrite)
+	}
+}
+
+// leakedParam returns the pointer-shaped parameter whose memory rhs
+// retains, or nil.
+func leakedParam(flow *funcFlow, rhs ast.Expr) *types.Var {
+	if rhs == nil {
+		return nil
+	}
+	for _, o := range flow.originsOf(rhs) {
+		if o.Kind != OriginParam || o.Obj == nil {
+			continue
+		}
+		if p, ok := o.Obj.(*types.Var); ok && refShaped(p.Type()) {
+			return p
+		}
+	}
+	return nil
+}
+
+// isPackageLevel reports whether v is a package-level variable.
+func isPackageLevel(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// refShaped reports whether values of t share memory with their source
+// (writes through them escape the copy).
+func refShaped(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature:
+		return true
+	}
+	return false
+}
+
+// writeBase unwraps an assignment target to its base identifier.
+// hadStar reports an explicit pointer dereference on the path; wrapped
+// reports any indirection at all (selector, index, or star) — false
+// means the identifier itself is the target.
+func writeBase(e ast.Expr) (base *ast.Ident, hadStar, wrapped bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e, hadStar, wrapped = x.X, true, true
+		case *ast.IndexExpr:
+			e, wrapped = x.X, true
+		case *ast.SelectorExpr:
+			e, wrapped = x.X, true
+		case *ast.Ident:
+			return x, hadStar, wrapped
+		default:
+			return nil, hadStar, wrapped
+		}
+	}
+}
+
+// objOf resolves an identifier to its object (use or definition).
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Uses[id]; o != nil {
+		return o
+	}
+	return info.Defs[id]
 }
 
 // addCallee records one static call edge, deduplicated, fan-capped.
@@ -145,8 +305,8 @@ func recvTypeName(fn *ast.FuncDecl) string {
 	}
 }
 
-// callGraph accumulates summaries across packages (one analyzer
-// invocation may span the whole module).
+// callGraph holds the summaries of every function declaration of one
+// Run, across all loaded packages.
 type callGraph struct {
 	sums map[*types.Func]*funcSummary
 	// order preserves collection order (package load order, then file
@@ -159,13 +319,46 @@ func newCallGraph() *callGraph {
 	return &callGraph{sums: map[*types.Func]*funcSummary{}}
 }
 
-// add registers a summary; collection order is preserved.
-func (g *callGraph) add(s *funcSummary) {
-	if _, dup := g.sums[s.obj]; dup {
-		return
+// buildCallGraph summarizes every function declaration of pkgs.
+func buildCallGraph(pkgs []*Package) *callGraph {
+	g := newCallGraph()
+	for _, pkg := range pkgs {
+		forEachFunc(pkg, func(fd *ast.FuncDecl, obj *types.Func) {
+			if _, dup := g.sums[obj]; !dup {
+				g.sums[obj] = summarize(pkg, fd, obj)
+				g.order = append(g.order, obj)
+			}
+		})
 	}
-	g.sums[s.obj] = s
-	g.order = append(g.order, s.obj)
+	return g
+}
+
+// forEachFunc visits the package's function declarations that have a
+// body, in file and declaration order.
+func forEachFunc(pkg *Package, visit func(fd *ast.FuncDecl, obj *types.Func)) {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				visit(fd, obj)
+			}
+		}
+	}
+}
+
+// roots returns the summarized functions matching isRoot, in collection
+// order.
+func (g *callGraph) roots(isRoot func(*funcSummary) bool) []*types.Func {
+	var out []*types.Func
+	for _, fn := range g.order {
+		if isRoot(g.sums[fn]) {
+			out = append(out, fn)
+		}
+	}
+	return out
 }
 
 // lookup resolves a callee to its summary, normalizing instantiated
@@ -190,11 +383,12 @@ type chainVisit struct {
 
 // walkFrom breadth-first-traverses the graph from the roots, invoking
 // visit exactly once per reachable summarized function with the chain
-// that first reached it. Trusted (//spawnvet:pure) functions stop the
-// walk: visit is not called for them and their callees are not
-// enqueued. When a chain would exceed callGraphDepthCap, deep is called
-// with the truncation point and the walk stops descending there.
-func (g *callGraph) walkFrom(roots []*types.Func,
+// that first reached it. Functions the analyzer's trusted predicate
+// accepts (nil trusts nothing) stop the walk: visit is not called for
+// them and their callees are not enqueued. When a chain would exceed
+// callGraphDepthCap, deep is called with the truncation point and the
+// walk stops descending there.
+func (g *callGraph) walkFrom(roots []*types.Func, trusted func(*funcSummary) bool,
 	visit func(sum *funcSummary, chain []string),
 	deep func(sum *funcSummary, calleePos token.Pos, chain []string)) {
 
@@ -215,7 +409,7 @@ func (g *callGraph) walkFrom(roots []*types.Func,
 			continue
 		}
 		parent[v.fn] = v.parent
-		if sum.trusted {
+		if trusted != nil && trusted(sum) {
 			continue
 		}
 		visit(sum, g.chain(parent, v.fn))

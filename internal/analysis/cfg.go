@@ -10,21 +10,19 @@ import (
 	"strings"
 )
 
-// This file is the flow-sensitive layer of the dataflow engine: an
+// This file is the flow-sensitive half of the dataflow engine: an
 // intraprocedural control-flow graph over go/ast (basic blocks with
-// branch, loop, switch, select, and defer edges), reverse-postorder
-// iteration, dominators, and a reaching-definitions fixpoint that
-// upgrades funcFlow's origin queries from "every assignment anywhere in
-// the function" to "the assignments that actually reach this point".
-// The Origin lattice (dataflow.go) is unchanged — seedtaint, units,
-// purity, clockstep, and skipsafe consume the same leaf sets, they just
-// stop seeing origins merged across mutually exclusive branches.
+// branch, loop, switch, select, goto, and defer edges), reverse-
+// postorder iteration, dominators, and a reaching-definitions fixpoint
+// that tells funcFlow's origin queries (dataflow.go) which assignments
+// actually reach each program point. seedtaint, units, purity,
+// clockstep, and skipsafe consume the same Origin leaf sets; origins
+// merge only where control flow does.
 //
-// Two deliberate degradations keep the layer safe rather than clever:
-// a function containing goto falls back to the flow-insensitive engine
-// (its reaching sets stay over-approximate, never under), and a
-// fixpoint that exceeds its iteration budget does the same. The depth
-// and fan caps of dataflow.go apply unchanged when the reaching
+// Goto edges are ordinary CFG edges, so the fixpoint stays sound over
+// them. The one degradation is a fixpoint that exceeds its iteration
+// budget: every query in that function answers [OriginUnknown]. The
+// depth and fan caps of dataflow.go apply when the reaching
 // definitions are traced to leaves.
 
 // A cfgBlock is one basic block: nodes execute in order, then control
@@ -52,10 +50,6 @@ type funcCFG struct {
 	// idom maps each reachable block (except entry) to its immediate
 	// dominator.
 	idom map[*cfgBlock]*cfgBlock
-	// hasGoto marks a function using goto: edge structure for gotos is
-	// recorded, but flow-sensitive consumers must fall back (a goto into
-	// a loop body can bypass the reaching-definition bookkeeping).
-	hasGoto bool
 }
 
 // branchTarget is one enclosing breakable/continuable construct.
@@ -375,7 +369,6 @@ func (b *cfgBuilder) branchStmt(s *ast.BranchStmt) {
 			}
 		}
 	case token.GOTO:
-		b.c.hasGoto = true
 		if name != "" {
 			b.link(b.cur, b.labelBlock(name))
 		}
@@ -541,13 +534,12 @@ func nodeText(fset *token.FileSet, n ast.Node) string {
 	return strings.Join(fields, " ")
 }
 
-// --- flow-sensitive reaching definitions -------------------------------
+// --- reaching definitions ----------------------------------------------
 //
 // originEnv maps each local variable to the definition expressions that
 // reach a program point. Tracing an identifier under an env follows
-// only these reaching definitions (dataflow.go's trace consults the
-// env before the flow-insensitive assignment graph). A variable's own
-// declaration identifier is the marker for "declared without
+// only these reaching definitions (dataflow.go's trace). A variable's
+// own declaration identifier is the marker for "declared without
 // initializer": its value is the type's zero value, which traces as an
 // anonymous literal.
 type originEnv map[*types.Var][]ast.Expr
@@ -559,30 +551,25 @@ type cfgSite struct {
 }
 
 // envBudgetPerBlock bounds fixpoint iterations; an exhausted budget
-// degrades the whole function to the flow-insensitive engine.
+// leaves the function unsolved (every origin query answers
+// [OriginUnknown]).
 const envBudgetPerBlock = 40
 
-// ensureFlowSensitive builds the CFG and solves the reaching-definition
-// fixpoint once per funcFlow. On any structural bailout (no body, goto,
-// budget exhaustion) sensitive stays false and originsOf falls back to
-// the flow-insensitive assignment graph.
-func (f *funcFlow) ensureFlowSensitive() {
-	if f.built {
+// solve builds the CFG and solves the reaching-definition fixpoint once
+// per funcFlow. cfg stays nil without a body or when the budget runs
+// out.
+func (f *funcFlow) solve() {
+	if f.solved {
 		return
 	}
-	f.built = true
+	f.solved = true
 	if f.body == nil {
 		return
 	}
 	f.cfg = buildCFG(f.body)
-	if f.cfg.hasGoto {
-		return
-	}
 	if !f.solveEnvs() {
 		f.cfg = nil
-		return
 	}
-	f.sensitive = true
 }
 
 // solveEnvs runs the worklist fixpoint: in-environments per block,
@@ -746,13 +733,22 @@ func (f *funcFlow) transferValueSpec(vs *ast.ValueSpec, env originEnv) {
 
 // envAt reconstructs the environment just before the innermost CFG
 // node containing e: the block's in-environment plus the transfers of
-// the nodes preceding that node within the block.
-func (f *funcFlow) envAt(e ast.Expr) (originEnv, bool) {
+// the nodes preceding that node within the block. The package-level
+// pseudo-scope has the empty environment. ok is false when the
+// fixpoint was abandoned or e has no site in the graph.
+func (f *funcFlow) envAt(e ast.Expr) (env originEnv, ok bool) {
+	f.solve()
+	if f.body == nil {
+		return originEnv{}, true
+	}
+	if f.cfg == nil {
+		return nil, false
+	}
 	site, ok := f.siteOf(e)
 	if !ok {
 		return nil, false
 	}
-	env := cloneEnv(f.envIn[site.block.index])
+	env = cloneEnv(f.envIn[site.block.index])
 	for i := 0; i < site.index; i++ {
 		f.transferNode(site.block.nodes[i], env)
 	}
@@ -780,10 +776,10 @@ func (f *funcFlow) siteOf(e ast.Expr) (cfgSite, bool) {
 }
 
 // factsFor returns the branch facts that hold at e's program point, or
-// nil when the function is not flow-sensitively analyzable.
+// nil when the function has no solved graph.
 func (f *funcFlow) factsFor(e ast.Expr) []branchFact {
-	f.ensureFlowSensitive()
-	if !f.sensitive {
+	f.solve()
+	if f.cfg == nil {
 		return nil
 	}
 	site, ok := f.siteOf(e)
@@ -796,9 +792,9 @@ func (f *funcFlow) factsFor(e ast.Expr) []branchFact {
 // renderEnvs dumps every block's in-environment deterministically
 // (used by the idempotence test: re-solving must reproduce this).
 func (f *funcFlow) renderEnvs(fset *token.FileSet) string {
-	f.ensureFlowSensitive()
-	if !f.sensitive {
-		return "<flow-insensitive>"
+	f.solve()
+	if f.cfg == nil {
+		return "<unsolved>"
 	}
 	var sb strings.Builder
 	for _, b := range f.cfg.blocks {

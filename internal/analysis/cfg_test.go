@@ -44,7 +44,7 @@ func fixtureFuncs(pkg *Package) []*ast.FuncDecl {
 
 // TestCFGStructureGolden pins the block/edge structure the builder
 // produces for defer routing, labeled break/continue, switch
-// fallthrough, and for-range.
+// fallthrough, for-range, and goto.
 func TestCFGStructureGolden(t *testing.T) {
 	pkg := loadCFGFixture(t)
 	var sb strings.Builder
@@ -78,8 +78,8 @@ func TestEnvIdempotence(t *testing.T) {
 	for _, fd := range fixtureFuncs(pkg) {
 		first := newFuncFlow(pkg.Info, fd)
 		r1 := first.renderEnvs(pkg.Fset)
-		if r1 == "<flow-insensitive>" {
-			t.Errorf("%s: expected flow-sensitive analysis, got fallback", fd.Name.Name)
+		if r1 == "<unsolved>" {
+			t.Errorf("%s: the reaching-definition fixpoint was abandoned", fd.Name.Name)
 			continue
 		}
 		if again := first.renderEnvs(pkg.Fset); again != r1 {
@@ -153,5 +153,20 @@ func TestBranchSplitEnvs(t *testing.T) {
 	got = originNames(flow.originsOf(atJoin))
 	if len(got) != 2 || got[0] != "p" || got[1] != "q" {
 		t.Errorf("join use of x: origins = %v, want [p q]", got)
+	}
+}
+
+// TestGotoEnvs: goto edges are ordinary CFG edges, so the reaching-
+// definition fixpoint is sound over them. Both the backward jump (the
+// loop-carried redefinition reaches the label) and the forward jump
+// (the skipped reassignment and the fall-through meet at the label)
+// must leave exactly p and q reaching use(x).
+func TestGotoEnvs(t *testing.T) {
+	for _, fn := range []string{"backjump", "forwardjump"} {
+		flow, arg := fixtureFlow(t, "cfg", fn)
+		got := originNames(flow.originsOf(arg))
+		if len(got) != 2 || got[0] != "p" || got[1] != "q" {
+			t.Errorf("%s: use(x) origins = %v, want [p q]", fn, got)
+		}
 	}
 }

@@ -46,9 +46,9 @@ func ClockStepAnalyzer() *Analyzer {
 		Name:      "clockstep",
 		Doc:       "Cycle-typed state must derive from the engine clock, and the clock itself may only advance",
 		AppliesTo: pathWithin("internal/sim"),
-		Run:       st.collect,
+		Run:       st.check,
 		Finish:    st.finish,
-		Reset:     func() { st.graph = nil; st.deferred = nil },
+		Reset:     func() { st.deferred = map[*types.Func][]clockDeferred{} },
 	}
 }
 
@@ -60,16 +60,7 @@ type clockDeferred struct {
 }
 
 type clockstepState struct {
-	graph    *callGraph
 	deferred map[*types.Func][]clockDeferred
-}
-
-func (st *clockstepState) ensure() *callGraph {
-	if st.graph == nil {
-		st.graph = newCallGraph()
-		st.deferred = map[*types.Func][]clockDeferred{}
-	}
-	return st.graph
 }
 
 // isCycleType reports whether t is (an alias-free view of) a named type
@@ -165,49 +156,29 @@ func zeroLiteralOrigin(info *types.Info, o Origin) bool {
 	return false
 }
 
-// collect runs per package: it summarizes call edges for the
-// reachability walk, reports rule-2 violations immediately, and defers
-// rule-1/3/4 findings until finish gates them on run-reachability.
-func (st *clockstepState) collect(pass *Pass) {
-	g := st.ensure()
+// check runs per package: it reports rule-2 violations immediately and
+// defers rule-1/3/4 findings until finish gates them on
+// run-reachability.
+func (st *clockstepState) check(pass *Pass) {
 	info := pass.Pkg.Info
-	flows := newFlowCache(info)
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	flows := pass.Pkg.flows()
+	forEachFunc(pass.Pkg, func(fd *ast.FuncDecl, obj *types.Func) {
+		walkStack(fd, func(n ast.Node, stack []ast.Node) {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if fn, ok := calleeObject(info, n).(*types.Func); ok {
+					st.checkTimestampArgs(info, flows, stack, obj, n, fn)
+				}
+			case *ast.AssignStmt:
+				st.checkAssign(pass, info, flows, stack, obj, n)
+			case *ast.IncDecStmt:
+				if field := clockFieldSel(info, n.X); field != nil && n.Tok == token.DEC {
+					pass.Reportf(n.Pos(), "engine clock %s is decremented; simulated time may only advance", exprText(n.X))
+				}
+			case *ast.BinaryExpr:
+				st.checkStaleComparison(info, flows, stack, obj, n)
 			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &funcSummary{obj: obj, decl: fd, pkg: pass.Pkg,
-				calleePos: map[*types.Func]token.Pos{}}
-			st.scanBody(pass, flows, fd, obj, sum)
-			g.add(sum)
-		}
-	}
-}
-
-func (st *clockstepState) scanBody(pass *Pass, flows *flowCache, fd *ast.FuncDecl, obj *types.Func, sum *funcSummary) {
-	info := pass.Pkg.Info
-	walkStack(fd, func(n ast.Node, stack []ast.Node) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if fn, ok := calleeObject(info, n).(*types.Func); ok {
-				sum.addCallee(fn, n.Pos())
-				st.checkTimestampArgs(info, flows, stack, obj, n, fn)
-			}
-		case *ast.AssignStmt:
-			st.checkAssign(pass, info, flows, stack, obj, n)
-		case *ast.IncDecStmt:
-			if field := clockFieldSel(info, n.X); field != nil && n.Tok == token.DEC {
-				pass.Reportf(n.Pos(), "engine clock %s is decremented; simulated time may only advance", exprText(n.X))
-			}
-		case *ast.BinaryExpr:
-			st.checkStaleComparison(info, flows, stack, obj, n)
-		}
+		})
 	})
 }
 
@@ -230,10 +201,10 @@ func (st *clockstepState) checkAssign(pass *Pass, info *types.Info, flows *flowC
 
 // checkClockStore enforces rule 2 on one store to the engine clock.
 func (st *clockstepState) checkClockStore(pass *Pass, info *types.Info, flows *flowCache, stack []ast.Node, as *ast.AssignStmt, lhs, rhs ast.Expr) {
-	flow := flows.at(stack)
-	if flow == nil || rhs == nil {
+	if rhs == nil {
 		return
 	}
+	flow := flows.at(stack)
 	switch as.Tok {
 	case token.ADD_ASSIGN:
 		if nonNegConst(info, rhs) || clockDerivedExpr(flow, rhs) {
@@ -340,9 +311,6 @@ func (st *clockstepState) checkCycleStore(info *types.Info, flows *flowCache, st
 		return
 	}
 	flow := flows.at(stack)
-	if flow == nil {
-		return
-	}
 	origins := flow.originsOf(rhs)
 	target := exprText(lhs)
 	for _, o := range origins {
@@ -391,9 +359,6 @@ func (st *clockstepState) checkTimestampArgs(info *types.Info, flows *flowCache,
 		return
 	}
 	flow := flows.at(stack)
-	if flow == nil {
-		return
-	}
 	params := sig.Params()
 	for i := 0; i < params.Len() && i < len(call.Args); i++ {
 		p := params.At(i)
@@ -456,9 +421,6 @@ func (st *clockstepState) checkStaleComparison(info *types.Info, flows *flowCach
 		return
 	}
 	flow := flows.at(stack)
-	if flow == nil {
-		return
-	}
 	for _, operand := range []ast.Expr{bin.X, bin.Y} {
 		for _, o := range flow.originsOf(operand) {
 			if o.Kind != OriginField || o.Obj == nil || o.Obj.Name() != "clock" {
@@ -519,20 +481,15 @@ func clockRoot(s *funcSummary) bool {
 	return s.decl.Recv != nil && s.obj.Name() == "Run" && recvTypeName(s.decl) == "GPU"
 }
 
-// finish closes the call graph over the run roots and emits the
-// deferred rule-1/3/4 findings of every reachable function.
+// finish closes the call graph over the run root, trusting nothing,
+// and emits the deferred rule-1/3/4 findings of every reachable
+// function.
 func (st *clockstepState) finish(pass *Pass) {
 	if pass.Pkg == nil {
 		return
 	}
-	g := st.ensure()
-	var roots []*types.Func
-	for _, fn := range g.order {
-		if clockRoot(g.sums[fn]) {
-			roots = append(roots, fn)
-		}
-	}
-	g.walkFrom(roots,
+	g := pass.callGraph()
+	g.walkFrom(g.roots(clockRoot), nil,
 		func(sum *funcSummary, chain []string) {
 			for _, d := range st.deferred[sum.obj] {
 				pass.Reportf(d.pos, "%s", d.text(chainText(chain)))

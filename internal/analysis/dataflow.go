@@ -6,16 +6,17 @@ import (
 	"go/types"
 )
 
-// This file is the intraprocedural dataflow engine the provenance
-// analyzers (seedtaint, units) build on: value-origin tracking over
-// go/types. For an expression inside one function it answers "which
-// leaf sources can flow into this value?" by chasing local-variable
-// assignments backwards, looking through parentheses, arithmetic, and
-// type conversions. The engine is deliberately flow-insensitive (every
-// assignment to a variable contributes origins, regardless of branch
-// order) and intraprocedural (calls are opaque leaves): that
-// over-approximates the true origin set, which is the safe direction
-// for taint-style checks.
+// This file is the intraprocedural dataflow engine every provenance
+// analyzer (seedtaint, units, purity, skipsafe, clockstep) builds on:
+// value-origin tracking over go/types. For an expression inside one
+// function it answers "which leaf sources can flow into this value?" by
+// chasing the local-variable definitions that reach the expression's
+// program point (the reaching-definitions fixpoint in cfg.go)
+// backwards, looking through parentheses, arithmetic, and type
+// conversions. The engine is intraprocedural (calls are opaque leaves)
+// and merges origins only where control flow merges: the set
+// over-approximates the true origins, which is the safe direction for
+// taint-style checks.
 
 // OriginKind classifies the leaf sources a value can flow from.
 type OriginKind uint8
@@ -33,7 +34,8 @@ const (
 	// OriginGlobal: a package-level variable.
 	OriginGlobal
 	// OriginUnknown: anything the tracker cannot resolve (closure
-	// captures, channel receives, map/slice elements of opaque shape).
+	// captures, channel receives, map/slice elements of opaque shape,
+	// exhausted caps, a function whose fixpoint ran out of budget).
 	OriginUnknown
 )
 
@@ -73,83 +75,39 @@ const (
 	originFanCap   = 64
 )
 
-// funcFlow holds the assignment graph of one function body, plus the
-// lazily built flow-sensitive layer (cfg.go) that narrows queries to
-// the definitions actually reaching each program point.
+// funcFlow is the origin-query scope of one function body: its
+// parameters plus the reaching-definition environments (cfg.go) that
+// say which assignments reach each program point.
 type funcFlow struct {
 	info *types.Info
-	// assigns maps each local variable to every expression assigned to
-	// it anywhere in the function (flow-insensitive fallback).
-	assigns map[*types.Var][]ast.Expr
 	// params marks parameters and receivers.
 	params map[*types.Var]bool
-
 	// body is the function body the CFG is built from (nil for the
-	// package-level pseudo-scope).
+	// package-level pseudo-scope, where no local definition reaches).
 	body *ast.BlockStmt
-	// built/sensitive/cfg/envIn are the flow-sensitive layer, populated
-	// by ensureFlowSensitive (cfg.go). When sensitive is false, queries
-	// use the flow-insensitive assignment graph above.
-	built     bool
-	sensitive bool
-	cfg       *funcCFG
-	envIn     []originEnv
+	// solved/cfg/envIn are filled once by solve (cfg.go). cfg stays nil
+	// when there is no body or the fixpoint ran out of budget.
+	solved bool
+	cfg    *funcCFG
+	envIn  []originEnv
 }
 
-// newFuncFlow builds the assignment graph for fn, which must be an
-// *ast.FuncDecl or *ast.FuncLit.
+// newFuncFlow builds the query scope of fn, an *ast.FuncDecl or
+// *ast.FuncLit; any other node (nil included) yields the package-level
+// pseudo-scope for var initializers.
 func newFuncFlow(info *types.Info, fn ast.Node) *funcFlow {
-	f := &funcFlow{
-		info:    info,
-		assigns: map[*types.Var][]ast.Expr{},
-		params:  map[*types.Var]bool{},
-	}
-	var ftype *ast.FuncType
-	var body *ast.BlockStmt
+	f := &funcFlow{info: info, params: map[*types.Var]bool{}}
 	switch n := fn.(type) {
 	case *ast.FuncDecl:
-		ftype, body = n.Type, n.Body
 		if n.Recv != nil {
 			f.addParams(n.Recv)
 		}
+		f.addParams(n.Type.Params)
+		f.body = n.Body
 	case *ast.FuncLit:
-		ftype, body = n.Type, n.Body
-	default:
-		return f
+		f.addParams(n.Type.Params)
+		f.body = n.Body
 	}
-	f.addParams(ftype.Params)
-	if body == nil {
-		return f
-	}
-	f.body = body
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// Nested function literals have their own flow scope.
-			return false
-		case *ast.AssignStmt:
-			f.recordAssign(n)
-		case *ast.GenDecl:
-			if n.Tok == token.VAR {
-				for _, spec := range n.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						f.recordValueSpec(vs)
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			// Range bindings inherit the origins of the ranged
-			// collection: the element of a seed slice is still a seed.
-			for _, lhs := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-					if v := f.lhsVar(id); v != nil {
-						f.assigns[v] = append(f.assigns[v], n.X)
-					}
-				}
-			}
-		}
-		return true
-	})
 	return f
 }
 
@@ -174,66 +132,18 @@ func (f *funcFlow) lhsVar(id *ast.Ident) *types.Var {
 	return nil
 }
 
-func (f *funcFlow) recordAssign(as *ast.AssignStmt) {
-	switch {
-	case len(as.Lhs) == len(as.Rhs):
-		for i, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				if v := f.lhsVar(id); v != nil {
-					f.assigns[v] = append(f.assigns[v], as.Rhs[i])
-				}
-			}
-		}
-	case len(as.Rhs) == 1:
-		// Tuple assignment: every target flows from the one call.
-		for _, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				if v := f.lhsVar(id); v != nil {
-					f.assigns[v] = append(f.assigns[v], as.Rhs[0])
-				}
-			}
-		}
-	}
-}
-
-func (f *funcFlow) recordValueSpec(vs *ast.ValueSpec) {
-	switch {
-	case len(vs.Values) == len(vs.Names):
-		for i, name := range vs.Names {
-			if name.Name == "_" {
-				continue
-			}
-			if v, ok := f.info.Defs[name].(*types.Var); ok {
-				f.assigns[v] = append(f.assigns[v], vs.Values[i])
-			}
-		}
-	case len(vs.Values) == 1:
-		for _, name := range vs.Names {
-			if name.Name == "_" {
-				continue
-			}
-			if v, ok := f.info.Defs[name].(*types.Var); ok {
-				f.assigns[v] = append(f.assigns[v], vs.Values[0])
-			}
-		}
-	}
-}
-
 // originsOf returns the leaf sources that can flow into e within this
-// function. When the flow-sensitive layer (cfg.go) is available the
-// trace follows only the definitions reaching e's program point;
-// otherwise it falls back to the flow-insensitive assignment graph.
-// Either way the set is an over-approximation of the true origins.
+// function, following only the definitions that reach e's program
+// point. The set over-approximates the true origins. When the fixpoint
+// ran out of budget the answer is the lone conservative OriginUnknown
+// marker.
 func (f *funcFlow) originsOf(e ast.Expr) []Origin {
-	var out []Origin
-	f.ensureFlowSensitive()
-	if f.sensitive {
-		if env, ok := f.envAt(e); ok {
-			f.trace(e, env, map[*types.Var]bool{}, 0, &out)
-			return out
-		}
+	env, ok := f.envAt(e)
+	if !ok {
+		return []Origin{{Kind: OriginUnknown, Expr: e}}
 	}
-	f.trace(e, nil, map[*types.Var]bool{}, 0, &out)
+	var out []Origin
+	f.trace(e, env, map[*types.Var]bool{}, 0, &out)
 	return out
 }
 
@@ -266,8 +176,7 @@ var arithmeticOps = map[token.Token]bool{
 }
 
 // trace walks e's structure toward leaves. env is the reaching-
-// definition environment at e's program point when the flow-sensitive
-// layer is active, nil for flow-insensitive tracing.
+// definition environment at e's program point.
 func (f *funcFlow) trace(e ast.Expr, env originEnv, visiting map[*types.Var]bool, depth int, out *[]Origin) {
 	if depth > originDepthCap || len(*out) >= originFanCap {
 		f.capStop(out, e)
@@ -328,50 +237,32 @@ func (f *funcFlow) traceIdent(id *ast.Ident, env originEnv, visiting map[*types.
 	case *types.Const:
 		f.add(out, Origin{Kind: OriginLiteral, Expr: id, Obj: obj})
 	case *types.Var:
-		if env != nil {
-			// Flow-sensitive: the environment is consulted before the
-			// parameter set so a reassigned parameter resolves to what
-			// actually reaches this point, not its caller-supplied value.
-			if defs, ok := env[obj]; ok {
-				if visiting[obj] {
-					return
-				}
-				visiting[obj] = true
-				for _, rhs := range defs {
-					if dID, isID := rhs.(*ast.Ident); isID && f.info.Defs[dID] == types.Object(obj) {
-						// Self-marker from `var x T`: the zero value, an
-						// anonymous literal.
-						f.add(out, Origin{Kind: OriginLiteral, Expr: dID})
-						continue
-					}
-					f.trace(rhs, env, visiting, depth+1, out)
-				}
-				delete(visiting, obj)
+		// The environment is consulted before the parameter set so a
+		// reassigned parameter resolves to what actually reaches this
+		// point, not its caller-supplied value.
+		if defs, ok := env[obj]; ok {
+			if visiting[obj] {
+				// Assignment cycle (x = x + 1 chains): the other origins of
+				// the cycle carry the information.
 				return
 			}
-			switch {
-			case f.params[obj]:
-				f.add(out, Origin{Kind: OriginParam, Expr: id, Obj: obj})
-			case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
-				f.add(out, Origin{Kind: OriginGlobal, Expr: id, Obj: obj})
-			default:
-				f.add(out, Origin{Kind: OriginUnknown, Expr: id, Obj: obj})
+			visiting[obj] = true
+			for _, rhs := range defs {
+				if dID, isID := rhs.(*ast.Ident); isID && f.info.Defs[dID] == types.Object(obj) {
+					// Self-marker from `var x T`: the zero value, an
+					// anonymous literal.
+					f.add(out, Origin{Kind: OriginLiteral, Expr: dID})
+					continue
+				}
+				f.trace(rhs, env, visiting, depth+1, out)
 			}
+			delete(visiting, obj)
 			return
 		}
 		switch {
 		case f.params[obj]:
 			f.add(out, Origin{Kind: OriginParam, Expr: id, Obj: obj})
-		case visiting[obj]:
-			// Assignment cycle (x = x + 1 chains): the other origins of
-			// the cycle carry the information.
-		case len(f.assigns[obj]) > 0:
-			visiting[obj] = true
-			for _, rhs := range f.assigns[obj] {
-				f.trace(rhs, nil, visiting, depth+1, out)
-			}
-			delete(visiting, obj)
-		case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
+		case isPackageLevel(obj):
 			f.add(out, Origin{Kind: OriginGlobal, Expr: id, Obj: obj})
 		default:
 			f.add(out, Origin{Kind: OriginUnknown, Expr: id, Obj: obj})
@@ -397,19 +288,23 @@ func (f *funcFlow) traceSelector(sel *ast.SelectorExpr, out *[]Origin) {
 	}
 }
 
-// flowCache builds funcFlow scopes lazily, one per enclosing function,
-// for analyzers that resolve origins at many sites in one pass.
+// flowCache builds funcFlow scopes lazily, one per enclosing function.
+// Each Package owns one (Package.flows), shared by every analyzer that
+// resolves origins in it.
 type flowCache struct {
 	info  *types.Info
 	flows map[ast.Node]*funcFlow
+	// pkgScope is the pseudo-scope of package-level var initializers.
+	pkgScope *funcFlow
 }
 
 func newFlowCache(info *types.Info) *flowCache {
-	return &flowCache{info: info, flows: map[ast.Node]*funcFlow{}}
+	return &flowCache{info: info, flows: map[ast.Node]*funcFlow{}, pkgScope: newFuncFlow(info, nil)}
 }
 
 // at returns the flow scope of the innermost enclosing function on the
-// ancestor stack, or nil at package level (var initializers).
+// ancestor stack, or the package-level pseudo-scope outside any
+// function.
 func (c *flowCache) at(stack []ast.Node) *funcFlow {
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch stack[i].(type) {
@@ -423,5 +318,5 @@ func (c *flowCache) at(stack []ast.Node) *funcFlow {
 			return f
 		}
 	}
-	return nil
+	return c.pkgScope
 }

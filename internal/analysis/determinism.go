@@ -9,18 +9,16 @@ import (
 
 // DeterminismAnalyzer enforces the simulator's replay contract: a
 // (config, seed, plan) triple must reproduce bit-identical results, so
-// nothing on the simulation or emission path may consult the wall
-// clock, the process-global RNG, or Go's randomized map iteration
-// order.
+// nothing on the simulation or emission path may consult the
+// process-global RNG or Go's randomized map iteration order. (The wall
+// clock is purity's rule: every time.Now reachable from a run is an
+// ambient-I/O effect there.)
 //
 // Rules, inside the deterministic packages (internal/sim/...,
 // internal/harness, internal/trace, internal/metrics, internal/faults,
 // internal/inputs, internal/store, the CLIs under cmd/, and the module
 // root package):
 //
-//   - no time.Now / time.Since (wall-clock sites that are genuinely
-//     presentation-only — heartbeat rates, deadline bookkeeping — carry
-//     a //spawnvet:allow determinism directive with a justification);
 //   - no package-global math/rand state (rand.Intn, rand.Seed, ...);
 //     seeded generators via rand.New(rand.NewSource(seed)) are fine;
 //   - no ranging over a map, except the canonical key-collection
@@ -31,7 +29,7 @@ import (
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "forbid wall-clock reads, global math/rand, and order-dependent map iteration in deterministic packages",
+		Doc:  "forbid global math/rand and order-dependent map iteration in deterministic packages",
 		AppliesTo: pathWithinOrRoot(
 			"internal/sim", "internal/harness", "internal/trace",
 			"internal/metrics", "internal/faults", "internal/inputs",
@@ -54,12 +52,6 @@ func runDeterminism(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.CallExpr:
-				if isPkgCall(info, n, "time", "Now") || isPkgCall(info, n, "time", "Since") {
-					pass.Reportf(n.Pos(),
-						"wall-clock read (%s) in a deterministic package; derive timing from the simulation clock or add //spawnvet:allow determinism <why>",
-						exprText(n.Fun))
-				}
 			case *ast.SelectorExpr:
 				// Only package-level selectors (rand.Intn) touch the global
 				// generator; methods on a seeded *rand.Rand are fine.

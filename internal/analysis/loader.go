@@ -46,6 +46,17 @@ type Package struct {
 	TypeErrors []error
 
 	directives []*Directive
+	// flowScopes is the package's origin-query cache, built on first use
+	// and shared by every analyzer (see flows).
+	flowScopes *flowCache
+}
+
+// flows returns the package's shared origin-query cache.
+func (p *Package) flows() *flowCache {
+	if p.flowScopes == nil {
+		p.flowScopes = newFlowCache(p.Info)
+	}
+	return p.flowScopes
 }
 
 // Loader parses and type-checks module packages. One Loader shares a

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
@@ -12,10 +10,9 @@ import (
 // (internal/store) memoizes runs by a hash of (config, seed, plan,
 // workload), which is only sound if every function reachable from the
 // simulator's run roots is a pure function of those inputs. The
-// analyzer builds a module-wide call graph (callgraph.go) over the
-// per-function summaries it collects bottom-up, closes it over the run
-// roots, and reports three violation classes with the call chain that
-// reaches each one:
+// analyzer closes the shared module call graph (callgraph.go) over the
+// run roots and reports three violation classes with the call chain
+// that reaches each one:
 //
 //   - writes to package-level variables, directly or through a local
 //     that the dataflow engine traces back to package-level state
@@ -41,13 +38,10 @@ import (
 // assumed pure, mirroring the dataflow engine's opaque-call fallback;
 // the determinism and -race gates backstop that blind spot.
 func PurityAnalyzer() *Analyzer {
-	st := &purityState{}
 	return &Analyzer{
 		Name:   "purity",
 		Doc:    "functions reachable from sim.Run / harness attempts must stay pure in (config, seed, plan, workload)",
-		Run:    st.collect,
-		Finish: st.finish,
-		Reset:  func() { st.graph = nil },
+		Finish: finishPurity,
 	}
 }
 
@@ -121,168 +115,6 @@ func ambientCall(fn *types.Func) bool {
 	return false
 }
 
-// purityState accumulates the module call graph across package passes.
-type purityState struct {
-	graph *callGraph
-}
-
-func (st *purityState) ensure() *callGraph {
-	if st.graph == nil {
-		st.graph = newCallGraph()
-	}
-	return st.graph
-}
-
-// collect is the per-package Run pass: one bottom-up summary per
-// function declaration. Effects inside nested function literals are
-// attributed to the enclosing declaration (over-approximation: the
-// literal may run whenever the function does).
-func (st *purityState) collect(pass *Pass) {
-	g := st.ensure()
-	flows := newFlowCache(pass.Pkg.Info)
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &funcSummary{obj: obj, decl: fd, pkg: pass.Pkg,
-				calleePos: map[*types.Func]token.Pos{}}
-			if pass.Pkg.pureMarked(fd) {
-				sum.trusted = true
-				g.add(sum)
-				continue
-			}
-			st.scanBody(pass, flows, fd, sum)
-			g.add(sum)
-		}
-	}
-}
-
-func (st *purityState) scanBody(pass *Pass, flows *flowCache, fd *ast.FuncDecl, sum *funcSummary) {
-	info := pass.Pkg.Info
-	walkStack(fd, func(n ast.Node, stack []ast.Node) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			st.recordCall(info, sum, n)
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				var rhs ast.Expr
-				if len(n.Lhs) == len(n.Rhs) {
-					rhs = n.Rhs[i]
-				}
-				st.recordWrite(info, flows, stack, sum, lhs, rhs)
-			}
-		case *ast.IncDecStmt:
-			st.recordWrite(info, flows, stack, sum, n.X, nil)
-		}
-	})
-}
-
-// recordCall classifies one call site: pure-registry skip, ambient
-// effect, or static call-graph edge. Builtins, conversions, func-typed
-// values, and interface methods are opaque (see the analyzer doc).
-func (st *purityState) recordCall(info *types.Info, sum *funcSummary, call *ast.CallExpr) {
-	fn, ok := calleeObject(info, call).(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return
-	}
-	if PureFuncs[fn.FullName()] {
-		return
-	}
-	if ambientCall(fn) {
-		sum.effects = append(sum.effects, effect{
-			kind: effectAmbientIO, pos: call.Pos(), what: fn.FullName()})
-		return
-	}
-	sum.addCallee(fn, call.Pos())
-}
-
-// recordWrite classifies one assignment target. Package-level targets
-// are effects outright (leaks when the value retains pointer-shaped
-// parameter memory); indirect writes through reference-shaped locals
-// are effects when the local's origins include package-level state.
-func (st *purityState) recordWrite(info *types.Info, flows *flowCache, stack []ast.Node, sum *funcSummary, lhs, rhs ast.Expr) {
-	base, hadStar, wrapped := writeBase(lhs)
-	if base == nil || base.Name == "_" {
-		return
-	}
-	v, ok := objOf(info, base).(*types.Var)
-	if !ok || v.IsField() {
-		return
-	}
-	if isPackageLevel(v) {
-		eff := effect{kind: effectGlobalWrite, pos: lhs.Pos(),
-			what: "package-level variable " + v.Name()}
-		if p := leakedParam(flows, stack, rhs); p != nil {
-			eff.kind = effectLeak
-			eff.what = fmt.Sprintf("package-level variable %s retains pointer input %s", v.Name(), p.Name())
-		}
-		sum.effects = append(sum.effects, eff)
-		return
-	}
-	if !wrapped || (!hadStar && !refShaped(v.Type())) {
-		// Writing a local itself, or an element of a local value copy,
-		// stays inside the frame.
-		return
-	}
-	flow := flows.at(stack)
-	if flow == nil {
-		return
-	}
-	for _, o := range flow.originsOf(base) {
-		if o.Kind == OriginGlobal {
-			alias := exprText(o.Expr)
-			if o.Obj != nil {
-				alias = o.Obj.Name()
-			}
-			sum.effects = append(sum.effects, effect{kind: effectGlobalWrite, pos: lhs.Pos(),
-				what: fmt.Sprintf("package-level state through %s (aliasing %s)", base.Name, alias)})
-			return
-		}
-	}
-}
-
-// leakedParam returns the pointer-shaped parameter whose memory rhs
-// retains, or nil.
-func leakedParam(flows *flowCache, stack []ast.Node, rhs ast.Expr) *types.Var {
-	if rhs == nil {
-		return nil
-	}
-	flow := flows.at(stack)
-	if flow == nil {
-		return nil
-	}
-	for _, o := range flow.originsOf(rhs) {
-		if o.Kind != OriginParam || o.Obj == nil {
-			continue
-		}
-		if p, ok := o.Obj.(*types.Var); ok && refShaped(p.Type()) {
-			return p
-		}
-	}
-	return nil
-}
-
-// isPackageLevel reports whether v is a package-level variable.
-func isPackageLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// refShaped reports whether values of t share memory with their source
-// (writes through them escape the copy).
-func refShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature:
-		return true
-	}
-	return false
-}
-
 // purityRoot reports whether a summary is a run root: the method Run on
 // a receiver type named GPU, or the harness attempt path.
 func purityRoot(s *funcSummary) bool {
@@ -297,20 +129,22 @@ func purityRoot(s *funcSummary) bool {
 	return false
 }
 
-// finish closes the call graph over the run roots and reports every
-// effect reachable from them, naming the call chain of first discovery.
-func (st *purityState) finish(pass *Pass) {
+// pureTrusted reports whether a function carries a valid
+// //spawnvet:pure directive: an opaque pure leaf, neither descended
+// into nor reported.
+func pureTrusted(s *funcSummary) bool {
+	return s.pkg.marked(s.decl, DirectivePure)
+}
+
+// finishPurity closes the call graph over the run roots and reports
+// every effect reachable from them, naming the call chain of first
+// discovery.
+func finishPurity(pass *Pass) {
 	if pass.Pkg == nil {
 		return
 	}
-	g := st.ensure()
-	var roots []*types.Func
-	for _, fn := range g.order {
-		if purityRoot(g.sums[fn]) {
-			roots = append(roots, fn)
-		}
-	}
-	g.walkFrom(roots,
+	g := pass.callGraph()
+	g.walkFrom(g.roots(purityRoot), pureTrusted,
 		func(sum *funcSummary, chain []string) {
 			if sum.overflow {
 				pass.Reportf(sum.decl.Name.Pos(),
@@ -329,10 +163,10 @@ func (st *purityState) finish(pass *Pass) {
 						eff.what, chainText(chain))
 				case effectLeak:
 					pass.Reportf(eff.pos,
-						"run-reachable function leaks caller memory: %s (call chain: %s); copy the input instead of retaining it",
-						eff.what, chainText(chain))
+						"run-reachable function leaks caller memory: %s retains pointer input %s (call chain: %s); copy the input instead of retaining it",
+						eff.what, eff.param, chainText(chain))
 				default:
-					// effectStateWrite/Spawn/Send are skipsafe-only kinds.
+					// State writes, spawns, and sends are skipsafe's concern.
 				}
 			}
 		},
@@ -341,35 +175,4 @@ func (st *purityState) finish(pass *Pass) {
 				"call chain from the run roots exceeds the purity depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
 				callGraphDepthCap, sum.displayName(), chainText(chain))
 		})
-}
-
-// writeBase unwraps an assignment target to its base identifier.
-// hadStar reports an explicit pointer dereference on the path; wrapped
-// reports any indirection at all (selector, index, or star) — false
-// means the identifier itself is the target.
-func writeBase(e ast.Expr) (base *ast.Ident, hadStar, wrapped bool) {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e, hadStar, wrapped = x.X, true, true
-		case *ast.IndexExpr:
-			e, wrapped = x.X, true
-		case *ast.SelectorExpr:
-			e, wrapped = x.X, true
-		case *ast.Ident:
-			return x, hadStar, wrapped
-		default:
-			return nil, hadStar, wrapped
-		}
-	}
-}
-
-// objOf resolves an identifier to its object (use or definition).
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
 }

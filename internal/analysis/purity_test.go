@@ -124,8 +124,6 @@ func TestSharedStateTruePositives(t *testing.T) {
 // simulator core and the harness attempt path must be discovered as
 // purity roots (an empty reachable set would certify anything).
 func TestPurityRealTreeRoots(t *testing.T) {
-	st := &purityState{}
-	a := &Analyzer{Name: "purity", Run: st.collect, Finish: func(*Pass) {}, Reset: func() { st.graph = nil }}
 	loader, err := NewLoader("../..")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
@@ -135,12 +133,10 @@ func TestPurityRealTreeRoots(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LoadDir(%s): %v", dir, err)
 		}
-		Run([]*Package{pkg}, []*Analyzer{a})
+		g := buildCallGraph([]*Package{pkg})
 		var roots []string
-		for _, fn := range st.graph.order {
-			if purityRoot(st.graph.sums[fn]) {
-				roots = append(roots, st.graph.sums[fn].displayName())
-			}
+		for _, fn := range g.roots(purityRoot) {
+			roots = append(roots, g.sums[fn].displayName())
 		}
 		want := map[string]string{
 			"../sim":     "sim.(GPU).Run",

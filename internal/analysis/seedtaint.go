@@ -11,8 +11,9 @@ import (
 // every run a pure function of (config, seed, plan), which only holds
 // if every random stream in the model is seeded from a value that
 // traces back to a Spec/config/plan seed field or a registered seed
-// derivation helper. The analyzer origin-tracks (via the dataflow
-// engine in dataflow.go) every expression used as a seed:
+// derivation helper. The analyzer origin-tracks every expression used
+// as a seed through the reaching definitions of the dataflow engine
+// (dataflow.go, cfg.go):
 //
 //   - arguments of rand.NewSource / rand.NewPCG / rand.NewChaCha8 and
 //     of (*rand.Rand).Seed;
@@ -95,8 +96,7 @@ var randSeedFuncs = map[string]bool{
 }
 
 func runSeedTaint(pass *Pass) {
-	info := pass.Pkg.Info
-	flows := newFlowCache(info)
+	flows := pass.Pkg.flows()
 	checked := map[ast.Expr]bool{}
 	for _, f := range pass.Pkg.Files {
 		checkGlobalRandVars(pass, f)
@@ -294,11 +294,7 @@ func checkSeedExpr(pass *Pass, flows *flowCache, checked map[ast.Expr]bool, e as
 		return
 	}
 	checked[e] = true
-	flow := flows.at(stack)
-	if flow == nil {
-		flow = newFuncFlow(pass.Pkg.Info, nil)
-	}
-	origins := flow.originsOf(e)
+	origins := flows.at(stack).originsOf(e)
 	sanctioned := false
 	for _, o := range origins {
 		if ambientEntropy(o) {

@@ -42,13 +42,10 @@ import (
 // diagnostic. Site-level suppression: //spawnvet:allow skipsafe
 // <justification>.
 func SkipSafeAnalyzer() *Analyzer {
-	st := &skipsafeState{}
 	return &Analyzer{
 		Name:   "skipsafe",
 		Doc:    "functions callable during a provably-idle fast-forward must be effect-free",
-		Run:    st.collect,
-		Finish: st.finish,
-		Reset:  func() { st.graph = nil },
+		Finish: finishSkipSafe,
 	}
 }
 
@@ -68,127 +65,12 @@ func skipSanctionedPkg(pkgPath string) bool {
 	return false
 }
 
-type skipsafeState struct {
-	graph *callGraph
-}
-
-func (st *skipsafeState) ensure() *callGraph {
-	if st.graph == nil {
-		st.graph = newCallGraph()
-	}
-	return st.graph
-}
-
-// collect builds one summary per function declaration, module-wide:
-// effects under the skip-safety contract plus static call edges.
-func (st *skipsafeState) collect(pass *Pass) {
-	g := st.ensure()
-	flows := newFlowCache(pass.Pkg.Info)
-	sanctionedPkg := skipSanctionedPkg(pass.Pkg.Path)
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &funcSummary{obj: obj, decl: fd, pkg: pass.Pkg,
-				calleePos: map[*types.Func]token.Pos{}}
-			if sanctionedPkg || pass.Pkg.skipsafeMarked(fd) || pass.Pkg.pureMarked(fd) {
-				sum.trusted = true
-				g.add(sum)
-				continue
-			}
-			st.scanBody(pass, flows, fd, sum)
-			g.add(sum)
-		}
-	}
-}
-
-func (st *skipsafeState) scanBody(pass *Pass, flows *flowCache, fd *ast.FuncDecl, sum *funcSummary) {
-	info := pass.Pkg.Info
-	walkStack(fd, func(n ast.Node, stack []ast.Node) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			fn, ok := calleeObject(info, n).(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return
-			}
-			if PureFuncs[fn.FullName()] {
-				return
-			}
-			if ambientCall(fn) {
-				sum.effects = append(sum.effects, effect{
-					kind: effectAmbientIO, pos: n.Pos(), what: fn.FullName()})
-				return
-			}
-			sum.addCallee(fn, n.Pos())
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				st.recordWrite(info, flows, stack, sum, lhs)
-			}
-		case *ast.IncDecStmt:
-			st.recordWrite(info, flows, stack, sum, n.X)
-		case *ast.GoStmt:
-			sum.effects = append(sum.effects, effect{
-				kind: effectSpawn, pos: n.Pos(), what: "goroutine spawn"})
-		case *ast.SendStmt:
-			sum.effects = append(sum.effects, effect{
-				kind: effectSend, pos: n.Pos(), what: "channel send"})
-		}
-	})
-}
-
-// recordWrite classifies one assignment target under the skip-safety
-// contract: package-level state and anything reachable through a
-// pointer-shaped parameter or receiver is an effect; frame-local
-// scratch is not.
-func (st *skipsafeState) recordWrite(info *types.Info, flows *flowCache, stack []ast.Node, sum *funcSummary, lhs ast.Expr) {
-	base, hadStar, wrapped := writeBase(lhs)
-	if base == nil || base.Name == "_" {
-		return
-	}
-	v, ok := objOf(info, base).(*types.Var)
-	if !ok || v.IsField() {
-		return
-	}
-	if isPackageLevel(v) {
-		sum.effects = append(sum.effects, effect{kind: effectGlobalWrite, pos: lhs.Pos(),
-			what: "package-level variable " + v.Name()})
-		return
-	}
-	if !wrapped || (!hadStar && !refShaped(v.Type())) {
-		// Writing a local itself, or an element of a local value copy,
-		// stays inside the frame.
-		return
-	}
-	flow := flows.at(stack)
-	if flow == nil {
-		return
-	}
-	for _, o := range flow.originsOf(base) {
-		switch o.Kind {
-		case OriginGlobal:
-			alias := exprText(o.Expr)
-			if o.Obj != nil {
-				alias = o.Obj.Name()
-			}
-			sum.effects = append(sum.effects, effect{kind: effectGlobalWrite, pos: lhs.Pos(),
-				what: "package-level state through " + base.Name + " (aliasing " + alias + ")"})
-			return
-		case OriginParam:
-			if p, ok := o.Obj.(*types.Var); ok && refShaped(p.Type()) {
-				sum.effects = append(sum.effects, effect{kind: effectStateWrite, pos: lhs.Pos(),
-					what: exprText(lhs) + " (caller-visible through " + p.Name() + ")"})
-				return
-			}
-		default:
-			// Literal/call/unknown-origined bases stay frame-local.
-		}
-	}
+// skipTrusted reports whether a function is a trusted skip-path leaf:
+// it lives in a sanctioned accumulator package or carries a valid
+// //spawnvet:skipsafe or //spawnvet:pure directive.
+func skipTrusted(s *funcSummary) bool {
+	return skipSanctionedPkg(s.pkg.Path) ||
+		s.pkg.marked(s.decl, DirectiveSkipSafe) || s.pkg.marked(s.decl, DirectivePure)
 }
 
 // skipRootsFromRun locates the fast-forward region of one GPU.Run body
@@ -281,13 +163,13 @@ func skipRootsFromRun(sum *funcSummary) (roots []*types.Func, ok bool) {
 	return roots, true
 }
 
-// finish discovers the skip-path roots and reports every effect their
-// call-graph closure can perform.
-func (st *skipsafeState) finish(pass *Pass) {
+// finishSkipSafe discovers the skip-path roots and reports every effect
+// their call-graph closure can perform.
+func finishSkipSafe(pass *Pass) {
 	if pass.Pkg == nil {
 		return
 	}
-	g := st.ensure()
+	g := pass.callGraph()
 	var roots []*types.Func
 	for _, fn := range g.order {
 		sum := g.sums[fn]
@@ -307,7 +189,7 @@ func (st *skipsafeState) finish(pass *Pass) {
 			roots = append(roots, fn)
 		}
 	}
-	g.walkFrom(roots,
+	g.walkFrom(roots, skipTrusted,
 		func(sum *funcSummary, chain []string) {
 			if sum.overflow {
 				pass.Reportf(sum.decl.Name.Pos(),
@@ -316,7 +198,7 @@ func (st *skipsafeState) finish(pass *Pass) {
 			}
 			for _, eff := range sum.effects {
 				switch eff.kind {
-				case effectGlobalWrite:
+				case effectGlobalWrite, effectLeak:
 					pass.Reportf(eff.pos,
 						"skip-path function writes %s (call chain: %s); a fast-forwarded idle span must be observationally identical to ticking through it — route the mutation through a sanctioned accumulator or mark the function //spawnvet:skipsafe",
 						eff.what, chainText(chain))
@@ -336,8 +218,6 @@ func (st *skipsafeState) finish(pass *Pass) {
 					pass.Reportf(eff.pos,
 						"skip-path function sends on a channel (call chain: %s); a skipped idle span must not publish observable events",
 						chainText(chain))
-				default:
-					// effectLeak is a purity-only classification.
 				}
 			}
 		},

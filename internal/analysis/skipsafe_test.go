@@ -43,8 +43,6 @@ func TestSkipSafeTruePositives(t *testing.T) {
 // fast-forward region (an ambiguous shape would surface as an
 // "unverified" diagnostic, an empty root set would certify anything).
 func TestSkipSafeRealTreeRoots(t *testing.T) {
-	st := &skipsafeState{}
-	a := &Analyzer{Name: "skipsafe", Run: st.collect, Finish: func(*Pass) {}, Reset: func() { st.graph = nil }}
 	loader, err := NewLoader("../..")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
@@ -53,12 +51,9 @@ func TestSkipSafeRealTreeRoots(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDir(../sim): %v", err)
 	}
-	Run([]*Package{pkg}, []*Analyzer{a})
-	for _, fn := range st.graph.order {
-		sum := st.graph.sums[fn]
-		if !clockRoot(sum) {
-			continue
-		}
+	g := buildCallGraph([]*Package{pkg})
+	for _, fn := range g.roots(clockRoot) {
+		sum := g.sums[fn]
 		roots, ok := skipRootsFromRun(sum)
 		if !ok {
 			t.Fatalf("skipRootsFromRun failed to locate the fast-forward region in %s", sum.displayName())

@@ -56,8 +56,8 @@ func deep(seed uint64) uint64 {
 // unsanctioned assignment: before the cap fix, the final conservative
 // marker was dropped and the audit passed on sanctioned origins alone.
 // The assignments are compound (^=) so every definition reaches the
-// sink under the flow-sensitive engine too — a plain reassignment
-// chain would resolve to just its last definition.
+// sink — a plain reassignment chain would resolve to just its last
+// definition.
 func wide(seed uint64) uint64 {
 	var x uint64
 	x ^= seed ^ seed

@@ -1,7 +1,7 @@
 // Package cfg is the structure fixture for the control-flow graph
 // goldens: each function exercises one edge class the builder must get
 // right (defer routing, labeled break/continue, switch fallthrough,
-// for-range back-edges).
+// for-range back-edges, backward and forward goto).
 package cfg
 
 func release() {}
@@ -67,4 +67,32 @@ func ranged(xs []int) int {
 		sum += x
 	}
 	return sum
+}
+
+func use(int) {}
+
+// backjump loops through a backward goto: the redefinition of x below
+// the label flows back to it, so use(x) sees both p and q.
+func backjump(p, q, n int) {
+	x := p
+	i := 0
+again:
+	use(x)
+	x = q
+	i++
+	if i < n {
+		goto again
+	}
+}
+
+// forwardjump skips the reassignment with a forward goto: p reaches the
+// label along the jump, q along the fall-through.
+func forwardjump(skip bool, p, q int) {
+	x := p
+	if skip {
+		goto done
+	}
+	x = q
+done:
+	use(x)
 }

@@ -3,22 +3,7 @@
 // analyzer's exemptions.
 package determinism
 
-import (
-	"math/rand"
-	"time"
-)
-
-// WallClock reads the wall clock twice: both flagged.
-func WallClock(start time.Time) (time.Time, time.Duration) {
-	now := time.Now()
-	return now, time.Since(start)
-}
-
-// AllowedWallClock carries a suppression directive: not flagged.
-func AllowedWallClock() time.Time {
-	//spawnvet:allow determinism fixture: presentation-only timestamp
-	return time.Now()
-}
+import "math/rand"
 
 // GlobalRand touches process-global generator state: flagged.
 func GlobalRand() int {

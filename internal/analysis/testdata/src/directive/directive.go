@@ -3,19 +3,19 @@
 // reported by the pseudo-analyzer "directive" and suppress nothing.
 package directive
 
-import "time"
+import "math/rand"
 
 // MissingJustification: the allow needs a reason, so the directive is
-// reported AND the wall-clock read below it still fires.
-func MissingJustification() time.Time {
+// reported AND the global rand draw below it still fires.
+func MissingJustification() int {
 	//spawnvet:allow determinism
-	return time.Now()
+	return rand.Intn(10)
 }
 
 // UnknownAnalyzer: the analyzer list must name real analyzers.
-func UnknownAnalyzer() time.Time {
+func UnknownAnalyzer() int {
 	//spawnvet:allow speling fixture justification text
-	return time.Now()
+	return rand.Intn(10)
 }
 
 // UnknownDirective: only allow and hotpath exist.
@@ -25,7 +25,7 @@ func UnknownDirective() int {
 }
 
 // WellFormed suppresses cleanly: only the malformed ones above report.
-func WellFormed() time.Time {
+func WellFormed() int {
 	//spawnvet:allow determinism fixture: valid directive, valid reason
-	return time.Now()
+	return rand.Intn(10)
 }

@@ -47,8 +47,8 @@ func bad(spec plan, trial int) {
 }
 
 // branchSplit is the flow-sensitivity regression: each arm of the
-// branch sees only its own definition. The flow-insensitive engine
-// merged both arms everywhere, flagging the seed-armed use below.
+// branch sees only its own definition. Merging both arms everywhere
+// would flag the seed-armed use below.
 func branchSplit(spec plan, fallback bool) {
 	var x uint64
 	if fallback {

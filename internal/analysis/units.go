@@ -55,8 +55,7 @@ func unitName(t types.Type) string {
 }
 
 func runUnits(pass *Pass) {
-	info := pass.Pkg.Info
-	flows := newFlowCache(info)
+	flows := pass.Pkg.flows()
 	for _, f := range pass.Pkg.Files {
 		walkStack(f, func(n ast.Node, stack []ast.Node) {
 			switch n := n.(type) {
@@ -118,11 +117,7 @@ func checkUnitConversion(pass *Pass, flows *flowCache, call *ast.CallExpr, stack
 	// Plain-integer operand: trace where the value came from. A leaf
 	// that is statically a different unit means the conversion launders
 	// a dimensioned value through a raw integer.
-	flow := flows.at(stack)
-	if flow == nil {
-		flow = newFuncFlow(info, nil)
-	}
-	for _, o := range flow.originsOf(arg) {
+	for _, o := range flows.at(stack).originsOf(arg) {
 		if o.Kind == OriginCall || o.Kind == OriginUnknown || o.Expr == nil {
 			continue // opaque boundaries are the sanctioned re-entry path
 		}

@@ -107,14 +107,11 @@ func TestOfflineSearchSkipsPoisonedCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := fmt.Sprintf("threshold:%d", SweepThresholds(app)[0])
-
-	prev := SpecDefaults
-	SpecDefaults = func(s *Spec) {
+	spec.Defaults = func(s *Spec) {
 		if s.Scheme == poisoned {
 			s.MaxCycles = 100
 		}
 	}
-	defer func() { SpecDefaults = prev }()
 
 	out, err := Run(spec)
 	if err != nil {

@@ -122,7 +122,7 @@ func replayFit(s *Spec, so *storedOutcome) bool {
 	if s.Metrics != nil {
 		return false
 	}
-	if observerFor(s) != nil && so.Metrics == nil {
+	if s.Observer != nil && so.Metrics == nil {
 		return false
 	}
 	if s.Profile != nil && so.Profile == nil {
@@ -160,8 +160,7 @@ func decodeOutcome(s *Spec, data []byte) (*Outcome, bool) {
 }
 
 // noopDefaults marks a spec whose Defaults hook has already fired, so
-// the second applyDefaults inside runSpec neither re-applies it nor
-// falls back to the deprecated SpecDefaults global.
+// the second applyDefaults inside runSpec does not re-apply it.
 func noopDefaults(*Spec) {}
 
 // runMemo is the store-aware single-run path: replay the spec from the
@@ -182,7 +181,7 @@ func (p *Pool) runMemo(spec Spec) (*Outcome, error) {
 			p.journalPoint(key, &spec, store.StatusReplayed, 0, nil)
 			// Observers see replayed outcomes too: a resumed sweep's
 			// observer stream covers every point, not just the re-run ones.
-			if obs := observerFor(&spec); obs != nil {
+			if obs := spec.Observer; obs != nil {
 				obs(out)
 			}
 			return out, nil

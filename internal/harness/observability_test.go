@@ -40,10 +40,11 @@ func TestRunWithoutMetricsHasNoSnapshot(t *testing.T) {
 
 func TestRunObserverSeesEveryRun(t *testing.T) {
 	var seen []*Outcome
-	RunObserver = func(o *Outcome) { seen = append(seen, o) }
-	defer func() { RunObserver = nil }()
-
-	out, err := Run(Spec{Benchmark: "MM-small", Scheme: SchemeOffline})
+	out, err := Run(Spec{
+		Benchmark: "MM-small",
+		Scheme:    SchemeOffline,
+		Observer:  func(o *Outcome) { seen = append(seen, o) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,7 +279,7 @@ func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs 
 					// the batch cancellation.
 					s.Context, stop = mergedContext(s.Context, runCtx)
 				}
-				if obs := observerFor(&s); obs != nil {
+				if obs := s.Observer; obs != nil {
 					s.Observer = func(o *Outcome) { obsCh <- obsEvent{obs: obs, out: o} }
 				}
 				if p.Progress != nil {

@@ -23,29 +23,6 @@ import (
 	"spawnsim/internal/workloads"
 )
 
-// RunObserver, when non-nil, receives every completed Outcome, including
-// the intermediate runs of sweeps (Offline-Search, Figure 5). When set,
-// runs without a caller-supplied Spec.Metrics registry get a fresh one,
-// so the observer always sees a metrics snapshot.
-//
-// Deprecated: package-global state is unsafe under the parallel sweep
-// engine (Pool). Set Spec.Observer or Pool.Observer instead; this global
-// remains as a shim and is only consulted for specs whose Observer field
-// is nil. It must not be mutated while runs are in flight.
-var RunObserver func(*Outcome)
-
-// SpecDefaults, when non-nil, is applied to every spec immediately
-// before simulation — including the sweep candidates OfflineSearch
-// builds internally — so process-wide settings (wall-clock deadlines,
-// chaos plans, cycle budgets from command-line flags) reach runs whose
-// Spec the caller never constructs directly.
-//
-// Deprecated: package-global state is unsafe under the parallel sweep
-// engine (Pool). Set Spec.Defaults or Pool.Defaults instead; this global
-// remains as a shim and is only consulted for specs whose Defaults field
-// is nil. It must not be mutated while runs are in flight.
-var SpecDefaults func(*Spec)
-
 // Scheme names accepted by Run.
 const (
 	SchemeFlat     = "flat"     // non-DP baseline (decline every launch)
@@ -97,14 +74,16 @@ type Spec struct {
 	Metrics *metrics.Registry
 	// Observer, when non-nil, receives this run's completed Outcome,
 	// including the intermediate runs of sweeps derived from this spec.
-	// Like the deprecated RunObserver global, it forces a fresh metrics
-	// registry when the spec carries none. A Pool serializes observer
+	// It forces a fresh metrics registry when the spec carries none, so
+	// the observer always sees a metrics snapshot. A Pool serializes observer
 	// callbacks through one collector goroutine, so the callback never
 	// needs its own locking.
 	Observer func(*Outcome)
 	// Defaults, when non-nil, is applied to the spec (and every sweep
-	// candidate derived from it) immediately before simulation — the
-	// per-spec replacement for the deprecated SpecDefaults global.
+	// candidate derived from it) immediately before simulation, so
+	// process-wide settings (wall-clock deadlines, chaos plans, cycle
+	// budgets from command-line flags) reach runs whose Spec the caller
+	// never constructs directly.
 	Defaults func(*Spec)
 	// Heartbeat, when non-nil, receives periodic progress callbacks
 	// every HeartbeatEvery cycles (simulator default when zero).
@@ -274,25 +253,11 @@ func (s Spec) buildApp() (*workloads.App, error) {
 	return app, nil
 }
 
-// applyDefaults runs the spec's Defaults hook, falling back to the
-// deprecated SpecDefaults global when the spec carries none. Exactly one
-// of the two fires, exactly once per run.
+// applyDefaults runs the spec's Defaults hook, if any.
 func applyDefaults(s *Spec) {
-	switch {
-	case s.Defaults != nil:
+	if s.Defaults != nil {
 		s.Defaults(s)
-	case SpecDefaults != nil:
-		SpecDefaults(s)
 	}
-}
-
-// observerFor resolves the spec's effective observer: the per-spec field
-// first, then the deprecated global shim.
-func observerFor(s *Spec) func(*Outcome) {
-	if s.Observer != nil {
-		return s.Observer
-	}
-	return RunObserver
 }
 
 // policyFor resolves the scheme to a launch policy. Threshold-bearing
@@ -462,7 +427,7 @@ func runOnce(spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, d
 	if spec.TraceEvents > 0 {
 		ring = trace.New(spec.TraceEvents)
 	}
-	observer := observerFor(&spec)
+	observer := spec.Observer
 	reg := spec.Metrics
 	if reg == nil && observer != nil {
 		reg = metrics.NewRegistry()

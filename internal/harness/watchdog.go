@@ -40,7 +40,7 @@ func armStallGuard(spec *Spec) *stallGuard {
 		parent = context.Background()
 	}
 	spec.Context, g.cancel = context.WithCancel(parent)
-	//spawnvet:allow determinism,purity wall-clock stall guard: the timer only aborts a wedged run, it never feeds results
+	//spawnvet:allow purity wall-clock stall guard: the timer only aborts a wedged run, it never feeds results
 	g.timer = time.AfterFunc(g.timeout, func() {
 		g.fired.Store(true)
 		g.cancel()

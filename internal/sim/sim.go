@@ -963,7 +963,7 @@ func (g *GPU) processArrivals(now kernel.Cycle) bool {
 //
 //spawnvet:skipsafe wall-clock reads and hb pacing fields are presentation-only; they never feed Result, traces, metrics, or any simulated state
 func (g *GPU) heartbeat(now kernel.Cycle) {
-	//spawnvet:allow determinism,purity heartbeat rate is presentation-only; it never feeds Result, traces, or metrics
+	//spawnvet:allow purity heartbeat rate is presentation-only; it never feeds Result, traces, or metrics
 	wall := time.Now()
 	rate := 0.0
 	if dt := wall.Sub(g.hbLastWall).Seconds(); dt > 0 {
@@ -1091,14 +1091,14 @@ func (g *GPU) Run() (*Result, error) {
 		return nil, fmt.Errorf("sim: Run called with no kernels submitted")
 	}
 	if g.hb != nil {
-		//spawnvet:allow determinism,purity heartbeat wall-clock baseline is presentation-only
+		//spawnvet:allow purity heartbeat wall-clock baseline is presentation-only
 		g.hbStart = time.Now()
 		g.hbLastWall = g.hbStart
 		g.hbNext = g.hbEvery
 	}
 	var wallDeadline time.Time
 	if g.deadline > 0 {
-		//spawnvet:allow determinism,purity wall-clock deadline bounds runaway sweeps; an expired deadline aborts rather than changing results
+		//spawnvet:allow purity wall-clock deadline bounds runaway sweeps; an expired deadline aborts rather than changing results
 		wallDeadline = time.Now().Add(g.deadline)
 	}
 	g.invNext = g.invEvery
@@ -1120,7 +1120,7 @@ func (g *GPU) Run() (*Result, error) {
 					return g.abort(kind, now, err, "")
 				}
 			}
-			//spawnvet:allow determinism,purity wall-clock deadline check; aborts the run, never perturbs it
+			//spawnvet:allow purity wall-clock deadline check; aborts the run, never perturbs it
 			if !wallDeadline.IsZero() && time.Now().After(wallDeadline) {
 				return g.abort(AbortDeadline, now, context.DeadlineExceeded,
 					fmt.Sprintf("wall-clock deadline %v elapsed", g.deadline))
