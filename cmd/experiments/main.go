@@ -69,9 +69,8 @@ func main() {
 	defer stopSignals()
 
 	// The figure drivers build their Specs internally, so the robustness
-	// settings reach every run through the pool's per-spec defaults hook
-	// (not the deprecated harness globals, which are unsafe to share
-	// between concurrent workers).
+	// settings reach every run through the pool's defaults hook, which
+	// the pool applies exactly once per run (sweep candidates included).
 	pool := &harness.Pool{
 		Workers: *parallel,
 		Context: ctx,

@@ -136,7 +136,6 @@ func main() {
 	// at a clean point with a partial result and the sinks still close.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	spec.Context = ctx
 
 	var sinks []trace.Sink
 	var files []*os.File
@@ -154,12 +153,7 @@ func main() {
 			fatal(err)
 		}
 		files = append(files, f)
-		cfg := spec.Config
-		if cfg == nil {
-			k := config.K20m()
-			cfg = &k
-		}
-		sinks = append(sinks, trace.NewPerfetto(f, cfg.NumSMX))
+		sinks = append(sinks, trace.NewPerfetto(f, config.K20m().NumSMX))
 	}
 	spec.TraceSinks = sinks
 

@@ -15,7 +15,7 @@ func main() {
 	const bench = "BFS-graph500"
 	fmt.Printf("Sweeping the static THRESHOLD of %s (the Figure 5 experiment)...\n\n", bench)
 
-	sweep, err := harness.Fig5(bench)
+	sweep, err := (&harness.Pool{}).Fig5(bench)
 	if err != nil {
 		log.Fatal(err)
 	}

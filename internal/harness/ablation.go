@@ -79,9 +79,6 @@ func (p *Pool) Ablation(benchmark string) (*Table, error) {
 	return t, nil
 }
 
-// Ablation is the serial form of (*Pool).Ablation.
-func Ablation(benchmark string) (*Table, error) { return Serial().Ablation(benchmark) }
-
 // HWQSensitivity is an extension experiment the paper's analysis
 // implies: Section III blames the 32-HWQ concurrent-kernel limit for the
 // low child-CTA concurrency of Baseline-DP, so widening the queue count
@@ -119,6 +116,3 @@ func (p *Pool) HWQSensitivity(benchmark string) (*Table, error) {
 	}
 	return t, nil
 }
-
-// HWQSensitivity is the serial form of (*Pool).HWQSensitivity.
-func HWQSensitivity(benchmark string) (*Table, error) { return Serial().HWQSensitivity(benchmark) }

@@ -107,13 +107,13 @@ func TestOfflineSearchSkipsPoisonedCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := fmt.Sprintf("threshold:%d", SweepThresholds(app)[0])
-	spec.Defaults = func(s *Spec) {
+	p := &Pool{Workers: 1, Defaults: func(s *Spec) {
 		if s.Scheme == poisoned {
 			s.MaxCycles = 100
 		}
-	}
+	}}
 
-	out, err := Run(spec)
+	out, err := p.RunSpec(spec)
 	if err != nil {
 		t.Fatalf("offline search failed outright: %v", err)
 	}
@@ -145,9 +145,17 @@ func (p panicky) Decide(*kernel.LaunchSite) kernel.Decision {
 	panic("policy exploded")
 }
 
+// panickySpec runs MM-small under the panicky policy.
+func panickySpec(calls *int) Spec {
+	return Spec{
+		Benchmark:  "MM-small",
+		MakePolicy: func(config.GPU) kernel.Policy { return panicky{calls: calls} },
+	}
+}
+
 func TestPolicyPanicIsRecovered(t *testing.T) {
 	calls := 0
-	out, err := RunWithPolicy(Spec{Benchmark: "MM-small"}, config.K20m(), panicky{calls: &calls})
+	out, err := Run(panickySpec(&calls))
 	if err == nil {
 		t.Fatal("panicking policy reported success")
 	}
@@ -168,9 +176,9 @@ func TestPolicyPanicIsRecovered(t *testing.T) {
 func TestChaosPanicIsRetried(t *testing.T) {
 	plan := faults.Mild(1)
 	calls := 0
-	_, err := RunWithPolicy(
-		Spec{Benchmark: "MM-small", FaultPlan: &plan, Retries: 2},
-		config.K20m(), panicky{calls: &calls})
+	spec := panickySpec(&calls)
+	spec.FaultPlan, spec.Retries = &plan, 2
+	_, err := Run(spec)
 	if err == nil {
 		t.Fatal("always-panicking policy reported success")
 	}

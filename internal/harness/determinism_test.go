@@ -18,14 +18,14 @@ func offlineArtifacts(t *testing.T) (outcomeJSON, metricsCSV, metricsJSON, trace
 	var traceBuf bytes.Buffer
 	sink := trace.NewJSONL(&traceBuf)
 	reg := metrics.NewRegistry()
-	out, err := OfflineSearch(Spec{
+	out, err := Run(Spec{
 		Benchmark:  "MM-small",
 		Scheme:     SchemeOffline,
 		Metrics:    reg,
 		TraceSinks: []trace.Sink{sink},
 	})
 	if err != nil {
-		t.Fatalf("OfflineSearch: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatalf("closing trace sink: %v", err)

@@ -25,7 +25,7 @@ func engineArtifacts(t *testing.T, eng sim.Engine) (resultJSON, metricsCSV, metr
 	sink := trace.NewJSONL(&traceBuf)
 	reg := metrics.NewRegistry()
 	plan := faults.Mild(11)
-	out, err := OfflineSearch(Spec{
+	out, err := Run(Spec{
 		Benchmark:  "MM-small",
 		Scheme:     SchemeOffline,
 		Engine:     eng,
@@ -35,7 +35,7 @@ func engineArtifacts(t *testing.T, eng sim.Engine) (resultJSON, metricsCSV, metr
 		Profile:    &profile.Options{},
 	})
 	if err != nil {
-		t.Fatalf("OfflineSearch(%v): %v", eng, err)
+		t.Fatalf("Run(%v): %v", eng, err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatalf("closing trace sink: %v", err)

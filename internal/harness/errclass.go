@@ -19,12 +19,12 @@ import (
 // simulator fails identically every time without chaos — and
 // caller-initiated aborts (cancellation, an expired caller context) are
 // always permanent.
-func transientErr(spec *Spec, err error) bool {
+func transientErr(ctx context.Context, spec *Spec, err error) bool {
 	if spec.FaultPlan == nil || spec.FaultPlan.Zero() {
 		return false
 	}
-	if spec.Context != nil && spec.Context.Err() != nil {
-		// The caller's context is gone; no attempt can run to completion.
+	if ctx.Err() != nil {
+		// The run's context is gone; no attempt can run to completion.
 		return false
 	}
 	var abort *sim.AbortError
@@ -114,11 +114,6 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) {
 	}
 	if d > 16*base {
 		d = 16 * base
-	}
-	if ctx == nil {
-		//spawnvet:allow purity retry backoff delays the next attempt; the attempt itself stays a pure function of its inputs
-		time.Sleep(d)
-		return
 	}
 	//spawnvet:allow purity cancellable retry backoff; the timer gates scheduling, never results
 	t := time.NewTimer(d)

@@ -81,9 +81,6 @@ func (p *Pool) Fig5(benchmark string) (*Fig5Result, error) {
 	return fig5Assemble(benchmark, outs), nil
 }
 
-// Fig5 is the serial form of (*Pool).Fig5.
-func Fig5(benchmark string) (*Fig5Result, error) { return Serial().Fig5(benchmark) }
-
 // Fig5All runs the Figure 5 sweep for every benchmark, as one flat
 // batch so the workers stay busy across benchmark boundaries.
 func (p *Pool) Fig5All() ([]*Fig5Result, error) {
@@ -109,9 +106,6 @@ func (p *Pool) Fig5All() ([]*Fig5Result, error) {
 	return results, nil
 }
 
-// Fig5All is the serial form of (*Pool).Fig5All.
-func Fig5All() ([]*Fig5Result, error) { return Serial().Fig5All() }
-
 // SeriesSet carries the time-series outputs of Figures 6 and 19.
 type SeriesSet struct {
 	Benchmark string
@@ -136,15 +130,6 @@ func seriesFrom(benchmark, scheme string, interval uint64, out *Outcome) *Series
 	}
 }
 
-// runSeries samples one benchmark/scheme with time series enabled.
-func runSeries(benchmark, scheme string, interval uint64) (*SeriesSet, error) {
-	out, err := Run(Spec{Benchmark: benchmark, Scheme: scheme, SampleInterval: interval})
-	if err != nil {
-		return nil, err
-	}
-	return seriesFrom(benchmark, scheme, interval, out), nil
-}
-
 // Fig6 renders the Baseline-DP CTA-concurrency/utilization timeline of
 // BFS-graph500 (the paper's Figure 6).
 func (p *Pool) Fig6() (*SeriesSet, error) {
@@ -154,9 +139,6 @@ func (p *Pool) Fig6() (*SeriesSet, error) {
 	}
 	return seriesFrom("BFS-graph500", SchemeBaseline, 1000, out), nil
 }
-
-// Fig6 is the serial form of (*Pool).Fig6.
-func Fig6() (*SeriesSet, error) { return Serial().Fig6() }
 
 // Fig7 measures speedup sensitivity to the child CTA size: 64, 128 and
 // 256 threads/CTA, normalized to 32 (the paper's Figure 7), under
@@ -190,9 +172,6 @@ func (p *Pool) Fig7() (*Table, error) {
 	return t, nil
 }
 
-// Fig7 is the serial form of (*Pool).Fig7.
-func Fig7() (*Table, error) { return Serial().Fig7() }
-
 // Fig8 compares one SWQ per child kernel against one SWQ per parent CTA
 // (the paper's Figure 8), under Baseline-DP, reporting per-child-stream
 // speedup normalized to per-parent-CTA streams.
@@ -221,9 +200,6 @@ func (p *Pool) Fig8() (*Table, error) {
 	}
 	return t, nil
 }
-
-// Fig8 is the serial form of (*Pool).Fig8.
-func Fig8() (*Table, error) { return Serial().Fig8() }
 
 // Fig12Result is the child-CTA execution-time PDF of one benchmark.
 type Fig12Result struct {
@@ -263,9 +239,6 @@ func (p *Pool) Fig12() ([]*Fig12Result, error) {
 	}
 	return res, nil
 }
-
-// Fig12 is the serial form of (*Pool).Fig12.
-func Fig12() ([]*Fig12Result, error) { return Serial().Fig12() }
 
 // MainComparison runs flat/baseline/offline/spawn for one benchmark and
 // feeds Figures 15-18.
@@ -310,16 +283,10 @@ func (p *Pool) CompareMain(benchmark string) (*MainComparison, error) {
 	return mcs[0], nil
 }
 
-// CompareMain is the serial form of (*Pool).CompareMain.
-func CompareMain(benchmark string) (*MainComparison, error) { return Serial().CompareMain(benchmark) }
-
 // CompareAll runs CompareMain for every registry benchmark.
 func (p *Pool) CompareAll() ([]*MainComparison, error) {
 	return p.compareBatch(workloads.Names())
 }
-
-// CompareAll is the serial form of (*Pool).CompareAll.
-func CompareAll() ([]*MainComparison, error) { return Serial().CompareAll() }
 
 // Fig15 renders speedups over flat (Baseline-DP, Offline-Search, SPAWN)
 // and appends the geometric means.
@@ -421,9 +388,6 @@ func (p *Pool) Fig19() (baseline, spawnSeries *SeriesSet, err error) {
 		seriesFrom("BFS-graph500", SchemeSpawn, 1000, outs[1]), nil
 }
 
-// Fig19 is the serial form of (*Pool).Fig19.
-func Fig19() (baseline, spawnSeries *SeriesSet, err error) { return Serial().Fig19() }
-
 // Fig20Result carries the cumulative-launch CDFs of BFS-graph500.
 type Fig20Result struct {
 	Interval uint64
@@ -451,9 +415,6 @@ func (p *Pool) Fig20() (*Fig20Result, error) {
 		Spawn:    stats.CDF(cyclesToU64(s.Result.LaunchCycles), interval, uint64(s.Result.Cycles)),
 	}, nil
 }
-
-// Fig20 is the serial form of (*Pool).Fig20.
-func Fig20() (*Fig20Result, error) { return Serial().Fig20() }
 
 // cyclesToU64 converts typed cycle stamps to the raw-integer form the
 // stats boundary expects.
@@ -494,6 +455,3 @@ func (p *Pool) Fig21() (*Table, error) {
 	}
 	return t, nil
 }
-
-// Fig21 is the serial form of (*Pool).Fig21.
-func Fig21() (*Table, error) { return Serial().Fig21() }

@@ -6,6 +6,7 @@ import (
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/runtime"
+	"spawnsim/internal/sim/kernel"
 	"spawnsim/internal/workloads"
 )
 
@@ -162,7 +163,7 @@ func TestShapeSpawnBeatsBaseline(t *testing.T) {
 }
 
 func TestFig5RendersMonotoneOffload(t *testing.T) {
-	r, err := Fig5("MM-small")
+	r, err := (&Pool{Workers: 1}).Fig5("MM-small")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +200,11 @@ func TestFig12ChildCTAUniformity(t *testing.T) {
 }
 
 func TestSeriesRunProducesSamples(t *testing.T) {
-	ss, err := runSeries("MM-small", SchemeBaseline, 2000)
+	out, err := Run(Spec{Benchmark: "MM-small", Scheme: SchemeBaseline, SampleInterval: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := seriesFrom("MM-small", SchemeBaseline, 2000, out)
 	if len(ss.Parent) == 0 || len(ss.Child) == 0 || len(ss.Util) == 0 {
 		t.Fatal("empty series")
 	}
@@ -259,7 +261,7 @@ func TestAllBenchmarksCompleteUnderEveryScheme(t *testing.T) {
 }
 
 func TestAblationVariantsComplete(t *testing.T) {
-	tb, err := Ablation("MM-small")
+	tb, err := (&Pool{Workers: 1}).Ablation("MM-small")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +278,11 @@ func TestAblationVariantsComplete(t *testing.T) {
 	}
 }
 
-func TestRunWithPolicyCustom(t *testing.T) {
-	out, err := RunWithPolicy(Spec{Benchmark: "MM-small"}, config.K20m(), runtime.Flat{})
+func TestRunCustomPolicy(t *testing.T) {
+	out, err := Run(Spec{
+		Benchmark:  "MM-small",
+		MakePolicy: func(config.GPU) kernel.Policy { return runtime.Flat{} },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

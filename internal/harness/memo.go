@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 
 	"spawnsim/internal/config"
@@ -113,16 +114,17 @@ func encodeOutcome(out *Outcome) ([]byte, error) {
 // replayFit reports whether a stored outcome can stand in for running
 // the spec live. Specs that stream output (trace sinks, bounded trace
 // rings) or instrument a caller-owned metrics registry need a real
-// simulation; a spec that only wants an Outcome — including one whose
-// observer needs a metrics snapshot the entry carries — replays.
-func replayFit(s *Spec, so *storedOutcome) bool {
+// simulation; a spec that only wants an Outcome — including an observed
+// run whose observer needs a metrics snapshot the entry carries —
+// replays.
+func replayFit(s *Spec, observed bool, so *storedOutcome) bool {
 	if s.TraceEvents > 0 || len(s.TraceSinks) > 0 {
 		return false
 	}
 	if s.Metrics != nil {
 		return false
 	}
-	if s.Observer != nil && so.Metrics == nil {
+	if observed && so.Metrics == nil {
 		return false
 	}
 	if s.Profile != nil && so.Profile == nil {
@@ -135,7 +137,7 @@ func replayFit(s *Spec, so *storedOutcome) bool {
 // given spec. Any failure — corrupt JSON, foreign schema version,
 // replay-unfit spec — returns false and the caller runs live; a
 // damaged entry costs a recomputation, never an error.
-func decodeOutcome(s *Spec, data []byte) (*Outcome, bool) {
+func decodeOutcome(s *Spec, observed bool, data []byte) (*Outcome, bool) {
 	var so storedOutcome
 	if err := json.Unmarshal(data, &so); err != nil {
 		return nil, false
@@ -143,7 +145,7 @@ func decodeOutcome(s *Spec, data []byte) (*Outcome, bool) {
 	if so.V != storedVersion || so.Result == nil {
 		return nil, false
 	}
-	if !replayFit(s, &so) {
+	if !replayFit(s, observed, &so) {
 		return nil, false
 	}
 	return &Outcome{
@@ -159,35 +161,33 @@ func decodeOutcome(s *Spec, data []byte) (*Outcome, bool) {
 	}, true
 }
 
-// noopDefaults marks a spec whose Defaults hook has already fired, so
-// the second applyDefaults inside runSpec does not re-apply it.
-func noopDefaults(*Spec) {}
-
-// runMemo is the store-aware single-run path: replay the spec from the
-// result store when a fit entry exists, otherwise run live, then
-// journal the completed point and store a successful result. With no
-// store and no journal configured it is exactly runSpec.
-func (p *Pool) runMemo(spec Spec) (*Outcome, error) {
-	if p.Store == nil && p.Journal == nil {
-		return runSpec(spec)
+// runMemo is the single-run path every pool run takes: apply the
+// pool's defaults (exactly once), then replay the spec from the result
+// store when a fit entry exists, otherwise run live, then journal the
+// completed point and store a successful result. With no store and no
+// journal configured it is exactly runSpec.
+func (p *Pool) runMemo(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
+	// Resolve defaults first: the content address must describe the spec
+	// as it will run.
+	if p.Defaults != nil {
+		p.Defaults(&spec)
 	}
-	// Resolve defaults now: the content address must describe the spec
-	// as it will run, and runSpec must not resolve them a second time.
-	applyDefaults(&spec)
-	spec.Defaults = noopDefaults
+	if p.Store == nil && p.Journal == nil {
+		return runSpec(ctx, obs, spec)
+	}
 	key := specKey(&spec)
 	if data, ok := p.Store.Get(key); ok {
-		if out, ok := decodeOutcome(&spec, data); ok {
+		if out, ok := decodeOutcome(&spec, obs != nil, data); ok {
 			p.journalPoint(key, &spec, store.StatusReplayed, 0, nil)
 			// Observers see replayed outcomes too: a resumed sweep's
 			// observer stream covers every point, not just the re-run ones.
-			if obs := spec.Observer; obs != nil {
+			if obs != nil {
 				obs(out)
 			}
 			return out, nil
 		}
 	}
-	out, err := runSpec(spec)
+	out, err := runSpec(ctx, obs, spec)
 	switch {
 	case err != nil:
 		attempts := 0

@@ -40,11 +40,8 @@ func TestRunWithoutMetricsHasNoSnapshot(t *testing.T) {
 
 func TestRunObserverSeesEveryRun(t *testing.T) {
 	var seen []*Outcome
-	out, err := Run(Spec{
-		Benchmark: "MM-small",
-		Scheme:    SchemeOffline,
-		Observer:  func(o *Outcome) { seen = append(seen, o) },
-	})
+	p := &Pool{Workers: 1, Observer: func(o *Outcome) { seen = append(seen, o) }}
+	out, err := p.RunSpec(Spec{Benchmark: "MM-small", Scheme: SchemeOffline})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,13 @@ import (
 	"spawnsim/internal/store"
 )
 
-// Pool is the harness's deterministic worker-pool sweep engine. It
-// executes a slice of Specs concurrently and assembles the outcomes in
-// submission order, so every CSV, table, and best-threshold selection
-// derived from a pool batch is byte-identical to the serial result
-// regardless of worker count.
+// Pool is the harness's deterministic worker-pool sweep engine and the
+// only way a Spec runs. It executes a slice of Specs concurrently and
+// assembles the outcomes in submission order, so every CSV, table, and
+// best-threshold selection derived from a pool batch is byte-identical
+// to the serial result regardless of worker count. Batch-wide settings
+// (cancellation, observer, defaults, memoization) live on the Pool; a
+// Spec describes one run.
 //
 // The determinism contract (DESIGN.md §5):
 //
@@ -41,12 +43,19 @@ type Pool struct {
 	// in-flight simulations abort with partial results and queued specs
 	// are skipped.
 	Context context.Context
-	// Observer receives every completed Outcome (sweep candidates
-	// included) for specs that do not carry their own Spec.Observer.
-	// Calls are serialized; see the contract above.
+	// Observer, when non-nil, receives every completed Outcome (sweep
+	// candidates and replayed points included). It forces a fresh
+	// metrics registry on runs whose Spec carries none, so the observer
+	// always sees a metrics snapshot. Calls are serialized; see the
+	// contract above.
 	Observer func(*Outcome)
-	// Defaults is applied to every spec that does not carry its own
-	// Spec.Defaults, immediately before simulation.
+	// Defaults, when non-nil, is applied exactly once to every run (each
+	// Offline-Search candidate and the instrumented winner re-run
+	// included) before its content address is computed, so process-wide
+	// settings (wall-clock deadlines, chaos plans, cycle budgets from
+	// command-line flags) reach runs whose Spec the caller never
+	// constructs directly. With Workers > 1 it runs on the worker
+	// goroutines, so it must touch only the Spec it is handed.
 	Defaults func(*Spec)
 	// Progress, when non-nil, receives sweep-level progress: one Started
 	// event when a worker picks a spec up and one completion event when
@@ -88,10 +97,6 @@ type PoolProgress struct {
 	Started bool
 }
 
-// Serial returns a single-worker pool: the exact serial execution path,
-// usable wherever a *Pool is expected.
-func Serial() *Pool { return &Pool{Workers: 1} }
-
 func (p *Pool) workers() int {
 	if p.Workers > 0 {
 		return p.Workers
@@ -106,42 +111,27 @@ func (p *Pool) context() context.Context {
 	return context.Background()
 }
 
-// adopt fills the pool-provided fallbacks into a spec: defaults,
-// observer, and — when the spec carries no Context of its own — the
-// batch context.
-func (p *Pool) adopt(s Spec, ctx context.Context) Spec {
-	if s.Defaults == nil {
-		s.Defaults = p.Defaults
-	}
-	if s.Observer == nil {
-		s.Observer = p.Observer
-	}
-	if s.Context == nil {
-		s.Context = ctx
-	}
-	return s
-}
-
-// runAny dispatches one adopted spec: offline specs expand into a
-// serial sweep inside the worker (their candidates inherit the adopted
-// observer/defaults/context — so collector serialization still holds —
-// plus the pool's store and journal, so sweep points inside an offline
-// expansion memoize too), everything else is a single memoized run.
-func (p *Pool) runAny(spec Spec) (*Outcome, error) {
+// runAny dispatches one spec of a batch under the batch's run context
+// and observer: offline specs expand into a serial sweep inside the
+// worker (an inner pool inheriting the run context, observer, defaults,
+// store and journal — so collector serialization, batch cancellation and
+// memoization all reach the candidates), everything else is a single
+// memoized run.
+func (p *Pool) runAny(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
 	if spec.Scheme == SchemeOffline {
-		inner := &Pool{Workers: 1, Context: spec.Context, Store: p.Store, Journal: p.Journal}
-		return inner.OfflineSearch(spec)
+		inner := &Pool{Workers: 1, Context: ctx, Observer: obs, Defaults: p.Defaults, Store: p.Store, Journal: p.Journal}
+		return inner.offlineSearch(spec)
 	}
-	return p.runMemo(spec)
+	return p.runMemo(ctx, obs, spec)
 }
 
 // RunSpec executes one spec through the pool: a plain spec runs once;
 // an offline spec fans its threshold sweep out across the workers.
 func (p *Pool) RunSpec(spec Spec) (*Outcome, error) {
 	if spec.Scheme == SchemeOffline {
-		return p.OfflineSearch(spec)
+		return p.offlineSearch(spec)
 	}
-	return p.runMemo(p.adopt(spec, p.context()))
+	return p.runMemo(p.context(), p.Observer, spec)
 }
 
 // Run executes the specs and returns their outcomes in submission
@@ -202,7 +192,7 @@ func (p *Pool) runSerial(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []
 			p.Progress(PoolProgress{Done: done, Total: len(specs),
 				Benchmark: specs[i].Benchmark, Scheme: specs[i].Scheme, Started: true})
 		}
-		out, err := p.runAny(p.adopt(specs[i], ctx))
+		out, err := p.runAny(ctx, p.Observer, specs[i])
 		outs[i], errs[i] = out, err
 		done++
 		if p.Progress != nil {
@@ -217,16 +207,15 @@ func (p *Pool) runSerial(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []
 }
 
 // obsEvent carries one completed outcome or one progress update to the
-// collector goroutine. Exactly one of (obs, prog) is set.
+// collector goroutine. Exactly one of (out, prog) is set.
 type obsEvent struct {
-	obs  func(*Outcome)
 	out  *Outcome
 	prog *PoolProgress
 }
 
 // runParallel fans the batch out over min(Workers, len(specs)) worker
 // goroutines. Every observer callback is forwarded to one collector
-// goroutine, so user observers never run concurrently with each other.
+// goroutine, so the observer never runs concurrently with itself.
 func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []error, hard error) {
 	outs = make([]*Outcome, len(specs))
 	errs = make([]error, len(specs))
@@ -239,6 +228,10 @@ func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs 
 	defer cancel()
 
 	obsCh := make(chan obsEvent, n)
+	var obs func(*Outcome)
+	if p.Observer != nil {
+		obs = func(o *Outcome) { obsCh <- obsEvent{out: o} }
+	}
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
@@ -256,7 +249,7 @@ func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs 
 				p.Progress(pr)
 				continue
 			}
-			e.obs(e.out)
+			p.Observer(e.out)
 		}
 	}()
 
@@ -272,24 +265,12 @@ func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs 
 					errs[i] = err // indices are handed out once: no write race
 					continue
 				}
-				s := p.adopt(specs[i], runCtx)
-				var stop context.CancelFunc
-				if s.Context != runCtx {
-					// The spec brought its own context; honor both it and
-					// the batch cancellation.
-					s.Context, stop = mergedContext(s.Context, runCtx)
-				}
-				if obs := s.Observer; obs != nil {
-					s.Observer = func(o *Outcome) { obsCh <- obsEvent{obs: obs, out: o} }
-				}
+				s := specs[i]
 				if p.Progress != nil {
 					obsCh <- obsEvent{prog: &PoolProgress{Total: len(specs), Worker: worker,
 						Benchmark: s.Benchmark, Scheme: s.Scheme, Started: true}}
 				}
-				out, err := p.runAny(s)
-				if stop != nil {
-					stop()
-				}
+				out, err := p.runAny(runCtx, obs, s)
 				outs[i], errs[i] = out, err
 				if p.Progress != nil {
 					obsCh <- obsEvent{prog: &PoolProgress{Total: len(specs), Worker: worker,
@@ -327,27 +308,15 @@ func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs 
 	return outs, errs, hard
 }
 
-// mergedContext returns a context canceled when either parent is. The
-// second parent's cancellation is forwarded; its cause is reported as
-// context.Canceled.
-func mergedContext(primary, secondary context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(primary)
-	stop := context.AfterFunc(secondary, cancel)
-	return ctx, func() {
-		stop()
-		cancel()
-	}
-}
-
-// OfflineSearch is the pool-backed Offline-Search: the Figure 5
+// offlineSearch is the pool-backed Offline-Search, reached through
+// RunSpec or a batch carrying a SchemeOffline spec: the Figure 5
 // threshold candidates run across the workers, and the winner is
 // reduced over the submission order with a deterministic tie-break
 // (betterOutcome), so any worker count crowns the serial winner. A
 // failing candidate is recorded in the winning Outcome's Failures list
 // (submission order) rather than aborting the sweep; the search errors
 // only when every candidate fails.
-func (p *Pool) OfflineSearch(spec Spec) (*Outcome, error) {
-	spec = p.adopt(spec, p.context())
+func (p *Pool) offlineSearch(spec Spec) (*Outcome, error) {
 	app, err := spec.buildApp()
 	if err != nil {
 		return nil, err
@@ -400,7 +369,7 @@ func (p *Pool) OfflineSearch(spec Spec) (*Outcome, error) {
 	if spec.Metrics != nil || len(spec.TraceSinks) > 0 {
 		s := spec
 		s.Scheme = fmt.Sprintf("threshold:%d", best.Threshold)
-		out, err := p.runMemo(s)
+		out, err := p.runMemo(p.context(), p.Observer, s)
 		if err != nil {
 			// The instrumented re-run of the winner failed (possible under
 			// chaos); keep the uninstrumented result and record it.

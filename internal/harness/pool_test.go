@@ -41,7 +41,7 @@ func poolOfflineArtifacts(t *testing.T, workers int) map[string][]byte {
 			observed[o.Spec.Scheme] = b.Bytes()
 		},
 	}
-	out, err := p.OfflineSearch(Spec{
+	out, err := p.RunSpec(Spec{
 		Benchmark:       "MM-small",
 		Scheme:          SchemeOffline,
 		Metrics:         reg,
@@ -51,7 +51,7 @@ func poolOfflineArtifacts(t *testing.T, workers int) map[string][]byte {
 		CheckInvariants: true,
 	})
 	if err != nil {
-		t.Fatalf("OfflineSearch (workers=%d): %v", workers, err)
+		t.Fatalf("RunSpec (workers=%d): %v", workers, err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatalf("closing trace sink: %v", err)
@@ -193,13 +193,13 @@ func TestPoolFirstHardErrorCancelsBatch(t *testing.T) {
 	var started int32
 	counting := func(s *Spec) { atomic.AddInt32(&started, 1) }
 	specs := []Spec{
-		{Benchmark: "MM-small", Scheme: SchemeFlat, Defaults: counting},
-		{Benchmark: "no-such-benchmark", Scheme: SchemeFlat, Defaults: counting},
-		{Benchmark: "MM-small", Scheme: SchemeBaseline, Defaults: counting},
-		{Benchmark: "MM-small", Scheme: SchemeSpawn, Defaults: counting},
+		{Benchmark: "MM-small", Scheme: SchemeFlat},
+		{Benchmark: "no-such-benchmark", Scheme: SchemeFlat},
+		{Benchmark: "MM-small", Scheme: SchemeBaseline},
+		{Benchmark: "MM-small", Scheme: SchemeSpawn},
 	}
 
-	_, err := Serial().Run(specs)
+	_, err := (&Pool{Workers: 1, Defaults: counting}).Run(specs)
 	if err == nil || !strings.Contains(err.Error(), "no-such-benchmark") {
 		t.Fatalf("serial batch error = %v, want unknown-benchmark failure", err)
 	}
@@ -266,32 +266,11 @@ func TestPoolCancellationShutsDownPromptly(t *testing.T) {
 	}
 }
 
-// TestPoolSpecContextMerged checks that a spec-level context and the
-// pool context both cancel a run.
-func TestPoolSpecContextMerged(t *testing.T) {
-	specCtx, cancelSpec := context.WithCancel(context.Background())
-	cancelSpec()
-	specs := []Spec{
-		{Benchmark: "MM-small", Scheme: SchemeFlat},
-		{Benchmark: "MM-small", Scheme: SchemeFlat, Context: specCtx},
-	}
-	outs, errs := (&Pool{Workers: 2}).Sweep(specs)
-	if errs[0] != nil {
-		t.Errorf("plain spec failed: %v", errs[0])
-	}
-	if outs[0] == nil || outs[0].Result == nil {
-		t.Error("plain spec produced no result")
-	}
-	if errs[1] == nil {
-		t.Error("spec with pre-canceled context ran to completion")
-	}
-}
-
 // TestPoolRunSpecOfflineMatchesSerial drives the whole offline sweep
 // through RunSpec at both widths and compares the winner.
 func TestPoolRunSpecOfflineMatchesSerial(t *testing.T) {
 	spec := Spec{Benchmark: "MM-small", Scheme: SchemeOffline}
-	serial, err := Serial().RunSpec(spec)
+	serial, err := (&Pool{Workers: 1}).RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,5 +281,80 @@ func TestPoolRunSpecOfflineMatchesSerial(t *testing.T) {
 	if serial.Threshold != parallel.Threshold || serial.Result.Cycles != parallel.Result.Cycles {
 		t.Errorf("offline winner diverged: serial threshold %d (%d cycles) vs parallel threshold %d (%d cycles)",
 			serial.Threshold, serial.Result.Cycles, parallel.Threshold, parallel.Result.Cycles)
+	}
+}
+
+// TestPoolDefaultsFireOncePerRun: Pool.Defaults is the only defaults
+// hook, so nothing but the pool guards against applying it twice. It
+// must fire exactly once per simulation — once per Offline-Search
+// candidate plus once for the instrumented winner re-run — with or
+// without a result store (whose replayed candidates count too), at any
+// width.
+func TestPoolDefaultsFireOncePerRun(t *testing.T) {
+	app, err := Spec{Benchmark: "MM-small"}.buildApp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSweep := int32(len(SweepThresholds(app)) + 1)
+	for _, workers := range []int{1, 4} {
+		for _, stored := range []bool{false, true} {
+			var calls atomic.Int32
+			p := &Pool{Workers: workers, Defaults: func(*Spec) { calls.Add(1) }}
+			sweeps := 1
+			if stored {
+				st, j := openCheckpoint(t, t.TempDir())
+				t.Cleanup(func() { j.Close() })
+				p.Store, p.Journal = st, j
+				sweeps = 2 // the second sweep replays every candidate
+			}
+			for i := 0; i < sweeps; i++ {
+				spec := Spec{Benchmark: "MM-small", Scheme: SchemeOffline, Metrics: metrics.NewRegistry()}
+				if _, err := p.RunSpec(spec); err != nil {
+					t.Fatalf("workers=%d stored=%v: %v", workers, stored, err)
+				}
+			}
+			if got, want := calls.Load(), int32(sweeps)*perSweep; got != want {
+				t.Errorf("workers=%d stored=%v: Defaults fired %d times, want %d (once per run)",
+					workers, stored, got, want)
+			}
+		}
+	}
+}
+
+// TestPoolCancellationReachesOfflineSpec: an offline spec picked up by a
+// worker runs its candidates on an inner pool, which must inherit the
+// batch's run context. Canceling Pool.Context as the offline spec starts
+// must stop its sweep rather than let every candidate run.
+func TestPoolCancellationReachesOfflineSpec(t *testing.T) {
+	app, err := Spec{Benchmark: "MM-small"}.buildApp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var candidates atomic.Int32
+	p := &Pool{
+		Workers: 2,
+		Context: ctx,
+		Defaults: func(s *Spec) {
+			if strings.HasPrefix(s.Scheme, "threshold:") {
+				candidates.Add(1)
+			}
+		},
+		Progress: func(pr PoolProgress) {
+			if pr.Started && pr.Scheme == SchemeOffline {
+				cancel()
+			}
+		},
+	}
+	_, errs := p.Sweep([]Spec{
+		{Benchmark: "MM-small", Scheme: SchemeFlat},
+		{Benchmark: "MM-small", Scheme: SchemeOffline},
+	})
+	if !errors.Is(errs[1], context.Canceled) {
+		t.Fatalf("offline spec error = %v, want context.Canceled", errs[1])
+	}
+	if got, all := candidates.Load(), int32(len(SweepThresholds(app))); got >= all {
+		t.Errorf("%d of %d candidates ran despite cancellation", got, all)
 	}
 }

@@ -21,49 +21,39 @@ func profileBatchSpecs() []Spec {
 	}
 }
 
-// aggregateBytes runs the batch at the given worker count and returns
-// the serialized aggregate profile report.
-func aggregateBytes(t *testing.T, workers int) []byte {
+// profileReports runs the batch at the given worker count and returns
+// each outcome's serialized profile report, in submission order.
+func profileReports(t *testing.T, workers int) [][]byte {
 	t.Helper()
-	p := &Pool{Workers: workers}
-	outs, err := p.Run(profileBatchSpecs())
+	outs, err := (&Pool{Workers: workers}).Run(profileBatchSpecs())
 	if err != nil {
 		t.Fatalf("pool run (workers=%d): %v", workers, err)
 	}
+	reps := make([][]byte, len(outs))
 	for i, o := range outs {
 		if o.Profile == nil {
 			t.Fatalf("outcome %d has no profile report", i)
 		}
+		var buf bytes.Buffer
+		if err := o.Profile.WriteJSON(&buf); err != nil {
+			t.Fatalf("serializing report %d: %v", i, err)
+		}
+		reps[i] = buf.Bytes()
 	}
-	agg := AggregateProfiles(outs)
-	if agg == nil || agg.Runs != len(outs) {
-		t.Fatalf("aggregate covers %v runs, want %d", agg, len(outs))
-	}
-	var buf bytes.Buffer
-	if err := agg.WriteJSON(&buf); err != nil {
-		t.Fatalf("serializing aggregate: %v", err)
-	}
-	return buf.Bytes()
+	return reps
 }
 
-// TestAggregateProfilesWorkerCountInvariant is the profiler's half of
-// the pool determinism contract: folding per-run reports in submission
-// order yields byte-identical aggregates at any worker count.
-func TestAggregateProfilesWorkerCountInvariant(t *testing.T) {
-	serial := aggregateBytes(t, 1)
-	parallel := aggregateBytes(t, 4)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("aggregate profile differs between Workers=1 and Workers=4:\nserial:   %s\nparallel: %s",
-			serial, parallel)
-	}
-}
-
-func TestAggregateProfilesSkipsUnprofiled(t *testing.T) {
-	if AggregateProfiles(nil) != nil {
-		t.Error("empty aggregate should be nil")
-	}
-	if AggregateProfiles([]*Outcome{nil, {}}) != nil {
-		t.Error("aggregate over unprofiled outcomes should be nil")
+// TestPoolProfilesWorkerCountInvariant is the profiler's half of the
+// pool determinism contract: every run's serialized report is
+// byte-identical at any worker count.
+func TestPoolProfilesWorkerCountInvariant(t *testing.T) {
+	serial := profileReports(t, 1)
+	parallel := profileReports(t, 4)
+	for i := range serial {
+		if !bytes.Equal(serial[i], parallel[i]) {
+			t.Errorf("profile report %d differs between Workers=1 and Workers=4:\nserial:   %s\nparallel: %s",
+				i, serial[i], parallel[i])
+		}
 	}
 }
 
@@ -128,13 +118,13 @@ func TestPoolProgressCounts(t *testing.T) {
 // carries the winner's own profile report.
 func TestProfileSurvivesOfflineSweep(t *testing.T) {
 	p := &Pool{Workers: 2}
-	out, err := p.OfflineSearch(Spec{
+	out, err := p.RunSpec(Spec{
 		Benchmark: "MM-small",
 		Scheme:    SchemeOffline,
 		Profile:   &profile.Options{},
 	})
 	if err != nil {
-		t.Fatalf("OfflineSearch: %v", err)
+		t.Fatalf("RunSpec: %v", err)
 	}
 	if out.Profile == nil {
 		t.Fatal("offline winner has no profile report")

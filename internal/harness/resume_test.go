@@ -62,12 +62,12 @@ func sweepArtifacts(t *testing.T, p *Pool, allowErr bool) map[string][]byte {
 		}
 		observed[o.Spec.Scheme] = b.Bytes()
 	}
-	out, err := p.OfflineSearch(resumeSpec(reg, sink))
+	out, err := p.RunSpec(resumeSpec(reg, sink))
 	if err != nil {
 		if allowErr {
 			return nil
 		}
-		t.Fatalf("OfflineSearch: %v", err)
+		t.Fatalf("RunSpec: %v", err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatalf("closing trace sink: %v", err)
@@ -327,9 +327,8 @@ func TestCallerContextDeadlineIsPermanent(t *testing.T) {
 		},
 		FaultPlan: &plan,
 		Retries:   2,
-		Context:   ctx,
 	}
-	if _, err := Run(spec); err == nil {
+	if _, err := (&Pool{Workers: 1, Context: ctx}).RunSpec(spec); err == nil {
 		t.Fatal("expired-context run succeeded")
 	}
 	if got := calls.Load(); got != 1 {

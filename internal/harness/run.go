@@ -33,7 +33,9 @@ const (
 	// "threshold:N" runs a specific static THRESHOLD N.
 )
 
-// Spec describes one simulation run.
+// Spec describes one simulation run. Batch-wide settings — the
+// cancellation context, the observer, and the defaults hook — live on
+// the Pool that runs it.
 type Spec struct {
 	Benchmark string
 	Scheme    string
@@ -72,29 +74,12 @@ type Spec struct {
 	// snapshotted into Outcome.Metrics after the run. A registry must
 	// not be shared between specs that run concurrently in a Pool.
 	Metrics *metrics.Registry
-	// Observer, when non-nil, receives this run's completed Outcome,
-	// including the intermediate runs of sweeps derived from this spec.
-	// It forces a fresh metrics registry when the spec carries none, so
-	// the observer always sees a metrics snapshot. A Pool serializes observer
-	// callbacks through one collector goroutine, so the callback never
-	// needs its own locking.
-	Observer func(*Outcome)
-	// Defaults, when non-nil, is applied to the spec (and every sweep
-	// candidate derived from it) immediately before simulation, so
-	// process-wide settings (wall-clock deadlines, chaos plans, cycle
-	// budgets from command-line flags) reach runs whose Spec the caller
-	// never constructs directly.
-	Defaults func(*Spec)
 	// Heartbeat, when non-nil, receives periodic progress callbacks
 	// every HeartbeatEvery cycles (simulator default when zero).
 	Heartbeat      func(sim.Progress)
 	HeartbeatEvery uint64
 	// Config overrides the GPU configuration (zero value = K20m).
 	Config *config.GPU
-	// Context, when non-nil, cancels the run cooperatively: the
-	// simulator aborts with a partial result once it observes the
-	// cancellation.
-	Context context.Context
 	// Deadline, when non-zero, bounds the run's wall-clock time.
 	Deadline time.Duration
 	// MaxCycles overrides the simulator's cycle budget (0 = default).
@@ -124,7 +109,7 @@ type Spec struct {
 	// capped exponential growth (base, 2x, 4x, ... capped at 16x). The
 	// sleep is purely harness-side wall time: the derived-seed schedule
 	// and every simulated artifact stay byte-identical with or without
-	// backoff. A set Context cuts the sleep short on cancellation.
+	// backoff. Canceling the Pool's Context cuts the sleep short.
 	RetryBackoff time.Duration
 	// Tolerate, when set, degrades gracefully once the retry budget is
 	// exhausted (or the failure is permanent): instead of failing the
@@ -159,7 +144,7 @@ type Outcome struct {
 	// Trace holds recorded simulator events when Spec.TraceEvents > 0.
 	Trace *trace.Ring
 	// Metrics is the end-of-run registry snapshot when metrics were
-	// enabled (Spec.Metrics or an observer), nil otherwise.
+	// enabled (Spec.Metrics or a Pool.Observer), nil otherwise.
 	Metrics *metrics.Snapshot
 	// Profile is the cycle-attribution report when profiling was enabled
 	// (Spec.Profile), nil otherwise. Aborted runs carry a partial report
@@ -253,13 +238,6 @@ func (s Spec) buildApp() (*workloads.App, error) {
 	return app, nil
 }
 
-// applyDefaults runs the spec's Defaults hook, if any.
-func applyDefaults(s *Spec) {
-	if s.Defaults != nil {
-		s.Defaults(s)
-	}
-}
-
 // policyFor resolves the scheme to a launch policy. Threshold-bearing
 // schemes return the threshold used (or -1).
 func policyFor(scheme string, app *workloads.App, cfg config.GPU) (kernel.Policy, int, error) {
@@ -283,36 +261,18 @@ func policyFor(scheme string, app *workloads.App, cfg config.GPU) (kernel.Policy
 	}
 }
 
-// Run executes one simulation per the spec.
+// Run executes one simulation per the spec on a single-worker Pool with
+// no observer, defaults, or store.
 func Run(spec Spec) (*Outcome, error) {
-	if spec.Scheme == SchemeOffline {
-		return OfflineSearch(spec)
-	}
-	return runSpec(spec)
+	return (&Pool{Workers: 1}).RunSpec(spec)
 }
 
-// RunWithPolicy executes the spec's benchmark under a caller-supplied
-// policy and configuration (custom policies, ablation studies). Engine
-// panics are recovered into errors; transient failures under an active
-// fault plan are retried up to Spec.Retries times with derived seeds.
-// An aborted run returns its partial *Outcome alongside the error, so
-// callers can still flush sinks and inspect progress.
-//
-// The same policy instance serves every retry attempt; a policy that
-// must start each attempt fresh should be submitted via Spec.MakePolicy
-// instead.
-func RunWithPolicy(spec Spec, cfg config.GPU, pol kernel.Policy) (*Outcome, error) {
-	spec.Config = &cfg
-	spec.MakePolicy = func(config.GPU) kernel.Policy { return pol }
-	return runSpec(spec)
-}
-
-// runSpec is the single-run engine behind Run and RunWithPolicy: it
-// applies the spec's defaults, resolves the policy (building a fresh
-// instance per attempt unless the caller pinned one), and drives the
-// retry loop.
-func runSpec(spec Spec) (*Outcome, error) {
-	applyDefaults(&spec)
+// runSpec is the single-run engine under the Pool: it resolves the
+// policy (building a fresh instance per attempt unless the caller
+// pinned one) and drives the retry loop under the run context, handing
+// every successful attempt to obs. The spec arrives with the pool's
+// defaults already applied.
+func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
 	app, err := spec.buildApp()
 	if err != nil {
 		return nil, err
@@ -346,9 +306,9 @@ func runSpec(spec Spec) (*Outcome, error) {
 			// Backoff is pure wall time between attempts; the derived-seed
 			// schedule below is a function of the attempt number alone, so
 			// sleeping (or not) never changes what any attempt simulates.
-			sleepBackoff(spec.Context, spec.RetryBackoff, attempt)
+			sleepBackoff(ctx, spec.RetryBackoff, attempt)
 		}
-		out, err := runOnce(spec, cfg, makePol(cfg), app, def, attempt)
+		out, err := runOnce(ctx, obs, spec, cfg, makePol(cfg), app, def, attempt)
 		if out != nil {
 			out.Attempts = attempt + 1
 			if thr >= 0 {
@@ -359,7 +319,7 @@ func runSpec(spec Spec) (*Outcome, error) {
 			return out, nil
 		}
 		lastOut, lastErr = out, err
-		if !transientErr(&spec, err) {
+		if !transientErr(ctx, &spec, err) {
 			break
 		}
 	}
@@ -401,8 +361,10 @@ func retrySeed(seed uint64, attempt int) uint64 {
 
 // runOnce performs one simulation attempt, recovering engine panics
 // (invariant violations and any other programming error surfacing
-// mid-run) into returned errors so a sweep can skip the run.
-func runOnce(spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, def *kernel.Def, attempt int) (out *Outcome, err error) {
+// mid-run) into returned errors so a sweep can skip the run. A non-nil
+// obs forces a metrics registry when the spec carries none and receives
+// the completed Outcome.
+func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, def *kernel.Def, attempt int) (out *Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
@@ -427,16 +389,15 @@ func runOnce(spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, d
 	if spec.TraceEvents > 0 {
 		ring = trace.New(spec.TraceEvents)
 	}
-	observer := spec.Observer
 	reg := spec.Metrics
-	if reg == nil && observer != nil {
+	if reg == nil && obs != nil {
 		reg = metrics.NewRegistry()
 	}
 	var prof *profile.Profile
 	if spec.Profile != nil {
 		prof = profile.New(cfg.NumSMX, *spec.Profile)
 	}
-	guard := armStallGuard(&spec)
+	ctx, guard := armStallGuard(ctx, &spec)
 	defer guard.stop()
 	g, err := sim.NewChecked(sim.Options{
 		Config:          cfg,
@@ -454,7 +415,7 @@ func runOnce(spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, d
 		HeartbeatEvery:  kernel.Cycle(spec.HeartbeatEvery),
 		Faults:          inj,
 		CheckInvariants: spec.CheckInvariants,
-		Context:         spec.Context,
+		Context:         ctx,
 		Deadline:        spec.Deadline,
 	})
 	if err != nil {
@@ -489,28 +450,10 @@ func runOnce(spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, d
 	if runErr != nil {
 		return out, err
 	}
-	if observer != nil {
-		observer(out)
+	if obs != nil {
+		obs(out)
 	}
 	return out, nil
-}
-
-// AggregateProfiles folds the profile reports of a batch of outcomes
-// into one merged report, in slice (= submission) order. Outcomes that
-// are nil or unprofiled are skipped; the result is nil when nothing was
-// profiled. Because profile.MergeReports is commutative on every
-// counter and re-sorts keyed sections, folding a Pool batch — whose
-// slice order is submission order regardless of worker count — yields
-// byte-identical serialized reports for any Workers setting.
-func AggregateProfiles(outs []*Outcome) *profile.Report {
-	var agg *profile.Report
-	for _, o := range outs {
-		if o == nil || o.Profile == nil {
-			continue
-		}
-		agg = profile.MergeReports(agg, o.Profile)
-	}
-	return agg
 }
 
 // OffloadTargets are the Figure 5 sweep points (fractions of the
@@ -545,13 +488,4 @@ func betterOutcome(a, b *Outcome) bool {
 		return a.Result.Cycles < b.Result.Cycles
 	}
 	return a.Threshold < b.Threshold
-}
-
-// OfflineSearch exhaustively sweeps the Figure 5 thresholds and returns
-// the best-performing static configuration (the paper's Offline-Search).
-// A failing candidate does not abort the sweep: it is skipped and
-// recorded in the winning Outcome's Failures list. The search errors
-// only when every candidate fails.
-func OfflineSearch(spec Spec) (*Outcome, error) {
-	return Serial().OfflineSearch(spec)
 }

@@ -62,9 +62,9 @@ func TestRetriedRunNeverMutatesCallerPlan(t *testing.T) {
 	plan := faults.Mild(42)
 	want := plan // full value snapshot before the run
 	calls := 0
-	out, err := RunWithPolicy(
-		Spec{Benchmark: "MM-small", FaultPlan: &plan, Retries: 2},
-		config.K20m(), panicky{calls: &calls})
+	spec := panickySpec(&calls)
+	spec.FaultPlan, spec.Retries = &plan, 2
+	out, err := Run(spec)
 	if err == nil {
 		t.Fatal("always-panicking policy reported success")
 	}

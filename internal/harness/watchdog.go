@@ -24,22 +24,20 @@ type stallGuard struct {
 	fired   atomic.Bool
 }
 
-// armStallGuard activates the guard on a spec when Spec.StallTimeout is
-// set, wrapping the spec's context (so the guard can abort the run) and
-// its heartbeat (so every heartbeat pets the timer). The spec is the
+// armStallGuard activates the guard on one attempt when
+// Spec.StallTimeout is set, deriving a cancelable context from the run
+// context (so the guard can abort the run) and wrapping the spec's
+// heartbeat (so every heartbeat pets the timer). The spec is the
 // per-attempt copy, so each retry attempt gets a fresh guard and a
-// fresh timeout budget. Returns an inert guard when the feature is off;
-// callers always stop() it.
-func armStallGuard(spec *Spec) *stallGuard {
+// fresh timeout budget. It returns the context the attempt runs under
+// and the guard, which is inert (nil) when the feature is off; callers
+// always stop() it.
+func armStallGuard(ctx context.Context, spec *Spec) (context.Context, *stallGuard) {
 	if spec.StallTimeout <= 0 {
-		return nil
+		return ctx, nil
 	}
 	g := &stallGuard{timeout: spec.StallTimeout}
-	parent := spec.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	spec.Context, g.cancel = context.WithCancel(parent)
+	ctx, g.cancel = context.WithCancel(ctx)
 	//spawnvet:allow purity wall-clock stall guard: the timer only aborts a wedged run, it never feeds results
 	g.timer = time.AfterFunc(g.timeout, func() {
 		g.fired.Store(true)
@@ -56,7 +54,7 @@ func armStallGuard(spec *Spec) *stallGuard {
 			inner(p)
 		}
 	}
-	return g
+	return ctx, g
 }
 
 // pet resets the guard's timer: wall-clock proof of life.
