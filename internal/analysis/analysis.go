@@ -268,7 +268,11 @@ const (
 	// The justification text after the analyzer list is mandatory.
 	DirectiveAllow DirectiveKind = iota
 	// DirectiveHotPath marks a function declaration as a hot-path root
-	// for the hotpath analyzer: //spawnvet:hotpath
+	// for the hotpath analyzer: //spawnvet:hotpath. Everything sim.Run
+	// reaches through static calls is hot already; the marker belongs
+	// only on per-cycle code the engine reaches through dynamic
+	// dispatch (an interface method, a func value), which the call
+	// graph cannot follow.
 	DirectiveHotPath
 	// DirectivePure asserts, in a function's doc comment, that the
 	// function honors the purity contract (no package-level writes, no
@@ -401,25 +405,11 @@ func (p *Package) directiveProblems() []Diagnostic {
 	return out
 }
 
-// hotPathMarked reports whether the function declaration carries a
-// //spawnvet:hotpath marker in its doc comment.
-func (p *Package) hotPathMarked(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.TrimSpace(c.Text) == "//spawnvet:hotpath" {
-			return true
-		}
-	}
-	return false
-}
-
 // marked reports whether the function declaration carries a valid
-// trust directive of the given kind (DirectivePure, DirectiveSkipSafe)
-// in its doc comment. Malformed trust directives confer no trust: they
-// surface as directive diagnostics and the function stays subject to
-// full analysis (fails closed).
+// directive of the given kind (DirectiveHotPath, DirectivePure,
+// DirectiveSkipSafe) in its doc comment. Malformed directives confer
+// nothing: they surface as directive diagnostics and the function
+// stays subject to full analysis (fails closed).
 func (p *Package) marked(fn *ast.FuncDecl, kind DirectiveKind) bool {
 	if fn.Doc == nil {
 		return false

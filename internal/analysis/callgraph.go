@@ -7,14 +7,15 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer purity, skipsafe, and
-// clockstep share: one bottom-up summary per function declaration
+// This file is the interprocedural layer purity, skipsafe, clockstep,
+// and hotpath share: one bottom-up summary per function declaration
 // (direct effects + static callee edges), stitched into one call graph
 // per Run over every loaded package. A summary records the union of the
-// effect kinds the three contracts care about; each analyzer walks the
-// graph from its own roots under its own trust predicate and reports
-// the kinds its contract forbids, naming the call chain that reaches
-// each one.
+// effect kinds the purity, skipsafe, and clockstep contracts care
+// about (hotpath uses only the edges and re-checks each reached body);
+// each analyzer walks the graph from its own roots under its own trust
+// predicate and reports what its contract forbids, naming the call
+// chain that reaches each finding.
 //
 // The graph is deliberately over-approximate in the safe direction,
 // capped so pathological graphs stay cheap, and opaque at boundaries it
@@ -22,7 +23,8 @@ import (
 //
 //   - dynamic dispatch (interface methods, func-typed values and
 //     fields) is an opaque boundary assumed to honor the contract of
-//     its declaration site — the callee cannot be resolved statically;
+//     its declaration site — the callee cannot be resolved statically
+//     (hotpath asks for a //spawnvet:hotpath marker on such callees);
 //   - out-of-module callees carry no summary; they are classified by
 //     the external-call tables (ambient I/O packages, PureFuncs)
 //     instead of traversed;
@@ -359,6 +361,12 @@ func (g *callGraph) roots(isRoot func(*funcSummary) bool) []*types.Func {
 		}
 	}
 	return out
+}
+
+// runRoot reports whether a summary is the run root every call-graph
+// analyzer starts from: the method Run on a receiver type named GPU.
+func runRoot(s *funcSummary) bool {
+	return s.decl.Recv != nil && s.obj.Name() == "Run" && recvTypeName(s.decl) == "GPU"
 }
 
 // lookup resolves a callee to its summary, normalizing instantiated

@@ -475,12 +475,6 @@ func (st *clockstepState) defer_(obj *types.Func, pos token.Pos, text func(chain
 	st.deferred[obj] = append(st.deferred[obj], clockDeferred{pos: pos, text: text})
 }
 
-// clockRoot reports whether a summary is the run root: the method Run
-// on a receiver type named GPU.
-func clockRoot(s *funcSummary) bool {
-	return s.decl.Recv != nil && s.obj.Name() == "Run" && recvTypeName(s.decl) == "GPU"
-}
-
 // finish closes the call graph over the run root, trusting nothing,
 // and emits the deferred rule-1/3/4 findings of every reachable
 // function.
@@ -489,7 +483,7 @@ func (st *clockstepState) finish(pass *Pass) {
 		return
 	}
 	g := pass.callGraph()
-	g.walkFrom(g.roots(clockRoot), nil,
+	g.walkFrom(g.roots(runRoot), nil,
 		func(sum *funcSummary, chain []string) {
 			for _, d := range st.deferred[sum.obj] {
 				pass.Reportf(d.pos, "%s", d.text(chainText(chain)))

@@ -2,13 +2,14 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// HotPathAnalyzer polices the per-cycle call trees of the engine.
-// Roots are functions named Run, Tick, or Cycle plus any function
-// marked //spawnvet:hotpath; the analyzer closes the same-package call
-// graph over them and, inside that hot set, flags:
+// HotPathAnalyzer polices the per-cycle call trees of the engine. It
+// walks the shared module call graph (callgraph.go) from the run root,
+// sim.(GPU).Run, plus every function marked //spawnvet:hotpath, and
+// inside that hot set flags:
 //
 //   - fmt formatting calls (Sprintf and friends allocate and reflect);
 //   - closure (func literal) allocations;
@@ -21,21 +22,23 @@ import (
 //     allocation-free accumulators (profileHotCalls): report assembly
 //     and serialization belong after the run, never in the tick loop.
 //
+// Each finding names the call chain that makes its code hot. The graph
+// sees only static calls, so the marker is needed exactly where the
+// engine reaches per-cycle code through dynamic dispatch (an interface
+// method, a func value); everything Run calls directly is hot without
+// one.
+//
 // Code on cold sub-paths — arguments to panic, expressions inside
 // return statements — is exempt: abort and invariant reporting may
 // format freely. Everything else needs a //spawnvet:allow hotpath
 // directive with a justification.
 func HotPathAnalyzer() *Analyzer {
 	return &Analyzer{
-		Name:      "hotpath",
-		Doc:       "flag allocations, formatting, boxing, and unguarded hook calls in per-cycle call trees",
-		AppliesTo: pathWithin("internal/sim", "internal/profile"),
-		Run:       runHotPath,
+		Name:   "hotpath",
+		Doc:    "flag allocations, formatting, boxing, and unguarded hook calls in per-cycle call trees",
+		Finish: finishHotPath,
 	}
 }
-
-// hotRootNames are implicit hot-path roots.
-var hotRootNames = map[string]bool{"Run": true, "Tick": true, "Cycle": true}
 
 // profilePkgSuffix identifies the cycle-attribution package in import
 // paths (matched by suffix so the rule is module-name agnostic).
@@ -57,71 +60,54 @@ var fmtFormatting = map[string]bool{
 	"Printf": true, "Print": true, "Println": true, "Appendf": true,
 }
 
-func runHotPath(pass *Pass) {
-	pkg := pass.Pkg
-	info := pkg.Info
-
-	// Map every function object to its declaration.
-	decls := map[types.Object]*ast.FuncDecl{}
-	var roots []*ast.FuncDecl
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			obj := info.Defs[fn.Name]
-			if obj == nil {
-				continue
-			}
-			decls[obj] = fn
-			if hotRootNames[fn.Name.Name] || pkg.hotPathMarked(fn) {
-				roots = append(roots, fn)
-			}
-		}
-	}
-	if len(roots) == 0 {
-		return
-	}
-
-	// Close the same-package call graph over the roots.
-	hot := map[*ast.FuncDecl]bool{}
-	var visit func(fn *ast.FuncDecl)
-	visit = func(fn *ast.FuncDecl) {
-		if hot[fn] {
-			return
-		}
-		hot[fn] = true
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if obj := calleeObject(info, call); obj != nil {
-				if callee, ok := decls[obj]; ok {
-					visit(callee)
-				}
-			}
-			return true
-		})
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-
-	for fn := range hot {
-		checkHotFunc(pass, fn)
-	}
+// hotRoot reports whether a summary roots the hot set: the run root or
+// a function carrying a valid //spawnvet:hotpath marker.
+func hotRoot(s *funcSummary) bool {
+	return runRoot(s) || s.pkg.marked(s.decl, DirectiveHotPath)
 }
 
-func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
-	info := pass.Pkg.Info
-	name := fn.Name.Name
+// finishHotPath walks the call graph from the hot roots, trusting
+// nothing, and checks the body of every function it reaches.
+func finishHotPath(pass *Pass) {
+	if pass.Pkg == nil {
+		return
+	}
+	g := pass.callGraph()
+	g.walkFrom(g.roots(hotRoot), nil,
+		func(sum *funcSummary, chain []string) {
+			h := hotFunc{pass: pass, pkg: sum.pkg, chain: chainText(chain)}
+			if sum.overflow {
+				pass.Reportf(sum.decl.Name.Pos(),
+					"%s has more than %d static callees; its hot callees are unverified (call chain: %s) — split it",
+					sum.displayName(), callGraphFanCap, h.chain)
+			}
+			h.checkFunc(sum.decl)
+		},
+		func(sum *funcSummary, pos token.Pos, chain []string) {
+			pass.Reportf(pos,
+				"call chain from the hot-path roots exceeds the hotpath depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
+				callGraphDepthCap, sum.displayName(), chainText(chain))
+		})
+}
+
+// hotFunc checks one reached function: pkg is the package declaring it
+// (its type information resolves the body), chain the rendered call
+// chain that made it hot.
+type hotFunc struct {
+	pass  *Pass
+	pkg   *Package
+	chain string
+}
+
+// checkFunc flags the violation classes in fn's body, outside cold
+// contexts.
+func (h hotFunc) checkFunc(fn *ast.FuncDecl) {
+	info := h.pkg.Info
 	walkStack(fn.Body, func(n ast.Node, stack []ast.Node) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			if !inColdContext(info, stack) {
-				pass.Reportf(n.Pos(), "closure allocated in hot path (%s call tree)", name)
+				h.pass.Reportf(n.Pos(), "closure allocated in hot path (call chain: %s)", h.chain)
 			}
 		case *ast.CompositeLit:
 			if inColdContext(info, stack) {
@@ -129,32 +115,32 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			}
 			if tv, ok := info.Types[n]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					pass.Reportf(n.Pos(), "map literal allocated in hot path (%s call tree)", name)
+					h.pass.Reportf(n.Pos(), "map literal allocated in hot path (call chain: %s)", h.chain)
 				}
 			}
 		case *ast.CallExpr:
 			if inColdContext(info, stack) {
 				return
 			}
-			checkHotCall(pass, name, n, stack)
+			h.checkCall(n, stack)
 		}
 	})
 }
 
-func checkHotCall(pass *Pass, fnName string, call *ast.CallExpr, stack []ast.Node) {
-	info := pass.Pkg.Info
+func (h hotFunc) checkCall(call *ast.CallExpr, stack []ast.Node) {
+	info := h.pkg.Info
 
 	if isBuiltin(info, call, "panic") {
 		return // a taken panic is the cold path by definition
 	}
 	if isBuiltin(info, call, "new") {
-		pass.Reportf(call.Pos(), "new(...) allocation in hot path (%s call tree)", fnName)
+		h.pass.Reportf(call.Pos(), "new(...) allocation in hot path (call chain: %s)", h.chain)
 		return
 	}
 	if isBuiltin(info, call, "make") && len(call.Args) > 0 {
 		if tv, ok := info.Types[call.Args[0]]; ok {
 			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				pass.Reportf(call.Pos(), "make(map) allocation in hot path (%s call tree)", fnName)
+				h.pass.Reportf(call.Pos(), "make(map) allocation in hot path (call chain: %s)", h.chain)
 			}
 		}
 		return
@@ -162,18 +148,18 @@ func checkHotCall(pass *Pass, fnName string, call *ast.CallExpr, stack []ast.Nod
 	if obj := calleeObject(info, call); obj != nil {
 		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
 			if fn.Pkg().Path() == "fmt" && fmtFormatting[fn.Name()] {
-				pass.Reportf(call.Pos(), "fmt.%s in hot path (%s call tree); format on abort/error paths only", fn.Name(), fnName)
+				h.pass.Reportf(call.Pos(), "fmt.%s in hot path (call chain: %s); format on abort/error paths only", fn.Name(), h.chain)
 				return
 			}
 			// Profile accounting: only the nil-safe accumulators may
 			// appear in tick loops. Calls inside internal/profile itself
-			// are exempt — its internal helpers are vetted as part of
-			// this package's own hot set.
-			if fn.Pkg().Path() != pass.Pkg.Types.Path() &&
+			// are exempt — its internal helpers are vetted where the walk
+			// reaches them.
+			if fn.Pkg().Path() != h.pkg.Types.Path() &&
 				pathWithin(profilePkgSuffix)(fn.Pkg().Path()) && !profileHotCalls[fn.Name()] {
-				pass.Reportf(call.Pos(),
-					"profile.%s in hot path (%s call tree); only nil-safe accumulators (Note, EndTick, SkipTo, SampleDue, KernelSite, Finish, Record) may run per cycle",
-					fn.Name(), fnName)
+				h.pass.Reportf(call.Pos(),
+					"profile.%s in hot path (call chain: %s); only nil-safe accumulators (Note, EndTick, SkipTo, SampleDue, KernelSite, Finish, Record) may run per cycle",
+					fn.Name(), h.chain)
 				return
 			}
 		}
@@ -182,7 +168,7 @@ func checkHotCall(pass *Pass, fnName string, call *ast.CallExpr, stack []ast.Nod
 	// Boxing: a concrete argument passed to an interface parameter.
 	if tv, ok := info.Types[call.Fun]; ok && !tv.IsType() {
 		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			checkBoxing(pass, fnName, call, sig)
+			h.checkBoxing(call, sig)
 		}
 	}
 
@@ -192,9 +178,9 @@ func checkHotCall(pass *Pass, fnName string, call *ast.CallExpr, stack []ast.Nod
 			if _, isFunc := s.Type().Underlying().(*types.Signature); isFunc {
 				selText := exprText(sel)
 				if !nilGuarded(call, selText, stack) {
-					pass.Reportf(call.Pos(),
-						"hook call %s(...) without a %s != nil guard in hot path (%s call tree)",
-						selText, selText, fnName)
+					h.pass.Reportf(call.Pos(),
+						"hook call %s(...) without a %s != nil guard in hot path (call chain: %s)",
+						selText, selText, h.chain)
 				}
 			}
 		}
@@ -202,8 +188,8 @@ func checkHotCall(pass *Pass, fnName string, call *ast.CallExpr, stack []ast.Nod
 }
 
 // checkBoxing flags concrete values converted to interface parameters.
-func checkBoxing(pass *Pass, fnName string, call *ast.CallExpr, sig *types.Signature) {
-	info := pass.Pkg.Info
+func (h hotFunc) checkBoxing(call *ast.CallExpr, sig *types.Signature) {
+	info := h.pkg.Info
 	params := sig.Params()
 	np := params.Len()
 	for i, arg := range call.Args {
@@ -227,11 +213,11 @@ func checkBoxing(pass *Pass, fnName string, call *ast.CallExpr, sig *types.Signa
 			types.Identical(at, types.Typ[types.UntypedNil]) || at == types.Typ[types.Invalid] {
 			continue
 		}
-		pass.Reportf(arg.Pos(),
-			"implicit conversion of %s to interface %s allocates (boxing) in hot path (%s call tree)",
-			types.TypeString(at, types.RelativeTo(pass.Pkg.Types)),
-			types.TypeString(pt, types.RelativeTo(pass.Pkg.Types)),
-			fnName)
+		h.pass.Reportf(arg.Pos(),
+			"implicit conversion of %s to interface %s allocates (boxing) in hot path (call chain: %s)",
+			types.TypeString(at, types.RelativeTo(h.pkg.Types)),
+			types.TypeString(pt, types.RelativeTo(h.pkg.Types)),
+			h.chain)
 	}
 }
 

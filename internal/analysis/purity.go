@@ -119,14 +119,9 @@ func ambientCall(fn *types.Func) bool {
 // a receiver type named GPU, or the harness attempt path.
 func purityRoot(s *funcSummary) bool {
 	name := s.obj.Name()
-	if s.decl.Recv != nil && name == "Run" && recvTypeName(s.decl) == "GPU" {
-		return true
-	}
-	if p := s.obj.Pkg(); p != nil && p.Name() == "harness" &&
-		(name == "runSpec" || name == "runOnce") {
-		return true
-	}
-	return false
+	p := s.obj.Pkg()
+	return runRoot(s) ||
+		p != nil && p.Name() == "harness" && (name == "runSpec" || name == "runOnce")
 }
 
 // pureTrusted reports whether a function carries a valid

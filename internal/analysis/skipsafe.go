@@ -173,7 +173,7 @@ func finishSkipSafe(pass *Pass) {
 	var roots []*types.Func
 	for _, fn := range g.order {
 		sum := g.sums[fn]
-		if clockRoot(sum) {
+		if runRoot(sum) {
 			rs, ok := skipRootsFromRun(sum)
 			if !ok {
 				pass.Reportf(sum.decl.Name.Pos(),

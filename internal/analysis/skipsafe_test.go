@@ -52,7 +52,7 @@ func TestSkipSafeRealTreeRoots(t *testing.T) {
 		t.Fatalf("LoadDir(../sim): %v", err)
 	}
 	g := buildCallGraph([]*Package{pkg})
-	for _, fn := range g.roots(clockRoot) {
+	for _, fn := range g.roots(runRoot) {
 		sum := g.sums[fn]
 		roots, ok := skipRootsFromRun(sum)
 		if !ok {

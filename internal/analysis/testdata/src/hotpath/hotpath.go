@@ -1,6 +1,6 @@
-// Package hotpath is a spawnvet golden-test fixture: Tick is an
-// implicit hot-path root, Step a marked one, and Cold stays outside
-// the closed call graph.
+// Package hotpath is a spawnvet golden-test fixture: GPU.Run is the
+// run root (it reaches Tick and Cycle), Step and Account are marked
+// roots, and Cold stays outside the hot set.
 package hotpath
 
 import (
@@ -15,8 +15,8 @@ type Engine struct {
 	count int
 }
 
-// Tick is a hot-path root by name. Its body and same-package callees
-// are checked.
+// Tick is hot because GPU.Run calls it. Its body and callees are
+// checked.
 func (e *Engine) Tick(now int) {
 	s := fmt.Sprintf("cycle %d", now) // flagged: formatting per cycle
 	_ = s

@@ -33,12 +33,14 @@ func transientErr(ctx context.Context, spec *Spec, err error) bool {
 		case sim.AbortCanceled:
 			return false
 		case sim.AbortDeadline:
-			// Spec.Deadline is a per-attempt budget: the simulator arms a
-			// fresh wall clock at each Run, so an attempt that ran out of
-			// time under an unlucky fault schedule may finish under the
-			// next derived seed. Without a per-attempt deadline the abort
-			// came from the caller's context deadline — their total
-			// budget — which no retry can recover.
+			// Spec.Deadline is a per-attempt budget: runOnce derives a
+			// fresh context.WithTimeout from the caller's context for
+			// each attempt, so an attempt that ran out of time under an
+			// unlucky fault schedule may finish under the next derived
+			// seed; the ctx checked above is the caller's, which the
+			// attempt's timeout never cancels. Without a per-attempt
+			// deadline the abort came from the caller's own deadline —
+			// their total budget — which no retry can recover.
 			return spec.Deadline > 0
 		case sim.AbortMaxCycles, sim.AbortDeadlock, sim.AbortStalled, sim.AbortInvariant:
 			return true

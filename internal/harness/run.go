@@ -80,7 +80,8 @@ type Spec struct {
 	HeartbeatEvery uint64
 	// Config overrides the GPU configuration (zero value = K20m).
 	Config *config.GPU
-	// Deadline, when non-zero, bounds the run's wall-clock time.
+	// Deadline, when non-zero, bounds each attempt's wall-clock time
+	// (a fresh context.WithTimeout per attempt).
 	Deadline time.Duration
 	// MaxCycles overrides the simulator's cycle budget (0 = default).
 	MaxCycles uint64
@@ -385,9 +386,11 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 			return nil, err
 		}
 	}
+	sinks := spec.TraceSinks
 	var ring *trace.Ring
 	if spec.TraceEvents > 0 {
 		ring = trace.New(spec.TraceEvents)
+		sinks = append([]trace.Sink{ring}, sinks...)
 	}
 	reg := spec.Metrics
 	if reg == nil && obs != nil {
@@ -396,6 +399,11 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 	var prof *profile.Profile
 	if spec.Profile != nil {
 		prof = profile.New(cfg.NumSMX, *spec.Profile)
+	}
+	if spec.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, spec.Deadline)
+		defer cancel()
 	}
 	ctx, guard := armStallGuard(ctx, &spec)
 	defer guard.stop()
@@ -407,8 +415,7 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 		SampleInterval:  kernel.Cycle(spec.SampleInterval),
 		MaxCycles:       kernel.Cycle(spec.MaxCycles),
 		StallWindow:     kernel.Cycle(spec.StallWindow),
-		Trace:           ring,
-		Sinks:           spec.TraceSinks,
+		Sinks:           sinks,
 		Metrics:         reg,
 		Profile:         prof,
 		Heartbeat:       spec.Heartbeat,
@@ -416,7 +423,6 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 		Faults:          inj,
 		CheckInvariants: spec.CheckInvariants,
 		Context:         ctx,
-		Deadline:        spec.Deadline,
 	})
 	if err != nil {
 		return nil, err

@@ -195,8 +195,6 @@ func New(numSMX int, opts Options) *Profile {
 
 // Note records component comp's state for the current tick. Safe on a
 // nil receiver; allocation-free.
-//
-//spawnvet:hotpath
 func (p *Profile) Note(comp int, s State) {
 	if p == nil {
 		return
@@ -207,8 +205,6 @@ func (p *Profile) Note(comp int, s State) {
 // SampleDue reports whether the timeline schedule wants a sample at
 // cycle now, so the engine can gather the scan-cost fields of TickStats
 // only when they will be kept. Safe on a nil receiver.
-//
-//spawnvet:hotpath
 func (p *Profile) SampleDue(now uint64) bool {
 	if p == nil {
 		return false
@@ -222,8 +218,6 @@ func (p *Profile) SampleDue(now uint64) bool {
 // issue ticks — an issue-side approximation; in-flight latency shows
 // up on the consuming SMX as StallLatency instead). Safe on a nil
 // receiver; allocation-free apart from amortized timeline growth.
-//
-//spawnvet:hotpath
 func (p *Profile) EndTick(st TickStats) {
 	if p == nil {
 		return
@@ -268,8 +262,6 @@ func (p *Profile) EndTick(st TickStats) {
 // never tick, count as skipped, and extend every component's current
 // non-busy run — they are by construction cycles where nothing could
 // change. Safe on a nil receiver; allocation-free.
-//
-//spawnvet:hotpath
 func (p *Profile) SkipTo(now, next uint64) {
 	if p == nil || next <= now+1 {
 		return
@@ -283,8 +275,6 @@ func (p *Profile) SkipTo(now, next uint64) {
 
 // Finish pins the run's final cycle (result snapshot time, including
 // aborted runs). Safe on a nil receiver; allocation-free.
-//
-//spawnvet:hotpath
 func (p *Profile) Finish(end uint64) {
 	if p == nil {
 		return

@@ -79,8 +79,6 @@ type siteAgg struct {
 // KernelSubmitted event is emitted. The simulator calls this with the
 // parent kernel definition name (or "(host)") — a side channel, so the
 // trace event schema itself stays unchanged. Safe on a nil receiver.
-//
-//spawnvet:hotpath
 func (p *Profile) KernelSite(id int, site string, kind LaunchKind) {
 	if p == nil {
 		return
@@ -93,7 +91,8 @@ func (p *Profile) KernelSite(id int, site string, kind LaunchKind) {
 // panic — chaos-aborted runs produce partial spans, and a retire
 // without a placement is counted as an anomaly — so the profiler can
 // also replay externally captured JSONL streams. Safe on a nil
-// receiver.
+// receiver. The engine reaches it only through the trace.Sink
+// interface, which the call graph does not follow.
 //
 //spawnvet:hotpath
 func (p *Profile) Record(e trace.Event) {

@@ -26,7 +26,7 @@ const (
 	AbortDeadlock
 	// AbortCanceled: Options.Context was canceled.
 	AbortCanceled
-	// AbortDeadline: Options.Deadline elapsed (or the context's deadline).
+	// AbortDeadline: the deadline of Options.Context elapsed.
 	AbortDeadline
 	// AbortInvariant: the Options.CheckInvariants auditor found a broken
 	// conservation law (the underlying *InvariantError is in Err).

@@ -93,8 +93,6 @@ func (g *GMU) Instrument(reg *metrics.Registry) {
 // Enqueue places a kernel into the pending pool (post launch overhead).
 // Aggregated (DTBL) kernels go to the direct queue; others to the HWQ
 // selected by their stream id.
-//
-//spawnvet:hotpath
 func (g *GMU) Enqueue(k *kernel.Kernel) {
 	qi := len(g.hwqs) // direct queue index in mEnqueues
 	if k.Aggregated {
@@ -141,8 +139,6 @@ func (g *GMU) headOf(qi int) *kernel.Kernel {
 // rotating round-robin across the HWQs and the direct queue. place is
 // responsible for SMX selection, resource checks, and CTA bookkeeping
 // (including advancing k.NextCTA). It returns the number of CTAs placed.
-//
-//spawnvet:hotpath
 func (g *GMU) Dispatch(now kernel.Cycle, place PlaceFunc) int {
 	if g.stalled != nil && g.stalled(now) {
 		g.stalledNow = true
@@ -327,8 +323,6 @@ func (g *GMU) ConcurrentKernelSlots() int { return g.occupied }
 // made no progress. Must be called after Dispatch for the same tick —
 // the back-pressure attribution reads the decision Dispatch latched,
 // never the injector itself (whose hooks may emit events).
-//
-//spawnvet:hotpath
 func (g *GMU) DispatchState(arrived bool, placed int, hadDispatchable bool) profile.State {
 	if arrived || placed > 0 {
 		return profile.StateBusy
@@ -350,8 +344,6 @@ func (g *GMU) DispatchState(arrived bool, placed int, hadDispatchable bool) prof
 // stalled-on-queue otherwise (slots held but nothing could move —
 // heads fully dispatched, suspended, or blocked behind HyperQ false
 // serialization).
-//
-//spawnvet:hotpath
 func (g *GMU) QueueState(placed int) profile.State {
 	if g.occupied == 0 && len(g.direct) == 0 {
 		return profile.StateIdle

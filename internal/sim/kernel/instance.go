@@ -189,7 +189,8 @@ func NewCTA(k *Kernel, index, warpSize int) *CTA {
 			CTA:   c,
 			Index: w,
 			Lanes: lanes,
-			Prog:  d.NewProgram(index, w),
+			//spawnvet:allow hotpath NewProgram is a required field, not an optional hook: LaunchHost and launchChild reject a Def without one (Def.Validate)
+			Prog: d.NewProgram(index, w),
 		})
 	}
 	c.runningWarps = len(c.Warps)

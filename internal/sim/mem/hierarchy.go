@@ -196,8 +196,6 @@ func (h *Hierarchy) SetDRAMPenalty(penalty func(now kernel.Cycle) kernel.Cycle) 
 // are coalesced into unique cache-line transactions; the warp's
 // completion cycle is that of the slowest transaction. Stores are timed
 // like loads (write-allocate).
-//
-//spawnvet:hotpath
 func (h *Hierarchy) Access(now kernel.Cycle, smx int, addrs []uint64) kernel.Cycle {
 	h.WarpAccesses++
 	lineShift := h.lineShift

@@ -91,9 +91,11 @@ func TestDeadlineAbortClosesValidPerfetto(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := config.K20m()
 	sink := trace.NewPerfetto(&buf, cfg.NumSMX)
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	start := time.Now()
 	res, abort := runAborting(t, def, func(o *Options) {
-		o.Deadline = 150 * time.Millisecond
+		o.Context = ctx
 		o.Sinks = []trace.Sink{sink}
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -187,6 +189,49 @@ func TestNewCheckedRejectsInvalidOptions(t *testing.T) {
 	}()
 }
 
+// TestInvalidChildDefPanicsWithInvariant holds device launches to the
+// contract LaunchHost enforces: a child Def that fails Def.Validate is
+// a programming error reported as a *kernel.InvariantError panic, not a
+// raw nil dereference (nil NewProgram) or a false deadlock abort
+// (zero GridCTAs).
+func TestInvalidChildDefPanicsWithInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*kernel.Def)
+	}{
+		{"nil NewProgram", func(d *kernel.Def) { d.NewProgram = nil }},
+		{"zero GridCTAs", func(d *kernel.Def) { d.GridCTAs = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			child := childDef(32, 2)
+			tc.mutate(child)
+			parent := dpParent(64, 32, 2, 4)
+			parent.NewProgram = func(cta, warp int) kernel.Program {
+				launched := false
+				return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
+					if launched {
+						return false
+					}
+					launched = true
+					in.Kind = kernel.InstrLaunch
+					in.Candidates = append(in.Candidates, kernel.LaunchCandidate{Workload: 32, Def: child})
+					return true
+				})
+			}
+			g := New(Options{Config: config.K20m(), Policy: runtime.Threshold{T: 0}})
+			g.LaunchHost(parent)
+			var got interface{}
+			func() {
+				defer func() { got = recover() }()
+				_, _ = g.Run()
+			}()
+			if _, ok := got.(*kernel.InvariantError); !ok {
+				t.Fatalf("Run panicked with %v (%T), want a *kernel.InvariantError", got, got)
+			}
+		})
+	}
+}
+
 func TestChaosRunIsDeterministic(t *testing.T) {
 	chaosRun := func() (*Result, uint64) {
 		inj, err := faults.New(faults.Mild(99))
@@ -221,7 +266,7 @@ func TestFaultEventsReachTrace(t *testing.T) {
 	ring := trace.New(100_000)
 	run(t, runtime.Threshold{T: 0}, dpParent(256, 50, 3, 8), func(o *Options) {
 		o.Faults = inj
-		o.Trace = ring
+		o.Sinks = []trace.Sink{ring}
 	})
 	if inj.TotalInjected() == 0 {
 		t.Skip("seed 5 injected nothing on this workload")

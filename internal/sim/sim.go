@@ -97,12 +97,10 @@ type Options struct {
 	// (0 = default 150 cycles; DTBL's point is that it is tiny compared
 	// to the kernel launch overhead).
 	DTBLLaunchCycles kernel.Cycle
-	// Trace, when non-nil, records kernel/CTA lifecycle and launch
-	// decision events into the bounded ring (see internal/trace).
-	Trace *trace.Ring
-	// Sinks receive the full event stream alongside the ring (streaming
-	// JSONL, the Perfetto exporter, custom sinks). Nil entries are
-	// ignored. The simulator does not close sinks; their owner does.
+	// Sinks receive the kernel/CTA lifecycle and launch-decision event
+	// stream, in order (the bounded trace.Ring, streaming JSONL, the
+	// Perfetto exporter, custom sinks; see internal/trace). Nil entries
+	// are ignored. The simulator does not close sinks; their owner does.
 	Sinks []trace.Sink
 	// Metrics, when non-nil, instruments the run: the engine, GMU, SMXs
 	// and memory hierarchy register their series with it (see
@@ -137,12 +135,9 @@ type Options struct {
 	// Context, when non-nil, cancels the run: Run returns an AbortError
 	// (kind canceled or deadline) with a partial Result once it observes
 	// the cancellation. Checked every few thousand loop iterations, so
-	// aborts land within milliseconds of wall time.
+	// aborts land within milliseconds of wall time. A wall-clock budget
+	// is a context deadline (context.WithTimeout).
 	Context context.Context
-	// Deadline, when non-zero, bounds the run's wall-clock time even
-	// without a context (a lighter-weight alternative to
-	// context.WithTimeout for sweep harnesses).
-	Deadline time.Duration
 }
 
 // Progress is one heartbeat sample of a running simulation.
@@ -280,8 +275,7 @@ type GPU struct {
 	invEvery kernel.Cycle
 	invNext  kernel.Cycle
 
-	ctx      context.Context
-	deadline time.Duration
+	ctx context.Context
 
 	// Observability (nil/empty when metrics are disabled).
 	reg       *metrics.Registry
@@ -363,10 +357,6 @@ func NewChecked(opts Options) (*GPU, error) {
 		checkInv:    opts.CheckInvariants,
 		invEvery:    opts.InvariantEvery,
 		ctx:         opts.Context,
-		deadline:    opts.Deadline,
-	}
-	if opts.Trace != nil {
-		g.sinks = append(g.sinks, opts.Trace)
 	}
 	for _, s := range opts.Sinks {
 		if s != nil {
@@ -543,6 +533,9 @@ func (g *GPU) LaunchHost(def *kernel.Def) *kernel.Kernel {
 
 // launchChild creates and schedules a device-side child launch.
 func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchCandidate, aggregated bool) {
+	if err := cand.Def.Validate(); err != nil {
+		panic(kernel.Invariantf(now, "sim", "device launch from %s with invalid kernel def: %v", w.CTA.Kernel.Def.Name, err))
+	}
 	g.kernelSeq++
 	k := &kernel.Kernel{
 		ID:          g.kernelSeq,
@@ -868,7 +861,10 @@ func (g *GPU) profTick(now kernel.Cycle, arrived bool, placed int, hasDisp bool,
 }
 
 // place attempts to dispatch the next CTA of k onto some SMX
-// (round-robin CTA scheduler).
+// (round-robin CTA scheduler). Run hands it to gmu.Dispatch as a func
+// value, which the call graph does not follow.
+//
+//spawnvet:hotpath
 func (g *GPU) place(k *kernel.Kernel) bool {
 	d := k.Def
 	threads := kernel.ThreadCount(d.CTAThreads)
@@ -1084,7 +1080,7 @@ func (g *GPU) injBoundary(now kernel.Cycle) bool {
 
 // Run simulates until every submitted kernel (and its descendants)
 // completes, returning the collected metrics. Aborted runs — cycle
-// budget, deadlock, cancellation, wall-clock deadline, invariant
+// budget, deadlock, cancellation, context deadline, invariant
 // violation — return a partial *Result alongside an *AbortError.
 func (g *GPU) Run() (*Result, error) {
 	if g.liveKernels == 0 {
@@ -1095,11 +1091,6 @@ func (g *GPU) Run() (*Result, error) {
 		g.hbStart = time.Now()
 		g.hbLastWall = g.hbStart
 		g.hbNext = g.hbEvery
-	}
-	var wallDeadline time.Time
-	if g.deadline > 0 {
-		//spawnvet:allow purity wall-clock deadline bounds runaway sweeps; an expired deadline aborts rather than changing results
-		wallDeadline = time.Now().Add(g.deadline)
 	}
 	g.invNext = g.invEvery
 	ctl := 0
@@ -1119,11 +1110,6 @@ func (g *GPU) Run() (*Result, error) {
 					}
 					return g.abort(kind, now, err, "")
 				}
-			}
-			//spawnvet:allow purity wall-clock deadline check; aborts the run, never perturbs it
-			if !wallDeadline.IsZero() && time.Now().After(wallDeadline) {
-				return g.abort(AbortDeadline, now, context.DeadlineExceeded,
-					fmt.Sprintf("wall-clock deadline %v elapsed", g.deadline))
 			}
 		}
 		if next := g.nextEvent(now); next <= now {

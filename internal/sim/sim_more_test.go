@@ -226,7 +226,7 @@ func TestOddCTASizes(t *testing.T) {
 func TestTraceRecordsLifecycle(t *testing.T) {
 	ring := trace.New(4096)
 	res := run(t, runtime.Threshold{T: 0}, dpParent(64, 10, 2, 4),
-		func(o *Options) { o.Trace = ring })
+		func(o *Options) { o.Sinks = []trace.Sink{ring} })
 	c := ring.Counts()
 	if c[trace.KernelSubmitted] < res.ChildKernels {
 		t.Errorf("submitted events = %d, want >= %d", c[trace.KernelSubmitted], res.ChildKernels)

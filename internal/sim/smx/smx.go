@@ -143,8 +143,6 @@ func (m *SMX) FitsRes(threads kernel.ThreadCount, regs int, shmem kernel.Bytes) 
 // Place reserves resources for c and registers its warps with the
 // schedulers (alternating by warp index). ageSeq provides monotonically
 // increasing ages for GTO ordering.
-//
-//spawnvet:hotpath
 func (m *SMX) Place(now kernel.Cycle, c *kernel.CTA, ageSeq *uint64) {
 	if !m.Fits(c) {
 		panic(kernel.Invariantf(now, m.component(), "placing CTA that does not fit"))
@@ -173,8 +171,6 @@ func (m *SMX) Place(now kernel.Cycle, c *kernel.CTA, ageSeq *uint64) {
 
 // Release frees the resources held by c (CTA completion or
 // relinquishment at a synchronization point).
-//
-//spawnvet:hotpath
 func (m *SMX) Release(now kernel.Cycle, c *kernel.CTA) {
 	if c.SMX != m.ID {
 		panic(kernel.Invariantf(now, m.component(), "releasing CTA resident on smx %d", c.SMX))
@@ -197,8 +193,6 @@ func (m *SMX) Release(now kernel.Cycle, c *kernel.CTA) {
 func (m *SMX) Schedulers() int { return len(m.scheds) }
 
 // Pick returns a warp eligible to issue on scheduler si at `now`, or nil.
-//
-//spawnvet:hotpath
 func (m *SMX) Pick(si int, now kernel.Cycle) *kernel.Warp {
 	return m.scheds[si].pick(now)
 }
@@ -223,8 +217,6 @@ func (m *SMX) ResidentCTAs() int { return len(m.resident) }
 // parked at a synchronization point (NextReady sees no wake cycle),
 // and stalled-on-latency otherwise (resident warps blocked on memory
 // or ALU timing edges). Two cached loads on the common no-issue path.
-//
-//spawnvet:hotpath
 func (m *SMX) ActivityState(issued bool) profile.State {
 	if issued {
 		return profile.StateBusy

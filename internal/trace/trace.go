@@ -1,10 +1,9 @@
 // Package trace records structured simulator events — kernel and CTA
 // lifecycle transitions, launch decisions — for debugging and for
 // post-hoc analysis of a run. Tracing is opt-in and fans out through the
-// Sink interface: the bounded Ring keeps the most recent events in
-// memory (sim.Options.Trace), while streaming sinks (JSONL, the Perfetto
-// exporter) observe the full event stream as it is produced
-// (sim.Options.Sinks).
+// Sink interface (sim.Options.Sinks): the bounded Ring keeps the most
+// recent events in memory, while streaming sinks (JSONL, the Perfetto
+// exporter) observe the full event stream as it is produced.
 package trace
 
 import (
