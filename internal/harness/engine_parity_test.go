@@ -199,3 +199,37 @@ func TestEngineParityChaosMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineParityDTBLDeepDirectQueue runs AMR under DTBL, whose nested
+// launches keep over 20k CTA groups resident in the GMU's direct queue
+// at once, with the invariant auditor on, and requires byte-identical
+// Results from both engines. The chaos-matrix DTBL cases never hold more
+// than a few groups.
+func TestEngineParityDTBLDeepDirectQueue(t *testing.T) {
+	run := func(eng sim.Engine) []byte {
+		reg := metrics.NewRegistry()
+		out, err := Run(Spec{
+			Benchmark:       "AMR",
+			Scheme:          SchemeDTBL,
+			Engine:          eng,
+			CheckInvariants: true,
+			Metrics:         reg,
+		})
+		if err != nil {
+			t.Fatalf("engine %v: %v", eng, err)
+		}
+		if peak := out.Metrics.Find("gmu_queued_kernels_peak"); peak == nil || peak.Value < 20000 {
+			t.Fatalf("engine %v: peak resident kernels %v, want a direct queue over 20k deep", eng, peak)
+		}
+		rj, err := json.Marshal(out.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rj
+	}
+	w := run(sim.EngineWheel)
+	s := run(sim.EngineStepped)
+	if !bytes.Equal(w, s) {
+		t.Errorf("Result diverges between engines:\nwheel:   %s\nstepped: %s", w, s)
+	}
+}

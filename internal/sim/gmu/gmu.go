@@ -28,8 +28,15 @@ type PlaceFunc func(k *kernel.Kernel) bool
 type GMU struct {
 	cfg config.GPU
 
-	hwqs   [][]*kernel.Kernel // FIFO per hardware work queue
-	direct []*kernel.Kernel   // DTBL aggregated kernels (no HWQ slot)
+	hwqs [][]*kernel.Kernel // FIFO per hardware work queue
+
+	// direct holds, in arrival order, the DTBL aggregated kernels (CTA
+	// groups, no HWQ slot) that still have undispatched CTAs. Only the
+	// front group is ever placed and NextCTA only grows, so a group
+	// leaves from the front once its last CTA is placed; groups counts
+	// the resident aggregated kernels, dispatched or not.
+	direct []*kernel.Kernel
+	groups int
 
 	rr int // round-robin cursor over queues (hwqs + direct)
 
@@ -97,6 +104,7 @@ func (g *GMU) Enqueue(k *kernel.Kernel) {
 	qi := len(g.hwqs) // direct queue index in mEnqueues
 	if k.Aggregated {
 		g.direct = append(g.direct, k)
+		g.groups++
 	} else {
 		qi = int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
 		g.hwqs[qi] = append(g.hwqs[qi], k)
@@ -121,10 +129,8 @@ func (g *GMU) headOf(qi int) *kernel.Kernel {
 		// Direct queue: CTA groups do not hold kernel slots, so the
 		// first group with undispatched CTAs is eligible regardless of
 		// groups still running ahead of it.
-		for _, k := range g.direct {
-			if !k.Dispatched() {
-				return k
-			}
+		if len(g.direct) > 0 {
+			return g.direct[0]
 		}
 		return nil
 	}
@@ -163,6 +169,10 @@ func (g *GMU) Dispatch(now kernel.Cycle, place PlaceFunc) int {
 				k.FirstDispatch = now
 				g.QueueLatency.Add(float64(now - k.ArrivalCycle))
 				g.mQueueLat.Observe(uint64(now - k.ArrivalCycle))
+			}
+			if k.Aggregated && k.Dispatched() {
+				g.direct[0] = nil
+				g.direct = g.direct[1:]
 			}
 			g.pendingCTAs--
 			placed++
@@ -207,20 +217,19 @@ func (g *GMU) Yield(now kernel.Cycle, k *kernel.Kernel) {
 }
 
 // KernelCompleted removes a finished kernel from its queue, unblocking
-// the next kernel in that HWQ.
+// the next kernel in that HWQ. A finished aggregated group already left
+// the direct queue when its last CTA was placed.
 func (g *GMU) KernelCompleted(now kernel.Cycle, k *kernel.Kernel) {
 	g.queuedKerns--
 	if k.Yielded {
 		return // already off-queue
 	}
 	if k.Aggregated {
-		for i, q := range g.direct {
-			if q == k {
-				g.direct = append(g.direct[:i], g.direct[i+1:]...)
-				return
-			}
+		if g.groups == 0 || !k.Dispatched() {
+			panic(kernel.Invariantf(now, "gmu", "completed aggregated %v is not a resident, fully dispatched group", k))
 		}
-		panic(kernel.Invariantf(now, "gmu", "completed aggregated %v not in direct queue", k))
+		g.groups--
+		return
 	}
 	qi := int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
 	q := g.hwqs[qi]
@@ -240,8 +249,9 @@ func (g *GMU) SetBackpressure(stalled func(now kernel.Cycle) bool) { g.stalled =
 
 // CheckInvariants audits the GMU's accounting at cycle `now`: the
 // pending-CTA counter must equal the undispatched CTAs summed over the
-// queue members, only HWQ heads may have dispatched CTAs, and the
-// resident-kernel counter must cover every kernel still in a queue.
+// queue members, only queue heads may have dispatched CTAs, every
+// direct-queue member must have CTAs left, and the resident-kernel
+// counter must cover every HWQ member and resident group.
 // It returns a *kernel.InvariantError for the first violation, or nil.
 func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 	members, remaining := 0, 0
@@ -262,15 +272,22 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 			}
 		}
 	}
-	for _, k := range g.direct {
-		members++
+	for pos, k := range g.direct {
 		left := k.Def.GridCTAs - k.NextCTA
-		if left < 0 {
+		if left <= 0 {
 			return kernel.Invariantf(now, "gmu", "direct queue: %v dispatched %d of %d CTAs",
 				k, k.NextCTA, k.Def.GridCTAs)
 		}
 		remaining += left
+		if pos > 0 && k.NextCTA != 0 {
+			return kernel.Invariantf(now, "gmu", "direct queue: non-head %v has dispatched CTAs", k)
+		}
 	}
+	if len(g.direct) > g.groups {
+		return kernel.Invariantf(now, "gmu", "resident groups %d < %d direct-queue members",
+			g.groups, len(g.direct))
+	}
+	members += g.groups
 	if remaining != g.pendingCTAs {
 		return kernel.Invariantf(now, "gmu", "pending CTAs %d != %d undispatched across queues",
 			g.pendingCTAs, remaining)
@@ -345,7 +362,7 @@ func (g *GMU) DispatchState(arrived bool, placed int, hadDispatchable bool) prof
 // heads fully dispatched, suspended, or blocked behind HyperQ false
 // serialization).
 func (g *GMU) QueueState(placed int) profile.State {
-	if g.occupied == 0 && len(g.direct) == 0 {
+	if g.occupied == 0 && g.groups == 0 {
 		return profile.StateIdle
 	}
 	if placed > 0 {

@@ -35,6 +35,9 @@ func (s *scheduler) prune() {
 			live = append(live, w)
 		}
 	}
+	// Nil the tail so retired warps (and their CTA, kernel and
+	// program) are not pinned past len.
+	clear(s.warps[len(live):])
 	s.warps = live
 }
 

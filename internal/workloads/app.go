@@ -87,6 +87,11 @@ type App struct {
 	DefaultThreshold int
 
 	Nest *Nest
+
+	// childName and grandchildName are the device-launched kernels'
+	// Def names, built once by Normalize rather than once per launch
+	// candidate.
+	childName, grandchildName string
 }
 
 // ParentThreads is the parent-kernel thread count.
@@ -110,6 +115,10 @@ func (a *App) Normalize() error {
 	}
 	if a.Section < 1 {
 		a.Section = 1
+	}
+	if a.childName == "" {
+		a.childName = a.Name + "-child"
+		a.grandchildName = a.Name + "-grandchild"
 	}
 	if a.Items == nil {
 		return fmt.Errorf("workloads: %s has no Items function", a.Name)

@@ -172,6 +172,22 @@ func (r *leafRunner) next(in *kernel.Instr) bool {
 	return false
 }
 
+// acceptWalk reports which lanes a launch's policy accepted: lanes
+// lists the candidates' lanes in ascending order and accepted is the
+// per-candidate decision. Queries must come in ascending lane order.
+type acceptWalk struct {
+	lanes    []int
+	accepted []bool
+	i        int
+}
+
+func (a *acceptWalk) has(lane int) bool {
+	for a.i < len(a.lanes) && a.lanes[a.i] < lane {
+		a.i++
+	}
+	return a.i < len(a.lanes) && a.lanes[a.i] == lane && a.i < len(a.accepted) && a.accepted[a.i]
+}
+
 // selfItem returns jOf for lanes whose items are numbered 0..count-1
 // within themselves (the parent serial loop).
 func selfItem(lane, item int) int { return item }
@@ -263,19 +279,9 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 		case phAfterLaunch:
 			// Build the serial fallback from the declined lanes.
 			declined := make([]laneWork, len(pp.ps))
-			accepted := make(map[int]bool, len(pp.candLanes))
-			for i, lane := range pp.candLanes {
-				if i < len(x.Accepted) && x.Accepted[i] {
-					accepted[lane] = true
-				}
-			}
-			elems := make([]int, len(pp.ps))
+			acc := acceptWalk{lanes: pp.candLanes, accepted: x.Accepted}
 			for lane := range pp.ps {
-				e := pp.elem(lane)
-				elems[lane] = e
-				if e < 0 || accepted[lane] {
-					declined[lane] = laneWork{p: 0, count: 0}
-				} else {
+				if e := pp.elem(lane); e >= 0 && !acc.has(lane) {
 					declined[lane] = laneWork{p: e, count: app.Items(e)}
 				}
 			}
@@ -288,6 +294,7 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			if pp.serial.next(in) {
 				return true
 			}
+			pp.serial = nil
 			pp.phase = phNested
 		case phNested:
 			if pp.nested != nil && pp.nested.next(in) {
@@ -361,6 +368,9 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			if cp.own.next(in) {
 				return true
 			}
+			// Drop exhausted runners: a warp parked at the sync waiting
+			// for grandchildren must not keep their lane state alive.
+			cp.own = nil
 			if app.Nest == nil {
 				cp.phase = chDone
 				continue
@@ -387,17 +397,12 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			cp.phase = chAfterLaunch
 			return true
 		case chAfterLaunch:
-			accepted := make(map[int]bool, len(cp.candLanes))
-			for i, lane := range cp.candLanes {
-				if i < len(x.Accepted) && x.Accepted[i] {
-					accepted[lane] = true
-				}
-			}
+			acc := acceptWalk{lanes: cp.candLanes, accepted: x.Accepted}
 			nest := app.Nest
 			lanes := make([]laneWork, len(cp.items))
 			encs := make([]int, len(cp.items))
 			for lane, j := range cp.items {
-				if j < 0 || accepted[lane] {
+				if j < 0 || acc.has(lane) {
 					continue
 				}
 				sub := nest.SubItems(cp.p, j)
@@ -414,6 +419,7 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			if cp.nested.next(in) {
 				return true
 			}
+			cp.nested = nil
 			cp.phase = chSync
 		case chSync:
 			in.Kind = kernel.InstrSync
@@ -461,7 +467,7 @@ func ParentDef(app *App) (*kernel.Def, error) {
 func childDef(app *App, p int) *kernel.Def {
 	items := app.Items(p)
 	return &kernel.Def{
-		Name:          app.Name + "-child",
+		Name:          app.childName,
 		GridCTAs:      kernel.GridFor(items, app.ChildCTASize),
 		CTAThreads:    app.ChildCTASize,
 		Threads:       items,
@@ -495,7 +501,7 @@ func grandchildDef(app *App, p, j int) *kernel.Def {
 	sub := nest.SubItems(p, j)
 	enc := nest.Encode(p, j)
 	return &kernel.Def{
-		Name:          app.Name + "-grandchild",
+		Name:          app.grandchildName,
 		GridCTAs:      kernel.GridFor(sub, nest.CTASize),
 		CTAThreads:    nest.CTASize,
 		Threads:       sub,
