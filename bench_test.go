@@ -1,10 +1,13 @@
-// Benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation (DESIGN.md §3 maps each to its experiment).
+// Benchmark harness: one sub-benchmark per table and figure of the
+// paper's evaluation, taken from the same experiment table the
+// experiments command runs (DESIGN.md §3 maps each to its experiment).
 // Every iteration regenerates the full experiment, so run with
 //
-//	go test -bench=. -benchmem -benchtime=1x
+//	go test -bench=. -benchmem -benchtime=1x -run='^$' .
 //
 // unless you want the adaptive runner to repeat multi-second sweeps.
+// With -benchtime=1x this is a panic/hang smoke; host performance is
+// measured by the bench/ module.
 //
 // Multi-run experiments go through the parallel sweep engine at its
 // default width (GOMAXPROCS workers), so these numbers measure the
@@ -12,243 +15,68 @@
 package spawnsim_test
 
 import (
-	"sync"
+	"io"
 	"testing"
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/harness"
-	"spawnsim/internal/stats"
+	"spawnsim/internal/runtime"
+	"spawnsim/internal/sim"
 	"spawnsim/internal/workloads"
 )
 
-// benchPool runs every multi-run experiment at the default worker count
-// (GOMAXPROCS).
-var benchPool = &harness.Pool{}
-
-// BenchmarkTable1 materializes every Table I benchmark (inputs +
-// workload apps) and checks their work totals.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, name := range workloads.Names() {
-			bm, err := workloads.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			app := bm.Make()
-			if err := app.Normalize(); err != nil {
-				b.Fatal(err)
-			}
-			if app.TotalWork() <= 0 {
-				b.Fatalf("%s: no work", name)
-			}
-		}
-	}
-}
-
-// BenchmarkTable2 validates and renders the GPU configuration.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := config.K20m()
-		if err := cfg.Validate(); err != nil {
-			b.Fatal(err)
-		}
-		if cfg.TableII() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig5 sweeps the workload distribution of each benchmark
-// (one sub-benchmark per Table I entry).
-func BenchmarkFig5(b *testing.B) {
-	for _, name := range workloads.Names() {
-		b.Run(name, func(b *testing.B) {
+// BenchmarkExperiments runs every experiment of the evaluation index,
+// one sub-benchmark per experiments -exp id, and writes its CSVs to
+// io.Discard. Figures 15-18 share one comparison batch.
+func BenchmarkExperiments(b *testing.B) {
+	pool := &harness.Pool{}
+	var memo harness.Memo
+	for _, e := range harness.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := benchPool.Fig5(name)
+				out, err := e.Run(pool, &memo, "")
 				if err != nil {
 					b.Fatal(err)
 				}
-				best := 0.0
-				for _, p := range r.Points {
-					if p.Speedup > best {
-						best = p.Speedup
+				for _, c := range out.CSVs {
+					if err := c.Write(io.Discard); err != nil {
+						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(best, "best-speedup")
 			}
 		})
 	}
 }
 
-// BenchmarkFig6 regenerates the Baseline-DP concurrency timeline.
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ss, err := benchPool.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ss.Child) == 0 {
-			b.Fatal("empty series")
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates the child-CTA-size sensitivity study.
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := benchPool.Fig7(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates the SWQ-assignment comparison.
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := benchPool.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var speedups []float64
-		for _, r := range t.Rows {
-			speedups = append(speedups, r.Values[0])
-		}
-		b.ReportMetric(stats.GeoMean(speedups), "geomean-speedup")
-	}
-}
-
-// BenchmarkFig12 regenerates the child-CTA execution-time PDFs.
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rs, err := benchPool.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rs) != 4 {
-			b.Fatalf("want 4 benchmarks, got %d", len(rs))
-		}
-	}
-}
-
-// The Figures 15-18 benchmarks share one set of flat/baseline/offline/
-// spawn runs, computed once.
-var (
-	mainOnce sync.Once
-	mainMCs  []*harness.MainComparison
-	mainErr  error
-)
-
-func comparisons(b *testing.B) []*harness.MainComparison {
-	mainOnce.Do(func() { mainMCs, mainErr = benchPool.CompareAll() })
-	if mainErr != nil {
-		b.Fatal(mainErr)
-	}
-	return mainMCs
-}
-
-// BenchmarkFig15 computes the speedup table and reports the geomeans.
-func BenchmarkFig15(b *testing.B) {
-	mcs := comparisons(b)
-	for i := 0; i < b.N; i++ {
-		t := harness.Fig15(mcs)
-		gm := t.Rows[len(t.Rows)-1]
-		b.ReportMetric(gm.Values[0], "baseline-x")
-		b.ReportMetric(gm.Values[1], "offline-x")
-		b.ReportMetric(gm.Values[2], "spawn-x")
-	}
-}
-
-// BenchmarkFig16 computes the occupancy table.
-func BenchmarkFig16(b *testing.B) {
-	mcs := comparisons(b)
-	for i := 0; i < b.N; i++ {
-		t := harness.Fig16(mcs)
-		avg := t.Rows[len(t.Rows)-1]
-		b.ReportMetric(avg.Values[2]/avg.Values[0], "spawn-over-baseline")
-	}
-}
-
-// BenchmarkFig17 computes the L2 hit-rate table.
-func BenchmarkFig17(b *testing.B) {
-	mcs := comparisons(b)
-	for i := 0; i < b.N; i++ {
-		harness.Fig17(mcs)
-	}
-}
-
-// BenchmarkFig18 computes the child-kernel-count table and reports the
-// average SPAWN reduction vs Baseline-DP.
-func BenchmarkFig18(b *testing.B) {
-	mcs := comparisons(b)
-	for i := 0; i < b.N; i++ {
-		t := harness.Fig18(mcs)
-		var reduction stats.Mean
-		for _, r := range t.Rows {
-			if r.Values[0] > 0 {
-				reduction.Add(1 - r.Values[2]/r.Values[0])
-			}
-		}
-		b.ReportMetric(reduction.Value()*100, "spawn-kernel-reduction-%")
-	}
-}
-
-// BenchmarkFig19 regenerates the Baseline-DP vs SPAWN timelines.
-func BenchmarkFig19(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchPool.Fig19(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig20 regenerates the cumulative-launch CDFs.
-func BenchmarkFig20(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := benchPool.Fig20()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Spawn) == 0 {
-			b.Fatal("empty CDF")
-		}
-	}
-}
-
-// BenchmarkFig21 regenerates the SPAWN vs DTBL comparison.
-func BenchmarkFig21(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := benchPool.Fig21(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw simulator speed (simulated
-// cycles per wall second) on one mid-size run, for performance tracking.
+// cycles per wall second) on one mid-size Baseline-DP run. The inputs,
+// app and parent kernel are built once, outside the timer; each
+// iteration gets a fresh policy and simulated GPU.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	bm, err := workloads.ByName("BFS-graph500")
+	if err != nil {
+		b.Fatal(err)
+	}
+	app := bm.Make()
+	if err := app.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	def, err := workloads.ParentDef(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := config.K20m()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := harness.Run(harness.Spec{Benchmark: "BFS-graph500", Scheme: harness.SchemeBaseline})
+		g, err := sim.NewChecked(sim.Options{Config: cfg, Policy: runtime.Threshold{T: app.DefaultThreshold}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(out.Result.Cycles), "sim-cycles/op")
-	}
-}
-
-// BenchmarkAblation runs the SPAWN design-choice ablation of DESIGN.md §4.
-func BenchmarkAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := benchPool.Ablation("BFS-graph500"); err != nil {
+		g.LaunchHost(def)
+		res, err := g.Run()
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkHWQSensitivity runs the HWQ-count extension experiment.
-func BenchmarkHWQSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := benchPool.HWQSensitivity("BFS-graph500"); err != nil {
-			b.Fatal(err)
-		}
+		b.ReportMetric(float64(res.Cycles), "sim-cycles/op")
 	}
 }

@@ -14,25 +14,27 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
 
-	"spawnsim/internal/config"
 	"spawnsim/internal/faults"
 	"spawnsim/internal/harness"
 	"spawnsim/internal/sim"
 	"spawnsim/internal/store"
-	"spawnsim/internal/workloads"
 )
 
 func main() {
+	exps := harness.Experiments()
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
 	var (
-		exp        = flag.String("exp", "", "experiment id: table1|table2|fig5|fig6|fig7|fig8|fig12|fig15|fig16|fig17|fig18|fig19|fig20|fig21|ablation|hwq")
-		bench      = flag.String("bench", "", "restrict fig5 to one benchmark")
+		exp        = flag.String("exp", "", "experiment id: "+strings.Join(ids, "|"))
+		bench      = flag.String("bench", "", "restrict fig5, hwq and ablation to one benchmark")
 		all        = flag.Bool("all", false, "run every experiment")
 		csv        = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		metricsDir = flag.String("metrics", "", "dump a per-run metrics snapshot (metrics-<bench>-<scheme>.json) into this directory")
@@ -112,21 +114,20 @@ func main() {
 		pool.Observer = metricsDumper(*metricsDir)
 	}
 
-	ids := []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig12",
-		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "ablation", "hwq"}
+	var memo harness.Memo
 	if *all {
-		// One failing experiment no longer aborts the batch: the rest
+		// One failing experiment does not abort the batch: the rest
 		// still regenerate, and the failures are summarized at the end.
 		var failed []string
-		for _, id := range ids {
-			if err := run(pool, id, *bench, *csv); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-				failed = append(failed, id)
+		for _, e := range exps {
+			if err := run(pool, &memo, e, *bench, *csv); err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
+				failed = append(failed, e.ID)
 			}
 		}
 		if len(failed) > 0 {
 			fmt.Fprintf(os.Stderr, "experiments: %d of %d experiments failed: %s\n",
-				len(failed), len(ids), strings.Join(failed, ", "))
+				len(failed), len(exps), strings.Join(failed, ", "))
 			os.Exit(1)
 		}
 		return
@@ -135,7 +136,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: pass -exp one of %s, or -all\n", strings.Join(ids, "|"))
 		os.Exit(2)
 	}
-	if err := run(pool, *exp, *bench, *csv); err != nil {
+	e, err := harness.FindExperiment(*exp)
+	if err != nil {
+		fatal(err)
+	}
+	if err := run(pool, &memo, e, *bench, *csv); err != nil {
 		fatal(err)
 	}
 }
@@ -171,176 +176,33 @@ func metricsDumper(dir string) func(*harness.Outcome) {
 	}
 }
 
-// mainComparisons caches the flat/baseline/offline/spawn runs shared by
-// Figures 15-18.
-var mainComparisons []*harness.MainComparison
-
-func comparisons(pool *harness.Pool) ([]*harness.MainComparison, error) {
-	if mainComparisons == nil {
-		var err error
-		mainComparisons, err = pool.CompareAll()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mainComparisons, nil
-}
-
-// csvOut opens <dir>/<name>.csv when dir is set; callers must Close.
-func csvOut(dir, name string) (io.WriteCloser, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return os.Create(filepath.Join(dir, name+".csv"))
-}
-
-// writeTableCSV writes a table CSV when dir is set.
-func writeTableCSV(dir, name string, t *harness.Table) error {
-	f, err := csvOut(dir, name)
-	if err != nil || f == nil {
+// run regenerates one experiment, prints its text and, when csvDir is
+// set, writes its CSVs there. It returns the first run, write or close
+// error, so a truncated CSV never exits 0.
+func run(pool *harness.Pool, memo *harness.Memo, e harness.Experiment, bench, csvDir string) error {
+	out, err := e.Run(pool, memo, bench)
+	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return t.WriteCSV(f)
-}
-
-func run(pool *harness.Pool, id, bench, csvDir string) error {
-	switch id {
-	case "table1":
-		fmt.Println("Table I: benchmarks (<application, input> pairs)")
-		for _, name := range workloads.Names() {
-			b, err := workloads.ByName(name)
-			if err != nil {
-				return err
-			}
-			app := b.Make()
-			if err := app.Normalize(); err != nil {
-				return err
-			}
-			fmt.Printf("  %-15s %7d elements, %9d work items, default THRESHOLD %d\n",
-				name, app.Elements, app.TotalWork(), app.DefaultThreshold)
+	fmt.Print(out.Text)
+	if csvDir == "" {
+		return nil
+	}
+	for _, c := range out.CSVs {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+			return err
 		}
-	case "table2":
-		fmt.Println(config.K20m().TableII())
-	case "fig5":
-		names := workloads.Names()
-		if bench != "" {
-			names = []string{bench}
-		}
-		for _, n := range names {
-			r, err := pool.Fig5(n)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.Render())
-			if f, err := csvOut(csvDir, "fig5-"+n); err != nil {
-				return err
-			} else if f != nil {
-				err := r.WriteCSV(f)
-				f.Close()
-				if err != nil {
-					return err
-				}
-			}
-		}
-	case "fig6":
-		ss, err := pool.Fig6()
+		f, err := os.Create(filepath.Join(csvDir, c.Name+".csv"))
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 6: CTA concurrency and resource utilization (BFS-graph500, Baseline-DP)")
-		fmt.Print(ss.Render())
-	case "fig7":
-		t, err := pool.Fig7()
+		err = c.Write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			return err
 		}
-		fmt.Print(t.Render())
-	case "fig8":
-		t, err := pool.Fig8()
-		if err != nil {
-			return err
-		}
-		fmt.Print(t.Render())
-	case "fig12":
-		rs, err := pool.Fig12()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 12: child kernel CTA execution time distribution (Baseline-DP)")
-		for _, r := range rs {
-			fmt.Print(r.Render())
-		}
-	case "fig15", "fig16", "fig17", "fig18":
-		mcs, err := comparisons(pool)
-		if err != nil {
-			return err
-		}
-		var t *harness.Table
-		switch id {
-		case "fig15":
-			t = harness.Fig15(mcs)
-		case "fig16":
-			t = harness.Fig16(mcs)
-		case "fig17":
-			t = harness.Fig17(mcs)
-		case "fig18":
-			t = harness.Fig18(mcs)
-		}
-		fmt.Print(t.Render())
-		if err := writeTableCSV(csvDir, id, t); err != nil {
-			return err
-		}
-	case "fig19":
-		base, sp, err := pool.Fig19()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 19: concurrent CTAs of BFS-graph500 over time")
-		fmt.Print(base.Render())
-		fmt.Print(sp.Render())
-	case "fig20":
-		r, err := pool.Fig20()
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "fig21":
-		t, err := pool.Fig21()
-		if err != nil {
-			return err
-		}
-		fmt.Print(t.Render())
-	case "hwq":
-		n := "BFS-graph500"
-		if bench != "" {
-			n = bench
-		}
-		t, err := pool.HWQSensitivity(n)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t.Render())
-		if err := writeTableCSV(csvDir, "hwq-"+n, t); err != nil {
-			return err
-		}
-	case "ablation":
-		names := []string{"BFS-graph500", "SA-thaliana"}
-		if bench != "" {
-			names = []string{bench}
-		}
-		for _, n := range names {
-			t, err := pool.Ablation(n)
-			if err != nil {
-				return err
-			}
-			fmt.Print(t.Render())
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
 	}
 	return nil
 }

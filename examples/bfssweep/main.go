@@ -15,10 +15,11 @@ func main() {
 	const bench = "BFS-graph500"
 	fmt.Printf("Sweeping the static THRESHOLD of %s (the Figure 5 experiment)...\n\n", bench)
 
-	sweep, err := (&harness.Pool{}).Fig5(bench)
+	sweeps, err := (&harness.Pool{}).Fig5(bench)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sweep := sweeps[0]
 	fmt.Print(sweep.Render())
 
 	best := sweep.Points[0]

@@ -98,12 +98,12 @@ func TestEngineParityFig5CSV(t *testing.T) {
 	render := func(eng sim.Engine) []byte {
 		t.Helper()
 		pool := &Pool{Defaults: func(s *Spec) { s.Engine = eng }}
-		r, err := pool.Fig5("MM-small")
+		rs, err := pool.Fig5("MM-small")
 		if err != nil {
 			t.Fatalf("Fig5(%v): %v", eng, err)
 		}
 		var buf bytes.Buffer
-		if err := r.WriteCSV(&buf); err != nil {
+		if err := rs[0].WriteCSV(&buf); err != nil {
 			t.Fatalf("Fig5 CSV: %v", err)
 		}
 		return buf.Bytes()

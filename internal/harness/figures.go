@@ -50,50 +50,20 @@ func fig5Specs(benchmark string) ([]Spec, error) {
 	return specs, nil
 }
 
-// fig5Assemble folds one benchmark's batch (flat first) into the sorted
-// sweep result.
-func fig5Assemble(benchmark string, outs []*Outcome) *Fig5Result {
-	res := &Fig5Result{Benchmark: benchmark}
-	flat := outs[0]
-	for _, out := range outs[1:] {
-		res.Points = append(res.Points, Fig5Point{
-			Threshold: float64(out.Threshold),
-			Offload:   out.Result.OffloadedFraction,
-			Speedup:   float64(flat.Result.Cycles) / float64(out.Result.Cycles),
-		})
-	}
-	sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].Offload < res.Points[j].Offload })
-	return res
-}
-
-// Fig5 sweeps the parent/child workload distribution for one benchmark
-// (the paper's Figure 5): speedup over flat as a function of the
-// fraction of workload offloaded via child kernels.
-func (p *Pool) Fig5(benchmark string) (*Fig5Result, error) {
-	specs, err := fig5Specs(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := p.Run(specs)
-	if err != nil {
-		return nil, err
-	}
-	return fig5Assemble(benchmark, outs), nil
-}
-
-// Fig5All runs the Figure 5 sweep for every benchmark, as one flat
-// batch so the workers stay busy across benchmark boundaries.
-func (p *Pool) Fig5All() ([]*Fig5Result, error) {
-	names := workloads.Names()
+// Fig5 sweeps the parent/child workload distribution of each named
+// benchmark (the paper's Figure 5): speedup over flat as a function of
+// the fraction of workload offloaded via child kernels. All sweeps run
+// as one batch, so the workers stay busy across benchmark boundaries.
+func (p *Pool) Fig5(names ...string) ([]*Fig5Result, error) {
 	var specs []Spec
-	ranges := make([][2]int, len(names)) // [start, end) of each benchmark's batch
-	for i, name := range names {
+	bounds := []int{0} // benchmark i's batch is specs[bounds[i]:bounds[i+1]], flat first
+	for _, name := range names {
 		bs, err := fig5Specs(name)
 		if err != nil {
 			return nil, err
 		}
-		ranges[i] = [2]int{len(specs), len(specs) + len(bs)}
 		specs = append(specs, bs...)
+		bounds = append(bounds, len(specs))
 	}
 	outs, err := p.Run(specs)
 	if err != nil {
@@ -101,7 +71,17 @@ func (p *Pool) Fig5All() ([]*Fig5Result, error) {
 	}
 	results := make([]*Fig5Result, len(names))
 	for i, name := range names {
-		results[i] = fig5Assemble(name, outs[ranges[i][0]:ranges[i][1]])
+		batch := outs[bounds[i]:bounds[i+1]]
+		res := &Fig5Result{Benchmark: name}
+		for _, out := range batch[1:] {
+			res.Points = append(res.Points, Fig5Point{
+				Threshold: float64(out.Threshold),
+				Offload:   out.Result.OffloadedFraction,
+				Speedup:   float64(batch[0].Result.Cycles) / float64(out.Result.Cycles),
+			})
+		}
+		sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].Offload < res.Points[j].Offload })
+		results[i] = res
 	}
 	return results, nil
 }
@@ -250,12 +230,14 @@ type MainComparison struct {
 	Spawn     *Outcome
 }
 
-// mainSchemes is the per-benchmark batch shape of CompareMain/CompareAll.
+// mainSchemes is the per-benchmark batch shape of CompareAll.
 var mainSchemes = []string{SchemeFlat, SchemeBaseline, SchemeOffline, SchemeSpawn}
 
-// compareBatch runs the four main schemes for each named benchmark as
-// one flat batch and reassembles per-benchmark comparisons.
-func (p *Pool) compareBatch(names []string) ([]*MainComparison, error) {
+// CompareAll runs the three evaluated schemes plus flat for every
+// registry benchmark as one batch and reassembles per-benchmark
+// comparisons.
+func (p *Pool) CompareAll() ([]*MainComparison, error) {
+	names := workloads.Names()
 	var specs []Spec
 	for _, name := range names {
 		for _, scheme := range mainSchemes {
@@ -272,20 +254,6 @@ func (p *Pool) compareBatch(names []string) ([]*MainComparison, error) {
 		mcs[i] = &MainComparison{Benchmark: name, Flat: g[0], Baseline: g[1], Offline: g[2], Spawn: g[3]}
 	}
 	return mcs, nil
-}
-
-// CompareMain runs the three evaluated schemes plus flat.
-func (p *Pool) CompareMain(benchmark string) (*MainComparison, error) {
-	mcs, err := p.compareBatch([]string{benchmark})
-	if err != nil {
-		return nil, err
-	}
-	return mcs[0], nil
-}
-
-// CompareAll runs CompareMain for every registry benchmark.
-func (p *Pool) CompareAll() ([]*MainComparison, error) {
-	return p.compareBatch(workloads.Names())
 }
 
 // Fig15 renders speedups over flat (Baseline-DP, Offline-Search, SPAWN)

@@ -163,10 +163,11 @@ func TestShapeSpawnBeatsBaseline(t *testing.T) {
 }
 
 func TestFig5RendersMonotoneOffload(t *testing.T) {
-	r, err := (&Pool{Workers: 1}).Fig5("MM-small")
+	rs, err := (&Pool{Workers: 1}).Fig5("MM-small")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	prev := -1.0
 	for _, p := range r.Points {
 		if p.Offload < prev {

@@ -113,12 +113,12 @@ func TestPoolOfflineSearchDeterministicAcrossWorkers(t *testing.T) {
 // width and renders its CSV.
 func fig5CSV(t *testing.T, workers int) []byte {
 	t.Helper()
-	r, err := (&Pool{Workers: workers}).Fig5("MM-small")
+	rs, err := (&Pool{Workers: workers}).Fig5("MM-small")
 	if err != nil {
 		t.Fatalf("Fig5 (workers=%d): %v", workers, err)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
+	if err := rs[0].WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

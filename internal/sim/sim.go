@@ -27,6 +27,10 @@ import (
 // DefaultMaxCycles bounds a simulation that fails to terminate.
 const DefaultMaxCycles = 2_000_000_000
 
+// dtblLaunchCycles is the latency of a DTBL CTA-group launch. DTBL's
+// point is that it is tiny compared to the kernel launch overhead.
+const dtblLaunchCycles kernel.Cycle = 150
+
 // Engine selects the inner-loop implementation of Run. Both engines
 // share one tick body and one dueness definition (see nextEvent), so
 // they produce byte-identical Results, traces, metrics and profile
@@ -93,10 +97,6 @@ type Options struct {
 	// trip the window; only livelock — e.g. a policy deferring the same
 	// candidates forever, waking every cycle — accumulates toward it.
 	StallWindow kernel.Cycle
-	// DTBLLaunchCycles is the latency for a DTBL CTA-group launch
-	// (0 = default 150 cycles; DTBL's point is that it is tiny compared
-	// to the kernel launch overhead).
-	DTBLLaunchCycles kernel.Cycle
 	// Sinks receive the kernel/CTA lifecycle and launch-decision event
 	// stream, in order (the bounded trace.Ring, streaming JSONL, the
 	// Perfetto exporter, custom sinks; see internal/trace). Nil entries
@@ -250,7 +250,6 @@ type GPU struct {
 	liveKernels int
 
 	maxCycles kernel.Cycle
-	dtblLat   kernel.Cycle
 	sinks     []trace.Sink
 	prof      *profile.Profile
 
@@ -352,7 +351,6 @@ func NewChecked(opts Options) (*GPU, error) {
 		mem:         mem.NewHierarchy(opts.Config),
 		gmu:         gmu.New(opts.Config),
 		maxCycles:   opts.MaxCycles,
-		dtblLat:     opts.DTBLLaunchCycles,
 		stallWindow: opts.StallWindow,
 		checkInv:    opts.CheckInvariants,
 		invEvery:    opts.InvariantEvery,
@@ -372,9 +370,6 @@ func NewChecked(opts Options) (*GPU, error) {
 	}
 	if g.maxCycles == 0 {
 		g.maxCycles = DefaultMaxCycles
-	}
-	if g.dtblLat == 0 {
-		g.dtblLat = 150
 	}
 	if g.checkInv && g.invEvery == 0 {
 		g.invEvery = 65_536
@@ -554,8 +549,8 @@ func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchC
 		if w.LaunchPipeFree < now {
 			w.LaunchPipeFree = now
 		}
-		w.LaunchPipeFree += g.dtblLat
-		arrival = w.LaunchPipeFree + g.dtblLat
+		w.LaunchPipeFree += dtblLaunchCycles
+		arrival = w.LaunchPipeFree + dtblLaunchCycles
 		w.PendingLaunches++
 		g.dtblGroups++
 		g.prof.KernelSite(k.ID, w.CTA.Kernel.Def.Name, profile.KindDTBL)

@@ -252,43 +252,6 @@ func (h *Histogram) PDF(lo, hi float64, bins int) []float64 {
 	return out
 }
 
-// Series is a sampled time series: one value per fixed-size cycle bucket.
-type Series struct {
-	Interval uint64 // cycles per sample bucket
-	Values   []float64
-}
-
-// NewSeries creates a series sampled every `interval` cycles.
-func NewSeries(interval uint64) *Series {
-	if interval == 0 {
-		interval = 1
-	}
-	return &Series{Interval: interval}
-}
-
-// Record stores v in the bucket containing cycle (later writes win).
-func (s *Series) Record(cycle uint64, v float64) {
-	i := int(cycle / s.Interval)
-	for len(s.Values) <= i {
-		s.Values = append(s.Values, 0)
-	}
-	s.Values[i] = v
-}
-
-// RecordMax stores v in the bucket if it exceeds the current bucket value.
-func (s *Series) RecordMax(cycle uint64, v float64) {
-	i := int(cycle / s.Interval)
-	for len(s.Values) <= i {
-		s.Values = append(s.Values, 0)
-	}
-	if v > s.Values[i] {
-		s.Values[i] = v
-	}
-}
-
-// Len reports the number of buckets.
-func (s *Series) Len() int { return len(s.Values) }
-
 // CDF turns a sequence of event cycles into a cumulative count sampled at
 // `interval`, ending at endCycle (the Figure 20 rendering).
 func CDF(eventCycles []uint64, interval, endCycle uint64) []float64 {

@@ -160,19 +160,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries(100)
-	s.Record(50, 1)
-	s.Record(250, 3)
-	s.RecordMax(250, 2) // should not lower existing 3
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
-	}
-	if s.Values[0] != 1 || s.Values[1] != 0 || s.Values[2] != 3 {
-		t.Errorf("series = %v, want [1 0 3]", s.Values)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if got := Sparkline(nil); got != "" {
 		t.Errorf("Sparkline(nil) = %q, want empty", got)

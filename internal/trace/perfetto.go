@@ -224,24 +224,3 @@ func (p *Perfetto) Close() error {
 	}
 	return p.w.Flush()
 }
-
-// Multi fans one event stream out to several sinks.
-type Multi []Sink
-
-// Record implements Sink.
-func (m Multi) Record(e Event) {
-	for _, s := range m {
-		s.Record(e)
-	}
-}
-
-// Close closes every sink, returning the first error.
-func (m Multi) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

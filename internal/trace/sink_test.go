@@ -147,18 +147,6 @@ func TestPerfettoClosesDanglingSpans(t *testing.T) {
 	}
 }
 
-func TestMultiFanOut(t *testing.T) {
-	r1, r2 := New(8), New(8)
-	m := Multi{r1, r2}
-	lifecycle(m)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if r1.Total() != r2.Total() || r1.Total() == 0 {
-		t.Errorf("fan-out totals = %d/%d", r1.Total(), r2.Total())
-	}
-}
-
 func TestJSONLThroughBufio(t *testing.T) {
 	// JSONL must flush its own buffer on Close even when wrapped.
 	var b strings.Builder
