@@ -37,7 +37,7 @@ func main() {
 		bench      = flag.String("bench", "", "restrict fig5, hwq and ablation to one benchmark")
 		all        = flag.Bool("all", false, "run every experiment")
 		csv        = flag.String("csv", "", "also write machine-readable CSVs into this directory")
-		metricsDir = flag.String("metrics", "", "dump a per-run metrics snapshot (metrics-<bench>-<scheme>.json) into this directory")
+		metricsDir = flag.String("metrics", "", "dump a per-run metrics snapshot (metrics-<bench>-<scheme>-<key>.json) into this directory")
 		parallel   = flag.Int("parallel", 0, "simulations run concurrently per sweep (0 = GOMAXPROCS, 1 = serial); outputs are byte-identical at any width")
 		engine     = flag.String("engine", "wheel", "simulator core for every run: 'wheel' (event-wheel, skips quiet cycles) or 'stepped' (cycle-stepped reference); both produce byte-identical results")
 
@@ -158,18 +158,24 @@ func fatal(err error) {
 }
 
 // metricsDumper returns an observer that writes every run's metrics
-// snapshot to <dir>/metrics-<bench>-<scheme>.json. Scheme names like
-// "threshold:512" are sanitized for the filesystem; repeated runs of
-// the same (bench, scheme) pair overwrite, keeping the latest. Files
-// are keyed by run identity, never call order, so parallel sweeps
-// produce byte-identical dumps.
+// snapshot to <dir>/metrics-<bench>-<scheme>-<key>.json, where <key> is
+// the first 12 hex digits of the spec's store key. Scheme names like
+// "threshold:512" are sanitized for the filesystem. Specs that share a
+// benchmark and scheme (Fig 7's CTA sizes, Fig 8's stream modes, the
+// HWQ sweep) differ in key, so each gets its own file and the dump is
+// the same at any -parallel. An uncacheable spec has no key and keeps
+// metrics-<bench>-<scheme>.json; runs that share such a name overwrite
+// in completion order.
 func metricsDumper(dir string) func(*harness.Outcome) {
 	return func(out *harness.Outcome) {
 		if out.Metrics == nil {
 			return
 		}
-		scheme := strings.ReplaceAll(out.Spec.Scheme, ":", "-")
-		path := filepath.Join(dir, fmt.Sprintf("metrics-%s-%s.json", out.Spec.Benchmark, scheme))
+		name := "metrics-" + out.Spec.Benchmark + "-" + strings.ReplaceAll(out.Spec.Scheme, ":", "-")
+		if key := out.Key(); key != "" {
+			name += "-" + key[:12]
+		}
+		path := filepath.Join(dir, name+".json")
 		if err := out.Metrics.WriteFile(path); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: metrics:", err)
 		}

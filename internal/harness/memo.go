@@ -82,6 +82,10 @@ func specKey(s *Spec) string {
 	return key
 }
 
+// Key returns the content address of the spec the outcome ran under
+// (its result-store key), or "" when the spec is uncacheable.
+func (o *Outcome) Key() string { return specKey(&o.Spec) }
+
 // storedOutcome is the serialized form of a successful Outcome: the
 // pieces a replay cannot reconstruct from the spec. Trace rings are
 // never stored — specs that record traces are replay-unfit (see

@@ -237,6 +237,31 @@ func TestRunSpecReplaysFromStore(t *testing.T) {
 	}
 }
 
+// TestOutcomeKeyIsStoreKey: Outcome.Key addresses the stored result of
+// the spec as it ran, tells apart sweep points that share a benchmark
+// and scheme, and is empty for an uncacheable spec.
+func TestOutcomeKeyIsStoreKey(t *testing.T) {
+	st, j := openCheckpoint(t, t.TempDir())
+	defer j.Close()
+	p := &Pool{Workers: 1, Store: st, Journal: j}
+	out, err := p.RunSpec(Spec{Benchmark: "MM-small", Scheme: SchemeFlat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(out.Key()); !ok {
+		t.Errorf("no stored result under Outcome.Key %q", out.Key())
+	}
+	a := Outcome{Spec: Spec{Benchmark: "MM-small", Scheme: SchemeSpawn, ChildCTASize: 32}}
+	b := Outcome{Spec: Spec{Benchmark: "MM-small", Scheme: SchemeSpawn, ChildCTASize: 64}}
+	if a.Key() == b.Key() {
+		t.Error("specs differing only in ChildCTASize share a key")
+	}
+	u := Outcome{Spec: Spec{Benchmark: "MM-small", MakePolicy: func(config.GPU) kernel.Policy { return nil }}}
+	if k := u.Key(); k != "" {
+		t.Errorf("uncacheable spec has key %q, want none", k)
+	}
+}
+
 // TestCorruptStoreEntriesRerun: damaged store entries must cost a
 // recomputation, never a wrong replay or a crashed sweep.
 func TestCorruptStoreEntriesRerun(t *testing.T) {

@@ -13,15 +13,16 @@ import "spawnsim/internal/sim/kernel"
 
 // Cache is a set-associative cache tag array with LRU replacement.
 // It tracks lines only (no data) and is addressed by line number.
+//
+// Each set keeps its line tags in recency order, most recently used
+// first, so the LRU victim is always the last filled way and no
+// per-way stamp is needed.
 type Cache struct {
 	sets int
 	ways int
 
-	valid []bool
-	tag   []uint64
-	use   []uint64 // LRU clock per way
-
-	clock uint64
+	tag  []uint64 // sets*ways tags; set s holds tag[s*ways:][:fill[s]]
+	fill []int    // filled ways per set
 
 	Accesses uint64
 	Hits     uint64
@@ -35,51 +36,56 @@ func NewCache(bytes kernel.Bytes, ways int, lineBytes kernel.Bytes) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	n := sets * ways
 	return &Cache{
-		sets:  sets,
-		ways:  ways,
-		valid: make([]bool, n),
-		tag:   make([]uint64, n),
-		use:   make([]uint64, n),
+		sets: sets,
+		ways: ways,
+		tag:  make([]uint64, sets*ways),
+		fill: make([]int, sets),
 	}
 }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
+// setOf maps a line to its set: a mask when the set count is a power of
+// two, a modulo otherwise.
+func (c *Cache) setOf(line uint64) int {
+	n := uint64(c.sets)
+	if n&(n-1) == 0 {
+		return int(line & (n - 1))
+	}
+	return int(line % n)
+}
+
 // Access looks up (and on miss, allocates) the given line.
 // It returns true on hit.
 func (c *Cache) Access(line uint64) bool {
-	c.clock++
 	c.Accesses++
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
-	victim := base
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tag[i] == line {
-			c.use[i] = c.clock
+	set := c.setOf(line)
+	ways := c.tag[set*c.ways : (set+1)*c.ways]
+	n := c.fill[set]
+	for k := 0; k < n; k++ {
+		if ways[k] == line {
+			copy(ways[1:k+1], ways[:k])
+			ways[0] = line
 			c.Hits++
 			return true
 		}
-		if !c.valid[i] {
-			victim = i
-		} else if c.valid[victim] && c.use[i] < c.use[victim] {
-			victim = i
-		}
 	}
-	c.valid[victim] = true
-	c.tag[victim] = line
-	c.use[victim] = c.clock
+	if n < len(ways) {
+		n++
+		c.fill[set] = n
+	}
+	copy(ways[1:n], ways[:n-1]) // a full set drops its LRU line
+	ways[0] = line
 	return false
 }
 
 // Probe reports whether the line is present without touching LRU or stats.
 func (c *Cache) Probe(line uint64) bool {
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tag[i] == line {
+	set := c.setOf(line)
+	for _, t := range c.tag[set*c.ways:][:c.fill[set]] {
+		if t == line {
 			return true
 		}
 	}
@@ -92,12 +98,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.Hits) / float64(c.Accesses)
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.clock, c.Accesses, c.Hits = 0, 0, 0
 }

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -42,15 +45,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c := NewCache(4*128, 4, 128)
-	c.Access(1)
-	c.Reset()
-	if c.Accesses != 0 || c.Probe(1) {
-		t.Error("Reset did not clear cache")
-	}
-}
-
 func TestCacheSetMapping(t *testing.T) {
 	c := NewCache(16*1024, 4, 128)
 	sets := uint64(c.Sets())
@@ -62,6 +56,223 @@ func TestCacheSetMapping(t *testing.T) {
 	if !c.Probe(0) {
 		t.Error("line 0 evicted by accesses to other sets")
 	}
+}
+
+// refCache is the cache as it was before sets were kept in recency
+// order: parallel valid/tag/stamp slices, and a victim search over every
+// way on a miss. It is the oracle of TestCacheMatchesReference.
+type refCache struct {
+	sets int
+	ways int
+
+	valid []bool
+	tag   []uint64
+	use   []uint64 // LRU clock per way
+
+	clock uint64
+
+	Accesses uint64
+	Hits     uint64
+}
+
+func newRefCache(bytes kernel.Bytes, ways int, lineBytes kernel.Bytes) *refCache {
+	lines := int(bytes / lineBytes) // dimensionless line count
+	sets := lines / ways
+	if sets < 1 {
+		sets = 1
+	}
+	n := sets * ways
+	return &refCache{
+		sets:  sets,
+		ways:  ways,
+		valid: make([]bool, n),
+		tag:   make([]uint64, n),
+		use:   make([]uint64, n),
+	}
+}
+
+func (c *refCache) Access(line uint64) bool {
+	c.clock++
+	c.Accesses++
+	set := int(line % uint64(c.sets))
+	base := set * c.ways
+	victim := base
+	for i := base; i < base+c.ways; i++ {
+		if c.valid[i] && c.tag[i] == line {
+			c.use[i] = c.clock
+			c.Hits++
+			return true
+		}
+		if !c.valid[i] {
+			victim = i
+		} else if c.valid[victim] && c.use[i] < c.use[victim] {
+			victim = i
+		}
+	}
+	c.valid[victim] = true
+	c.tag[victim] = line
+	c.use[victim] = c.clock
+	return false
+}
+
+func (c *refCache) Probe(line uint64) bool {
+	set := int(line % uint64(c.sets))
+	base := set * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if c.valid[i] && c.tag[i] == line {
+			return true
+		}
+	}
+	return false
+}
+
+// lineUniverse returns n distinct lines: the lowest n/2 line numbers,
+// from 0, and the highest n-n/2, up to MaxUint64.
+func lineUniverse(n int) []uint64 {
+	u := make([]uint64, 0, n)
+	for i := 0; i < n/2; i++ {
+		u = append(u, uint64(i))
+	}
+	for i := n - n/2 - 1; i >= 0; i-- {
+		u = append(u, math.MaxUint64-uint64(i))
+	}
+	return u
+}
+
+// lineStream draws n accesses over universe from a seeded source: a
+// third re-touch a hot set of hot lines, a third start sequential runs
+// of 1 to 16 consecutive lines, a third are uniform draws.
+func lineStream(r *rand.Rand, universe []uint64, hot, n int) []uint64 {
+	hotSet := make([]uint64, hot)
+	for i := range hotSet {
+		hotSet[i] = universe[r.Intn(len(universe))]
+	}
+	out := make([]uint64, 0, n)
+	for len(out) < n {
+		switch r.Intn(3) {
+		case 0:
+			out = append(out, hotSet[r.Intn(hot)])
+		case 1:
+			i := r.Intn(len(universe))
+			for k := 1 + r.Intn(16); k > 0 && len(out) < n; k-- {
+				out = append(out, universe[i%len(universe)])
+				i++
+			}
+		default:
+			out = append(out, universe[r.Intn(len(universe))])
+		}
+	}
+	return out
+}
+
+// TestCacheMatchesReference drives the cache and refCache with the same
+// seeded line streams: every Access must agree, and so must the counters
+// and, at checkpoints, Probe on every line of the universe.
+func TestCacheMatchesReference(t *testing.T) {
+	const lineBytes = 128
+	geometries := []struct{ sets, ways int }{
+		{1, 4}, {32, 4}, {128, 8}, // K20m L1 and L2 partition among them
+		{3, 8}, {12, 2}, // set counts that are not a power of two
+	}
+	for _, g := range geometries {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%dx%d/seed%d", g.sets, g.ways, seed), func(t *testing.T) {
+				r := rand.New(rand.NewSource(seed))
+				capacity := g.sets * g.ways
+				bytes := kernel.Bytes(capacity * lineBytes)
+				c, ref := NewCache(bytes, g.ways, lineBytes), newRefCache(bytes, g.ways, lineBytes)
+				if c.Sets() != g.sets {
+					t.Fatalf("sets = %d, want %d", c.Sets(), g.sets)
+				}
+				universe := lineUniverse(capacity * (2 + r.Intn(3)))
+				stream := lineStream(r, universe, 1+capacity/2, 20000)
+				for i, line := range stream {
+					if got, want := c.Access(line), ref.Access(line); got != want {
+						t.Fatalf("access %d (line %#x): hit = %v, reference %v", i, line, got, want)
+					}
+					if i%1000 != 999 {
+						continue
+					}
+					for _, l := range universe {
+						if got, want := c.Probe(l), ref.Probe(l); got != want {
+							t.Fatalf("after access %d: Probe(%#x) = %v, reference %v", i, l, got, want)
+						}
+					}
+				}
+				if c.Hits != ref.Hits || c.Accesses != ref.Accesses {
+					t.Errorf("hits/accesses = %d/%d, reference %d/%d", c.Hits, c.Accesses, ref.Hits, ref.Accesses)
+				}
+			})
+		}
+	}
+}
+
+// benchSink keeps the benchmarks' results live.
+var benchSink uint64
+
+// BenchmarkCacheAccess times one Access on the K20m L1 and L2-partition
+// geometries over a seeded stream whose universe is three times the
+// cache's capacity.
+func BenchmarkCacheAccess(b *testing.B) {
+	cfg := testCfg()
+	for _, g := range []struct {
+		name  string
+		bytes kernel.Bytes
+		ways  int
+	}{
+		{"l1", cfg.L1Bytes, cfg.L1Ways},
+		{"l2", cfg.L2PartitionBytes, cfg.L2Ways},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			c := NewCache(g.bytes, g.ways, cfg.CacheLineBytes)
+			capacity := c.Sets() * g.ways
+			r := rand.New(rand.NewSource(1))
+			stream := lineStream(r, lineUniverse(3*capacity), 1+capacity/2, 1<<16)
+			hits := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.Access(stream[i&(len(stream)-1)]) {
+					hits++
+				}
+			}
+			benchSink = uint64(hits)
+		})
+	}
+}
+
+// BenchmarkHierarchyAccess times one warp memory instruction on K20m
+// over a seeded stream of 32-lane accesses, a third each coalesced
+// (consecutive words), strided (one line per lane) and scattered, over
+// a 4 MiB working set.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	cfg := testCfg()
+	h := NewHierarchy(cfg)
+	const warps, lanes, span = 1 << 12, 32, 4 << 20
+	r := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, warps*lanes)
+	smx := make([]int, warps)
+	for w := range smx {
+		smx[w] = r.Intn(cfg.NumSMX)
+		base := uint64(r.Intn(span))
+		mode := r.Intn(3)
+		for l := 0; l < lanes; l++ {
+			a := base + uint64(l)*4
+			switch mode {
+			case 1:
+				a = base + uint64(l)*uint64(cfg.CacheLineBytes)
+			case 2:
+				a = uint64(r.Intn(span))
+			}
+			addrs[w*lanes+l] = a % span
+		}
+	}
+	var done kernel.Cycle
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := i & (warps - 1)
+		done = h.Access(kernel.Cycle(4*i), smx[w], addrs[w*lanes:(w+1)*lanes])
+	}
+	benchSink = uint64(done)
 }
 
 func testCfg() config.GPU { return config.K20m() }
