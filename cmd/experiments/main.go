@@ -11,19 +11,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 
-	"spawnsim/internal/faults"
+	"spawnsim/cmd/internal/runflags"
 	"spawnsim/internal/harness"
-	"spawnsim/internal/sim"
-	"spawnsim/internal/store"
 )
 
 func main() {
@@ -38,73 +33,18 @@ func main() {
 		all        = flag.Bool("all", false, "run every experiment")
 		csv        = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		metricsDir = flag.String("metrics", "", "dump a per-run metrics snapshot (metrics-<bench>-<scheme>-<key>.json) into this directory")
-		parallel   = flag.Int("parallel", 0, "simulations run concurrently per sweep (0 = GOMAXPROCS, 1 = serial); outputs are byte-identical at any width")
-		engine     = flag.String("engine", "wheel", "simulator core for every run: 'wheel' (event-wheel, skips quiet cycles) or 'stepped' (cycle-stepped reference); both produce byte-identical results")
-
-		timeout   = flag.Duration("timeout", 0, "wall-clock deadline per simulation run (0 = none)")
-		check     = flag.Bool("check", false, "audit simulator conservation-law invariants during every run")
-		chaosPlan = flag.String("chaos-plan", "", "fault-injection plan applied to every run: 'mild', 'none', or clauses like transit=0.1:2000,hwq=0.02")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "seed selecting the concrete fault schedule for -chaos-plan")
-		retries   = flag.Int("retries", 0, "retry transient chaos-run failures up to N times under derived seeds")
-
-		resume       = flag.String("resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
-		tolerate     = flag.Bool("tolerate", false, "degrade gracefully when a run's retry budget is exhausted: keep its partial result with the failure quarantined instead of failing the sweep")
-		stallWindow  = flag.Uint64("stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
-		stallTimeout = flag.Duration("stall-timeout", 0, "abort a run that delivers no heartbeat for this long in wall time (0 = off)")
-		retryBackoff = flag.Duration("retry-backoff", 0, "base wall-clock delay before each retry, doubling per attempt capped at 16x (0 = none)")
 	)
+	runFlags := runflags.Register(flag.CommandLine)
+	runFlags.RegisterGuards(flag.CommandLine)
 	flag.Parse()
 
-	var plan *faults.Plan
-	if *chaosPlan != "" {
-		p, err := faults.Parse(*chaosPlan, *chaosSeed)
-		if err != nil {
-			fatal(err)
-		}
-		plan = &p
-	}
-	eng, err := sim.ParseEngine(*engine)
+	// The figure drivers build their Specs internally; the pool's
+	// defaults hook carries the run settings to every one of them.
+	pool, done, err := runFlags.Pool("experiments")
 	if err != nil {
 		fatal(err)
 	}
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	// The figure drivers build their Specs internally, so the robustness
-	// settings reach every run through the pool's defaults hook, which
-	// the pool applies exactly once per run (sweep candidates included).
-	pool := &harness.Pool{
-		Workers: *parallel,
-		Context: ctx,
-		Defaults: func(s *harness.Spec) {
-			s.Engine = eng
-			s.Deadline = *timeout
-			s.CheckInvariants = *check
-			s.Retries = *retries
-			s.Tolerate = *tolerate
-			s.StallWindow = *stallWindow
-			s.StallTimeout = *stallTimeout
-			s.RetryBackoff = *retryBackoff
-			if plan != nil && s.FaultPlan == nil {
-				s.FaultPlan = plan
-			}
-		},
-	}
-	if *resume != "" {
-		st, err := store.Open(filepath.Join(*resume, "store"))
-		if err != nil {
-			fatal(err)
-		}
-		j, err := store.OpenJournal(filepath.Join(*resume, "journal.jsonl"))
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		pool.Store, pool.Journal = st, j
-		if n := len(j.Prior()); n > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: resuming over %d journaled points in %s\n", n, *resume)
-		}
-	}
+	defer done()
 	if *metricsDir != "" {
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
 			fatal(err)
@@ -145,17 +85,7 @@ func main() {
 	}
 }
 
-// fatal reports the error and exits with a code distinguishing the
-// abort kind (130 canceled, 124 deadline/stalled, 3 invariant, 1
-// otherwise), so sweep scripts can tell an interrupt from a timeout
-// from a real failure.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	if kind, ok := harness.AbortKind(err); ok {
-		fmt.Fprintf(os.Stderr, "experiments: abort kind: %s\n", kind)
-	}
-	os.Exit(harness.ExitCode(err))
-}
+func fatal(err error) { runflags.Fatal("experiments", err) }
 
 // metricsDumper returns an observer that writes every run's metrics
 // snapshot to <dir>/metrics-<bench>-<scheme>-<key>.json, where <key> is

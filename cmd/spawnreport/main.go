@@ -26,10 +26,9 @@ import (
 	"os"
 	"strconv"
 
-	"spawnsim/internal/faults"
+	"spawnsim/cmd/internal/runflags"
 	"spawnsim/internal/harness"
 	"spawnsim/internal/profile"
-	"spawnsim/internal/sim"
 	"spawnsim/internal/sim/kernel"
 	"spawnsim/internal/trace"
 	"spawnsim/internal/workloads"
@@ -42,14 +41,8 @@ func main() {
 		all     = flag.Bool("all", false, "profile every benchmark and print the per-benchmark skippable-cycle table")
 		ctaSize = flag.Int("ctasize", 0, "override child CTA size (threads)")
 		perCTA  = flag.Bool("stream-per-cta", false, "one SWQ per parent CTA instead of per child kernel")
-		engine  = flag.String("engine", "wheel", "simulator core: 'wheel' (event-wheel) or 'stepped' (cycle-stepped reference); reports are byte-identical either way")
 
-		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial); reports are byte-identical at any width")
-		maxCycles = flag.Uint64("max-cycles", 0, "simulated-cycle budget (0 = simulator default)")
-		chaosPlan = flag.String("chaos-plan", "", "fault-injection plan (see spawnsim -chaos-plan)")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "seed selecting the concrete fault schedule")
-		retries   = flag.Int("retries", 0, "retry transient chaos-run failures up to N times")
-
+		maxCycles   = flag.Uint64("max-cycles", 0, "simulated-cycle budget (0 = simulator default)")
 		sampleEvery = flag.Uint64("sample-every", 0, "timeline sampling period in cycles (0 = profiler default)")
 		tracePath   = flag.String("trace", "", "ingest a recorded JSONL event stream instead of running a simulation (span report only)")
 
@@ -58,6 +51,7 @@ func main() {
 		perfettoOut = flag.String("perfetto-out", "", "write the timeline as Perfetto counter tracks to this file")
 		progress    = flag.Bool("progress", false, "print sweep progress to stderr")
 	)
+	runFlags := runflags.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *format != "text" && *format != "json" && *format != "csv" {
@@ -95,33 +89,23 @@ func main() {
 		return
 	}
 
+	pool, done, err := runFlags.Pool("spawnreport")
+	if err != nil {
+		fatal(err)
+	}
+	defer done()
+	if *progress {
+		pool.Progress = runflags.Progress("spawnreport")
+	}
 	spec := harness.Spec{
 		Benchmark:    *bench,
 		Scheme:       *scheme,
 		ChildCTASize: *ctaSize,
 		MaxCycles:    *maxCycles,
-		Retries:      *retries,
 		Profile:      &profile.Options{SampleEvery: *sampleEvery},
 	}
 	if *perCTA {
 		spec.StreamMode = kernel.StreamPerParentCTA
-	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	spec.Engine = eng
-	if *chaosPlan != "" {
-		p, err := faults.Parse(*chaosPlan, *chaosSeed)
-		if err != nil {
-			fatal(err)
-		}
-		spec.FaultPlan = &p
-	}
-
-	pool := &harness.Pool{Workers: *parallel}
-	if *progress {
-		pool.Progress = printProgress
 	}
 
 	if *all {
@@ -160,20 +144,7 @@ func main() {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spawnreport:", err)
-	os.Exit(1)
-}
-
-// printProgress renders one sweep progress event on stderr.
-func printProgress(p harness.PoolProgress) {
-	verb := "done "
-	if p.Started {
-		verb = "start"
-	}
-	fmt.Fprintf(os.Stderr, "spawnreport: [%d/%d] %s %s/%s (worker %d)\n",
-		p.Done, p.Total, verb, p.Benchmark, p.Scheme, p.Worker)
-}
+func fatal(err error) { runflags.Fatal("spawnreport", err) }
 
 // jsonlEvent mirrors the trace.JSONL wire schema.
 type jsonlEvent struct {

@@ -13,24 +13,22 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime/pprof"
-	"syscall"
+	"sync"
+	"time"
 
+	"spawnsim/cmd/internal/runflags"
 	"spawnsim/internal/config"
-	"spawnsim/internal/faults"
 	"spawnsim/internal/harness"
 	"spawnsim/internal/metrics"
 	"spawnsim/internal/sim"
 	"spawnsim/internal/sim/kernel"
-	"spawnsim/internal/store"
 	"spawnsim/internal/trace"
 	"spawnsim/internal/workloads"
 )
@@ -41,7 +39,6 @@ func main() {
 		scheme  = flag.String("scheme", "spawn", "execution scheme: flat|baseline|offline|spawn|dtbl|threshold:N")
 		ctaSize = flag.Int("ctasize", 0, "override child CTA size (threads)")
 		perCTA  = flag.Bool("stream-per-cta", false, "one SWQ per parent CTA instead of per child kernel")
-		engine  = flag.String("engine", "wheel", "simulator core: 'wheel' (event-wheel, skips quiet cycles) or 'stepped' (cycle-stepped reference); both produce byte-identical results")
 		series  = flag.Bool("series", false, "print concurrency/utilization time series")
 		traceN  = flag.Int("trace", 0, "print the last N simulator events (bounded ring; use -trace-out for the full stream)")
 
@@ -51,24 +48,12 @@ func main() {
 		heartbeatN  = flag.Uint64("heartbeat", 0, "print a progress heartbeat to stderr every N simulated cycles (0 = off)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-
-		parallel = flag.Int("parallel", 0, "concurrent simulations for sweep schemes like 'offline' (0 = GOMAXPROCS, 1 = serial); results are byte-identical at any width")
-
-		timeout   = flag.Duration("timeout", 0, "wall-clock deadline; the run aborts cleanly with partial results (0 = none)")
-		maxCycles = flag.Uint64("max-cycles", 0, "simulated-cycle budget (0 = simulator default)")
-		check     = flag.Bool("check", false, "audit simulator conservation-law invariants during the run")
-		chaosPlan = flag.String("chaos-plan", "", "fault-injection plan: 'mild', 'none', or clauses like transit=0.1:2000,hwq=0.02,smx=0.01,dram=0.05:200,epoch=8192")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "seed selecting the concrete fault schedule for -chaos-plan")
-		retries   = flag.Int("retries", 0, "retry transient chaos-run failures up to N times under derived seeds")
-
-		resume       = flag.String("resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
-		tolerate     = flag.Bool("tolerate", false, "degrade gracefully when the retry budget is exhausted: keep the partial result with the failure quarantined instead of failing the run")
-		stallWindow  = flag.Uint64("stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
-		stallTimeout = flag.Duration("stall-timeout", 0, "abort a run that delivers no heartbeat for this long in wall time (0 = off)")
-		retryBackoff = flag.Duration("retry-backoff", 0, "base wall-clock delay before each retry, doubling per attempt capped at 16x (0 = none)")
+		maxCycles   = flag.Uint64("max-cycles", 0, "simulated-cycle budget (0 = simulator default)")
 
 		list = flag.Bool("list", false, "list benchmarks and exit")
 	)
+	runFlags := runflags.Register(flag.CommandLine)
+	runFlags.RegisterGuards(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -97,48 +82,37 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	// The pool applies the shared run settings; it only fans out for
+	// sweep schemes (offline), with byte-identical results.
+	pool, done, err := runFlags.Pool("spawnsim")
+	if err != nil {
+		fatal(err)
+	}
+	defer done()
+
 	spec := harness.Spec{
 		Benchmark:    *bench,
 		Scheme:       *scheme,
 		ChildCTASize: *ctaSize,
+		MaxCycles:    *maxCycles,
 	}
 	if *perCTA {
 		spec.StreamMode = kernel.StreamPerParentCTA
 	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	spec.Engine = eng
 	if *series {
 		spec.SampleInterval = 2000
 	}
-	spec.TraceEvents = *traceN
 	if *metricsOut != "" {
 		spec.Metrics = metrics.NewRegistry()
 	}
-	spec.Deadline = *timeout
-	spec.MaxCycles = *maxCycles
-	spec.CheckInvariants = *check
-	spec.Retries = *retries
-	spec.Tolerate = *tolerate
-	spec.StallWindow = *stallWindow
-	spec.StallTimeout = *stallTimeout
-	spec.RetryBackoff = *retryBackoff
-	if *chaosPlan != "" {
-		p, err := faults.Parse(*chaosPlan, *chaosSeed)
-		if err != nil {
-			fatal(err)
-		}
-		spec.FaultPlan = &p
-	}
-	// Ctrl-C / SIGTERM abort the run cooperatively: the simulator stops
-	// at a clean point with a partial result and the sinks still close.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	var sinks []trace.Sink
 	var files []*os.File
+	var ring *trace.Ring
+	if *traceN > 0 {
+		ring = trace.New(*traceN)
+		sinks = append(sinks, ring)
+	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -159,41 +133,10 @@ func main() {
 
 	if *heartbeatN > 0 {
 		spec.HeartbeatEvery = *heartbeatN
-		spec.Heartbeat = func(p sim.Progress) {
-			fmt.Fprintf(os.Stderr, "heartbeat: cycle %d, %d live kernels (%d queued), %.2fM sim-cycles/s\n",
-				p.Cycle, p.LiveKernels, p.QueuedKernels, p.CyclesPerSec/1e6)
-		}
-	}
-
-	// The pool only matters for sweep schemes (offline): candidates fan
-	// out across -parallel workers with byte-identical results.
-	pool := &harness.Pool{Workers: *parallel, Context: ctx}
-	if *resume != "" {
-		st, err := store.Open(filepath.Join(*resume, "store"))
-		if err != nil {
-			fatal(err)
-		}
-		j, err := store.OpenJournal(filepath.Join(*resume, "journal.jsonl"))
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		pool.Store, pool.Journal = st, j
-		if n := len(j.Prior()); n > 0 {
-			fmt.Fprintf(os.Stderr, "spawnsim: resuming over %d journaled points in %s\n", n, *resume)
-		}
-	}
-	if *heartbeatN > 0 {
+		spec.Heartbeat = heartbeatPrinter(os.Stderr)
 		// Sweep-level progress rides the heartbeat flag: per-candidate
 		// start/finish lines on stderr, serialized by the pool collector.
-		pool.Progress = func(p harness.PoolProgress) {
-			verb := "done "
-			if p.Started {
-				verb = "start"
-			}
-			fmt.Fprintf(os.Stderr, "sweep: [%d/%d] %s %s/%s (worker %d)\n",
-				p.Done, p.Total, verb, p.Benchmark, p.Scheme, p.Worker)
-		}
+		pool.Progress = runflags.Progress("sweep")
 	}
 	out, err := pool.RunSpec(spec)
 
@@ -221,9 +164,9 @@ func main() {
 	if out.Threshold >= 0 {
 		fmt.Printf("static THRESHOLD used: %d\n", out.Threshold)
 	}
-	if spec.FaultPlan != nil {
+	if plan := out.Spec.FaultPlan; plan != nil {
 		fmt.Printf("chaos: plan %q seed %d injected %d faults\n",
-			spec.FaultPlan.String(), spec.FaultPlan.Seed, out.FaultsInjected)
+			plan.String(), plan.Seed, out.FaultsInjected)
 	}
 	for _, f := range out.Failures {
 		if f.Quarantined {
@@ -246,24 +189,40 @@ func main() {
 		fmt.Printf("parent CTAs: %v\n", compact(ss.ParentCTASeries.Values))
 		fmt.Printf("child CTAs : %v\n", compact(ss.ChildCTASeries.Values))
 	}
-	if *traceN > 0 {
-		fmt.Printf("last %d of %d simulator events:\n", len(out.Trace.Events()), out.Trace.Total())
-		if err := out.Trace.Dump(os.Stdout); err != nil {
+	if ring != nil {
+		fmt.Printf("last %d of %d simulator events:\n", len(ring.Events()), ring.Total())
+		if err := ring.Dump(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// fatal reports the error and exits with a code distinguishing the
-// abort kind (130 canceled, 124 deadline/stalled, 3 invariant, 1
-// otherwise), so sweep scripts can tell an interrupt from a timeout
-// from a real failure.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spawnsim:", err)
-	if kind, ok := harness.AbortKind(err); ok {
-		fmt.Fprintf(os.Stderr, "spawnsim: abort kind: %s\n", kind)
+func fatal(err error) { runflags.Fatal("spawnsim", err) }
+
+// heartbeatPrinter returns the -heartbeat callback: one line per
+// heartbeat on w with the simulated state and the sim-cycles/s since
+// the previous line. The runs of a parallel sweep share the printer,
+// so a mutex guards its pacing state; a cycle count below the last one
+// marks a run that started since and is measured from cycle 0.
+func heartbeatPrinter(w io.Writer) func(sim.Progress) {
+	var mu sync.Mutex
+	lastWall, lastCycle := time.Now(), kernel.Cycle(0)
+	return func(p sim.Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		now := time.Now()
+		from := lastCycle
+		if p.Cycle < from {
+			from = 0
+		}
+		rate := 0.0
+		if dt := now.Sub(lastWall).Seconds(); dt > 0 {
+			rate = float64(p.Cycle-from) / dt
+		}
+		lastWall, lastCycle = now, p.Cycle
+		fmt.Fprintf(w, "heartbeat: cycle %d, %d live kernels (%d queued), %.2fM sim-cycles/s\n",
+			p.Cycle, p.LiveKernels, p.QueuedKernels, rate/1e6)
 	}
-	os.Exit(harness.ExitCode(err))
 }
 
 // compact truncates long series for terminal output.

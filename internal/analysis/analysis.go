@@ -197,21 +197,6 @@ func lastPkg(pkgs []*Package) *Package {
 	return pkgs[len(pkgs)-1]
 }
 
-// RunDirs is the convenience entry point the spawnvet command and the
-// golden tests use: load the packages under each directory and run the
-// given analyzers.
-func RunDirs(loader *Loader, dirs []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var pkgs []*Package
-	for _, d := range dirs {
-		p, err := loader.LoadDir(d)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return Run(pkgs, analyzers), nil
-}
-
 // suppress drops diagnostics covered by a valid //spawnvet:allow
 // directive on the same line or the line immediately above.
 func suppress(pkgs []*Package, diags []Diagnostic) []Diagnostic {
@@ -263,7 +248,7 @@ type DirectiveKind uint8
 const (
 	// DirectiveAllow suppresses named analyzers on its (or the next) line:
 	//
-	//	//spawnvet:allow purity heartbeat rate is wall-clock only
+	//	//spawnvet:allow purity stall-guard timer only aborts a wedged run
 	//
 	// The justification text after the analyzer list is mandatory.
 	DirectiveAllow DirectiveKind = iota
@@ -293,7 +278,7 @@ const (
 	// leaf. The justification is mandatory; a bare //spawnvet:skipsafe
 	// is a malformed-directive diagnostic and confers no trust:
 	//
-	//	//spawnvet:skipsafe heartbeat pacing fields never feed the model
+	//	//spawnvet:skipsafe pacing fields are presentation-only and never feed the model
 	DirectiveSkipSafe
 )
 

@@ -97,9 +97,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module's import-path prefix.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // findModule walks upward from dir to the enclosing go.mod.
 func findModule(dir string) (root, modPath string, err error) {
 	d, err := filepath.Abs(dir)

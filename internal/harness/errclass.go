@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"time"
 
 	"spawnsim/internal/sim"
 )
@@ -12,7 +11,7 @@ import (
 // transient (worth a retry under a derived fault seed), what is
 // permanent, and how a failure maps to a process exit code. Keeping the
 // taxonomy in one place is what lets the retry loop, the quarantine
-// path, and both CLIs agree on what a failure means.
+// path, and the CLIs agree on what a failure means.
 
 // transientErr reports whether a failed run may succeed on another
 // attempt. Only fault-injected runs are transient — a deterministic
@@ -100,28 +99,4 @@ func AbortKind(err error) (sim.AbortKind, bool) {
 		return abort.Kind, true
 	}
 	return 0, false
-}
-
-// sleepBackoff blocks before retry attempt n (n >= 1): base doubling
-// per attempt, capped at 16x base. A canceled context cuts the sleep
-// short. Backoff spends wall time only — it never touches seeds,
-// schedules, or anything a simulation observes.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) {
-	if base <= 0 || attempt < 1 {
-		return
-	}
-	d := base
-	for i := 1; i < attempt && d < 16*base; i++ {
-		d *= 2
-	}
-	if d > 16*base {
-		d = 16 * base
-	}
-	//spawnvet:allow purity cancellable retry backoff; the timer gates scheduling, never results
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }

@@ -87,9 +87,9 @@ func specKey(s *Spec) string {
 func (o *Outcome) Key() string { return specKey(&o.Spec) }
 
 // storedOutcome is the serialized form of a successful Outcome: the
-// pieces a replay cannot reconstruct from the spec. Trace rings are
-// never stored — specs that record traces are replay-unfit (see
-// replayFit) because a trace is a live stream, not a result.
+// pieces a replay cannot reconstruct from the spec. Traces are never
+// stored — specs with trace sinks are replay-unfit (see replayFit)
+// because a trace is a live stream, not a result.
 type storedOutcome struct {
 	V              int               `json:"v"`
 	Threshold      int               `json:"threshold"`
@@ -116,13 +116,12 @@ func encodeOutcome(out *Outcome) ([]byte, error) {
 }
 
 // replayFit reports whether a stored outcome can stand in for running
-// the spec live. Specs that stream output (trace sinks, bounded trace
-// rings) or instrument a caller-owned metrics registry need a real
-// simulation; a spec that only wants an Outcome — including an observed
-// run whose observer needs a metrics snapshot the entry carries —
-// replays.
+// the spec live. Specs that stream output (trace sinks) or instrument
+// a caller-owned metrics registry need a real simulation; a spec that
+// only wants an Outcome — including an observed run whose observer
+// needs a metrics snapshot the entry carries — replays.
 func replayFit(s *Spec, observed bool, so *storedOutcome) bool {
-	if s.TraceEvents > 0 || len(s.TraceSinks) > 0 {
+	if len(s.TraceSinks) > 0 {
 		return false
 	}
 	if s.Metrics != nil {

@@ -63,12 +63,9 @@ type Spec struct {
 	Engine sim.Engine
 	// SampleInterval enables time series when non-zero.
 	SampleInterval uint64
-	// TraceEvents, when non-zero, records the last N simulator events
-	// into Outcome.Trace.
-	TraceEvents int
-	// TraceSinks receive the full event stream (JSONL, Perfetto, ...).
-	// Unlike the TraceEvents ring these see every event, and the caller
-	// keeps ownership: the harness never closes them.
+	// TraceSinks receive the full event stream (JSONL, Perfetto, a
+	// bounded trace.Ring, ...). The caller keeps ownership: the harness
+	// never closes them.
 	TraceSinks []trace.Sink
 	// Metrics, when non-nil, is instrumented into the simulator and
 	// snapshotted into Outcome.Metrics after the run. A registry must
@@ -106,12 +103,6 @@ type Spec struct {
 	// each under a seed derived from the plan's (attempt 0 keeps the
 	// plan's own seed, so unretried runs stay exactly reproducible).
 	Retries int
-	// RetryBackoff, when non-zero, sleeps before each retry attempt with
-	// capped exponential growth (base, 2x, 4x, ... capped at 16x). The
-	// sleep is purely harness-side wall time: the derived-seed schedule
-	// and every simulated artifact stay byte-identical with or without
-	// backoff. Canceling the Pool's Context cuts the sleep short.
-	RetryBackoff time.Duration
 	// Tolerate, when set, degrades gracefully once the retry budget is
 	// exhausted (or the failure is permanent): instead of failing the
 	// run, the last attempt's partial Outcome is returned with the
@@ -142,8 +133,6 @@ type Outcome struct {
 	Result    *sim.Result
 	// TotalWork is the app's full workload metric (Figure 5 denominator).
 	TotalWork int64
-	// Trace holds recorded simulator events when Spec.TraceEvents > 0.
-	Trace *trace.Ring
 	// Metrics is the end-of-run registry snapshot when metrics were
 	// enabled (Spec.Metrics or a Pool.Observer), nil otherwise.
 	Metrics *metrics.Snapshot
@@ -303,12 +292,6 @@ func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, erro
 	var lastOut *Outcome
 	var lastErr error
 	for attempt := 0; attempt <= spec.Retries; attempt++ {
-		if attempt > 0 {
-			// Backoff is pure wall time between attempts; the derived-seed
-			// schedule below is a function of the attempt number alone, so
-			// sleeping (or not) never changes what any attempt simulates.
-			sleepBackoff(ctx, spec.RetryBackoff, attempt)
-		}
 		out, err := runOnce(ctx, obs, spec, cfg, makePol(cfg), app, def, attempt)
 		if out != nil {
 			out.Attempts = attempt + 1
@@ -386,12 +369,6 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 			return nil, err
 		}
 	}
-	sinks := spec.TraceSinks
-	var ring *trace.Ring
-	if spec.TraceEvents > 0 {
-		ring = trace.New(spec.TraceEvents)
-		sinks = append([]trace.Sink{ring}, sinks...)
-	}
 	reg := spec.Metrics
 	if reg == nil && obs != nil {
 		reg = metrics.NewRegistry()
@@ -415,7 +392,7 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 		SampleInterval:  kernel.Cycle(spec.SampleInterval),
 		MaxCycles:       kernel.Cycle(spec.MaxCycles),
 		StallWindow:     kernel.Cycle(spec.StallWindow),
-		Sinks:           sinks,
+		Sinks:           spec.TraceSinks,
 		Metrics:         reg,
 		Profile:         prof,
 		Heartbeat:       spec.Heartbeat,
@@ -441,7 +418,6 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 		Threshold:      -1,
 		Result:         res,
 		TotalWork:      app.TotalWork(),
-		Trace:          ring,
 		FaultsInjected: inj.TotalInjected(),
 	}
 	if reg != nil {

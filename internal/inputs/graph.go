@@ -29,9 +29,6 @@ func (g *Graph) Edges() int { return len(g.Adj) }
 // Degree returns the out-degree of v.
 func (g *Graph) Degree(v int) int { return int(g.RowPtr[v+1] - g.RowPtr[v]) }
 
-// Neighbor returns the j-th neighbor of v.
-func (g *Graph) Neighbor(v, j int) int32 { return g.Adj[g.RowPtr[v]+int32(j)] }
-
 // MaxDegree returns the largest out-degree.
 func (g *Graph) MaxDegree() int {
 	max := 0

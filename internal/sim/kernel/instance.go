@@ -115,10 +115,6 @@ type CTA struct {
 // RunningWarps returns the count of warps still executing instructions.
 func (c *CTA) RunningWarps() int { return c.runningWarps }
 
-// ActiveWarpCount returns the number of warps occupying scheduler slots
-// (running; AtSync warps have not retired but no longer issue).
-func (c *CTA) ActiveWarpCount() int { return c.runningWarps }
-
 // Warp is a runtime warp instance.
 type Warp struct {
 	CTA   *CTA

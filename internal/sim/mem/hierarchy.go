@@ -259,15 +259,6 @@ func (h *Hierarchy) L2HitRate() float64 {
 	return float64(hit) / float64(acc)
 }
 
-// L2Accesses returns the total L2 lookups.
-func (h *Hierarchy) L2Accesses() uint64 {
-	var acc uint64
-	for _, c := range h.l2 {
-		acc += c.Accesses
-	}
-	return acc
-}
-
 // DRAMRowHitRate returns the fraction of DRAM accesses that hit the open row.
 func (h *Hierarchy) DRAMRowHitRate() float64 {
 	if h.DRAMAccesses == 0 {

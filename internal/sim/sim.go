@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/faults"
@@ -146,10 +145,6 @@ type Progress struct {
 	LiveKernels   int
 	QueuedKernels int
 	PendingCTAs   int
-	// Elapsed is wall time since Run started; CyclesPerSec is the
-	// simulation rate since the previous heartbeat.
-	Elapsed      time.Duration
-	CyclesPerSec float64
 }
 
 // flightItem is a kernel in launch transit toward the pending pool.
@@ -283,12 +278,9 @@ type GPU struct {
 	decBySite map[string]*siteCounters
 
 	// Heartbeat state.
-	hb          func(Progress)
-	hbEvery     kernel.Cycle
-	hbNext      kernel.Cycle
-	hbStart     time.Time
-	hbLastWall  time.Time
-	hbLastCycle kernel.Cycle
+	hb      func(Progress)
+	hbEvery kernel.Cycle
+	hbNext  kernel.Cycle
 
 	instr kernel.Instr
 
@@ -483,9 +475,6 @@ func (g *GPU) emit(e trace.Event) {
 		s.Record(e)
 	}
 }
-
-// Clock returns the current simulation cycle.
-func (g *GPU) Clock() kernel.Cycle { return g.clock }
 
 // newStream issues a fresh software work queue id.
 func (g *GPU) newStream() kernel.StreamID {
@@ -950,27 +939,16 @@ func (g *GPU) processArrivals(now kernel.Cycle) bool {
 	return any
 }
 
-// heartbeat reports progress to the Options.Heartbeat callback.
-//
-//spawnvet:skipsafe wall-clock reads and hb pacing fields are presentation-only; they never feed Result, traces, metrics, or any simulated state
+// heartbeat reports the simulated state to the Options.Heartbeat
+// callback.
 func (g *GPU) heartbeat(now kernel.Cycle) {
-	//spawnvet:allow purity heartbeat rate is presentation-only; it never feeds Result, traces, or metrics
-	wall := time.Now()
-	rate := 0.0
-	if dt := wall.Sub(g.hbLastWall).Seconds(); dt > 0 {
-		rate = float64(now-g.hbLastCycle) / dt
-	}
 	//spawnvet:allow hotpath heartbeat only runs when Options.Heartbeat is set; Run guards the call with hb != nil
 	g.hb(Progress{
 		Cycle:         now,
 		LiveKernels:   g.liveKernels,
 		QueuedKernels: g.gmu.QueuedKernels(),
 		PendingCTAs:   g.gmu.PendingCTAs(),
-		Elapsed:       wall.Sub(g.hbStart),
-		CyclesPerSec:  rate,
 	})
-	g.hbLastWall = wall
-	g.hbLastCycle = now
 }
 
 // abort snapshots a partial Result and pairs it with an AbortError, so
@@ -1082,9 +1060,6 @@ func (g *GPU) Run() (*Result, error) {
 		return nil, fmt.Errorf("sim: Run called with no kernels submitted")
 	}
 	if g.hb != nil {
-		//spawnvet:allow purity heartbeat wall-clock baseline is presentation-only
-		g.hbStart = time.Now()
-		g.hbLastWall = g.hbStart
 		g.hbNext = g.hbEvery
 	}
 	g.invNext = g.invEvery
