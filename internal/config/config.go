@@ -155,8 +155,13 @@ func (g GPU) Validate() error {
 	case g.MemControllers <= 0 || g.PartitionsPerMC <= 0 || g.BanksPerMC <= 0:
 		return fmt.Errorf("config: DRAM topology must be positive, got %d MCs x %d partitions, %d banks/MC",
 			g.MemControllers, g.PartitionsPerMC, g.BanksPerMC)
-	case g.RowBytes <= 0:
-		return fmt.Errorf("config: RowBytes must be positive, got %d", g.RowBytes)
+	// The memory model routes a line to its DRAM bank with a mask and to
+	// its row with a shift (mem.Hierarchy.route).
+	case g.BanksPerMC&(g.BanksPerMC-1) != 0:
+		return fmt.Errorf("config: BanksPerMC must be a power of two, got %d", g.BanksPerMC)
+	case g.RowBytes < g.CacheLineBytes || g.RowBytes&(g.RowBytes-1) != 0:
+		return fmt.Errorf("config: RowBytes must be a power of two no smaller than CacheLineBytes (%d), got %d",
+			g.CacheLineBytes, g.RowBytes)
 	case g.LaunchOverheadA < 0 || g.LaunchOverheadB < 0:
 		return fmt.Errorf("config: launch overheads must be non-negative, got A=%d b=%d",
 			g.LaunchOverheadA, g.LaunchOverheadB)

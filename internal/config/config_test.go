@@ -59,6 +59,10 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 		{"bad L1 geometry", func(g *GPU) { g.L1Bytes = 1000 }},
 		{"bad L2 geometry", func(g *GPU) { g.L2PartitionBytes = 1000 }},
 		{"partition mismatch", func(g *GPU) { g.L2Partitions = 7 }},
+		{"non-pow2 banks", func(g *GPU) { g.BanksPerMC = 6 }},
+		{"non-pow2 row", func(g *GPU) { g.RowBytes = 3072 }},
+		{"row smaller than a line", func(g *GPU) { g.RowBytes = 64 }},
+		{"zero row", func(g *GPU) { g.RowBytes = 0 }},
 		{"non-pow2 window", func(g *GPU) { g.SpawnWindow = 1000 }},
 		{"zero dispatch rate", func(g *GPU) { g.CTADispatchRate = 0 }},
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"spawnsim/internal/config"
@@ -146,5 +147,44 @@ func TestMaxCyclesClampsFastForward(t *testing.T) {
 					got, rep.Ticked, rep.Skipped)
 			}
 		})
+	}
+}
+
+// TestInvariantsCatchStaleWakeMirror places a CTA twice on an idle
+// machine: once through place, which lowers the SMX's wake slot, and
+// once by calling SMX.Place directly, as place would if it skipped that
+// refresh. The audit must pass the first and report the second, since a
+// stale slot would leave the placed warps unscheduled.
+func TestInvariantsCatchStaleWakeMirror(t *testing.T) {
+	def := &kernel.Def{
+		Name: "short", GridCTAs: 1, CTAThreads: 32, RegsPerThread: 16,
+		NewProgram: aluProgram(3, 4),
+	}
+	for _, skipRefresh := range []bool{false, true} {
+		g := New(Options{Config: config.K20m(), Policy: runtime.Flat{}})
+		g.LaunchHost(def)
+		if _, err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// Idle machine past cycle 0: every slot is smx.NoEvent.
+		k := g.LaunchHost(def)
+		if skipRefresh {
+			c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize)
+			k.NextCTA++
+			g.smxs[g.rrSMX].Place(g.clock, c, &g.ageSeq)
+		} else if !g.place(k) {
+			t.Fatal("place found no room on an idle machine")
+		}
+		err := g.checkInvariants(g.clock)
+		if !skipRefresh {
+			if err != nil {
+				t.Fatalf("audit after place: %v", err)
+			}
+			continue
+		}
+		var inv *kernel.InvariantError
+		if !errors.As(err, &inv) || !strings.Contains(inv.Error(), "wake mirror") {
+			t.Fatalf("audit after a Place that skipped the refresh = %v, want a wake-mirror InvariantError", err)
+		}
 	}
 }

@@ -1,10 +1,14 @@
 package sim
 
-import "spawnsim/internal/sim/kernel"
+import (
+	"spawnsim/internal/sim/kernel"
+	"spawnsim/internal/sim/smx"
+)
 
 // checkInvariants audits the machine's conservation laws at cycle `now`:
-// engine-level kernel accounting, then every SMX's resource pools and
-// the GMU's queue bookkeeping. It returns the first violation as a
+// engine-level kernel accounting, the SMX wake mirror (smxReady and
+// smxWake), then every SMX's resource pools and the GMU's queue
+// bookkeeping. It returns the first violation as a
 // *kernel.InvariantError, or nil. Driven by Options.CheckInvariants
 // every Options.InvariantEvery cycles and once more at completion.
 func (g *GPU) checkInvariants(now kernel.Cycle) error {
@@ -22,6 +26,17 @@ func (g *GPU) checkInvariants(now kernel.Cycle) error {
 	}
 	if g.gmu.PendingCTAs() < 0 {
 		return kernel.Invariantf(now, "sim", "negative pending CTA count %d", g.gmu.PendingCTAs())
+	}
+	wake := smx.NoEvent
+	for i, m := range g.smxs {
+		if r := m.NextReady(); g.smxReady[i] != r {
+			return kernel.Invariantf(now, "sim", "wake mirror of smx %d is %d, scheduler wakes at %d",
+				m.ID, g.smxReady[i], r)
+		}
+		wake = min(wake, g.smxReady[i])
+	}
+	if g.smxWake != wake {
+		return kernel.Invariantf(now, "sim", "smx wake %d != %d, the minimum of the wake mirror", g.smxWake, wake)
 	}
 	for _, m := range g.smxs {
 		if err := m.CheckInvariants(now); err != nil {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/bits"
 	"strconv"
 
 	"spawnsim/internal/config"
@@ -29,8 +30,16 @@ type Hierarchy struct {
 	l2Port []kernel.Cycle // per-partition L2 next-free time
 	banks  []bank         // MemControllers * BanksPerMC
 
-	linesPerRow uint64
-	lineShift   uint
+	// Line routing (see route): parts is the partition count, bankBase
+	// the first bank of each partition's memory controller, bankMask
+	// selects the bank within it and rowShift drops the bank bits and the
+	// lines of one row. config.Validate keeps BanksPerMC and the lines
+	// per row powers of two.
+	parts     uint64
+	bankBase  []int
+	bankMask  uint64
+	rowShift  uint
+	lineShift uint
 
 	// dramPenalty, when non-nil, returns extra cycles for a DRAM access
 	// serviced at the given cycle (the fault injector's latency-spike
@@ -47,19 +56,20 @@ type Hierarchy struct {
 // NewHierarchy builds the memory system for the given configuration.
 func NewHierarchy(cfg config.GPU) *Hierarchy {
 	h := &Hierarchy{
-		cfg:         cfg,
-		l1:          make([]*Cache, cfg.NumSMX),
-		l2:          make([]*Cache, cfg.L2Partitions),
-		l1Port:      make([]kernel.Cycle, cfg.NumSMX),
-		l2Port:      make([]kernel.Cycle, cfg.L2Partitions),
-		banks:       make([]bank, cfg.MemControllers*cfg.BanksPerMC),
-		linesPerRow: uint64(cfg.RowBytes / cfg.CacheLineBytes),
+		cfg:       cfg,
+		l1:        make([]*Cache, cfg.NumSMX),
+		l2:        make([]*Cache, cfg.L2Partitions),
+		l1Port:    make([]kernel.Cycle, cfg.NumSMX),
+		l2Port:    make([]kernel.Cycle, cfg.L2Partitions),
+		banks:     make([]bank, cfg.MemControllers*cfg.BanksPerMC),
+		parts:     uint64(cfg.L2Partitions),
+		bankBase:  make([]int, cfg.L2Partitions),
+		bankMask:  uint64(cfg.BanksPerMC - 1),
+		rowShift:  log2(uint64(cfg.BanksPerMC)) + log2(uint64(cfg.RowBytes/cfg.CacheLineBytes)),
+		lineShift: log2(uint64(cfg.CacheLineBytes)),
 	}
-	if h.linesPerRow == 0 {
-		h.linesPerRow = 1
-	}
-	for lb := cfg.CacheLineBytes; lb > 1; lb >>= 1 {
-		h.lineShift++
+	for p := range h.bankBase {
+		h.bankBase[p] = p / cfg.PartitionsPerMC * cfg.BanksPerMC
 	}
 	for i := range h.l1 {
 		h.l1[i] = NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.CacheLineBytes)
@@ -111,25 +121,19 @@ func (h *Hierarchy) BusyBanks(now kernel.Cycle) int {
 	return n
 }
 
-// partitionOf maps a line to its L2 partition (lines interleave across
-// partitions, as address hashing does on real parts).
-func (h *Hierarchy) partitionOf(line uint64) int {
-	return int(line % uint64(len(h.l2)))
-}
+// log2 returns the exponent of a power of two.
+func log2(n uint64) uint { return uint(bits.TrailingZeros64(n)) }
 
-// bankOf maps a line to its DRAM bank.
-func (h *Hierarchy) bankOf(line uint64) int {
-	mc := h.partitionOf(line) / h.cfg.PartitionsPerMC
-	b := int((line / uint64(len(h.l2))) % uint64(h.cfg.BanksPerMC))
-	return mc*h.cfg.BanksPerMC + b
-}
-
-// rowOf maps a line to its DRAM row within its bank. Rows are counted in
-// bank-local line indices so that linesPerRow consecutive same-bank lines
-// share one row.
-func (h *Hierarchy) rowOf(line uint64) uint64 {
-	local := line / uint64(len(h.l2)) / uint64(h.cfg.BanksPerMC)
-	return local / h.linesPerRow
+// route maps a line to its L2 partition (lines interleave across
+// partitions, as address hashing does on real parts), its DRAM bank and
+// its row within that bank. All three derive from q, the line's index
+// among its partition's lines: the bank interleaves on q within the
+// partition's memory controller, and rows count bank-local lines so
+// that the lines of one row-buffer in the same bank share a row.
+func (h *Hierarchy) route(line uint64) (part, bank int, row uint64) {
+	q := line / h.parts
+	part = int(line - q*h.parts)
+	return part, h.bankBase[part] + int(q&h.bankMask), q >> h.rowShift
 }
 
 // lineTransaction times one coalesced line access from SMX `smx` issued
@@ -150,7 +154,7 @@ func (h *Hierarchy) lineTransaction(now kernel.Cycle, smx int, line uint64) kern
 	}
 
 	// Traverse the crossbar to the L2 partition.
-	p := h.partitionOf(line)
+	p, bi, row := h.route(line)
 	atL2 := start + cfg.L1HitLatency + cfg.InterconnectLat
 	if h.l2Port[p] > atL2 {
 		atL2 = h.l2Port[p]
@@ -163,8 +167,7 @@ func (h *Hierarchy) lineTransaction(now kernel.Cycle, smx int, line uint64) kern
 
 	// DRAM.
 	h.DRAMAccesses++
-	b := &h.banks[h.bankOf(line)]
-	row := h.rowOf(line)
+	b := &h.banks[bi]
 	atBank := atL2 + cfg.L2HitLatency
 	if b.nextFree > atBank {
 		atBank = b.nextFree
@@ -200,15 +203,18 @@ func (h *Hierarchy) Access(now kernel.Cycle, smx int, addrs []uint64) kernel.Cyc
 	h.WarpAccesses++
 	lineShift := h.lineShift
 	done := now
-	// Coalesce: addresses within a warp are usually sorted or clustered;
-	// dedupe against the lines already issued for this instruction.
-	var seen [8]uint64 // small open set; falls back to linear scan
-	nSeen := 0
+	// Coalesce: addresses within a warp are usually sorted or clustered,
+	// so each line is deduplicated against the last len(seen) distinct
+	// lines of this instruction, a ring that overwrites its oldest entry.
+	// A line that comes back after leaving the window is issued again
+	// (and timed as a second transaction): that is model behaviour.
+	var seen [8]uint64
+	nSeen, oldest := 0, 0
 	for _, a := range addrs {
 		line := a >> lineShift
 		dup := false
-		for i := 0; i < nSeen; i++ {
-			if seen[i] == line {
+		for _, s := range seen[:nSeen] {
+			if s == line {
 				dup = true
 				break
 			}
@@ -220,10 +226,8 @@ func (h *Hierarchy) Access(now kernel.Cycle, smx int, addrs []uint64) kernel.Cyc
 			seen[nSeen] = line
 			nSeen++
 		} else {
-			// Shift window: keep the most recent lines, which catches
-			// the common sequential pattern.
-			copy(seen[:], seen[1:])
-			seen[len(seen)-1] = line
+			seen[oldest] = line
+			oldest = (oldest + 1) % len(seen)
 		}
 		if t := h.lineTransaction(now, smx, line); t > done {
 			done = t

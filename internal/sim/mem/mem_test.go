@@ -379,25 +379,245 @@ func TestHierarchyMonotoneCompletion(t *testing.T) {
 }
 
 func TestPartitionAndBankMapping(t *testing.T) {
-	cfg := testCfg()
-	h := NewHierarchy(cfg)
-	// Partition mapping covers all partitions for consecutive lines.
-	seen := map[int]bool{}
-	for line := uint64(0); line < uint64(cfg.L2Partitions); line++ {
-		p := h.partitionOf(line)
-		if p < 0 || p >= cfg.L2Partitions {
-			t.Fatalf("partition %d out of range", p)
+	for _, cfg := range routingConfigs() {
+		h, ref := NewHierarchy(cfg), newRefHierarchy(cfg)
+		// Partition mapping covers all partitions for consecutive lines.
+		seen := map[int]bool{}
+		for line := uint64(0); line < uint64(cfg.L2Partitions); line++ {
+			p, _, _ := h.route(line)
+			if p < 0 || p >= cfg.L2Partitions {
+				t.Fatalf("partition %d out of range", p)
+			}
+			seen[p] = true
 		}
-		seen[p] = true
+		if len(seen) != cfg.L2Partitions {
+			t.Errorf("consecutive lines cover %d partitions, want %d", len(seen), cfg.L2Partitions)
+		}
+		// Every line routes as the three separate divisions did, and bank
+		// ids stay in range.
+		check := func(line uint64) {
+			p, b, row := h.route(line)
+			if b < 0 || b >= cfg.MemControllers*cfg.BanksPerMC {
+				t.Fatalf("bank %d out of range for line %d", b, line)
+			}
+			if p != ref.partitionOf(line) || b != ref.bankOf(line) || row != ref.rowOf(line) {
+				t.Fatalf("route(%d) = (%d, %d, %d), reference (%d, %d, %d)",
+					line, p, b, row, ref.partitionOf(line), ref.bankOf(line), ref.rowOf(line))
+			}
+		}
+		for line := uint64(0); line < 100000; line += 7 {
+			check(line)
+		}
+		for i := uint64(0); i < 1000; i++ {
+			check(math.MaxUint64 - i)
+		}
 	}
-	if len(seen) != cfg.L2Partitions {
-		t.Errorf("consecutive lines cover %d partitions, want %d", len(seen), cfg.L2Partitions)
+}
+
+// routingConfigs returns K20m and a variant with a different memory
+// controller, bank and row geometry, so route's tables and shifts are
+// exercised beyond one configuration.
+func routingConfigs() []config.GPU {
+	v := config.K20m()
+	v.MemControllers, v.PartitionsPerMC, v.L2Partitions = 3, 4, 12
+	v.BanksPerMC, v.RowBytes = 4, 4096
+	return []config.GPU{config.K20m(), v}
+}
+
+// refHierarchy is the memory system as it was before lines were routed
+// with one division: partition, bank and row each divided the line
+// again, and the coalescing window shifted its entries with copy. It is
+// the oracle of TestHierarchyMatchesReference; caches, ports and banks
+// behave as in Hierarchy.
+type refHierarchy struct {
+	cfg config.GPU
+
+	l1, l2         []*Cache
+	l1Port, l2Port []kernel.Cycle
+	banks          []bank
+
+	linesPerRow uint64
+	lineShift   uint
+
+	DRAMAccesses, DRAMRowHits, Transactions uint64
+}
+
+func newRefHierarchy(cfg config.GPU) *refHierarchy {
+	h := &refHierarchy{
+		cfg:         cfg,
+		l1:          make([]*Cache, cfg.NumSMX),
+		l2:          make([]*Cache, cfg.L2Partitions),
+		l1Port:      make([]kernel.Cycle, cfg.NumSMX),
+		l2Port:      make([]kernel.Cycle, cfg.L2Partitions),
+		banks:       make([]bank, cfg.MemControllers*cfg.BanksPerMC),
+		linesPerRow: uint64(cfg.RowBytes / cfg.CacheLineBytes),
 	}
-	// Bank ids stay in range.
-	for line := uint64(0); line < 10000; line += 97 {
-		b := h.bankOf(line)
-		if b < 0 || b >= cfg.MemControllers*cfg.BanksPerMC {
-			t.Fatalf("bank %d out of range for line %d", b, line)
+	if h.linesPerRow == 0 {
+		h.linesPerRow = 1
+	}
+	for lb := cfg.CacheLineBytes; lb > 1; lb >>= 1 {
+		h.lineShift++
+	}
+	for i := range h.l1 {
+		h.l1[i] = NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.CacheLineBytes)
+	}
+	for i := range h.l2 {
+		h.l2[i] = NewCache(cfg.L2PartitionBytes, cfg.L2Ways, cfg.CacheLineBytes)
+	}
+	return h
+}
+
+func (h *refHierarchy) partitionOf(line uint64) int {
+	return int(line % uint64(len(h.l2)))
+}
+
+func (h *refHierarchy) bankOf(line uint64) int {
+	mc := h.partitionOf(line) / h.cfg.PartitionsPerMC
+	b := int((line / uint64(len(h.l2))) % uint64(h.cfg.BanksPerMC))
+	return mc*h.cfg.BanksPerMC + b
+}
+
+func (h *refHierarchy) rowOf(line uint64) uint64 {
+	local := line / uint64(len(h.l2)) / uint64(h.cfg.BanksPerMC)
+	return local / h.linesPerRow
+}
+
+func (h *refHierarchy) lineTransaction(now kernel.Cycle, smx int, line uint64) kernel.Cycle {
+	cfg := &h.cfg
+	h.Transactions++
+	start := now
+	if h.l1Port[smx] > start {
+		start = h.l1Port[smx]
+	}
+	h.l1Port[smx] = start + 1
+	if h.l1[smx].Access(line) {
+		return start + cfg.L1HitLatency
+	}
+	p := h.partitionOf(line)
+	atL2 := start + cfg.L1HitLatency + cfg.InterconnectLat
+	if h.l2Port[p] > atL2 {
+		atL2 = h.l2Port[p]
+	}
+	h.l2Port[p] = atL2 + 1
+	if h.l2[p].Access(line) {
+		return atL2 + cfg.L2HitLatency + cfg.InterconnectLat
+	}
+	h.DRAMAccesses++
+	b := &h.banks[h.bankOf(line)]
+	row := h.rowOf(line)
+	atBank := atL2 + cfg.L2HitLatency
+	if b.nextFree > atBank {
+		atBank = b.nextFree
+	}
+	var dramLat kernel.Cycle
+	if b.hasRow && b.openRow == row {
+		h.DRAMRowHits++
+		dramLat = cfg.DRAMRowHitLat
+	} else {
+		dramLat = cfg.DRAMRowMissLat
+		b.openRow = row
+		b.hasRow = true
+	}
+	b.nextFree = atBank + cfg.DRAMCyclesPerReq
+	return atBank + dramLat + cfg.InterconnectLat
+}
+
+func (h *refHierarchy) Access(now kernel.Cycle, smx int, addrs []uint64) kernel.Cycle {
+	done := now
+	var seen [8]uint64
+	nSeen := 0
+	for _, a := range addrs {
+		line := a >> h.lineShift
+		dup := false
+		for i := 0; i < nSeen; i++ {
+			if seen[i] == line {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		if nSeen < len(seen) {
+			seen[nSeen] = line
+			nSeen++
+		} else {
+			copy(seen[:], seen[1:])
+			seen[len(seen)-1] = line
+		}
+		if t := h.lineTransaction(now, smx, line); t > done {
+			done = t
+		}
+	}
+	return done
+}
+
+// warpStream draws n seeded 32-lane warp accesses over a span of bytes,
+// cycling through five shapes: coalesced words, one line per lane (32
+// distinct lines), lanes scattered over the span, a run of 10 lines
+// repeated so each comes back after leaving an 8-line window, and lanes
+// drawn from 12 lines in random order.
+func warpStream(r *rand.Rand, lineBytes uint64, span uint64, n int) [][]uint64 {
+	out := make([][]uint64, n)
+	for w := range out {
+		addrs := make([]uint64, 32)
+		base := uint64(r.Int63n(int64(span)))
+		for l := range addrs {
+			var a uint64
+			switch w % 5 {
+			case 0:
+				a = base + uint64(l)*4
+			case 1:
+				a = base + uint64(l)*lineBytes
+			case 2:
+				a = uint64(r.Int63n(int64(span)))
+			case 3:
+				a = base + uint64(l%10)*lineBytes
+			default:
+				a = base + uint64(r.Intn(12))*lineBytes + uint64(r.Intn(32))*4
+			}
+			addrs[l] = a % span
+		}
+		out[w] = addrs
+	}
+	return out
+}
+
+// TestHierarchyMatchesReference drives the hierarchy and refHierarchy
+// with the same seeded warps from every SMX at advancing cycles: every
+// completion cycle must agree, and so must the transaction and DRAM
+// counters and the hits of every L1 and L2.
+func TestHierarchyMatchesReference(t *testing.T) {
+	for ci, cfg := range routingConfigs() {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("cfg%d/seed%d", ci, seed), func(t *testing.T) {
+				r := rand.New(rand.NewSource(seed))
+				h, ref := NewHierarchy(cfg), newRefHierarchy(cfg)
+				lineBytes := uint64(cfg.CacheLineBytes)
+				warps := warpStream(r, lineBytes, 8<<20, 6000)
+				now := kernel.Cycle(0)
+				for i, addrs := range warps {
+					smx := r.Intn(cfg.NumSMX)
+					now += kernel.Cycle(r.Intn(40))
+					if got, want := h.Access(now, smx, addrs), ref.Access(now, smx, addrs); got != want {
+						t.Fatalf("warp %d (shape %d) at cycle %d: done = %d, reference %d", i, i%5, now, got, want)
+					}
+				}
+				if h.Transactions != ref.Transactions || h.DRAMAccesses != ref.DRAMAccesses || h.DRAMRowHits != ref.DRAMRowHits {
+					t.Errorf("transactions/DRAM/row hits = %d/%d/%d, reference %d/%d/%d",
+						h.Transactions, h.DRAMAccesses, h.DRAMRowHits, ref.Transactions, ref.DRAMAccesses, ref.DRAMRowHits)
+				}
+				for i := range h.l1 {
+					if h.l1[i].Hits != ref.l1[i].Hits {
+						t.Errorf("L1 %d hits = %d, reference %d", i, h.l1[i].Hits, ref.l1[i].Hits)
+					}
+				}
+				for i := range h.l2 {
+					if h.l2[i].Hits != ref.l2[i].Hits {
+						t.Errorf("L2 %d hits = %d, reference %d", i, h.l2[i].Hits, ref.l2[i].Hits)
+					}
+				}
+			})
 		}
 	}
 }

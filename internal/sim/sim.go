@@ -237,6 +237,14 @@ type GPU struct {
 	// the quiet span since it with prof.SkipTo, and result() flushes the
 	// span still pending at snapshot time (abort paths).
 	lastTick kernel.Cycle
+	// smxReady mirrors every smxs[i].NextReady() in one dense array, and
+	// smxWake is its minimum. A scheduler's wake cycle moves only in Pick
+	// and Place, both inside a tick, so the tick refreshes the slot of
+	// every SMX it visits and place lowers the slot it places on; the
+	// mirror is then exact at every loop iteration (checkInvariants
+	// asserts it).
+	smxReady []kernel.Cycle
+	smxWake  kernel.Cycle
 	// issued marks, per SMX, whether a warp issued this tick (profiler
 	// busy attribution; cleared at tick start when profiling).
 	issued []bool
@@ -370,6 +378,8 @@ func NewChecked(opts Options) (*GPU, error) {
 		g.smxs = append(g.smxs, smx.New(i, &g.cfg))
 	}
 	g.issued = make([]bool, len(g.smxs))
+	g.smxReady = make([]kernel.Cycle, len(g.smxs))
+	g.syncSMXReady()
 	if opts.Faults != nil {
 		g.inj = opts.Faults
 		// The injector is a raw-integer boundary: adapt its uint64 hooks
@@ -855,17 +865,21 @@ func (g *GPU) place(k *kernel.Kernel) bool {
 	regs := d.RegsPerThread * d.CTAThreads
 	shmem := d.SharedMemBytes
 	for i := 0; i < len(g.smxs); i++ {
-		m := g.smxs[(g.rrSMX+i)%len(g.smxs)]
+		mi := (g.rrSMX + i) % len(g.smxs)
+		m := g.smxs[mi]
 		if g.inj.SMXOffline(uint64(g.clock), m.ID) {
 			continue
 		}
 		if !m.FitsRes(threads, regs, shmem) {
 			continue
 		}
-		g.rrSMX = (g.rrSMX + i + 1) % len(g.smxs)
+		g.rrSMX = (mi + 1) % len(g.smxs)
 		c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize)
 		k.NextCTA++
 		m.Place(g.clock, c, &g.ageSeq)
+		// Place makes the new warps ready now: lower the wake mirror.
+		g.smxReady[mi] = min(g.smxReady[mi], g.clock)
+		g.smxWake = min(g.smxWake, g.clock)
 		g.emit(trace.Event{Cycle: uint64(g.clock), Kind: trace.CTAPlaced, Kernel: k.ID, CTA: c.Index, Extra: m.ID})
 		g.activeWarps.Add(uint64(g.clock), int64(len(c.Warps)))
 		g.noteCTALevel(g.clock, k.IsChild(), 1)
@@ -1009,8 +1023,9 @@ const ctlEvery = 1 << 13
 // observable may change (spawnvet skipsafe) — built from each
 // component's published next event:
 //
-//   - per-SMX scheduler wake cycles (smx.NextReady, a sound lower
-//     bound: a warp's ReadyAt only moves on ticked cycles);
+//   - the earliest SMX scheduler wake cycle (smxWake, the minimum of the
+//     smx.NextReady mirror; a sound lower bound: a warp's ReadyAt only
+//     moves on ticked cycles);
 //   - the launch-transit heap head (the next kernel arrival);
 //   - the dispatcher wake cycle (see the dispWake field);
 //   - the next fault-epoch boundary while dispatchable work is queued:
@@ -1018,12 +1033,7 @@ const ctlEvery = 1 << 13
 //     pending, and the boundary is then a real event (the window
 //     clears), not a deadlock.
 func (g *GPU) nextEvent(now kernel.Cycle) kernel.Cycle {
-	next := g.dispWake
-	for _, m := range g.smxs {
-		if r := m.NextReady(); r < next {
-			next = r
-		}
-	}
+	next := min(g.dispWake, g.smxWake)
 	if len(g.flight) > 0 && g.flight[0].at < next {
 		next = g.flight[0].at
 	}
@@ -1049,6 +1059,18 @@ func (g *GPU) injBoundary(now kernel.Cycle) bool {
 		return false
 	}
 	return kernel.Cycle(g.inj.NextChange(uint64(now-1))) == now
+}
+
+// syncSMXReady re-derives the whole wake mirror from the schedulers. The
+// stepped reference calls it before every read of the mirror, so a
+// refresh the wheel misses makes the two engines diverge instead of
+// being shared by both.
+func (g *GPU) syncSMXReady() {
+	g.smxWake = smx.NoEvent
+	for i, m := range g.smxs {
+		g.smxReady[i] = m.NextReady()
+		g.smxWake = min(g.smxWake, g.smxReady[i])
+	}
 }
 
 // Run simulates until every submitted kernel (and its descendants)
@@ -1081,6 +1103,9 @@ func (g *GPU) Run() (*Result, error) {
 					return g.abort(kind, now, err, "")
 				}
 			}
+		}
+		if g.engine == EngineStepped {
+			g.syncSMXReady()
 		}
 		if next := g.nextEvent(now); next <= now {
 			// Tick: at least one component has due work this cycle.
@@ -1137,17 +1162,27 @@ func (g *GPU) Run() (*Result, error) {
 					g.issued[i] = false
 				}
 			}
-			for mi, m := range g.smxs {
-				if m.NextReady() > now {
-					continue
-				}
-				for si := 0; si < m.Schedulers(); si++ {
-					if w := m.Pick(si, now); w != nil {
-						g.execute(now, w)
-						g.issued[mi] = true
-					}
-				}
+			if g.engine == EngineStepped {
+				g.syncSMXReady()
 			}
+			// Visit the due SMXs only, refreshing each visited slot; no
+			// Place happens past dispatch, so unvisited slots stay exact.
+			wake := smx.NoEvent
+			for mi, r := range g.smxReady {
+				if r <= now {
+					m := g.smxs[mi]
+					for si := 0; si < m.Schedulers(); si++ {
+						if w := m.Pick(si, now); w != nil {
+							g.execute(now, w)
+							g.issued[mi] = true
+						}
+					}
+					r = m.NextReady()
+					g.smxReady[mi] = r
+				}
+				wake = min(wake, r)
+			}
+			g.smxWake = wake
 			if g.prof != nil {
 				if !attempt {
 					// Pure query for attribution only: Dispatch was not

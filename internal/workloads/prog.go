@@ -8,6 +8,12 @@ type laneWork struct {
 	count int // items this lane processes
 }
 
+// laneItem caches one lane's current item: the ops' p and j arguments
+// and the inner trip count, 0 when the lane has no item left.
+type laneItem struct {
+	p, j, inner int
+}
+
 // leafRunner emits the SIMT-lockstep instruction stream of a warp whose
 // lanes each process a sequence of work items with the given ItemOps:
 // the warp iterates to the deepest lane (Figure 1's intra-warp
@@ -19,6 +25,8 @@ type leafRunner struct {
 	// the parent key per item (nil = lane's constant p).
 	jOf func(lane, item int) int
 	pOf func(lane, item int) int
+	// cur holds every lane's item r.j, filled once per item by enterItem.
+	cur []laneItem
 
 	maxCount int
 	j        int
@@ -39,37 +47,29 @@ func newLeafRunner(ops *ItemOps, lanes []laneWork, jOf, pOf func(lane, item int)
 		r.done = true
 		return r
 	}
+	r.cur = make([]laneItem, len(lanes))
 	r.enterItem()
 	return r
-}
-
-func (r *leafRunner) pKey(lane, item int) int {
-	if r.pOf != nil {
-		return r.pOf(lane, item)
-	}
-	return r.lanes[lane].p
 }
 
 // enterItem prepares iteration state for item r.j.
 func (r *leafRunner) enterItem() {
 	r.maxInner = 0
 	for lane, l := range r.lanes {
-		if l.count > r.j {
-			if n := r.ops.inner(r.pKey(lane, r.j), r.jOf(lane, r.j)); n > r.maxInner {
-				r.maxInner = n
-			}
+		c := &r.cur[lane]
+		c.inner = 0
+		if l.count <= r.j {
+			continue
 		}
+		c.p = l.p
+		if r.pOf != nil {
+			c.p = r.pOf(lane, r.j)
+		}
+		c.j = r.jOf(lane, r.j)
+		c.inner = r.ops.inner(c.p, c.j)
+		r.maxInner = max(r.maxInner, c.inner)
 	}
 	r.it, r.phase = 0, 0
-}
-
-// laneActive reports whether lane participates in (item j, iteration it).
-func (r *leafRunner) laneActive(lane int) bool {
-	l := r.lanes[lane]
-	if l.count <= r.j {
-		return false
-	}
-	return r.ops.inner(r.pKey(lane, r.j), r.jOf(lane, r.j)) > r.it
 }
 
 // advance moves to the next emission point after the current one.
@@ -131,11 +131,10 @@ func (r *leafRunner) next(in *kernel.Instr) bool {
 				lo, hi = r.ops.Loads, r.ops.Loads+r.ops.Stores
 			}
 			n := 0
-			for lane := range r.lanes {
-				if r.laneActive(lane) {
-					p, j := r.pKey(lane, r.j), r.jOf(lane, r.j)
+			for _, c := range r.cur {
+				if c.inner > r.it {
 					for slot := lo; slot < hi; slot++ {
-						in.Addrs = append(in.Addrs, r.ops.Addr(p, j, r.it, slot))
+						in.Addrs = append(in.Addrs, r.ops.Addr(c.p, c.j, r.it, slot))
 					}
 					n++
 				}
@@ -150,11 +149,10 @@ func (r *leafRunner) next(in *kernel.Instr) bool {
 			r.advance() // fully masked: no transaction
 		case 3: // batched final stores of this item
 			n := 0
-			for lane, l := range r.lanes {
-				if l.count > r.j {
-					p, j := r.pKey(lane, r.j), r.jOf(lane, r.j)
+			for _, c := range r.cur {
+				if c.inner > 0 {
 					for slot := 0; slot < r.ops.FinalStores; slot++ {
-						in.Addrs = append(in.Addrs, r.ops.FinalAddr(p, j, slot))
+						in.Addrs = append(in.Addrs, r.ops.FinalAddr(c.p, c.j, slot))
 					}
 					n++
 				}
