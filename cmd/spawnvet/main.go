@@ -6,29 +6,25 @@
 //
 // Usage:
 //
-//	spawnvet [flags] [./... | dir ...]
+//	spawnvet [-fix] [-list] [./... | dir ...]
 //
-//	-json        emit diagnostics as a JSON array on stdout
-//	-enable s    comma-separated analyzers to run (default: all)
-//	-disable s   comma-separated analyzers to skip
 //	-fix         apply mechanical fixes (%v→%w, sort-before-range),
 //	             then re-analyze and report what remains
-//	-changed b   report only diagnostics in files changed since git
-//	             revision b (the module is still analyzed as a whole,
-//	             so interprocedural facts stay complete)
 //	-list        print the available analyzers and exit
+//
+// A finding is silenced only at its site, by a
+// //spawnvet:allow <analyzer> <justification> comment on its line or
+// the line above; //spawnvet:hotpath marks a function as a per-cycle
+// root for the hotpath analyzer. No other directive exists.
 //
 // Exit status: 0 when the tree is clean, 1 when diagnostics were
 // reported, 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 
 	"spawnsim/internal/analysis"
@@ -41,11 +37,7 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("spawnvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	fix := fs.Bool("fix", false, "apply mechanical fixes, then re-analyze")
-	changed := fs.String("changed", "", "report only diagnostics in files changed since this git revision")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,18 +50,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	analyzers, err := selectAnalyzers(*enable, *disable)
-	if err != nil {
-		fmt.Fprintln(stderr, "spawnvet:", err)
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	diags, err := analyze(patterns, analyzers, stderr)
+	diags, err := analyze(patterns, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "spawnvet:", err)
 		return 2
@@ -85,36 +71,15 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "spawnvet: fixed %s\n", f)
 		}
 		// Re-analyze the rewritten tree with a fresh loader.
-		diags, err = analyze(patterns, analyzers, stderr)
+		diags, err = analyze(patterns, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "spawnvet:", err)
 			return 2
 		}
 	}
 
-	if *changed != "" {
-		files, err := changedFiles(*changed)
-		if err != nil {
-			fmt.Fprintln(stderr, "spawnvet:", err)
-			return 2
-		}
-		diags = analysis.FilterFiles(diags, files)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(stderr, "spawnvet:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d.String())
 	}
 	if len(diags) > 0 {
 		return 1
@@ -122,9 +87,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// analyze loads the packages matched by patterns and runs the
-// analyzers. Patterns are "./..." (the whole module) or directories.
-func analyze(patterns []string, analyzers []*analysis.Analyzer, stderr *os.File) ([]analysis.Diagnostic, error) {
+// analyze loads the packages matched by patterns and runs every
+// analyzer. Patterns are "./..." (the whole module) or directories.
+func analyze(patterns []string, stderr *os.File) ([]analysis.Diagnostic, error) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		return nil, err
@@ -153,70 +118,5 @@ func analyze(patterns []string, analyzers []*analysis.Analyzer, stderr *os.File)
 			fmt.Fprintf(stderr, "spawnvet: %s: type error (analysis may be incomplete): %v\n", p.Path, te)
 		}
 	}
-	return analysis.Run(pkgs, analyzers), nil
-}
-
-// changedFiles lists, as absolute paths, the files git reports changed
-// since base (committed changes plus the working tree).
-func changedFiles(base string) ([]string, error) {
-	top, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
-	if err != nil {
-		return nil, fmt.Errorf("-changed needs a git checkout: %w", err)
-	}
-	root := strings.TrimSpace(string(top))
-	out, err := exec.Command("git", "diff", "--name-only", base).Output()
-	if err != nil {
-		return nil, fmt.Errorf("git diff --name-only %s: %w", base, err)
-	}
-	var files []string
-	for _, line := range strings.Split(string(out), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			files = append(files, filepath.Join(root, line))
-		}
-	}
-	return files, nil
-}
-
-// selectAnalyzers resolves -enable / -disable against the registry.
-func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
-	byName := map[string]*analysis.Analyzer{}
-	var all []*analysis.Analyzer
-	for _, a := range analysis.Analyzers() {
-		byName[a.Name] = a
-		all = append(all, a)
-	}
-
-	picked := all
-	if enable != "" {
-		picked = nil
-		for _, name := range strings.Split(enable, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(analysis.AnalyzerNames(), ", "))
-			}
-			picked = append(picked, a)
-		}
-	}
-	if disable != "" {
-		skip := map[string]bool{}
-		for _, name := range strings.Split(disable, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := byName[name]; !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(analysis.AnalyzerNames(), ", "))
-			}
-			skip[name] = true
-		}
-		var kept []*analysis.Analyzer
-		for _, a := range picked {
-			if !skip[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		picked = kept
-	}
-	if len(picked) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return picked, nil
+	return analysis.Run(pkgs, analysis.Analyzers()), nil
 }

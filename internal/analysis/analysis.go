@@ -10,16 +10,16 @@ import (
 
 // A Diagnostic is one finding of one analyzer.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Column   int            `json:"column"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	File     string
+	Line     int
+	Column   int
+	Message  string
 
 	// Fix, when non-nil, is a mechanical byte-level rewrite that resolves
 	// the finding (applied by `spawnvet -fix`).
-	Fix *TextEdit `json:"-"`
+	Fix *TextEdit
 }
 
 func (d Diagnostic) String() string {
@@ -224,24 +224,6 @@ func suppress(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 	return kept
 }
 
-// FilterFiles keeps only the diagnostics located in one of the given
-// files (absolute paths). It is a pure output filter: the -changed CLI
-// mode analyzes the whole module (interprocedural facts still see
-// everything) and narrows what is reported, never what is analyzed.
-func FilterFiles(diags []Diagnostic, files []string) []Diagnostic {
-	keep := make(map[string]bool, len(files))
-	for _, f := range files {
-		keep[f] = true
-	}
-	out := []Diagnostic{}
-	for _, d := range diags {
-		if keep[d.File] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // DirectiveKind distinguishes the spawnvet comment directives.
 type DirectiveKind uint8
 
@@ -259,27 +241,6 @@ const (
 	// dispatch (an interface method, a func value), which the call
 	// graph cannot follow.
 	DirectiveHotPath
-	// DirectivePure asserts, in a function's doc comment, that the
-	// function honors the purity contract (no package-level writes, no
-	// ambient I/O, no input-pointer retention) even though the purity
-	// analyzer cannot prove it — dynamic dispatch inside, or effects the
-	// author has vetted as run-invisible. The analyzer treats the
-	// function as an opaque pure leaf: it does not descend into the
-	// body. The justification is mandatory; a bare //spawnvet:pure is a
-	// malformed-directive diagnostic and confers no trust (fails closed):
-	//
-	//	//spawnvet:pure table lookup over data frozen at construction
-	DirectivePure
-	// DirectiveSkipSafe asserts, in a function's doc comment, that the
-	// function is safe to call while the engine fast-forwards across a
-	// provably-idle span even though the skipsafe analyzer sees effects —
-	// the author has vetted them as invisible to simulated state (e.g.
-	// wall-clock presentation fields). The function becomes a trusted
-	// leaf. The justification is mandatory; a bare //spawnvet:skipsafe
-	// is a malformed-directive diagnostic and confers no trust:
-	//
-	//	//spawnvet:skipsafe pacing fields are presentation-only and never feed the model
-	DirectiveSkipSafe
 )
 
 // Directive is one parsed //spawnvet:... comment.
@@ -300,16 +261,6 @@ func (d *Directive) Allows(name string) bool {
 		}
 	}
 	return false
-}
-
-// trustDirectives are the function-level trust directives, keyed by
-// their word, with what the mandatory justification must explain.
-var trustDirectives = map[string]struct {
-	kind DirectiveKind
-	why  string
-}{
-	"pure":     {DirectivePure, "why the function honors the purity contract"},
-	"skipsafe": {DirectiveSkipSafe, "why the effects are invisible to a skipped idle span"},
 }
 
 // scanDirectives parses every //spawnvet: comment in the package.
@@ -334,16 +285,9 @@ func (p *Package) scanDirectives() {
 				if i := strings.IndexAny(text, " \t"); i >= 0 {
 					word, rest = text[:i], text[i:]
 				}
-				td, trust := trustDirectives[word]
 				switch {
 				case text == "hotpath":
 					d.Kind = DirectiveHotPath
-				case trust:
-					d.Kind = td.kind
-					d.Justification = strings.TrimSpace(rest)
-					if d.Justification == "" {
-						d.Err = fmt.Sprintf("//spawnvet:%s needs a justification (%s)", word, td.why)
-					}
 				case word == "allow":
 					d.Kind = DirectiveAllow
 					fields := strings.Fields(rest)
@@ -390,12 +334,10 @@ func (p *Package) directiveProblems() []Diagnostic {
 	return out
 }
 
-// marked reports whether the function declaration carries a valid
-// directive of the given kind (DirectiveHotPath, DirectivePure,
-// DirectiveSkipSafe) in its doc comment. Malformed directives confer
-// nothing: they surface as directive diagnostics and the function
-// stays subject to full analysis (fails closed).
-func (p *Package) marked(fn *ast.FuncDecl, kind DirectiveKind) bool {
+// hotPathMarked reports whether the function declaration carries a
+// valid //spawnvet:hotpath marker in its doc comment. A malformed
+// spelling confers nothing: it surfaces as a directive diagnostic.
+func (p *Package) hotPathMarked(fn *ast.FuncDecl) bool {
 	if fn.Doc == nil {
 		return false
 	}
@@ -406,7 +348,7 @@ func (p *Package) marked(fn *ast.FuncDecl, kind DirectiveKind) bool {
 		}
 		pos := p.Fset.Position(c.Pos())
 		for _, d := range p.directives {
-			if d.Kind == kind && d.Err == "" &&
+			if d.Kind == DirectiveHotPath && d.Err == "" &&
 				d.Pos.Filename == pos.Filename && d.Pos.Line == pos.Line {
 				return true
 			}

@@ -26,8 +26,7 @@ import (
 //     its declaration site — the callee cannot be resolved statically
 //     (hotpath asks for a //spawnvet:hotpath marker on such callees);
 //   - out-of-module callees carry no summary; they are classified by
-//     the external-call tables (ambient I/O packages, PureFuncs)
-//     instead of traversed;
+//     the ambient I/O table instead of traversed;
 //   - exceeding the caps degrades to an explicit "unverifiable"
 //     diagnostic, never to silent trust.
 const (
@@ -121,12 +120,12 @@ func summarize(pkg *Package, fd *ast.FuncDecl, obj *types.Func) *funcSummary {
 	return s
 }
 
-// recordCall classifies one call site: pure-registry skip, ambient
-// effect, or static call-graph edge. Builtins, conversions, func-typed
-// values, and interface methods are opaque (see the file comment).
+// recordCall classifies one call site: ambient effect or static
+// call-graph edge. Builtins, conversions, func-typed values, and
+// interface methods are opaque (see the file comment).
 func (s *funcSummary) recordCall(call *ast.CallExpr) {
 	fn, ok := calleeObject(s.pkg.Info, call).(*types.Func)
-	if !ok || fn.Pkg() == nil || PureFuncs[fn.FullName()] {
+	if !ok || fn.Pkg() == nil {
 		return
 	}
 	if ambientCall(fn) {
@@ -391,12 +390,10 @@ type chainVisit struct {
 
 // walkFrom breadth-first-traverses the graph from the roots, invoking
 // visit exactly once per reachable summarized function with the chain
-// that first reached it. Functions the analyzer's trusted predicate
-// accepts (nil trusts nothing) stop the walk: visit is not called for
-// them and their callees are not enqueued. When a chain would exceed
-// callGraphDepthCap, deep is called with the truncation point and the
-// walk stops descending there.
-func (g *callGraph) walkFrom(roots []*types.Func, trusted func(*funcSummary) bool,
+// that first reached it. When a chain would exceed callGraphDepthCap,
+// deep is called with the truncation point and the walk stops
+// descending there.
+func (g *callGraph) walkFrom(roots []*types.Func,
 	visit func(sum *funcSummary, chain []string),
 	deep func(sum *funcSummary, calleePos token.Pos, chain []string)) {
 
@@ -417,9 +414,6 @@ func (g *callGraph) walkFrom(roots []*types.Func, trusted func(*funcSummary) boo
 			continue
 		}
 		parent[v.fn] = v.parent
-		if trusted != nil && trusted(sum) {
-			continue
-		}
 		visit(sum, g.chain(parent, v.fn))
 		if v.depth >= callGraphDepthCap {
 			if len(sum.callees) > 0 {

@@ -10,7 +10,8 @@ import (
 // ClockStepAnalyzer certifies the engine-clock contract the event-wheel
 // rewrite (ROADMAP item 1) depends on: simulated time has exactly one
 // source — the GPU's clock — and it only moves forward. Four rules,
-// checked with the flow-sensitive dataflow layer (cfg.go):
+// checked with the origin layer (dataflow.go) and guard facts
+// (guards.go):
 //
 //  1. Every store to Cycle-typed state reachable from the run root
 //     (the method Run on a receiver type named GPU) must trace to a
@@ -24,9 +25,10 @@ import (
 //     struct named GPU) may only advance monotonically, everywhere:
 //     clock = <clock-derived> + <non-negative constant>, clock =
 //     <clock-derived>, clock++ / clock += <non-negative constant>, or
-//     clock = v under a dominating branch fact proving v > now or
-//     v >= now (the fast-forward skip). Anything else is a raw store
-//     that could move time backwards.
+//     clock = v under a guard fact proving v > now or v >= now (the
+//     fast-forward skip). Clock-derived means a read of the clock
+//     field or a Cycle-typed parameter named now or cycle. Anything
+//     else is a raw store that could move time backwards.
 //  3. A literal passed as a Cycle-typed parameter named "now" or
 //     "cycle" of a run-reachable call is a fabricated timestamp
 //     (Invariantf(0, ...) was the canonical offender): thread the
@@ -100,17 +102,23 @@ func clockFieldSel(info *types.Info, lhs ast.Expr) types.Object {
 }
 
 // clockDerived reports whether an origin is the simulation clock: a
-// read of a field named "clock", or a Cycle-typed parameter (the
-// threaded now).
+// read of a field named "clock", or the threaded clock — a Cycle-typed
+// parameter named now or cycle (the names rule 3 audits at call sites).
 func clockDerived(o Origin) bool {
 	switch o.Kind {
 	case OriginField:
 		return o.Obj != nil && o.Obj.Name() == "clock"
 	case OriginParam:
-		return o.Obj != nil && isCycleType(o.Obj.Type())
+		return o.Obj != nil && isClockParam(o.Obj)
 	default:
 		return false
 	}
+}
+
+// isClockParam reports whether a parameter threads the clock: it is
+// Cycle-typed and named now or cycle.
+func isClockParam(p types.Object) bool {
+	return (p.Name() == "now" || p.Name() == "cycle") && isCycleType(p.Type())
 }
 
 // clockDerivedExpr reports whether every origin of e is clock-derived.
@@ -147,7 +155,7 @@ func zeroLiteralOrigin(info *types.Info, o Origin) bool {
 	}
 	switch e := o.Expr.(type) {
 	case *ast.Ident:
-		// The self-marker the flow-sensitive layer emits for `var x T`.
+		// The self-marker the origin layer emits for `var x T`.
 		return true
 	case *ast.BasicLit:
 		tv, ok := info.Types[e]
@@ -211,7 +219,7 @@ func (st *clockstepState) checkClockStore(pass *Pass, info *types.Info, flows *f
 			return
 		}
 	case token.ASSIGN:
-		if st.monotoneClockRHS(info, flow, rhs) {
+		if st.monotoneClockRHS(info, flow, guardFacts(info, stack, as), rhs) {
 			return
 		}
 	default:
@@ -225,10 +233,10 @@ func (st *clockstepState) checkClockStore(pass *Pass, info *types.Info, flows *f
 
 // monotoneClockRHS proves one clock store non-decreasing:
 // <clock-derived> + <non-negative const>, a pure clock-derived value,
-// or an identifier pinned > / >= a clock-derived value by a dominating
-// branch (the fast-forward skip shape: if next <= now {...} else
-// { clock = next }).
-func (st *clockstepState) monotoneClockRHS(info *types.Info, flow *funcFlow, rhs ast.Expr) bool {
+// or an identifier pinned > / >= a clock-derived value by one of the
+// store's guard facts (the fast-forward skip shape: if next <= now
+// {...} else { clock = next }).
+func (st *clockstepState) monotoneClockRHS(info *types.Info, flow *funcFlow, facts []guardFact, rhs ast.Expr) bool {
 	rhs = ast.Unparen(rhs)
 	if bin, ok := rhs.(*ast.BinaryExpr); ok && bin.Op == token.ADD {
 		if nonNegConst(info, bin.Y) && clockDerivedExpr(flow, bin.X) {
@@ -249,7 +257,7 @@ func (st *clockstepState) monotoneClockRHS(info *types.Info, flow *funcFlow, rhs
 	if !ok {
 		return false
 	}
-	for _, fact := range flow.factsFor(rhs) {
+	for _, fact := range facts {
 		if st.factProvesAtLeastClock(info, flow, fact, rv) {
 			return true
 		}
@@ -257,16 +265,16 @@ func (st *clockstepState) monotoneClockRHS(info *types.Info, flow *funcFlow, rhs
 	return false
 }
 
-// factProvesAtLeastClock reports whether one dominating branch fact
-// pins variable rv to be > or >= a clock-derived value.
-func (st *clockstepState) factProvesAtLeastClock(info *types.Info, flow *funcFlow, fact branchFact, rv *types.Var) bool {
+// factProvesAtLeastClock reports whether one guard fact pins variable
+// rv to be > or >= a clock-derived value.
+func (st *clockstepState) factProvesAtLeastClock(info *types.Info, flow *funcFlow, fact guardFact, rv *types.Var) bool {
 	cond, ok := ast.Unparen(fact.cond).(*ast.BinaryExpr)
 	if !ok {
 		return false
 	}
 	op := cond.Op
 	if !fact.when {
-		// The false edge establishes the negation.
+		// A failed condition establishes the negation.
 		switch op {
 		case token.LSS:
 			op = token.GEQ
@@ -365,10 +373,7 @@ func (st *clockstepState) checkTimestampArgs(info *types.Info, flows *flowCache,
 		if sig.Variadic() && i == params.Len()-1 {
 			break
 		}
-		if p.Name() != "now" && p.Name() != "cycle" {
-			continue
-		}
-		if !isCycleType(p.Type()) {
+		if !isClockParam(p) {
 			continue
 		}
 		arg := call.Args[i]
@@ -483,7 +488,7 @@ func (st *clockstepState) finish(pass *Pass) {
 		return
 	}
 	g := pass.callGraph()
-	g.walkFrom(g.roots(runRoot), nil,
+	g.walkFrom(g.roots(runRoot),
 		func(sum *funcSummary, chain []string) {
 			for _, d := range st.deferred[sum.obj] {
 				pass.Reportf(d.pos, "%s", d.text(chainText(chain)))

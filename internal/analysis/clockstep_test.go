@@ -28,8 +28,8 @@ func TestClockStepTruePositives(t *testing.T) {
 			t.Errorf("%s: no diagnostic mentioning %q", tc.name, tc.wants)
 		}
 	}
-	// The dominating-guard proof must keep sanctioning the fast-forward
-	// skip: the fixture marks those stores "guarded: monotone".
+	// The guard-fact proof must keep sanctioning the fast-forward skip:
+	// the fixture marks those stores "guarded: monotone".
 	src, err := os.ReadFile(filepath.Join("testdata", "src", "clockstep", "clockstep.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +38,12 @@ func TestClockStepTruePositives(t *testing.T) {
 	for i, line := range strings.Split(string(src), "\n") {
 		if strings.Contains(line, "guarded: monotone") {
 			guarded[i+1] = true
+		}
+		// Every clock store the fixture marks flagged (the parameter
+		// that is not now/cycle, the guard left by goto, ...) must be.
+		if strings.Contains(line, "g.clock = ") && strings.Contains(line, "// flagged") &&
+			!hasLine(diags, i+1, "raw store to the engine clock") {
+			t.Errorf("clock store at clockstep.go:%d not flagged: %s", i+1, strings.TrimSpace(line))
 		}
 	}
 	if len(guarded) == 0 {
@@ -71,4 +77,14 @@ func TestClockStepRealTreeClean(t *testing.T) {
 	for _, d := range Run(pkgs, []*Analyzer{a}) {
 		t.Errorf("clockstep diagnostic on the real tree: %s:%d: %s", d.File, d.Line, d.Message)
 	}
+}
+
+// hasLine reports whether a diagnostic on the given line mentions want.
+func hasLine(diags []Diagnostic, line int, want string) bool {
+	for _, d := range diags {
+		if d.Line == line && strings.Contains(d.Message, want) {
+			return true
+		}
+	}
+	return false
 }

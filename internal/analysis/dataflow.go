@@ -10,13 +10,18 @@ import (
 // analyzer (seedtaint, units, purity, skipsafe, clockstep) builds on:
 // value-origin tracking over go/types. For an expression inside one
 // function it answers "which leaf sources can flow into this value?" by
-// chasing the local-variable definitions that reach the expression's
-// program point (the reaching-definitions fixpoint in cfg.go)
-// backwards, looking through parentheses, arithmetic, and type
-// conversions. The engine is intraprocedural (calls are opaque leaves)
-// and merges origins only where control flow merges: the set
-// over-approximates the true origins, which is the safe direction for
-// taint-style checks.
+// chasing the function's variable definitions backwards, looking
+// through parentheses, arithmetic, and type conversions.
+//
+// The engine is intraprocedural (calls are opaque leaves) and
+// flow-insensitive: every definition of a variable anywhere in the
+// function body counts at every use, and the value a parameter or
+// package-level variable holds on entry is one more definition of it.
+// That over-approximates the definitions that actually reach a use, so
+// the origin set over-approximates the true origins — the safe
+// direction for taint-style checks. The price is precision where one
+// variable is reassigned with differently sourced values on different
+// paths; the tree does not depend on it.
 
 // OriginKind classifies the leaf sources a value can flow from.
 type OriginKind uint8
@@ -35,7 +40,7 @@ const (
 	OriginGlobal
 	// OriginUnknown: anything the tracker cannot resolve (closure
 	// captures, channel receives, map/slice elements of opaque shape,
-	// exhausted caps, a function whose fixpoint ran out of budget).
+	// exhausted caps).
 	OriginUnknown
 )
 
@@ -76,39 +81,100 @@ const (
 )
 
 // funcFlow is the origin-query scope of one function body: its
-// parameters plus the reaching-definition environments (cfg.go) that
-// say which assignments reach each program point.
+// parameters plus every definition of each variable it assigns.
 type funcFlow struct {
 	info *types.Info
 	// params marks parameters and receivers.
 	params map[*types.Var]bool
-	// body is the function body the CFG is built from (nil for the
-	// package-level pseudo-scope, where no local definition reaches).
-	body *ast.BlockStmt
-	// solved/cfg/envIn are filled once by solve (cfg.go). cfg stays nil
-	// when there is no body or the fixpoint ran out of budget.
-	solved bool
-	cfg    *funcCFG
-	envIn  []originEnv
+	// defs lists, per variable, every expression assigned to it in
+	// the body (nested function literals excluded). A variable's own
+	// declaration identifier is the marker for "declared without
+	// initializer" (a `var x T` or a named result): its value is the
+	// type's zero value, which traces as an anonymous literal.
+	defs map[*types.Var][]ast.Expr
+	// scope is the function node; locals declared outside it are
+	// captured from an enclosing function, whose assignments are out of
+	// view. Nil for the package-level pseudo-scope.
+	scope ast.Node
 }
 
 // newFuncFlow builds the query scope of fn, an *ast.FuncDecl or
 // *ast.FuncLit; any other node (nil included) yields the package-level
 // pseudo-scope for var initializers.
 func newFuncFlow(info *types.Info, fn ast.Node) *funcFlow {
-	f := &funcFlow{info: info, params: map[*types.Var]bool{}}
+	f := &funcFlow{info: info, params: map[*types.Var]bool{}, defs: map[*types.Var][]ast.Expr{}}
+	var typ *ast.FuncType
+	var body *ast.BlockStmt
 	switch n := fn.(type) {
 	case *ast.FuncDecl:
 		if n.Recv != nil {
 			f.addParams(n.Recv)
 		}
-		f.addParams(n.Type.Params)
-		f.body = n.Body
+		typ, body = n.Type, n.Body
 	case *ast.FuncLit:
-		f.addParams(n.Type.Params)
-		f.body = n.Body
+		typ, body = n.Type, n.Body
+	default:
+		return f
+	}
+	f.scope = fn
+	f.addParams(typ.Params)
+	if typ.Results != nil {
+		for _, field := range typ.Results.List {
+			for _, name := range field.Names {
+				f.def(name, name)
+			}
+		}
+	}
+	if body != nil {
+		f.collectDefs(body)
 	}
 	return f
+}
+
+// def records rhs as one definition of the variable that lhs names.
+func (f *funcFlow) def(lhs, rhs ast.Expr) {
+	if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
+		if v := f.lhsVar(id); v != nil {
+			f.defs[v] = append(f.defs[v], rhs)
+		}
+	}
+}
+
+// collectDefs records every definition in body in one walk,
+// skipping nested function literals (they have their own scope).
+func (f *funcFlow) collectDefs(body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			// A compound assignment (x += y) adds y; the old value is
+			// already among x's definitions.
+			for i, lhs := range n.Lhs {
+				switch {
+				case len(n.Lhs) == len(n.Rhs):
+					f.def(lhs, n.Rhs[i])
+				case len(n.Rhs) == 1:
+					f.def(lhs, n.Rhs[0])
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				switch {
+				case len(n.Values) == len(n.Names):
+					f.def(name, n.Values[i])
+				case len(n.Values) == 1:
+					f.def(name, n.Values[0])
+				default:
+					f.def(name, name) // the zero-value self-marker
+				}
+			}
+		case *ast.RangeStmt:
+			f.def(n.Key, n.X)
+			f.def(n.Value, n.X)
+		}
+		return true
+	})
 }
 
 func (f *funcFlow) addParams(fields *ast.FieldList) {
@@ -133,17 +199,10 @@ func (f *funcFlow) lhsVar(id *ast.Ident) *types.Var {
 }
 
 // originsOf returns the leaf sources that can flow into e within this
-// function, following only the definitions that reach e's program
-// point. The set over-approximates the true origins. When the fixpoint
-// ran out of budget the answer is the lone conservative OriginUnknown
-// marker.
+// function. The set over-approximates the true origins.
 func (f *funcFlow) originsOf(e ast.Expr) []Origin {
-	env, ok := f.envAt(e)
-	if !ok {
-		return []Origin{{Kind: OriginUnknown, Expr: e}}
-	}
 	var out []Origin
-	f.trace(e, env, map[*types.Var]bool{}, 0, &out)
+	f.trace(e, map[*types.Var]bool{}, 0, &out)
 	return out
 }
 
@@ -175,9 +234,8 @@ var arithmeticOps = map[token.Token]bool{
 	token.SHL: true, token.SHR: true,
 }
 
-// trace walks e's structure toward leaves. env is the reaching-
-// definition environment at e's program point.
-func (f *funcFlow) trace(e ast.Expr, env originEnv, visiting map[*types.Var]bool, depth int, out *[]Origin) {
+// trace walks e's structure toward leaves.
+func (f *funcFlow) trace(e ast.Expr, visiting map[*types.Var]bool, depth int, out *[]Origin) {
 	if depth > originDepthCap || len(*out) >= originFanCap {
 		f.capStop(out, e)
 		return
@@ -187,7 +245,7 @@ func (f *funcFlow) trace(e ast.Expr, env originEnv, visiting map[*types.Var]bool
 	case *ast.BasicLit:
 		f.add(out, Origin{Kind: OriginLiteral, Expr: x})
 	case *ast.Ident:
-		f.traceIdent(x, env, visiting, depth, out)
+		f.traceIdent(x, visiting, depth, out)
 	case *ast.SelectorExpr:
 		f.traceSelector(x, out)
 	case *ast.CallExpr:
@@ -195,40 +253,40 @@ func (f *funcFlow) trace(e ast.Expr, env originEnv, visiting map[*types.Var]bool
 			// Type conversion: the value flows through. This is what
 			// lets the units analyzer see laundering through plain
 			// integer intermediates.
-			f.trace(x.Args[0], env, visiting, depth+1, out)
+			f.trace(x.Args[0], visiting, depth+1, out)
 			return
 		}
 		f.add(out, Origin{Kind: OriginCall, Expr: x, Obj: calleeObject(f.info, x)})
 	case *ast.BinaryExpr:
 		if arithmeticOps[x.Op] {
-			f.trace(x.X, env, visiting, depth+1, out)
-			f.trace(x.Y, env, visiting, depth+1, out)
+			f.trace(x.X, visiting, depth+1, out)
+			f.trace(x.Y, visiting, depth+1, out)
 			return
 		}
 		f.add(out, Origin{Kind: OriginUnknown, Expr: x})
 	case *ast.UnaryExpr:
 		switch x.Op {
 		case token.ADD, token.SUB, token.XOR:
-			f.trace(x.X, env, visiting, depth+1, out)
+			f.trace(x.X, visiting, depth+1, out)
 		case token.AND:
 			// &x aliases x: the pointer carries its referent's origins
 			// (what lets the purity analyzer see leaks and alias writes
 			// through address-taken values).
-			f.trace(x.X, env, visiting, depth+1, out)
+			f.trace(x.X, visiting, depth+1, out)
 		default:
 			f.add(out, Origin{Kind: OriginUnknown, Expr: x})
 		}
 	case *ast.StarExpr:
-		f.trace(x.X, env, visiting, depth+1, out)
+		f.trace(x.X, visiting, depth+1, out)
 	case *ast.IndexExpr:
 		// The element of a collection inherits the collection's origins.
-		f.trace(x.X, env, visiting, depth+1, out)
+		f.trace(x.X, visiting, depth+1, out)
 	default:
 		f.add(out, Origin{Kind: OriginUnknown, Expr: e})
 	}
 }
 
-func (f *funcFlow) traceIdent(id *ast.Ident, env originEnv, visiting map[*types.Var]bool, depth int, out *[]Origin) {
+func (f *funcFlow) traceIdent(id *ast.Ident, visiting map[*types.Var]bool, depth int, out *[]Origin) {
 	obj := f.info.Uses[id]
 	if obj == nil {
 		obj = f.info.Defs[id]
@@ -237,36 +295,35 @@ func (f *funcFlow) traceIdent(id *ast.Ident, env originEnv, visiting map[*types.
 	case *types.Const:
 		f.add(out, Origin{Kind: OriginLiteral, Expr: id, Obj: obj})
 	case *types.Var:
-		// The environment is consulted before the parameter set so a
-		// reassigned parameter resolves to what actually reaches this
-		// point, not its caller-supplied value.
-		if defs, ok := env[obj]; ok {
-			if visiting[obj] {
-				// Assignment cycle (x = x + 1 chains): the other origins of
-				// the cycle carry the information.
-				return
-			}
-			visiting[obj] = true
-			for _, rhs := range defs {
-				if dID, isID := rhs.(*ast.Ident); isID && f.info.Defs[dID] == types.Object(obj) {
-					// Self-marker from `var x T`: the zero value, an
-					// anonymous literal.
-					f.add(out, Origin{Kind: OriginLiteral, Expr: dID})
-					continue
-				}
-				f.trace(rhs, env, visiting, depth+1, out)
-			}
-			delete(visiting, obj)
+		if visiting[obj] {
+			// Assignment cycle (x = x + 1 chains): the other origins of
+			// the cycle carry the information.
 			return
 		}
 		switch {
 		case f.params[obj]:
+			// The caller-supplied value is one more definition: it
+			// reaches every use no reassignment covers.
 			f.add(out, Origin{Kind: OriginParam, Expr: id, Obj: obj})
 		case isPackageLevel(obj):
+			// Likewise the value another function left in a global.
 			f.add(out, Origin{Kind: OriginGlobal, Expr: id, Obj: obj})
-		default:
+		case f.scope == nil || obj.Pos() < f.scope.Pos() || obj.Pos() >= f.scope.End():
+			// Captured from an enclosing function: its definitions there
+			// are out of view.
 			f.add(out, Origin{Kind: OriginUnknown, Expr: id, Obj: obj})
 		}
+		visiting[obj] = true
+		for _, rhs := range f.defs[obj] {
+			if dID, isID := rhs.(*ast.Ident); isID && f.info.Defs[dID] == types.Object(obj) {
+				// Self-marker from `var x T`: the zero value, an
+				// anonymous literal.
+				f.add(out, Origin{Kind: OriginLiteral, Expr: dID})
+				continue
+			}
+			f.trace(rhs, visiting, depth+1, out)
+		}
+		delete(visiting, obj)
 	default:
 		f.add(out, Origin{Kind: OriginUnknown, Expr: id, Obj: obj})
 	}

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -103,5 +105,57 @@ func TestCapExhaustionSurfacesAsSeedDiagnostic(t *testing.T) {
 	}
 	if hits != 2 {
 		t.Errorf("want 2 conservative untraceable-origin diagnostics (deep and wide), got %d: %v", hits, diags)
+	}
+}
+
+// originNames renders an origin set as sorted object names, for
+// assertion messages.
+func originNames(origins []Origin) []string {
+	var names []string
+	for _, o := range origins {
+		if o.Obj != nil {
+			names = append(names, o.Obj.Name())
+		} else {
+			names = append(names, "<"+o.Kind.String()+">")
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestBranchSplitEnvs pins the flow-insensitive contract on the
+// seedtaint branch-split shape: a definition made on one path counts at
+// every use, so both the in-branch use of x and use(x) after the branch
+// see p and q.
+func TestBranchSplitEnvs(t *testing.T) {
+	flow, atJoin := fixtureFlow(t, "flow", "split")
+	// The use of x inside the branch: the x in `y = x + 1`.
+	var inBranch ast.Expr
+	ast.Inspect(flow.scope, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && as.Lhs[0].(*ast.Ident).Name == "y" {
+			inBranch = as.Rhs[0].(*ast.BinaryExpr).X
+		}
+		return true
+	})
+	if inBranch == nil {
+		t.Fatal("in-branch use of x not found in split")
+	}
+	for name, use := range map[string]ast.Expr{"in-branch": inBranch, "join": atJoin} {
+		if got := originNames(flow.originsOf(use)); len(got) != 2 || got[0] != "p" || got[1] != "q" {
+			t.Errorf("%s use of x: origins = %v, want [p q]", name, got)
+		}
+	}
+}
+
+// TestGotoEnvs: definitions are collected without regard to control
+// flow, so gotos need no special case. Both the backward jump and the
+// forward jump must leave exactly p and q reaching use(x).
+func TestGotoEnvs(t *testing.T) {
+	for _, fn := range []string{"backjump", "forwardjump"} {
+		flow, arg := fixtureFlow(t, "flow", fn)
+		got := originNames(flow.originsOf(arg))
+		if len(got) != 2 || got[0] != "p" || got[1] != "q" {
+			t.Errorf("%s: use(x) origins = %v, want [p q]", fn, got)
+		}
 	}
 }

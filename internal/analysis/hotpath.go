@@ -17,7 +17,7 @@ import (
 //   - implicit interface conversions (boxing) at call argument
 //     positions — the classic container/heap tax;
 //   - calls through func-typed struct fields (observability and fault
-//     hooks) without a dominating `field != nil` guard;
+//     hooks) without a `field != nil` guard fact (guards.go);
 //   - calls into internal/profile that are not one of its nil-safe,
 //     allocation-free accumulators (profileHotCalls): report assembly
 //     and serialization belong after the run, never in the tick loop.
@@ -63,7 +63,7 @@ var fmtFormatting = map[string]bool{
 // hotRoot reports whether a summary roots the hot set: the run root or
 // a function carrying a valid //spawnvet:hotpath marker.
 func hotRoot(s *funcSummary) bool {
-	return runRoot(s) || s.pkg.marked(s.decl, DirectiveHotPath)
+	return runRoot(s) || s.pkg.hotPathMarked(s.decl)
 }
 
 // finishHotPath walks the call graph from the hot roots, trusting
@@ -73,7 +73,7 @@ func finishHotPath(pass *Pass) {
 		return
 	}
 	g := pass.callGraph()
-	g.walkFrom(g.roots(hotRoot), nil,
+	g.walkFrom(g.roots(hotRoot),
 		func(sum *funcSummary, chain []string) {
 			h := hotFunc{pass: pass, pkg: sum.pkg, chain: chainText(chain)}
 			if sum.overflow {
@@ -177,7 +177,7 @@ func (h hotFunc) checkCall(call *ast.CallExpr, stack []ast.Node) {
 		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 			if _, isFunc := s.Type().Underlying().(*types.Signature); isFunc {
 				selText := exprText(sel)
-				if !nilGuarded(call, selText, stack) {
+				if !nilGuarded(info, call, selText, stack) {
 					h.pass.Reportf(call.Pos(),
 						"hook call %s(...) without a %s != nil guard in hot path (call chain: %s)",
 						selText, selText, h.chain)
@@ -221,27 +221,24 @@ func (h hotFunc) checkBoxing(call *ast.CallExpr, sig *types.Signature) {
 	}
 }
 
-// nilGuarded reports whether the hook call is dominated by a nil check
-// of the same selector: either an enclosing if-condition, or an earlier
-// conjunct of the boolean expression containing the call
+// nilGuarded reports whether the hook call runs only when its selector
+// is non-nil: one of the call's guard facts proves it, or an earlier
+// conjunct of the boolean expression containing the call does
 // (`f.hook != nil && f.hook(x)`).
-func nilGuarded(call *ast.CallExpr, selText string, stack []ast.Node) bool {
+func nilGuarded(info *types.Info, call *ast.CallExpr, selText string, stack []ast.Node) bool {
+	for _, fact := range guardFacts(info, stack, call) {
+		if provesNonNil(fact, selText) {
+			return true
+		}
+	}
 	var child ast.Node = call
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch anc := stack[i].(type) {
 		case *ast.BinaryExpr:
-			if anc.Op.String() == "&&" && anc.Y == child && containsNilCheck(anc.X, selText) {
+			if anc.Op == token.LAND && anc.Y == child && provesNonNil(guardFact{anc.X, true}, selText) {
 				return true
 			}
-		case *ast.IfStmt:
-			if anc.Body == child || containsBody(anc.Body, call) {
-				if containsNilCheck(anc.Cond, selText) {
-					return true
-				}
-			}
 		case *ast.FuncLit:
-			// A guard outside the closure does not dominate calls inside
-			// it at a later time.
 			return false
 		}
 		child = stack[i]
@@ -249,7 +246,28 @@ func nilGuarded(call *ast.CallExpr, selText string, stack []ast.Node) bool {
 	return false
 }
 
-// containsBody reports whether node n lies within block b.
-func containsBody(b *ast.BlockStmt, n ast.Node) bool {
-	return b.Pos() <= n.Pos() && n.End() <= b.End()
+// provesNonNil reports whether a guard fact pins selText non-nil: a
+// holding condition with a top-level && conjunct `sel != nil`, or a
+// failing one with a top-level || disjunct `sel == nil`. Anything
+// nested deeper (under !, inside ||) proves nothing.
+func provesNonNil(fact guardFact, selText string) bool {
+	join, cmp := token.LAND, token.NEQ
+	if !fact.when {
+		join, cmp = token.LOR, token.EQL
+	}
+	var proves func(e ast.Expr) bool
+	proves = func(e ast.Expr) bool {
+		b, ok := ast.Unparen(e).(*ast.BinaryExpr)
+		switch {
+		case !ok:
+			return false
+		case b.Op == join:
+			return proves(b.X) || proves(b.Y)
+		case b.Op == cmp:
+			x, y := exprText(ast.Unparen(b.X)), exprText(ast.Unparen(b.Y))
+			return x == selText && y == "nil" || y == selText && x == "nil"
+		}
+		return false
+	}
+	return proves(fact.cond)
 }

@@ -46,7 +46,7 @@ func TestHotPathRealTreeCoverage(t *testing.T) {
 	}
 	g := buildCallGraph(pkgs)
 	hot := map[string]bool{}
-	g.walkFrom(g.roots(hotRoot), nil,
+	g.walkFrom(g.roots(hotRoot),
 		func(sum *funcSummary, _ []string) { hot[sum.displayName()] = true },
 		func(sum *funcSummary, _ token.Pos, chain []string) {
 			t.Errorf("depth cap exceeded inside %s (chain: %s)", sum.displayName(), chainText(chain))

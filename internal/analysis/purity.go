@@ -29,43 +29,17 @@ import (
 // journaling, and progress reporting are impure by design, and the
 // cache key's validity rests only on what happens inside one attempt.
 //
-// Escape hatches, in order of preference: list a vetted stdlib
-// function in PureFuncs (the purity counterpart of SeedDerivers), mark
-// a vetted wrapper function //spawnvet:pure <justification> (the
-// analyzer treats it as an opaque pure leaf and does not descend), or
-// suppress one site with //spawnvet:allow purity <justification>.
-// Dynamic dispatch (interface methods, func-typed values) is opaque and
-// assumed pure, mirroring the dataflow engine's opaque-call fallback;
-// the determinism and -race gates backstop that blind spot.
+// The one escape hatch is site-level: //spawnvet:allow purity
+// <justification>. Dynamic dispatch (interface methods, func-typed
+// values) is opaque and assumed pure, mirroring the dataflow engine's
+// opaque-call fallback; the determinism and -race gates backstop that
+// blind spot.
 func PurityAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name:   "purity",
 		Doc:    "functions reachable from sim.Run / harness attempts must stay pure in (config, seed, plan, workload)",
 		Finish: finishPurity,
 	}
-}
-
-// PureFuncs registers standard-library functions the purity analyzer
-// trusts even though their package is classified as ambient, keyed by
-// (*types.Func).FullName. It plays the same role for purity that
-// SeedDerivers plays for seedtaint: a reviewable registry of vetted
-// boundary functions.
-var PureFuncs = map[string]bool{
-	// Process-constant reads, not ambient state.
-	"os.Getpagesize": true,
-	// Error-shape predicates inspect their argument only.
-	"os.IsNotExist":      true,
-	"os.IsExist":         true,
-	"os.IsPermission":    true,
-	"os.IsTimeout":       true,
-	"os.SameFile":        true,
-	"os.IsPathSeparator": true,
-	// Pure constructors and parsers on time values; the clock functions
-	// themselves (time.Now, ...) stay ambient.
-	"time.Unix":          true,
-	"time.Date":          true,
-	"time.Parse":         true,
-	"time.ParseDuration": true,
 }
 
 // ambientPkgPrefixes classifies whole import subtrees as ambient I/O:
@@ -124,13 +98,6 @@ func purityRoot(s *funcSummary) bool {
 		p != nil && p.Name() == "harness" && (name == "runSpec" || name == "runOnce")
 }
 
-// pureTrusted reports whether a function carries a valid
-// //spawnvet:pure directive: an opaque pure leaf, neither descended
-// into nor reported.
-func pureTrusted(s *funcSummary) bool {
-	return s.pkg.marked(s.decl, DirectivePure)
-}
-
 // finishPurity closes the call graph over the run roots and reports
 // every effect reachable from them, naming the call chain of first
 // discovery.
@@ -139,11 +106,11 @@ func finishPurity(pass *Pass) {
 		return
 	}
 	g := pass.callGraph()
-	g.walkFrom(g.roots(purityRoot), pureTrusted,
+	g.walkFrom(g.roots(purityRoot),
 		func(sum *funcSummary, chain []string) {
 			if sum.overflow {
 				pass.Reportf(sum.decl.Name.Pos(),
-					"%s has more than %d static callees; purity is unverifiable (call chain: %s) — split it or mark vetted helpers //spawnvet:pure",
+					"%s has more than %d static callees; purity is unverifiable (call chain: %s) — split it",
 					sum.displayName(), callGraphFanCap, chainText(chain))
 			}
 			for _, eff := range sum.effects {
@@ -154,7 +121,7 @@ func finishPurity(pass *Pass) {
 						eff.what, chainText(chain))
 				case effectAmbientIO:
 					pass.Reportf(eff.pos,
-						"run-reachable function performs ambient I/O via %s (call chain: %s); keep wall-clock and OS state off the run path or mark a vetted wrapper //spawnvet:pure",
+						"run-reachable function performs ambient I/O via %s (call chain: %s); keep wall-clock and OS state off the run path",
 						eff.what, chainText(chain))
 				case effectLeak:
 					pass.Reportf(eff.pos,

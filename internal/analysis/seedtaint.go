@@ -12,8 +12,7 @@ import (
 // if every random stream in the model is seeded from a value that
 // traces back to a Spec/config/plan seed field or a registered seed
 // derivation helper. The analyzer origin-tracks every expression used
-// as a seed through the reaching definitions of the dataflow engine
-// (dataflow.go, cfg.go):
+// as a seed through the dataflow engine (dataflow.go):
 //
 //   - arguments of rand.NewSource / rand.NewPCG / rand.NewChaCha8 and
 //     of (*rand.Rand).Seed;
@@ -28,7 +27,7 @@ import (
 // parameters, struct fields, package-level variables, and named
 // constants whose name contains "seed" (any case), and calls to a
 // registered derivation helper — a function whose name contains "seed"
-// (retrySeed, benchSeed, ...) or that is listed in SeedDerivers.
+// (retrySeed, benchSeed, ...).
 // Diagnostics:
 //
 //   - ambient entropy (time.Now, os.Getpid, crypto/rand) seeding a
@@ -50,38 +49,17 @@ func SeedTaintAnalyzer() *Analyzer {
 	}
 }
 
-// SeedDerivers registers seed-derivation helpers by qualified name
-// (import path dot function) for helpers whose name does not already
-// contain "seed". Functions with "seed" in their name are recognized
-// structurally and need no entry.
-var SeedDerivers = map[string]bool{
-	// splitmix64-style mixers are sanctioned derivation primitives.
-	"spawnsim/internal/faults.mix": true,
-	// Command-line flags are the sanctioned external seed source: a CLI
-	// seed (-chaos-seed) enters the registry at the flag boundary.
-	"flag.Uint64": true, "flag.Int64": true,
-	"flag.Uint": true, "flag.Int": true,
-}
-
 // seedNamed reports whether an identifier participates in the seed
 // registry by name.
 func seedNamed(name string) bool {
 	return strings.Contains(strings.ToLower(name), "seed")
 }
 
-// isSeedDeriver reports whether obj is a registered derivation helper.
+// isSeedDeriver reports whether obj is a registered derivation helper:
+// a function whose name contains "seed".
 func isSeedDeriver(obj types.Object) bool {
 	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	if seedNamed(fn.Name()) {
-		return true
-	}
-	if fn.Pkg() != nil && SeedDerivers[fn.Pkg().Path()+"."+fn.Name()] {
-		return true
-	}
-	return false
+	return ok && seedNamed(fn.Name())
 }
 
 // randPkg reports whether path is math/rand or math/rand/v2.

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"slices"
 )
 
 // SkipSafeAnalyzer certifies the precondition of the event-wheel
@@ -23,24 +23,15 @@ import (
 //     global rand, console fmt);
 //   - goroutine spawns and channel sends (observable scheduling).
 //
-// The roots are (1) every function called on the fast-forward path of
-// sim.(GPU).Run — the statements dominated by the false edge of the
-// activity branch, identified as the unique `if` whose body both
-// advances the clock and continues the loop, plus the branch's init
-// statement and condition (the dueness probe, which the stepped
-// reference engine re-evaluates at every cycle of a quiet span); calls
-// inside cold return paths (deadlock aborts) are excluded — and (2)
-// the profTick and heartbeat methods on GPU, which the engine may
-// invoke while idle.
-//
-// Sanctioned escape hatches: packages listed in SkipSafeAccumulators
-// (profiling accumulators whose whole purpose is to observe idle
-// spans) are trusted leaves, as are functions marked
-// //spawnvet:skipsafe <justification> or //spawnvet:pure
-// <justification> (purity is a stronger contract). A bare
-// //spawnvet:skipsafe fails closed as a malformed-directive
-// diagnostic. Site-level suppression: //spawnvet:allow skipsafe
-// <justification>.
+// The roots are the functions called on the fast-forward path of
+// sim.(GPU).Run: the activity branch's init statement and condition
+// (the dueness probe, which the stepped reference engine re-evaluates
+// at every cycle of a quiet span), its else, and the statements after
+// it in its block. The activity branch is the unique `if` whose body
+// both advances the clock and continues the loop. Calls inside cold
+// return paths (deadlock aborts) are excluded. Everything the roots
+// reach is checked, profiling accumulators included; the only escape
+// hatch is the site-level //spawnvet:allow skipsafe <justification>.
 func SkipSafeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name:   "skipsafe",
@@ -49,49 +40,26 @@ func SkipSafeAnalyzer() *Analyzer {
 	}
 }
 
-// SkipSafeAccumulators lists module package-path suffixes whose
-// functions are sanctioned skip-path sinks: accumulators that exist to
-// record idle spans (SkipTo folds skipped cycles into the idle-run
-// histograms). Like SeedDerivers and PureFuncs, this is a small
-// reviewable registry, not a wildcard.
-var SkipSafeAccumulators = []string{"internal/profile"}
-
-func skipSanctionedPkg(pkgPath string) bool {
-	for _, suf := range SkipSafeAccumulators {
-		if pkgPath == suf || strings.HasSuffix(pkgPath, "/"+suf) {
-			return true
-		}
-	}
-	return false
-}
-
-// skipTrusted reports whether a function is a trusted skip-path leaf:
-// it lives in a sanctioned accumulator package or carries a valid
-// //spawnvet:skipsafe or //spawnvet:pure directive.
-func skipTrusted(s *funcSummary) bool {
-	return skipSanctionedPkg(s.pkg.Path) ||
-		s.pkg.marked(s.decl, DirectiveSkipSafe) || s.pkg.marked(s.decl, DirectivePure)
-}
-
 // skipRootsFromRun locates the fast-forward region of one GPU.Run body
 // and returns the functions it calls outside cold return paths. The
 // region is found structurally: the unique `if` whose body both stores
-// to the clock field and continues the loop is the activity branch;
-// everything dominated by its false edge runs only when the engine has
-// proven itself idle. The branch's init statement and condition — the
-// dueness probe itself — are certified too: the stepped reference
+// to the clock field and continues the loop is the activity branch.
+// Its else and the statements after it in its block run only when the
+// engine has proven itself idle. Its init statement and condition —
+// the dueness probe itself — are certified too: the stepped reference
 // engine re-evaluates them at every cycle of a quiet span, so their
-// call closure must be as effect-free as the skip region they guard.
-// Returns ok=false when the shape is ambiguous.
+// call closure must be as effect-free as the region they guard.
+// Returns ok=false when the shape is ambiguous or the branch does not
+// sit directly in a block.
 func skipRootsFromRun(sum *funcSummary) (roots []*types.Func, ok bool) {
 	info := sum.pkg.Info
-	body := sum.decl.Body
 	var activityIf *ast.IfStmt
+	var block *ast.BlockStmt
 	count := 0
-	ast.Inspect(body, func(n ast.Node) bool {
+	walkStack(sum.decl.Body, func(n ast.Node, stack []ast.Node) {
 		ifs, isIf := n.(*ast.IfStmt)
 		if !isIf {
-			return true
+			return
 		}
 		hasClockStore, hasContinue := false, false
 		ast.Inspect(ifs.Body, func(m ast.Node) bool {
@@ -115,25 +83,13 @@ func skipRootsFromRun(sum *funcSummary) (roots []*types.Func, ok bool) {
 		})
 		if hasClockStore && hasContinue {
 			activityIf = ifs
+			block, _ = stack[len(stack)-1].(*ast.BlockStmt)
 			count++
 		}
-		return true
 	})
-	if activityIf == nil || count != 1 {
+	if count != 1 || block == nil {
 		return nil, false
 	}
-	cfg := buildCFG(body)
-	var condB *cfgBlock
-	for _, b := range cfg.blocks {
-		if b.cond == activityIf.Cond {
-			condB = b
-			break
-		}
-	}
-	if condB == nil || len(condB.succs) != 2 {
-		return nil, false
-	}
-	falseB := condB.succs[1]
 	seen := map[*types.Func]bool{}
 	collect := func(n ast.Node, stack []ast.Node) {
 		call, isCall := n.(*ast.CallExpr)
@@ -145,19 +101,13 @@ func skipRootsFromRun(sum *funcSummary) (roots []*types.Func, ok bool) {
 			roots = append(roots, fn)
 		}
 	}
-	// The dueness probe (init + condition) runs on every engine
-	// iteration, including the per-cycle probes of the stepped
-	// reference engine while a span is being walked idle.
-	if activityIf.Init != nil {
-		walkStack(activityIf.Init, collect)
+	region := []ast.Node{activityIf.Init, activityIf.Cond, activityIf.Else}
+	for _, s := range block.List[slices.Index(block.List, ast.Stmt(activityIf))+1:] {
+		region = append(region, s)
 	}
-	walkStack(activityIf.Cond, collect)
-	for _, b := range cfg.blocks {
-		if !cfg.dominates(falseB, b) {
-			continue
-		}
-		for _, node := range b.nodes {
-			walkStack(node, collect)
+	for _, n := range region {
+		if n != nil {
+			walkStack(n, collect)
 		}
 	}
 	return roots, true
@@ -171,40 +121,33 @@ func finishSkipSafe(pass *Pass) {
 	}
 	g := pass.callGraph()
 	var roots []*types.Func
-	for _, fn := range g.order {
+	for _, fn := range g.roots(runRoot) {
 		sum := g.sums[fn]
-		if runRoot(sum) {
-			rs, ok := skipRootsFromRun(sum)
-			if !ok {
-				pass.Reportf(sum.decl.Name.Pos(),
-					"cannot locate the fast-forward idle region in %s (expected a unique `if <activity> { clock advance; continue }` branch); skip-safety is unverified",
-					sum.displayName())
-				continue
-			}
-			roots = append(roots, rs...)
+		rs, ok := skipRootsFromRun(sum)
+		if !ok {
+			pass.Reportf(sum.decl.Name.Pos(),
+				"cannot locate the fast-forward idle region in %s (expected a unique `if <activity> { clock advance; continue }` branch); skip-safety is unverified",
+				sum.displayName())
 			continue
 		}
-		if sum.decl.Recv != nil && recvTypeName(sum.decl) == "GPU" &&
-			(sum.obj.Name() == "profTick" || sum.obj.Name() == "heartbeat") {
-			roots = append(roots, fn)
-		}
+		roots = append(roots, rs...)
 	}
-	g.walkFrom(roots, skipTrusted,
+	g.walkFrom(roots,
 		func(sum *funcSummary, chain []string) {
 			if sum.overflow {
 				pass.Reportf(sum.decl.Name.Pos(),
-					"%s has more than %d static callees; skip-safety is unverifiable (call chain: %s) — split it or mark vetted helpers //spawnvet:skipsafe",
+					"%s has more than %d static callees; skip-safety is unverifiable (call chain: %s) — split it",
 					sum.displayName(), callGraphFanCap, chainText(chain))
 			}
 			for _, eff := range sum.effects {
 				switch eff.kind {
 				case effectGlobalWrite, effectLeak:
 					pass.Reportf(eff.pos,
-						"skip-path function writes %s (call chain: %s); a fast-forwarded idle span must be observationally identical to ticking through it — route the mutation through a sanctioned accumulator or mark the function //spawnvet:skipsafe",
+						"skip-path function writes %s (call chain: %s); a fast-forwarded idle span must be observationally identical to ticking through it",
 						eff.what, chainText(chain))
 				case effectStateWrite:
 					pass.Reportf(eff.pos,
-						"skip-path function mutates %s (call chain: %s); state must stay frozen while the engine fast-forwards an idle span — or mark the function //spawnvet:skipsafe with a justification",
+						"skip-path function mutates %s (call chain: %s); state must stay frozen while the engine fast-forwards an idle span",
 						eff.what, chainText(chain))
 				case effectAmbientIO:
 					pass.Reportf(eff.pos,

@@ -40,8 +40,8 @@ func (g *GPU) tick(now Cycle) {
 	g.clock++
 }
 
-// advance stages the fast-forward skip: the dominating false edge of
-// `next <= g.clock` proves the store moves time forward.
+// advance stages the fast-forward skip: the early return on
+// `next <= g.clock` proves the store below moves time forward.
 func (g *GPU) advance() {
 	next := g.deadline
 	if next <= g.clock {
@@ -62,7 +62,7 @@ func (g *GPU) skipTo() {
 // backwards. Rule 2 holds everywhere, reachable or not.
 func (g *GPU) rollback() {
 	restore := g.deadline
-	g.clock = restore // flagged: raw store, no dominating proof
+	g.clock = restore // flagged: raw store, no guard proof
 	if restore < g.clock {
 		g.clock = restore // flagged: the guard proves the wrong direction
 	}
@@ -134,4 +134,44 @@ func (g *GPU) coldInit() {
 	g.deadline = Cycle(99)  // unflagged: off the run path
 	g.checkpoint(5, "cold") // unflagged: off the run path
 	g.clock = g.deadline    // flagged: a backwards clock is never right
+}
+
+// setClock stores a Cycle parameter that is not the threaded clock:
+// only parameters named now or cycle count as clock-derived.
+func (g *GPU) setClock(c Cycle) {
+	g.clock = c // flagged: c is not the clock
+}
+
+// skipGoto leaves the guard by goto, which gives no guard fact: a
+// forward goto can land later in the same block.
+func (g *GPU) skipGoto(next Cycle) {
+	if next <= g.clock {
+		goto done
+	}
+	g.clock = next // flagged: goto is not an exit
+done:
+}
+
+// skipLabel guards the store with an early return, but a goto lands
+// on the label between guard and store, bypassing the guard.
+func (g *GPU) skipLabel(next Cycle) {
+	if g.busy > 0 {
+		goto store
+	}
+	if next <= g.clock {
+		return
+	}
+store:
+	g.clock = next // flagged: the label voids the guard
+}
+
+// drainTo advances past an early continue: the store runs only when
+// the guard failed, so next > g.clock.
+func (g *GPU) drainTo(deadlines []Cycle) {
+	for _, next := range deadlines {
+		if next <= g.clock {
+			continue
+		}
+		g.clock = next // guarded: monotone
+	}
 }

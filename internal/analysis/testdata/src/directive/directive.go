@@ -29,3 +29,11 @@ func WellFormed() int {
 	//spawnvet:allow determinism fixture: valid directive, valid reason
 	return rand.Intn(10)
 }
+
+// LeftoverTrust: the function-level trust directives are gone, so a
+// leftover one is an unknown directive and trusts nothing.
+//
+//spawnvet:pure vetted before the trust directives were removed
+func LeftoverTrust() int {
+	return rand.Intn(10)
+}

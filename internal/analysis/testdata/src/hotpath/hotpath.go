@@ -71,3 +71,20 @@ func (e *Engine) Account(p *profile.Profile, now uint64) {
 func (e *Engine) Cold(now int) string {
 	return fmt.Sprintf("cold %d", now)
 }
+
+// Guards stages the nil-guard shapes: a disjunct or a negation proves
+// nothing, an early return on `== nil` does.
+//
+//spawnvet:hotpath
+func (e *Engine) Guards(now int) {
+	if e.hook != nil || now > 0 {
+		e.hook(now) // flagged: the guard holds with a nil hook too
+	}
+	if !(e.hook != nil) {
+		e.hook(now) // flagged: the negation proves the opposite
+	}
+	if e.hook == nil {
+		return
+	}
+	e.hook(now) // guarded by the early return: not flagged
+}

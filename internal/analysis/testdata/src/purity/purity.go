@@ -1,5 +1,5 @@
 // Package purity stages run-reachable impurities for the purity
-// analyzer: every effect class, both trust boundaries, and the
+// analyzer: every effect class, the one escape hatch, and the
 // suppression grammar. The golden file pins the exact diagnostics.
 package purity
 
@@ -32,13 +32,13 @@ func (g *GPU) Run(input []byte) uint64 {
 	retain(input)
 	poke()
 	sneaky()
-	frozen()
+	rebind(input)
 	g.cycles += heartbeat()
 	return g.cycles
 }
 
 func (g *GPU) page() {
-	// Not flagged: os.Getpagesize is in the PureFuncs registry.
+	//spawnvet:allow purity os.Getpagesize is a process constant, not ambient state
 	g.cycles += uint64(os.Getpagesize())
 }
 
@@ -63,15 +63,15 @@ func poke() {
 
 //spawnvet:pure
 func sneaky() {
-	launchCount = 0 // still flagged: the bare directive above is malformed
+	launchCount = 0 // still flagged: the leftover directive above is unknown
 }
 
-// frozen stands in for a hand-vetted boundary: the ambient read is
-// discarded before anything observable depends on it.
-//
-//spawnvet:pure fixture stand-in for a vetted boundary; nothing escapes
-func frozen() {
-	_ = os.Getenv("HOME") // not flagged: trusted pure leaf
+// rebind retains its pointer input, then rebinds the parameter: the
+// incoming value is one more definition of in, so the leak counts.
+func rebind(in []byte) {
+	lastInput = in // want: pointer input leaks despite the rebinding
+	var local [4]byte
+	in = local[:]
 }
 
 func heartbeat() uint64 {

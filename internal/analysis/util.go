@@ -113,28 +113,3 @@ func exprText(e ast.Expr) string {
 		return "<expr>"
 	}
 }
-
-// containsNilCheck reports whether cond (textually) contains the guard
-// `<sel> != nil` for the given selector text.
-func containsNilCheck(cond ast.Expr, selText string) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		b, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		if b.Op.String() != "!=" {
-			return true
-		}
-		x, y := exprText(ast.Unparen(b.X)), exprText(ast.Unparen(b.Y))
-		if (x == selText && y == "nil") || (y == selText && x == "nil") {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
