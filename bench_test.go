@@ -53,30 +53,54 @@ func BenchmarkExperiments(b *testing.B) {
 // app and parent kernel are built once, outside the timer; each
 // iteration gets a fresh policy and simulated GPU.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	bm, err := workloads.ByName("BFS-graph500")
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := bm.Make()
-	if err := app.Normalize(); err != nil {
-		b.Fatal(err)
-	}
-	def, err := workloads.ParentDef(app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := config.K20m()
+	op := throughputOp(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.ReportMetric(float64(op().Cycles), "sim-cycles/op")
+	}
+}
+
+// steadyStateAllocBudget bounds the allocations of one
+// BenchmarkSimulatorThroughput op. The op made 375,574 before the engine
+// recycled its kernels, CTAs, warps and programs and 9,334 after, over
+// 10,776 child launches: the budget is well under a tenth of the former
+// (37,557) and under the latter plus one allocation per launch.
+const steadyStateAllocBudget = 15_000
+
+// TestSteadyStateAllocs holds the BenchmarkSimulatorThroughput op to
+// steadyStateAllocBudget, so a new allocation per launch, CTA or warp
+// fails the tier-1 suite.
+func TestSteadyStateAllocs(t *testing.T) {
+	op := throughputOp(t)
+	if got := testing.AllocsPerRun(1, func() { op() }); got > steadyStateAllocBudget {
+		t.Errorf("throughput op made %.0f allocations, budget %d", got, steadyStateAllocBudget)
+	}
+}
+
+// throughputOp builds BFS-graph500's app and parent kernel and returns
+// the throughput op: a fresh Threshold policy and simulated GPU running
+// them to completion.
+func throughputOp(tb testing.TB) func() *sim.Result {
+	bm, err := workloads.ByName("BFS-graph500")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	app := bm.Make()
+	def, err := workloads.ParentDef(app)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := config.K20m()
+	return func() *sim.Result {
 		g, err := sim.NewChecked(sim.Options{Config: cfg, Policy: runtime.Threshold{T: app.DefaultThreshold}})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		g.LaunchHost(def)
 		res, err := g.Run()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Cycles), "sim-cycles/op")
+		return res
 	}
 }

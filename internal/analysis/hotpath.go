@@ -13,7 +13,10 @@ import (
 //
 //   - fmt formatting calls (Sprintf and friends allocate and reflect);
 //   - closure (func literal) allocations;
-//   - map allocations (make(map...), map literals) and new(...);
+//   - map allocations (make(map...), map literals), new(...) and
+//     composite-literal addresses (&T{...}): the engine recycles its
+//     runtime objects through free lists, and only a pool's miss path
+//     may allocate one, under an allow naming the pool;
 //   - implicit interface conversions (boxing) at call argument
 //     positions — the classic container/heap tax;
 //   - calls through func-typed struct fields (observability and fault
@@ -108,6 +111,16 @@ func (h hotFunc) checkFunc(fn *ast.FuncDecl) {
 		case *ast.FuncLit:
 			if !inColdContext(info, stack) {
 				h.pass.Reportf(n.Pos(), "closure allocated in hot path (call chain: %s)", h.chain)
+			}
+		case *ast.UnaryExpr:
+			if n.Op != token.AND || inColdContext(info, stack) {
+				return
+			}
+			if lit, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
+				if tv, ok := info.Types[lit]; ok {
+					h.pass.Reportf(n.Pos(), "&%s{...} allocation in hot path (call chain: %s)",
+						types.TypeString(tv.Type, types.RelativeTo(h.pkg.Types)), h.chain)
+				}
 			}
 		case *ast.CompositeLit:
 			if inColdContext(info, stack) {

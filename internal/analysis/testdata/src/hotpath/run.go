@@ -22,4 +22,26 @@ func (g *GPU) alloc(now int) {
 	m := map[int]int{now: f()}     // flagged: map literal per cycle
 	p := new(int)                  // flagged: new(...) per cycle
 	*p = m[now]
+	q := &point{x: now} // flagged: &T{...} per cycle
+	q.x += g.take(now).x
+}
+
+// point is a small object the engine would recycle.
+type point struct{ x int }
+
+// free is a free list of points.
+var free []*point
+
+// take pops a recycled point; only its miss path allocates.
+func (g *GPU) take(now int) *point {
+	if len(free) == 0 {
+		p := &point{x: now} //spawnvet:allow hotpath miss path of the point free list (free)
+		return p
+	}
+	p := free[len(free)-1]
+	free = free[:len(free)-1]
+	if p.x < 0 {
+		return &point{} // cold: a return expression is not flagged
+	}
+	return p
 }

@@ -122,7 +122,7 @@ func (c *Controller) nconEstimate() float64 {
 // Decide implements kernel.Policy (Algorithm 1).
 func (c *Controller) Decide(site *kernel.LaunchSite) kernel.Decision {
 	c.Decisions++
-	x := int64(site.Candidate.Def.GridCTAs)
+	x := int64(site.Candidate.GridCTAs)
 	tcta := c.tcta()
 	if tcta == 0 {
 		// Cold start: no child CTA has completed yet (Algorithm 1 lines

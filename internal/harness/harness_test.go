@@ -320,3 +320,43 @@ func TestCSVExports(t *testing.T) {
 		t.Errorf("series csv = %q", buf.String())
 	}
 }
+
+// defRecorder forwards to a Threshold policy and records every launch
+// candidate's Def.
+type defRecorder struct {
+	runtime.Threshold
+	defs map[*kernel.Def]int
+}
+
+func (r *defRecorder) Decide(site *kernel.LaunchSite) kernel.Decision {
+	r.defs[site.Candidate.Def]++
+	return r.Threshold.Decide(site)
+}
+
+// TestChildCTASizeReachesSharedChildDef runs Figure 7's override through
+// the harness: with Spec.ChildCTASize 64, every device launch must use
+// the app's one child Def, built after the override, with 64-thread
+// CTAs.
+func TestChildCTASizeReachesSharedChildDef(t *testing.T) {
+	rec := &defRecorder{Threshold: runtime.Threshold{T: 16}, defs: map[*kernel.Def]int{}}
+	out, err := Run(Spec{
+		Benchmark:    "BFS-citation",
+		Scheme:       SchemeBaseline,
+		ChildCTASize: 64,
+		MakePolicy:   func(config.GPU) kernel.Policy { return rec },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Result.ChildKernels == 0 {
+		t.Fatal("no device launches")
+	}
+	if len(rec.defs) != 1 {
+		t.Fatalf("launch candidates used %d child Defs, want the app's one", len(rec.defs))
+	}
+	for d := range rec.defs {
+		if d.CTAThreads != 64 {
+			t.Errorf("child Def %s has %d-thread CTAs, want the override's 64", d.Name, d.CTAThreads)
+		}
+	}
+}

@@ -164,7 +164,7 @@ type Profile struct {
 
 	// Span assembly (see spans.go).
 	sites     map[int]siteKey
-	open      map[int]*openSpan
+	open      map[int]openSpan
 	agg       map[siteKey]*siteAgg
 	anomalies uint64
 }
@@ -177,7 +177,7 @@ func New(numSMX int, opts Options) *Profile {
 		state:       make([]State, CompSMX0+numSMX),
 		sampleEvery: opts.SampleEvery,
 		sites:       map[int]siteKey{},
-		open:        map[int]*openSpan{},
+		open:        map[int]openSpan{},
 		agg:         map[siteKey]*siteAgg{},
 	}
 	if p.sampleEvery == 0 {

@@ -55,7 +55,8 @@ type siteKey struct {
 	kind LaunchKind
 }
 
-// openSpan tracks one in-flight kernel's stage boundaries.
+// openSpan tracks one in-flight kernel's stage boundaries. Spans are
+// held by value, so tracking a kernel allocates nothing of its own.
 type openSpan struct {
 	key        siteKey
 	submitted  uint64
@@ -110,30 +111,32 @@ func (p *Profile) Record(e trace.Event) {
 			key = siteKey{site: "(trace)", kind: KindUnknown}
 		}
 		delete(p.sites, e.Kernel)
-		p.open[e.Kernel] = &openSpan{key: key, submitted: e.Cycle}
+		p.open[e.Kernel] = openSpan{key: key, submitted: e.Cycle}
 	case trace.KernelArrived:
-		s := p.open[e.Kernel]
-		if s == nil || s.hasArrived {
+		s, ok := p.open[e.Kernel]
+		if !ok || s.hasArrived {
 			p.anomalies++
 			return
 		}
 		s.arrived = e.Cycle
 		s.hasArrived = true
+		p.open[e.Kernel] = s
 	case trace.CTAPlaced:
-		s := p.open[e.Kernel]
-		if s == nil || s.hasFirst {
+		s, ok := p.open[e.Kernel]
+		if !ok || s.hasFirst {
 			return // later CTAs of the same kernel are not stage edges
 		}
 		s.firstCTA = e.Cycle
 		s.hasFirst = true
+		p.open[e.Kernel] = s
 	case trace.KernelCompleted:
-		s := p.open[e.Kernel]
-		if s == nil {
+		s, ok := p.open[e.Kernel]
+		if !ok {
 			p.anomalies++
 			return
 		}
 		delete(p.open, e.Kernel)
-		p.foldSpan(s, e.Cycle, false)
+		p.foldSpan(&s, e.Cycle, false)
 	case trace.KernelYielded, trace.CTASuspended, trace.CTACompleted,
 		trace.LaunchAccepted, trace.LaunchDeclined, trace.LaunchDeferred,
 		trace.FaultInjected:
@@ -153,7 +156,7 @@ func (p *Profile) Close() error { return nil }
 func (p *Profile) foldSpan(s *openSpan, end uint64, partial bool) {
 	a := p.agg[s.key]
 	if a == nil {
-		a = &siteAgg{}
+		a = &siteAgg{} //spawnvet:allow hotpath miss path of the per-site aggregate table (agg): once per (site, kind)
 		p.agg[s.key] = a
 	}
 	if partial {
@@ -183,6 +186,6 @@ func (p *Profile) foldSpan(s *openSpan, end uint64, partial bool) {
 func (p *Profile) closeOpenSpans() {
 	for id, s := range p.open {
 		delete(p.open, id)
-		p.foldSpan(s, p.endCycle, true)
+		p.foldSpan(&s, p.endCycle, true)
 	}
 }

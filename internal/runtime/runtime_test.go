@@ -6,7 +6,7 @@ import (
 	"spawnsim/internal/sim/kernel"
 )
 
-func prog(cta, warp int) kernel.Program {
+func prog(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 	return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool { return false })
 }
 
@@ -14,7 +14,8 @@ func site(workload int) *kernel.LaunchSite {
 	return &kernel.LaunchSite{
 		Candidate: &kernel.LaunchCandidate{
 			Workload: workload,
-			Def:      &kernel.Def{Name: "c", GridCTAs: 1, CTAThreads: 32, NewProgram: prog},
+			Def:      &kernel.Def{Name: "c", CTAThreads: 32, NewProgram: prog},
+			GridCTAs: 1,
 		},
 	}
 }

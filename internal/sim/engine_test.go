@@ -169,7 +169,7 @@ func TestInvariantsCatchStaleWakeMirror(t *testing.T) {
 		// Idle machine past cycle 0: every slot is smx.NoEvent.
 		k := g.LaunchHost(def)
 		if skipRefresh {
-			c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize)
+			c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize, nil)
 			k.NextCTA++
 			g.smxs[g.rrSMX].Place(g.clock, c, &g.ageSeq)
 		} else if !g.place(k) {
@@ -186,5 +186,52 @@ func TestInvariantsCatchStaleWakeMirror(t *testing.T) {
 		if !errors.As(err, &inv) || !strings.Contains(inv.Error(), "wake mirror") {
 			t.Fatalf("audit after a Place that skipped the refresh = %v, want a wake-mirror InvariantError", err)
 		}
+	}
+}
+
+// TestInvariantsCatchUseAfterRelease stops a Baseline-DP run while
+// children are in launch flight, then plants one premature release per
+// case: the launching CTA, the in-flight kernel, the parent's host
+// kernel, and the launching CTA released and then reused for another
+// CTA. The audit must pass the untouched machine and report every
+// planted release, through whichever holder still points at the object.
+func TestInvariantsCatchUseAfterRelease(t *testing.T) {
+	cases := []struct {
+		name  string
+		plant func(g *GPU, it flightItem)
+	}{
+		{"launching CTA", func(g *GPU, it flightItem) { g.releaseCTA(it.k.Parent) }},
+		{"in-flight kernel", func(g *GPU, it flightItem) { it.k.MarkReleased() }},
+		{"host kernel", func(g *GPU, it flightItem) { it.k.Parent.Kernel.MarkReleased() }},
+		{"reused CTA", func(g *GPU, it flightItem) {
+			c := it.k.Parent
+			g.releaseCTA(c)
+			if kernel.NewCTA(c.Kernel, 0, g.cfg.WarpSize, g.takeCTA(c.Kernel.Def)) != c {
+				t.Fatal("the released CTA was not reused")
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := New(Options{Config: config.K20m(), Policy: runtime.Threshold{T: 0}, MaxCycles: 3_000})
+			g.LaunchHost(dpParent(512, 64, 50, 4))
+			var abort *AbortError
+			if _, err := g.Run(); !errors.As(err, &abort) || abort.Kind != AbortMaxCycles {
+				t.Fatalf("Run = %v, want a max-cycles abort", err)
+			}
+			if err := g.checkInvariants(g.clock); err != nil {
+				t.Fatalf("audit before the plant: %v", err)
+			}
+			if len(g.flight) == 0 || g.flight[0].warp == nil {
+				t.Fatal("no device launch in flight at the abort")
+			}
+			tc.plant(g, g.flight[0])
+			err := g.checkInvariants(g.clock)
+			var inv *kernel.InvariantError
+			if !errors.As(err, &inv) || !strings.Contains(inv.Error(), "released") && !strings.Contains(inv.Error(), "stale") {
+				t.Fatalf("audit after releasing the %s = %v, want a released/stale InvariantError", tc.name, err)
+			}
+			t.Log(err)
+		})
 	}
 }

@@ -112,7 +112,7 @@ func (g *GMU) Enqueue(k *kernel.Kernel) {
 			g.occupied++
 		}
 	}
-	g.pendingCTAs += k.Def.GridCTAs
+	g.pendingCTAs += k.GridCTAs
 	g.queuedKerns++
 	if g.mEnqueues != nil {
 		g.mEnqueues[qi].Inc()
@@ -251,17 +251,29 @@ func (g *GMU) SetBackpressure(stalled func(now kernel.Cycle) bool) { g.stalled =
 // pending-CTA counter must equal the undispatched CTAs summed over the
 // queue members, only queue heads may have dispatched CTAs, every
 // direct-queue member must have CTAs left, and the resident-kernel
-// counter must cover every HWQ member and resident group.
+// counter must cover every HWQ member and resident group. Every member
+// must be a live kernel in the queue it was enqueued on: a released
+// kernel, or a recycled one whose stream or aggregation no longer maps
+// to the queue, is a use after release.
 // It returns a *kernel.InvariantError for the first violation, or nil.
 func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 	members, remaining := 0, 0
 	for qi, q := range g.hwqs {
 		for pos, k := range q {
 			members++
-			left := k.Def.GridCTAs - k.NextCTA
+			if k.Released {
+				return kernel.Invariantf(now, "gmu", "HWQ %d holds released %v", qi, k)
+			}
+			if k.Aggregated || int(uint32(k.Stream)%uint32(g.cfg.NumHWQs)) != qi {
+				return kernel.Invariantf(now, "gmu", "HWQ %d holds stale %v (aggregated %t)", qi, k, k.Aggregated)
+			}
+			if err := k.CheckParents(now); err != nil {
+				return err
+			}
+			left := k.GridCTAs - k.NextCTA
 			if left < 0 {
 				return kernel.Invariantf(now, "gmu", "HWQ %d: %v dispatched %d of %d CTAs",
-					qi, k, k.NextCTA, k.Def.GridCTAs)
+					qi, k, k.NextCTA, k.GridCTAs)
 			}
 			remaining += left
 			if pos > 0 && k.NextCTA != 0 {
@@ -273,10 +285,16 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 		}
 	}
 	for pos, k := range g.direct {
-		left := k.Def.GridCTAs - k.NextCTA
+		if k.Released || !k.Aggregated {
+			return kernel.Invariantf(now, "gmu", "direct queue holds released or stale %v (aggregated %t)", k, k.Aggregated)
+		}
+		if err := k.CheckParents(now); err != nil {
+			return err
+		}
+		left := k.GridCTAs - k.NextCTA
 		if left <= 0 {
 			return kernel.Invariantf(now, "gmu", "direct queue: %v dispatched %d of %d CTAs",
-				k, k.NextCTA, k.Def.GridCTAs)
+				k, k.NextCTA, k.GridCTAs)
 		}
 		remaining += left
 		if pos > 0 && k.NextCTA != 0 {

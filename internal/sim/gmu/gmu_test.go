@@ -1,21 +1,24 @@
 package gmu
 
 import (
+	"strings"
 	"testing"
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/sim/kernel"
 )
 
-func prog(cta, warp int) kernel.Program {
+func prog(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 	return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool { return false })
 }
 
 func mkKernel(id int, ctas int, stream kernel.StreamID) *kernel.Kernel {
 	return &kernel.Kernel{
-		ID:     id,
-		Stream: stream,
-		Def:    &kernel.Def{Name: "k", GridCTAs: ctas, CTAThreads: 32, NewProgram: prog},
+		ID:       id,
+		Stream:   stream,
+		Def:      &kernel.Def{Name: "k", CTAThreads: 32, NewProgram: prog},
+		GridCTAs: ctas,
+		Threads:  ctas * 32,
 	}
 }
 
@@ -185,4 +188,24 @@ func TestKernelCompletedPanicsOnNonHead(t *testing.T) {
 		}
 	}()
 	g.KernelCompleted(1, k2)
+}
+
+// TestCheckInvariantsRejectsReleasedMembers plants a released kernel and
+// a recycled one whose new stream maps to another HWQ in the queues:
+// the audit must report both.
+func TestCheckInvariantsRejectsReleasedMembers(t *testing.T) {
+	g := New(config.K20m())
+	k := mkKernel(1, 2, 3)
+	g.Enqueue(k)
+	if err := g.CheckInvariants(0); err != nil {
+		t.Fatalf("audit of a live queue: %v", err)
+	}
+	k.MarkReleased()
+	if err := g.CheckInvariants(0); err == nil || !strings.Contains(err.Error(), "released") {
+		t.Errorf("audit with a released member = %v", err)
+	}
+	k.Released, k.Stream = false, 4
+	if err := g.CheckInvariants(0); err == nil || !strings.Contains(err.Error(), "stale") {
+		t.Errorf("audit with a recycled member on another stream = %v", err)
+	}
 }

@@ -7,6 +7,16 @@
 // unit, and a warp's code is a Program — a generator of abstract
 // instructions (ALU with a latency, memory with per-lane addresses,
 // device-side kernel launches, and synchronization).
+//
+// A Def is code plus CTA shape, built once per application kernel; the
+// launch configuration (grid, live threads, argument) rides on each
+// LaunchCandidate and Kernel, as CUDA separates a kernel from its
+// <<<grid, block>>>(args). Runtime instances are recycled: the simulator
+// releases device kernels, and CTAs with their warps and programs, to
+// free lists it owns, and NewCTA reinitialises a released CTA in place.
+// Each recycled object carries a generation (Gen, bumped at every
+// release) and a Released mark, so the invariant audit can reject a
+// pointer that outlived the object it meant.
 package kernel
 
 import "fmt"
@@ -41,35 +51,47 @@ func (m StreamMode) String() string {
 	}
 }
 
-// Def is a static kernel definition: its shape, resource needs, and code.
+// Def is a static kernel definition: its code, CTA shape and resource
+// needs — CUDA's __global__ function plus its block size. The launch
+// configuration, <<<grid, ...>>>(arg), travels with each launch: a
+// device launch carries it on its LaunchCandidate, and every runtime
+// Kernel records it, so one Def serves every launch of the same code.
 type Def struct {
 	// Name identifies the kernel code; DTBL may only coalesce CTAs onto a
 	// running kernel with the same Name and CTAThreads.
 	Name string
-	// GridCTAs is the grid dimension in CTAs (c_grid).
+	// GridCTAs and Threads are the launch configuration of a host launch
+	// (GPU.LaunchHost): the grid dimension in CTAs (c_grid) and the exact
+	// number of threads with work; the trailing threads of the last CTA
+	// beyond Threads are inactive lanes, and zero Threads means
+	// GridCTAs*CTAThreads. Device launches ignore both.
 	GridCTAs int
+	Threads  int
 	// CTAThreads is the CTA dimension in threads (c_cta).
 	CTAThreads int
-	// Threads is the exact number of threads with work; the trailing
-	// threads of the last CTA beyond this count are inactive lanes.
-	// Zero means GridCTAs*CTAThreads.
-	Threads int
 	// RegsPerThread and SharedMemBytes size the per-CTA resource
 	// reservation on an SMX.
 	RegsPerThread  int
 	SharedMemBytes Bytes
-	// NewProgram creates the instruction stream for one warp.
-	// cta is the CTA index within the grid, warp the warp index within
-	// the CTA. The returned Program is owned by that warp.
-	NewProgram func(cta, warp int) Program
+	// NewProgram creates the instruction stream for one warp: arg is the
+	// launch's argument (Kernel.Arg), cta the CTA index within the grid,
+	// warp the warp index within the CTA and lanes its live lanes. old,
+	// when non-nil, is a released program this Def built for an earlier
+	// warp; NewProgram may reinitialise and return it instead of
+	// allocating. The returned Program is owned by that warp.
+	NewProgram func(arg, cta, warp, lanes int, old Program) Program
 }
 
-// TotalThreads returns the number of live threads in the grid.
-func (d *Def) TotalThreads() int {
-	if d.Threads > 0 {
-		return d.Threads
+// TotalThreads returns the number of live threads of a host launch.
+func (d *Def) TotalThreads() int { return d.LiveThreads(d.GridCTAs, d.Threads) }
+
+// LiveThreads resolves a launch's thread count: threads when positive,
+// otherwise every thread of a grid CTAs wide.
+func (d *Def) LiveThreads(grid, threads int) int {
+	if threads > 0 {
+		return threads
 	}
-	return d.GridCTAs * d.CTAThreads
+	return grid * d.CTAThreads
 }
 
 // WarpsPerCTA returns the warp count of one CTA given the warp size.
@@ -77,20 +99,40 @@ func (d *Def) WarpsPerCTA(warpSize int) int {
 	return (d.CTAThreads + warpSize - 1) / warpSize
 }
 
-// Validate reports the first inconsistency in the definition.
+// WarpLanes returns the live lanes of warp `warp` in CTA `cta` of a
+// launch with `threads` live threads: warpSize for a full warp, fewer in
+// the grid's tail, and zero or less for a fully inactive trailing warp.
+func (d *Def) WarpLanes(threads, cta, warp, warpSize int) int {
+	return min(min(threads-cta*d.CTAThreads, d.CTAThreads)-warp*warpSize, warpSize)
+}
+
+// Validate reports the first inconsistency in the definition's code and
+// CTA shape.
 func (d *Def) Validate() error {
 	switch {
 	case d.Name == "":
 		return fmt.Errorf("kernel: empty name")
-	case d.GridCTAs <= 0:
-		return fmt.Errorf("kernel %s: GridCTAs = %d, want > 0", d.Name, d.GridCTAs)
 	case d.CTAThreads <= 0:
 		return fmt.Errorf("kernel %s: CTAThreads = %d, want > 0", d.Name, d.CTAThreads)
-	case d.Threads < 0 || d.Threads > d.GridCTAs*d.CTAThreads:
-		return fmt.Errorf("kernel %s: Threads = %d out of range [0,%d]",
-			d.Name, d.Threads, d.GridCTAs*d.CTAThreads)
 	case d.NewProgram == nil:
 		return fmt.Errorf("kernel %s: nil NewProgram", d.Name)
+	}
+	return nil
+}
+
+// ValidateLaunch reports the first inconsistency in launching d over
+// grid CTAs with threads live threads (zero = the whole grid), the
+// definition's own checks included.
+func (d *Def) ValidateLaunch(grid, threads int) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case grid <= 0:
+		return fmt.Errorf("kernel %s: GridCTAs = %d, want > 0", d.Name, grid)
+	case threads < 0 || threads > grid*d.CTAThreads:
+		return fmt.Errorf("kernel %s: Threads = %d out of range [0,%d]",
+			d.Name, threads, grid*d.CTAThreads)
 	}
 	return nil
 }

@@ -36,11 +36,15 @@ func (k InstrKind) String() string {
 	}
 }
 
-// LaunchCandidate is one lane's proposed child kernel at a launch site.
+// LaunchCandidate is one lane's proposed child kernel at a launch site:
+// the child's code and CTA shape (Def) plus its launch configuration.
 type LaunchCandidate struct {
 	Lane     int  // lane index within the warp
 	Workload int  // work items the child kernel would process
-	Def      *Def // the child kernel definition (c_grid × c_cta)
+	Def      *Def // the child kernel definition (c_cta and the code)
+	GridCTAs int  // the child's grid in CTAs (c_grid)
+	Threads  int  // live threads of the grid (0 = GridCTAs × c_cta)
+	Arg      int  // argument every child warp's Def.NewProgram receives
 }
 
 // Instr is one abstract warp instruction. Programs fill it in place

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func trivialProgram(cta, warp int) Program {
+func trivialProgram(arg, cta, warp, lanes int, old Program) Program {
 	done := false
 	return ProgramFunc(func(x *Exec, in *Instr) bool {
 		if done {
@@ -28,9 +28,18 @@ func testDef(grid, ctaThreads, threads int) *Def {
 	}
 }
 
+// testKernel launches d with its host launch configuration.
+func testKernel(d *Def) *Kernel {
+	return &Kernel{Def: d, GridCTAs: d.GridCTAs, Threads: d.TotalThreads()}
+}
+
 func TestDefValidate(t *testing.T) {
-	if err := testDef(2, 64, 0).Validate(); err != nil {
+	if err := testDef(2, 64, 0).ValidateLaunch(2, 0); err != nil {
 		t.Errorf("valid def rejected: %v", err)
+	}
+	// A device-launched Def carries no grid of its own.
+	if err := testDef(0, 64, 0).Validate(); err != nil {
+		t.Errorf("valid gridless def rejected: %v", err)
 	}
 	bad := []*Def{
 		{},
@@ -40,7 +49,7 @@ func TestDefValidate(t *testing.T) {
 		{Name: "x", GridCTAs: 1, CTAThreads: 32},
 	}
 	for i, d := range bad {
-		if err := d.Validate(); err == nil {
+		if err := d.ValidateLaunch(d.GridCTAs, d.Threads); err == nil {
 			t.Errorf("bad def %d accepted", i)
 		}
 	}
@@ -75,8 +84,7 @@ func TestNewCTAPartialWarps(t *testing.T) {
 	// 70 live threads in a 128-thread CTA: warps of 32, 32, 6; the 4th
 	// warp has zero live lanes and must not be created.
 	d := testDef(1, 128, 70)
-	k := &Kernel{ID: 1, Def: d}
-	c := NewCTA(k, 0, 32)
+	c := NewCTA(testKernel(d), 0, 32, nil)
 	if got := len(c.Warps); got != 3 {
 		t.Fatalf("warps = %d, want 3", got)
 	}
@@ -94,8 +102,7 @@ func TestNewCTAPartialWarps(t *testing.T) {
 func TestNewCTASecondCTAOfPartialGrid(t *testing.T) {
 	// 40 threads, CTAs of 32: CTA 1 has 8 live threads.
 	d := testDef(2, 32, 40)
-	k := &Kernel{ID: 1, Def: d}
-	c := NewCTA(k, 1, 32)
+	c := NewCTA(testKernel(d), 1, 32, nil)
 	if got := len(c.Warps); got != 1 {
 		t.Fatalf("warps = %d, want 1", got)
 	}
@@ -108,7 +115,7 @@ func TestCTAResourceReservation(t *testing.T) {
 	d := testDef(1, 128, 0)
 	d.RegsPerThread = 24
 	d.SharedMemBytes = 4096
-	c := NewCTA(&Kernel{Def: d}, 0, 32)
+	c := NewCTA(testKernel(d), 0, 32, nil)
 	if c.Regs != 24*128 {
 		t.Errorf("Regs = %d, want %d", c.Regs, 24*128)
 	}
@@ -122,7 +129,7 @@ func TestCTAResourceReservation(t *testing.T) {
 
 func TestWarpRetired(t *testing.T) {
 	d := testDef(1, 64, 0)
-	c := NewCTA(&Kernel{Def: d}, 0, 32)
+	c := NewCTA(testKernel(d), 0, 32, nil)
 	if c.WarpRetired(1) {
 		t.Error("first retirement should not complete a 2-warp CTA")
 	}
@@ -139,7 +146,7 @@ func TestWarpRetired(t *testing.T) {
 
 func TestKernelLifecyclePredicates(t *testing.T) {
 	d := testDef(2, 32, 0)
-	k := &Kernel{ID: 7, Def: d}
+	k := testKernel(d)
 	if k.IsChild() {
 		t.Error("host kernel reported as child")
 	}
@@ -154,7 +161,7 @@ func TestKernelLifecyclePredicates(t *testing.T) {
 	if !k.Done() {
 		t.Error("kernel with all CTAs done not reported so")
 	}
-	k.Parent = NewCTA(k, 0, 32)
+	k.Parent = NewCTA(k, 0, 32, nil)
 	if !k.IsChild() {
 		t.Error("kernel with parent CTA not reported as child")
 	}
@@ -205,10 +212,10 @@ func TestNewCTALaneConservation(t *testing.T) {
 			threads = 1
 		}
 		d := testDef(grid, ctaThreads, threads)
-		k := &Kernel{Def: d}
+		k := testKernel(d)
 		total := 0
 		for i := 0; i < grid; i++ {
-			c := NewCTA(k, i, 32)
+			c := NewCTA(k, i, 32, nil)
 			for _, w := range c.Warps {
 				if w.Lanes <= 0 || w.Lanes > 32 {
 					return false
@@ -224,8 +231,7 @@ func TestNewCTALaneConservation(t *testing.T) {
 }
 
 func TestFullySuspended(t *testing.T) {
-	d := testDef(3, 32, 0)
-	k := &Kernel{Def: d}
+	k := testKernel(testDef(3, 32, 0))
 	if k.FullySuspended() {
 		t.Error("fresh kernel reported suspended")
 	}
@@ -245,5 +251,56 @@ func TestFullySuspended(t *testing.T) {
 	k.NextCTA = 2
 	if k.FullySuspended() {
 		t.Error("undispatched CTAs must block suspension")
+	}
+}
+
+// idleProgram is a comparable Program that issues nothing.
+type idleProgram struct{ _ int }
+
+func (*idleProgram) Next(*Exec, *Instr) bool { return false }
+
+// TestNewCTAReusesReleasedCTA reinitialises a released CTA: the same
+// CTA and warp objects come back live with a new Gen and empty launch
+// buffers that keep their capacity, and NewProgram gets each warp's old
+// program back only when the CTA last ran the same Def.
+func TestNewCTAReusesReleasedCTA(t *testing.T) {
+	var olds []Program
+	d := testDef(2, 64, 0)
+	d.NewProgram = func(arg, cta, warp, lanes int, old Program) Program {
+		olds = append(olds, old)
+		return &idleProgram{}
+	}
+	k := testKernel(d)
+	c := NewCTA(k, 0, 32, nil)
+	w0 := c.Warps[0]
+	w0.LaunchBuf = append(w0.LaunchBuf, LaunchCandidate{Lane: 3})
+	w0.Exec.Accepted = append(w0.Exec.Accepted, true)
+	prog := w0.Prog
+	c.MarkReleased()
+	if !c.Released || !w0.Released || c.Gen != 1 || w0.Gen != 1 {
+		t.Fatalf("MarkReleased: CTA released %t gen %d, warp released %t gen %d", c.Released, c.Gen, w0.Released, w0.Gen)
+	}
+	olds = olds[:0]
+	if got := NewCTA(k, 1, 32, c); got != c || c.Warps[0] != w0 {
+		t.Fatal("reuse did not return the released CTA and its warps")
+	}
+	switch {
+	case c.Released || w0.Released || c.Gen != 1 || w0.Gen != 1:
+		t.Errorf("reused CTA released %t gen %d, warp released %t gen %d", c.Released, c.Gen, w0.Released, w0.Gen)
+	case c.Index != 1 || c.State != CTAQueued || c.RunningWarps() != 2:
+		t.Errorf("reused CTA index %d state %d running %d", c.Index, c.State, c.RunningWarps())
+	case len(w0.LaunchBuf) != 0 || cap(w0.LaunchBuf) == 0 || len(w0.Exec.Accepted) != 0 || cap(w0.Exec.Accepted) == 0:
+		t.Errorf("launch buffers %d/%d, accepted %d/%d: want empty with capacity",
+			len(w0.LaunchBuf), cap(w0.LaunchBuf), len(w0.Exec.Accepted), cap(w0.Exec.Accepted))
+	case len(olds) != 2 || olds[0] != prog:
+		t.Errorf("NewProgram got %v, want the released programs of the same Def", olds)
+	}
+	c.MarkReleased()
+	other := testDef(1, 64, 0)
+	other.NewProgram = d.NewProgram
+	olds = olds[:0]
+	NewCTA(testKernel(other), 0, 32, c)
+	if len(olds) != 2 || olds[0] != nil || olds[1] != nil {
+		t.Errorf("NewProgram for another Def got %v, want no old programs", olds)
 	}
 }

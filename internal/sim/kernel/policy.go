@@ -46,7 +46,9 @@ type Decision struct {
 }
 
 // LaunchSite carries everything a policy may consult when deciding one
-// candidate. It is assembled by the engine at the launch instruction.
+// candidate. The engine keeps one per GPU and refills it for every
+// decision, so it and its Candidate are valid only during the Decide
+// call that receives them.
 type LaunchSite struct {
 	Now Cycle
 	// Candidate is the lane's proposal.
@@ -72,7 +74,9 @@ type LaunchSite struct {
 // work (kernels or DTBL CTA groups), at any nesting depth.
 type Policy interface {
 	Name() string
-	// Decide is called once per launch candidate, in lane order.
+	// Decide is called once per launch candidate, in lane order. It must
+	// not retain site or site.Candidate past the call: the engine reuses
+	// both.
 	Decide(site *LaunchSite) Decision
 	// OnChildQueued fires when a child kernel (ctas CTAs) becomes
 	// visible in the pending pool after its launch overhead elapsed.

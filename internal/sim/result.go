@@ -89,6 +89,7 @@ func (g *GPU) result() *Result {
 	if g.offeredWork > 0 {
 		offload = float64(g.offloadedWork) / float64(g.offeredWork)
 	}
+	//spawnvet:allow hotpath result runs once per Run, building the Result that Run returns
 	r := &Result{
 		Cycles:                  end,
 		Occupancy:               g.activeWarps.Average(uint64(end)) / totalWarpSlots,

@@ -17,7 +17,7 @@ import (
 )
 
 // foreverProgram issues ALU instructions without ever retiring.
-func foreverProgram(cta, warp int) kernel.Program {
+func foreverProgram(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 	return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
 		in.Kind = kernel.InstrALU
 		in.Lat = 1
@@ -206,7 +206,7 @@ func TestInvalidChildDefPanicsWithInvariant(t *testing.T) {
 			child := childDef(32, 2)
 			tc.mutate(child)
 			parent := dpParent(64, 32, 2, 4)
-			parent.NewProgram = func(cta, warp int) kernel.Program {
+			parent.NewProgram = func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 				launched := false
 				return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
 					if launched {
@@ -214,7 +214,7 @@ func TestInvalidChildDefPanicsWithInvariant(t *testing.T) {
 					}
 					launched = true
 					in.Kind = kernel.InstrLaunch
-					in.Candidates = append(in.Candidates, kernel.LaunchCandidate{Workload: 32, Def: child})
+					in.Candidates = append(in.Candidates, launchOf(0, 32, child))
 					return true
 				})
 			}

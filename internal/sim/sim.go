@@ -148,10 +148,14 @@ type Progress struct {
 }
 
 // flightItem is a kernel in launch transit toward the pending pool.
+// kGen and warpGen are the Gens of k and warp at the launch, so the
+// invariant audit can tell a recycled object from the one launched.
 type flightItem struct {
-	at   kernel.Cycle
-	k    *kernel.Kernel
-	warp *kernel.Warp // launching warp (nil for host launches)
+	at      kernel.Cycle
+	k       *kernel.Kernel
+	warp    *kernel.Warp // launching warp (nil for host launches)
+	kGen    uint32
+	warpGen uint32
 }
 
 // flightHeap is a concrete binary min-heap ordered by arrival cycle.
@@ -252,6 +256,15 @@ type GPU struct {
 	flight      flightHeap
 	liveKernels int
 
+	// Free lists. Device kernels are released at completeKernel, CTAs
+	// (with their warps and programs) at completeCTA, one list per Def
+	// so a reused CTA hands each warp a program of the same code. Host
+	// kernels are never released: LaunchHost returns them to the caller.
+	freeKernels []*kernel.Kernel
+	freeCTAs    []ctaPool
+	// site is the one LaunchSite every Decide call receives.
+	site kernel.LaunchSite
+
 	maxCycles kernel.Cycle
 	sinks     []trace.Sink
 	prof      *profile.Profile
@@ -283,7 +296,7 @@ type GPU struct {
 	reg       *metrics.Registry
 	mStalls   *metrics.Counter
 	mTransit  *metrics.Histogram
-	decBySite map[string]*siteCounters
+	decBySite map[string]siteCounters
 
 	// Heartbeat state.
 	hb      func(Progress)
@@ -419,7 +432,7 @@ func NewChecked(opts Options) (*GPU, error) {
 // the registry out to every component.
 func (g *GPU) instrument(reg *metrics.Registry) {
 	g.reg = reg
-	g.decBySite = map[string]*siteCounters{}
+	g.decBySite = map[string]siteCounters{}
 	g.mStalls = reg.Counter("sim_cta_placement_stalls")
 	g.mTransit = reg.Histogram("sim_launch_transit_cycles")
 	reg.GaugeFunc("sim_cycle", func() float64 { return float64(g.clock) })
@@ -436,39 +449,21 @@ func (g *GPU) instrument(reg *metrics.Registry) {
 }
 
 // siteCounters tallies policy outcomes attributed to one launch site
-// (the parent kernel definition the decision was made in). A nil
-// *siteCounters (metrics disabled) no-ops.
+// (the parent kernel definition the decision was made in). The zero
+// value (metrics disabled) no-ops: metrics counters are nil-safe.
 type siteCounters struct {
 	accepted *metrics.Counter
 	declined *metrics.Counter
 	deferred *metrics.Counter
 }
 
-func (sc *siteCounters) incAccepted() {
-	if sc != nil {
-		sc.accepted.Inc()
-	}
-}
-
-func (sc *siteCounters) incDeclined() {
-	if sc != nil {
-		sc.declined.Inc()
-	}
-}
-
-func (sc *siteCounters) incDeferred() {
-	if sc != nil {
-		sc.deferred.Inc()
-	}
-}
-
 // siteFor returns (creating on first use) the decision counters of one
 // launch site. Only called when metrics are enabled.
-func (g *GPU) siteFor(site string) *siteCounters {
-	sc := g.decBySite[site]
-	if sc == nil {
+func (g *GPU) siteFor(site string) siteCounters {
+	sc, ok := g.decBySite[site]
+	if !ok {
 		pol := g.pol.Name()
-		sc = &siteCounters{
+		sc = siteCounters{
 			accepted: g.reg.Counter("launch_accepted", "site", site, "policy", pol),
 			declined: g.reg.Counter("launch_declined", "site", site, "policy", pol),
 			deferred: g.reg.Counter("launch_deferred", "site", site, "policy", pol),
@@ -504,17 +499,80 @@ func (g *GPU) streamFor(w *kernel.Warp) kernel.StreamID {
 	return g.newStream()
 }
 
-// LaunchHost submits a kernel from the host (step 1-4 of Figure 4).
-// It may be called before Run or from a completion-free point of view;
-// the kernel enters the pending pool at the current clock.
+// ctaPool is the free list of released CTAs whose warps run def's
+// programs.
+type ctaPool struct {
+	def  *kernel.Def
+	ctas []*kernel.CTA
+}
+
+// ctaPoolOf returns def's CTA free list, adding an empty one on first
+// use (a run has a handful of Defs).
+func (g *GPU) ctaPoolOf(def *kernel.Def) *ctaPool {
+	for i := range g.freeCTAs {
+		if g.freeCTAs[i].def == def {
+			return &g.freeCTAs[i]
+		}
+	}
+	g.freeCTAs = append(g.freeCTAs, ctaPool{def: def})
+	return &g.freeCTAs[len(g.freeCTAs)-1]
+}
+
+// takeCTA pops a released CTA that last ran def, or returns nil (and
+// kernel.NewCTA allocates).
+func (g *GPU) takeCTA(def *kernel.Def) *kernel.CTA {
+	p := g.ctaPoolOf(def)
+	n := len(p.ctas)
+	if n == 0 {
+		return nil
+	}
+	c := p.ctas[n-1]
+	p.ctas = p.ctas[:n-1]
+	return c
+}
+
+// releaseCTA returns a completed CTA, with its warps and programs, to
+// its Def's free list.
+func (g *GPU) releaseCTA(c *kernel.CTA) {
+	c.MarkReleased()
+	p := g.ctaPoolOf(c.Kernel.Def)
+	p.ctas = append(p.ctas, c)
+}
+
+// kernelBlock is how many kernels a free-list miss allocates at once:
+// Baseline-DP keeps thousands of children queued, so the list runs dry
+// until the queues peak.
+const kernelBlock = 64
+
+// takeKernel pops a released device kernel, refilling the free list
+// with a fresh block on a miss.
+func (g *GPU) takeKernel() *kernel.Kernel {
+	if len(g.freeKernels) == 0 {
+		block := make([]kernel.Kernel, kernelBlock)
+		for i := range block {
+			g.freeKernels = append(g.freeKernels, &block[i])
+		}
+	}
+	n := len(g.freeKernels)
+	k := g.freeKernels[n-1]
+	g.freeKernels = g.freeKernels[:n-1]
+	return k
+}
+
+// LaunchHost submits a kernel from the host (step 1-4 of Figure 4),
+// with the launch configuration def.GridCTAs and def.Threads. It may be
+// called before Run or from a completion-free point of view; the kernel
+// enters the pending pool at the current clock.
 func (g *GPU) LaunchHost(def *kernel.Def) *kernel.Kernel {
-	if err := def.Validate(); err != nil {
+	if err := def.ValidateLaunch(def.GridCTAs, def.Threads); err != nil {
 		panic(kernel.Invariantf(g.clock, "sim", "LaunchHost with invalid kernel def: %v", err))
 	}
 	g.kernelSeq++
 	k := &kernel.Kernel{
 		ID:          g.kernelSeq,
 		Def:         def,
+		GridCTAs:    def.GridCTAs,
+		Threads:     def.TotalThreads(),
 		Stream:      g.newStream(),
 		LaunchCycle: g.clock,
 	}
@@ -527,17 +585,23 @@ func (g *GPU) LaunchHost(def *kernel.Def) *kernel.Kernel {
 
 // launchChild creates and schedules a device-side child launch.
 func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchCandidate, aggregated bool) {
-	if err := cand.Def.Validate(); err != nil {
+	if err := cand.Def.ValidateLaunch(cand.GridCTAs, cand.Threads); err != nil {
 		panic(kernel.Invariantf(now, "sim", "device launch from %s with invalid kernel def: %v", w.CTA.Kernel.Def.Name, err))
 	}
 	g.kernelSeq++
-	k := &kernel.Kernel{
+	k := g.takeKernel()
+	*k = kernel.Kernel{
 		ID:          g.kernelSeq,
 		Def:         cand.Def,
+		GridCTAs:    cand.GridCTAs,
+		Threads:     cand.Def.LiveThreads(cand.GridCTAs, cand.Threads),
+		Arg:         cand.Arg,
 		Parent:      w.CTA,
+		ParentGen:   w.CTA.Gen,
 		Aggregated:  aggregated,
 		Workload:    cand.Workload,
 		LaunchCycle: now,
+		Gen:         k.Gen,
 	}
 	var arrival kernel.Cycle
 	if aggregated {
@@ -572,7 +636,7 @@ func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchC
 	g.offloadedWork += int64(cand.Workload)
 	g.launchCycles = append(g.launchCycles, now)
 	g.emit(trace.Event{Cycle: uint64(now), Kind: trace.KernelSubmitted, Kernel: k.ID, CTA: -1, Extra: cand.Workload})
-	g.flight.push(flightItem{at: arrival, k: k, warp: w})
+	g.flight.push(flightItem{at: arrival, k: k, warp: w, kGen: k.Gen, warpGen: w.Gen})
 }
 
 // beginLaunch latches an InstrLaunch into the warp for (possibly
@@ -619,20 +683,20 @@ func (g *GPU) stepLaunch(now kernel.Cycle, w *kernel.Warp) {
 			return
 		}
 		cand := &w.LaunchBuf[w.LaunchCursor]
-		site := kernel.LaunchSite{
+		g.site = kernel.LaunchSite{
 			Now:                 now,
 			Candidate:           cand,
 			ParentIsChild:       w.CTA.Kernel.IsChild(),
 			PendingWarpLaunches: w.PendingLaunches,
 			EstimatedOverhead:   g.cfg.LaunchLatency(w.PendingLaunches + 1),
 		}
-		dec := g.pol.Decide(&site)
-		var sc *siteCounters
+		dec := g.pol.Decide(&g.site)
+		var sc siteCounters
 		if g.reg != nil {
 			sc = g.siteFor(w.CTA.Kernel.Def.Name)
 		}
 		if dec.Action == kernel.Defer {
-			sc.incDeferred()
+			sc.deferred.Inc()
 			g.emit(trace.Event{Cycle: uint64(now), Kind: trace.LaunchDeferred, CTA: -1, Extra: cand.Workload})
 			// The runtime holds this lane's API call; the warp blocks
 			// and the candidate is re-presented on resume.
@@ -651,16 +715,16 @@ func (g *GPU) stepLaunch(now kernel.Cycle, w *kernel.Warp) {
 		busy += dec.APICycles
 		switch dec.Action {
 		case kernel.Serialize:
-			sc.incDeclined()
+			sc.declined.Inc()
 			g.emit(trace.Event{Cycle: uint64(now), Kind: trace.LaunchDeclined, CTA: -1, Extra: cand.Workload})
 			w.Exec.Accepted[w.LaunchCursor] = false
 		case kernel.LaunchKernel:
-			sc.incAccepted()
+			sc.accepted.Inc()
 			g.emit(trace.Event{Cycle: uint64(now), Kind: trace.LaunchAccepted, CTA: -1, Extra: cand.Workload})
 			w.Exec.Accepted[w.LaunchCursor] = true
 			g.launchChild(now, w, cand, false)
 		case kernel.LaunchCTAs:
-			sc.incAccepted()
+			sc.accepted.Inc()
 			w.Exec.Accepted[w.LaunchCursor] = true
 			g.launchChild(now, w, cand, true)
 		default:
@@ -759,6 +823,7 @@ func (g *GPU) completeCTA(now kernel.Cycle, c *kernel.CTA) {
 	}
 	k := c.Kernel
 	k.CTAsDone++
+	g.releaseCTA(c)
 	if k.Done() {
 		g.completeKernel(now, k)
 		return
@@ -785,6 +850,10 @@ func (g *GPU) completeKernel(now kernel.Cycle, k *kernel.Kernel) {
 		if p.OutstandingChildren == 0 && p.State == kernel.CTAWaitingSync {
 			g.completeCTA(now, p)
 		}
+		// Device kernels go back to the free list; host kernels belong
+		// to LaunchHost's caller.
+		k.MarkReleased()
+		g.freeKernels = append(g.freeKernels, k)
 	}
 }
 
@@ -874,7 +943,7 @@ func (g *GPU) place(k *kernel.Kernel) bool {
 			continue
 		}
 		g.rrSMX = (mi + 1) % len(g.smxs)
-		c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize)
+		c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize, g.takeCTA(k.Def))
 		k.NextCTA++
 		m.Place(g.clock, c, &g.ageSeq)
 		// Place makes the new warps ready now: lower the wake mirror.
@@ -942,7 +1011,7 @@ func (g *GPU) processArrivals(now kernel.Cycle) bool {
 		}
 		if it.k.IsChild() {
 			g.childQueued++
-			g.pol.OnChildQueued(now, it.k.Def.GridCTAs)
+			g.pol.OnChildQueued(now, it.k.GridCTAs)
 		}
 		g.mTransit.Observe(uint64(now - it.k.LaunchCycle))
 		g.emit(trace.Event{Cycle: uint64(now), Kind: trace.KernelArrived, Kernel: it.k.ID, CTA: -1})
@@ -982,6 +1051,7 @@ func (g *GPU) abort(kind AbortKind, now kernel.Cycle, cause error, detail string
 // busy/idle/stall taxonomy, so the error reads like one attribution
 // tick of the place the run wedged.
 func (g *GPU) abortStalled(now kernel.Cycle) (*Result, error) {
+	//spawnvet:allow hotpath abortStalled runs at most once per run, on the abort return path, never per cycle
 	snap := &StallSnapshot{
 		Window:        g.stallWindow,
 		LastProgress:  g.lastProgressCycle,

@@ -167,7 +167,7 @@ func TestLaunchOverheadScalesWithPerWarpCount(t *testing.T) {
 func TestResultSnapshotsMemoryCounters(t *testing.T) {
 	def := &kernel.Def{
 		Name: "memk", GridCTAs: 2, CTAThreads: 64, RegsPerThread: 16,
-		NewProgram: func(cta, warp int) kernel.Program {
+		NewProgram: func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 			i := 0
 			return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
 				if i >= 20 {

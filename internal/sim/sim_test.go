@@ -11,8 +11,8 @@ import (
 )
 
 // aluProgram emits n ALU instructions of latency lat, then exits.
-func aluProgram(n int, lat uint32) func(cta, warp int) kernel.Program {
-	return func(cta, warp int) kernel.Program {
+func aluProgram(n int, lat uint32) func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
+	return func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 		i := 0
 		return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
 			if i >= n {
@@ -39,11 +39,17 @@ func childDef(work, iters int) *kernel.Def {
 	}
 }
 
+// launchOf proposes a child launch of d with d's own grid and thread
+// count as the launch configuration.
+func launchOf(lane, workload int, d *kernel.Def) kernel.LaunchCandidate {
+	return kernel.LaunchCandidate{Lane: lane, Workload: workload, Def: d, GridCTAs: d.GridCTAs, Threads: d.Threads}
+}
+
 // dpProgram builds the warp program of a DP parent: a launch site where
 // `lanesPerWarp` lanes propose children, a serial loop for declined
 // lanes, then DeviceSynchronize.
-func dpProgram(perThread, childIters int, iterLat uint32, lanesPerWarp int) func(cta, warp int) kernel.Program {
-	return func(cta, warp int) kernel.Program {
+func dpProgram(perThread, childIters int, iterLat uint32, lanesPerWarp int) func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
+	return func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 		type state struct {
 			phase     int
 			remaining int
@@ -54,11 +60,7 @@ func dpProgram(perThread, childIters int, iterLat uint32, lanesPerWarp int) func
 			case 0:
 				in.Kind = kernel.InstrLaunch
 				for lane := 0; lane < lanesPerWarp; lane++ {
-					in.Candidates = append(in.Candidates, kernel.LaunchCandidate{
-						Lane:     lane,
-						Workload: perThread,
-						Def:      childDef(perThread, childIters),
-					})
+					in.Candidates = append(in.Candidates, launchOf(lane, perThread, childDef(perThread, childIters)))
 				}
 				s.phase = 1
 				return true
@@ -150,7 +152,7 @@ func TestSimpleKernelCompletes(t *testing.T) {
 func TestMemoryProgramCompletes(t *testing.T) {
 	def := &kernel.Def{
 		Name: "m", GridCTAs: 2, CTAThreads: 64, RegsPerThread: 16,
-		NewProgram: func(cta, warp int) kernel.Program {
+		NewProgram: func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 			i := 0
 			return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
 				if i >= 50 {
@@ -347,15 +349,13 @@ func nestedParent(parents int) *kernel.Def {
 	}
 	child := &kernel.Def{
 		Name: "c", GridCTAs: 1, CTAThreads: 32, Threads: 16, RegsPerThread: 16,
-		NewProgram: func(cta, warp int) kernel.Program {
+		NewProgram: func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 			phase := 0
 			return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
 				switch phase {
 				case 0:
 					in.Kind = kernel.InstrLaunch
-					in.Candidates = append(in.Candidates, kernel.LaunchCandidate{
-						Lane: 0, Workload: 8, Def: grandchild,
-					})
+					in.Candidates = append(in.Candidates, launchOf(0, 8, grandchild))
 					phase = 1
 					return true
 				case 1:
@@ -371,15 +371,13 @@ func nestedParent(parents int) *kernel.Def {
 	return &kernel.Def{
 		Name: "p", GridCTAs: kernel.GridFor(parents, 32), CTAThreads: 32,
 		Threads: parents, RegsPerThread: 16,
-		NewProgram: func(cta, warp int) kernel.Program {
+		NewProgram: func(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 			phase := 0
 			return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool {
 				switch phase {
 				case 0:
 					in.Kind = kernel.InstrLaunch
-					in.Candidates = append(in.Candidates, kernel.LaunchCandidate{
-						Lane: 0, Workload: 16, Def: child,
-					})
+					in.Candidates = append(in.Candidates, launchOf(0, 16, child))
 					phase = 1
 					return true
 				case 1:

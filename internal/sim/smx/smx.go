@@ -41,6 +41,23 @@ func (s *scheduler) prune() {
 	s.warps = live
 }
 
+// drop removes c's warps from the scan list and the greedy slot. Every
+// one of them is retired or parked, so the lazy prune would drop them
+// too; dropping them at release keeps a recycled warp out of two lists.
+func (s *scheduler) drop(c *kernel.CTA) {
+	if s.greedy != nil && s.greedy.CTA == c {
+		s.greedy = nil
+	}
+	live := s.warps[:0]
+	for _, w := range s.warps {
+		if w.CTA != c {
+			live = append(live, w)
+		}
+	}
+	clear(s.warps[len(live):])
+	s.warps = live
+}
+
 // pick returns a warp that may issue at `now`, or nil. On a miss it
 // refreshes minReady so idle schedulers can be skipped cheaply.
 func (s *scheduler) pick(now kernel.Cycle) *kernel.Warp {
@@ -173,7 +190,8 @@ func (m *SMX) Place(now kernel.Cycle, c *kernel.CTA, ageSeq *uint64) {
 }
 
 // Release frees the resources held by c (CTA completion or
-// relinquishment at a synchronization point).
+// relinquishment at a synchronization point) and drops c's warps, all
+// retired or parked, from the schedulers.
 func (m *SMX) Release(now kernel.Cycle, c *kernel.CTA) {
 	if c.SMX != m.ID {
 		panic(kernel.Invariantf(now, m.component(), "releasing CTA resident on smx %d", c.SMX))
@@ -187,6 +205,9 @@ func (m *SMX) Release(now kernel.Cycle, c *kernel.CTA) {
 			m.resident = append(m.resident[:i], m.resident[i+1:]...)
 			break
 		}
+	}
+	for i := range m.scheds {
+		m.scheds[i].drop(c)
 	}
 	c.SMX = -1
 	m.mReleased.Inc()
@@ -256,8 +277,13 @@ func (m *SMX) component() string { return fmt.Sprintf("smx %d", m.ID) }
 // CheckInvariants audits the SMX's conservation laws at cycle `now`:
 // resource pools within bounds, reservations of resident CTAs summing
 // back to the hardware totals, resident CTAs in the running state on
-// this SMX, and warp launch-buffer cursors in range. It returns a
-// *kernel.InvariantError describing the first violation, or nil.
+// this SMX, and warp launch-buffer cursors in range. No list may hold
+// a released object or a stale pointer to a recycled one: resident CTAs
+// are live and listed once, and every scheduled warp (the greedy one
+// included) is live, belongs to a resident CTA and sits in the
+// scheduler its index maps to, in strictly increasing age order. It
+// returns a *kernel.InvariantError describing the first violation, or
+// nil.
 func (m *SMX) CheckInvariants(now kernel.Cycle) error {
 	cfg := m.cfg
 	if n := len(m.resident); n > cfg.MaxCTAsPerSM {
@@ -270,7 +296,19 @@ func (m *SMX) CheckInvariants(now kernel.Cycle) error {
 	var threads kernel.ThreadCount
 	var regs int
 	var shmem kernel.Bytes
-	for _, c := range m.resident {
+	for i, c := range m.resident {
+		if c.Released || c.Kernel.Released {
+			return kernel.Invariantf(now, m.component(), "resident CTA %d of %v: CTA released %t, kernel released %t",
+				c.Index, c.Kernel, c.Released, c.Kernel.Released)
+		}
+		for _, o := range m.resident[:i] {
+			if o == c {
+				return kernel.Invariantf(now, m.component(), "CTA %d of %v resident twice", c.Index, c.Kernel)
+			}
+		}
+		if err := c.Kernel.CheckParents(now); err != nil {
+			return err
+		}
 		if c.State != kernel.CTARunning {
 			return kernel.Invariantf(now, m.component(), "resident CTA %d of %v in state %d, want running",
 				c.Index, c.Kernel, c.State)
@@ -297,6 +335,23 @@ func (m *SMX) CheckInvariants(now kernel.Cycle) error {
 			}
 		}
 	}
+	for si := range m.scheds {
+		sc := &m.scheds[si]
+		if w := sc.greedy; w != nil {
+			if err := m.checkScheduled(now, si, w); err != nil {
+				return err
+			}
+		}
+		for i, w := range sc.warps {
+			if err := m.checkScheduled(now, si, w); err != nil {
+				return err
+			}
+			if i > 0 && sc.warps[i-1].Age >= w.Age {
+				return kernel.Invariantf(now, m.component(), "scheduler %d: warp %d of CTA %d (age %d) listed after age %d: stale entry",
+					si, w.Index, w.CTA.Index, w.Age, sc.warps[i-1].Age)
+			}
+		}
+	}
 	if m.freeThreads != cfg.MaxThreadsPerSM-threads {
 		return kernel.Invariantf(now, m.component(), "thread pool: free %d + reserved %d != %d",
 			m.freeThreads, threads, cfg.MaxThreadsPerSM)
@@ -308,6 +363,22 @@ func (m *SMX) CheckInvariants(now kernel.Cycle) error {
 	if m.freeShmem != cfg.SharedMemPerSM-shmem {
 		return kernel.Invariantf(now, m.component(), "shared-mem pool: free %d + reserved %d != %d",
 			m.freeShmem, shmem, cfg.SharedMemPerSM)
+	}
+	return nil
+}
+
+// checkScheduled audits one warp pointer held by scheduler si.
+func (m *SMX) checkScheduled(now kernel.Cycle, si int, w *kernel.Warp) error {
+	c := w.CTA
+	switch {
+	case w.Released || c.Released:
+		return kernel.Invariantf(now, m.component(), "scheduler %d holds released warp %d of CTA %d", si, w.Index, c.Index)
+	case c.SMX != m.ID || c.State != kernel.CTARunning:
+		return kernel.Invariantf(now, m.component(), "scheduler %d holds warp %d of CTA %d, which is not running here (smx %d, state %d)",
+			si, w.Index, c.Index, c.SMX, c.State)
+	case w.Index%len(m.scheds) != si:
+		return kernel.Invariantf(now, m.component(), "scheduler %d holds warp %d of CTA %d, placed on scheduler %d: stale entry",
+			si, w.Index, c.Index, w.Index%len(m.scheds))
 	}
 	return nil
 }

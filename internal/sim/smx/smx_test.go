@@ -1,13 +1,14 @@
 package smx
 
 import (
+	"strings"
 	"testing"
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/sim/kernel"
 )
 
-func prog(cta, warp int) kernel.Program {
+func prog(arg, cta, warp, lanes int, old kernel.Program) kernel.Program {
 	return kernel.ProgramFunc(func(x *kernel.Exec, in *kernel.Instr) bool { return false })
 }
 
@@ -17,7 +18,7 @@ func mkCTA(threads, regsPerThread, shmem int) *kernel.CTA {
 		RegsPerThread: regsPerThread, SharedMemBytes: kernel.Bytes(shmem),
 		NewProgram: prog,
 	}
-	return kernel.NewCTA(&kernel.Kernel{Def: d}, 0, 32)
+	return kernel.NewCTA(&kernel.Kernel{Def: d, GridCTAs: 1, Threads: threads}, 0, 32, nil)
 }
 
 func TestPlaceReleaseAccounting(t *testing.T) {
@@ -199,4 +200,47 @@ func TestPlacePanicsWhenFull(t *testing.T) {
 		}
 	}()
 	m.Place(0, mkCTA(32, 1, 0), &age)
+}
+
+// TestReleaseDropsWarpsFromSchedulers checks that Release leaves no warp
+// of the CTA in a scheduler list or the greedy slot, so a recycled warp
+// cannot sit in two lists, and that the audit rejects a released or
+// misfiled scheduled warp.
+func TestReleaseDropsWarpsFromSchedulers(t *testing.T) {
+	cfg := config.K20m()
+	m := New(0, &cfg)
+	var age uint64
+	a, b := mkCTA(128, 16, 0), mkCTA(128, 16, 0)
+	m.Place(0, a, &age)
+	m.Place(0, b, &age)
+	if w := m.Pick(0, 0); w == nil || w.CTA != a {
+		t.Fatalf("first pick = %v, want a warp of the first CTA", w)
+	}
+	for _, w := range a.Warps {
+		w.State = kernel.WarpDone
+	}
+	m.Release(1, a)
+	for si := range m.scheds {
+		sc := &m.scheds[si]
+		if sc.greedy != nil && sc.greedy.CTA == a {
+			t.Errorf("scheduler %d: released CTA's warp still greedy", si)
+		}
+		for _, w := range sc.warps {
+			if w.CTA == a {
+				t.Errorf("scheduler %d still lists warp %d of the released CTA", si, w.Index)
+			}
+		}
+	}
+	if err := m.CheckInvariants(1); err != nil {
+		t.Fatalf("audit after release: %v", err)
+	}
+	b.Warps[1].Released = true
+	if err := m.CheckInvariants(1); err == nil || !strings.Contains(err.Error(), "released warp") {
+		t.Errorf("audit with a released scheduled warp = %v", err)
+	}
+	b.Warps[1].Released = false
+	m.scheds[0].warps = append(m.scheds[0].warps, b.Warps[1])
+	if err := m.CheckInvariants(1); err == nil || !strings.Contains(err.Error(), "stale") {
+		t.Errorf("audit with a warp in the wrong scheduler = %v", err)
+	}
 }

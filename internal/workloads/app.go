@@ -9,7 +9,11 @@
 // policy (Flat, Threshold, SPAWN, DTBL) runs the exact same code.
 package workloads
 
-import "fmt"
+import (
+	"fmt"
+
+	"spawnsim/internal/sim/kernel"
+)
 
 // ItemOps is the operation mix of one work item.
 type ItemOps struct {
@@ -88,10 +92,11 @@ type App struct {
 
 	Nest *Nest
 
-	// childName and grandchildName are the device-launched kernels'
-	// Def names, built once by Normalize rather than once per launch
-	// candidate.
-	childName, grandchildName string
+	// child and grandchild are the device-launched kernels' Defs (the
+	// latter only with a Nest), built by ParentDef once per parent Def
+	// rather than once per launch candidate, and after any override of
+	// ChildCTASize (Figure 7).
+	child, grandchild *kernel.Def
 }
 
 // ParentThreads is the parent-kernel thread count.
@@ -115,10 +120,6 @@ func (a *App) Normalize() error {
 	}
 	if a.Section < 1 {
 		a.Section = 1
-	}
-	if a.childName == "" {
-		a.childName = a.Name + "-child"
-		a.grandchildName = a.Name + "-grandchild"
 	}
 	if a.Items == nil {
 		return fmt.Errorf("workloads: %s has no Items function", a.Name)

@@ -15,11 +15,11 @@ func drainAll(t *testing.T, def *kernel.Def, warpSize int) map[kernel.InstrKind]
 	for cta := 0; cta < def.GridCTAs; cta++ {
 		for w := 0; w < def.WarpsPerCTA(warpSize); w++ {
 			// Skip warps with no live lanes (mirrors kernel.NewCTA).
-			live := def.TotalThreads() - cta*def.CTAThreads - w*warpSize
-			if live <= 0 {
+			lanes := def.WarpLanes(def.TotalThreads(), cta, w, warpSize)
+			if lanes <= 0 {
 				continue
 			}
-			for k, v := range countKinds(drain(t, def.NewProgram(cta, w), nil)) {
+			for k, v := range countKinds(drain(t, def.NewProgram(0, cta, w, lanes, nil), nil)) {
 				total[k] += v
 			}
 		}
@@ -131,13 +131,13 @@ func TestMMInnerIterationsFollowNNZ(t *testing.T) {
 func TestMMChildKernelShape(t *testing.T) {
 	m := inputs.NewSparseMatrix(128, 64, 6, 3)
 	app := NewMM(m)
-	app.Normalize()
-	cd := childDef(app, 0)
-	if cd.Threads != 64 {
-		t.Errorf("MM child threads = %d, want one per column", cd.Threads)
+	mustParentDef(t, app)
+	c := app.childLaunch(0, 0, app.Items(0))
+	if c.Threads != 64 {
+		t.Errorf("MM child threads = %d, want one per column", c.Threads)
 	}
-	if cd.CTAThreads != 64 {
-		t.Errorf("MM child CTA = %d threads, want 64", cd.CTAThreads)
+	if c.Def.CTAThreads != 64 {
+		t.Errorf("MM child CTA = %d threads, want 64", c.Def.CTAThreads)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestSectionedParentVisitsEveryElement(t *testing.T) {
 		if 25-w*32 <= 0 {
 			continue
 		}
-		prog := def.NewProgram(0, w)
+		prog := warpProgram(hostLaunch(def), 0, w, nil)
 		drain(t, prog, func(c *kernel.LaunchCandidate) bool {
 			// Workload 1 for every element; identify elements via the
 			// child def's thread count and the candidate order.

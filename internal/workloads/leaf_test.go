@@ -178,40 +178,54 @@ func (r *refLeafRunner) next(in *kernel.Instr) bool {
 	return false
 }
 
-// activeRunner returns the runner that emitted prog's last instruction,
-// or nil when the program emitted it itself (set-up loads, launches,
-// syncs).
-func activeRunner(prog kernel.Program) *leafRunner {
+// activeRunner returns the runner that emitted prog's last instruction
+// — a *leafRunner or a child or grandchild warp's *itemWarp — with a
+// refLeafRunner built from the same inputs, or nil when the program
+// emitted it itself (set-up loads, launches, syncs).
+func activeRunner(prog kernel.Program) (any, func() *refLeafRunner) {
+	leaf := func(r *leafRunner) (any, func() *refLeafRunner) {
+		return r, func() *refLeafRunner { return newRefLeafRunner(r.ops, r.lanes, r.jOf, r.pOf) }
+	}
+	item := func(r *itemWarp) (any, func() *refLeafRunner) {
+		return r, func() *refLeafRunner {
+			lanes := make([]laneWork, r.lanes)
+			for l := range lanes {
+				lanes[l] = laneWork{p: r.p, count: 1}
+			}
+			base := r.base
+			return newRefLeafRunner(r.ops, lanes, func(lane, _ int) int { return base + lane }, nil)
+		}
+	}
 	switch p := prog.(type) {
 	case *parentProg:
 		switch p.phase {
 		case phSerial:
-			return p.serial
+			return leaf(&p.serial)
 		case phNested:
-			return p.nested
+			return leaf(p.nested)
 		}
 	case *childProg:
 		switch p.phase {
 		case chOwn:
-			return p.own
+			return item(&p.own)
 		case chNested:
-			return p.nested
+			return leaf(p.nested)
 		}
 	case *grandchildProg:
-		return p.r
+		return item(&p.own)
 	}
-	return nil
+	return nil, nil
 }
 
 // lockstep drains prog, deciding every launch candidate with a seeded
 // coin, and checks each instruction a runner emits against a
 // refLeafRunner built from the same inputs when the runner first
 // speaks. A reference must be exhausted when its runner falls silent.
-// It returns the candidate defs the program offered and the number of
+// It returns the launches the program offered and the number of
 // runner instructions it checked.
-func lockstep(t *testing.T, name string, prog kernel.Program, r *rand.Rand) (defs []*kernel.Def, checked int) {
+func lockstep(t *testing.T, name string, prog kernel.Program, r *rand.Rand) (launches []kernel.LaunchCandidate, checked int) {
 	t.Helper()
-	var cur *leafRunner
+	var cur any
 	var ref *refLeafRunner
 	emitted := 0
 	leave := func() {
@@ -226,16 +240,16 @@ func lockstep(t *testing.T, name string, prog kernel.Program, r *rand.Rand) (def
 		var in kernel.Instr
 		if !prog.Next(x, &in) {
 			leave()
-			return defs, checked
+			return launches, checked
 		}
 		if in.Kind == kernel.InstrLaunch {
 			x.Accepted = x.Accepted[:0]
 			for i := range in.Candidates {
 				x.Accepted = append(x.Accepted, r.Intn(2) == 0)
-				defs = append(defs, in.Candidates[i].Def)
+				launches = append(launches, in.Candidates[i])
 			}
 		}
-		lr := activeRunner(prog)
+		lr, mkRef := activeRunner(prog)
 		if lr != cur {
 			leave()
 		}
@@ -243,7 +257,7 @@ func lockstep(t *testing.T, name string, prog kernel.Program, r *rand.Rand) (def
 			continue
 		}
 		if ref == nil {
-			cur, ref, emitted = lr, newRefLeafRunner(lr.ops, lr.lanes, lr.jOf, lr.pOf), 0
+			cur, ref, emitted = lr, mkRef(), 0
 		}
 		var want kernel.Instr
 		if !ref.next(&want) {
@@ -259,16 +273,39 @@ func lockstep(t *testing.T, name string, prog kernel.Program, r *rand.Rand) (def
 	return nil, 0
 }
 
-// warpsOf picks up to n seeded (cta, warp) pairs of def that have at
-// least one lane.
-func warpsOf(def *kernel.Def, r *rand.Rand, n int) [][2]int {
+// warpsOf picks up to n seeded (cta, warp) pairs of launch c that have
+// at least one lane.
+func warpsOf(c kernel.LaunchCandidate, r *rand.Rand, n int) [][2]int {
 	var out [][2]int
+	threads := c.Def.LiveThreads(c.GridCTAs, c.Threads)
 	for i := 0; i < n; i++ {
-		cta := r.Intn(def.GridCTAs)
-		threads := min(def.CTAThreads, def.Threads-cta*def.CTAThreads)
-		out = append(out, [2]int{cta, r.Intn((threads + 31) / 32)})
+		cta := r.Intn(c.GridCTAs)
+		live := min(c.Def.CTAThreads, threads-cta*c.Def.CTAThreads)
+		out = append(out, [2]int{cta, r.Intn((live + 31) / 32)})
 	}
 	return out
+}
+
+// launchLevels drives an app's launches level by level from its host
+// launch: visit gets up to 4 launches of each depth (0 the parent, 1
+// child, 2 grandchild for AMR) and returns the launches its warps
+// offered, which feed the next depth in seeded order.
+func launchLevels(t *testing.T, app *App, r *rand.Rand, visit func(depth int, launches []kernel.LaunchCandidate) []kernel.LaunchCandidate) {
+	t.Helper()
+	parent, err := ParentDef(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths := 2
+	if app.Nest != nil {
+		depths = 3
+	}
+	launches := []kernel.LaunchCandidate{hostLaunch(parent)}
+	for depth := 0; depth < depths; depth++ {
+		next := visit(depth, launches[:min(len(launches), 4)])
+		r.Shuffle(len(next), func(a, b int) { next[a], next[b] = next[b], next[a] })
+		launches = next
+	}
 }
 
 // TestLeafRunnerMatchesReference drives parent, child and grandchild
@@ -278,37 +315,91 @@ func TestLeafRunnerMatchesReference(t *testing.T) {
 	for i, bm := range Registry() {
 		t.Run(bm.Name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(i) + 1))
-			app := bm.Make()
-			parent, err := ParentDef(app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Depth 0 drives parent warps, 1 child warps, 2 grandchild
-			// warps (AMR only): up to 4 defs a level, 2 warps each.
-			depths := 2
-			if app.Nest != nil {
-				depths = 3
-			}
-			defs := []*kernel.Def{parent}
-			for depth := 0; depth < depths; depth++ {
-				var next []*kernel.Def
+			launchLevels(t, bm.Make(), r, func(depth int, launches []kernel.LaunchCandidate) []kernel.LaunchCandidate {
+				var next []kernel.LaunchCandidate
 				checked := 0
-				for _, def := range defs[:min(len(defs), 4)] {
-					for _, cw := range warpsOf(def, r, 2) {
-						name := fmt.Sprintf("%s cta %d warp %d", def.Name, cw[0], cw[1])
-						d, n := lockstep(t, name, def.NewProgram(cw[0], cw[1]), r)
-						next = append(next, d...)
+				for _, c := range launches {
+					for _, cw := range warpsOf(c, r, 2) {
+						name := fmt.Sprintf("%s cta %d warp %d", c.Def.Name, cw[0], cw[1])
+						l, n := lockstep(t, name, warpProgram(c, cw[0], cw[1], nil), r)
+						next = append(next, l...)
 						checked += n
 					}
 				}
 				if checked == 0 {
 					t.Fatalf("depth %d: no runner instruction checked", depth)
 				}
-				r.Shuffle(len(next), func(a, b int) { next[a], next[b] = next[b], next[a] })
-				defs = next
-			}
+				return next
+			})
 		})
 	}
+}
+
+// TestRecycledProgramsMatchFresh reinitialises dirty released programs
+// — parent, child and grandchild warps of every Registry app, left
+// mid-stream by another launch's warp — and requires each to come back
+// as the same object emitting the instruction stream, launches and
+// accept feedback included, of a fresh program of the same warp.
+func TestRecycledProgramsMatchFresh(t *testing.T) {
+	for i, bm := range Registry() {
+		t.Run(bm.Name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(i) + 1))
+			launchLevels(t, bm.Make(), r, func(depth int, launches []kernel.LaunchCandidate) []kernel.LaunchCandidate {
+				var next []kernel.LaunchCandidate
+				for li, c := range launches {
+					// The dirty program: a warp of another launch of the
+					// same Def, drained part of the way.
+					d := launches[(li+1)%len(launches)]
+					dw := warpsOf(d, r, 1)[0]
+					dirty := warpProgram(d, dw[0], dw[1], nil)
+					partial(dirty, r.Intn(64))
+					for _, cw := range warpsOf(c, r, 2) {
+						seed := r.Int63()
+						fresh := record(t, warpProgram(c, cw[0], cw[1], nil), seed)
+						reused := warpProgram(c, cw[0], cw[1], dirty)
+						if reused != dirty {
+							t.Fatalf("%s depth %d: NewProgram allocated instead of reinitialising the released program", c.Def.Name, depth)
+						}
+						if got := record(t, reused, seed); !slices.EqualFunc(got, fresh, sameInstr) {
+							t.Fatalf("%s depth %d cta %d warp %d: recycled program emits %d instructions, fresh %d, or they differ",
+								c.Def.Name, depth, cw[0], cw[1], len(got), len(fresh))
+						}
+						for _, in := range fresh {
+							next = append(next, in.Candidates...)
+						}
+						dirty = reused
+					}
+				}
+				return next
+			})
+		})
+	}
+}
+
+// partial issues up to n instructions of prog, accepting every launch.
+func partial(prog kernel.Program, n int) {
+	x := &kernel.Exec{}
+	for i := 0; i < n; i++ {
+		var in kernel.Instr
+		if !prog.Next(x, &in) {
+			return
+		}
+		x.Accepted = x.Accepted[:0]
+		for range in.Candidates {
+			x.Accepted = append(x.Accepted, true)
+		}
+	}
+}
+
+// record drains prog, deciding launches with a coin seeded by seed.
+func record(t *testing.T, prog kernel.Program, seed int64) []kernel.Instr {
+	r := rand.New(rand.NewSource(seed))
+	return drain(t, prog, func(*kernel.LaunchCandidate) bool { return r.Intn(2) == 0 })
+}
+
+func sameInstr(a, b kernel.Instr) bool {
+	return a.Kind == b.Kind && a.Lat == b.Lat && a.Store == b.Store &&
+		slices.Equal(a.Addrs, b.Addrs) && slices.Equal(a.Candidates, b.Candidates)
 }
 
 // BenchmarkLeafRunner times the serial fallback of one parent warp, the

@@ -1,6 +1,10 @@
 package workloads
 
-import "spawnsim/internal/sim/kernel"
+import (
+	"slices"
+
+	"spawnsim/internal/sim/kernel"
+)
 
 // laneWork is one lane's share of a leafRunner.
 type laneWork struct {
@@ -12,6 +16,61 @@ type laneWork struct {
 // and the inner trip count, 0 when the lane has no item left.
 type laneItem struct {
 	p, j, inner int
+}
+
+// warpWidth is the lane count the programs model: warp w of a CTA
+// covers its threads w*warpWidth onwards.
+const warpWidth = 32
+
+// cursor walks one work item's emission points: per inner iteration
+// one ALU, then one batched load instruction covering every load slot
+// (the slots are independent accesses, so they overlap — memory-level
+// parallelism), then one batched store; after the last iteration, the
+// batched final stores.
+type cursor struct {
+	it       int
+	maxInner int
+	phase    int // 0 alu, 1 loads, 2 stores, 3 final stores
+}
+
+// advance moves to the next emission point after the current one and
+// reports whether the item is finished.
+func (c *cursor) advance(ops *ItemOps) bool {
+	switch c.phase {
+	case 0:
+		if ops.Loads > 0 {
+			c.phase = 1
+			return false
+		}
+		fallthrough
+	case 1:
+		if ops.Stores > 0 {
+			c.phase = 2
+			return false
+		}
+		fallthrough
+	case 2:
+		// Inner iteration finished.
+		c.it++
+		if c.it < c.maxInner {
+			c.phase = 0
+			return false
+		}
+		if ops.FinalStores > 0 {
+			c.phase = 3
+			return false
+		}
+	}
+	return true
+}
+
+// slots returns the memory slot range of a load (phase 1) or store
+// (phase 2) emission point.
+func (c *cursor) slots(ops *ItemOps) (lo, hi int) {
+	if c.phase == 2 {
+		return ops.Loads, ops.Loads + ops.Stores
+	}
+	return 0, ops.Loads
 }
 
 // leafRunner emits the SIMT-lockstep instruction stream of a warp whose
@@ -30,14 +89,19 @@ type leafRunner struct {
 
 	maxCount int
 	j        int
-	it       int
-	maxInner int
-	phase    int // 0 alu, 1 loads, 2 stores, 3 final stores
-	done     bool
+	cursor
+	done bool
 }
 
 func newLeafRunner(ops *ItemOps, lanes []laneWork, jOf, pOf func(lane, item int) int) *leafRunner {
-	r := &leafRunner{ops: ops, lanes: lanes, jOf: jOf, pOf: pOf}
+	r := &leafRunner{}
+	r.reset(ops, lanes, jOf, pOf)
+	return r
+}
+
+// reset reinitialises r over new lanes, keeping cur's capacity.
+func (r *leafRunner) reset(ops *ItemOps, lanes []laneWork, jOf, pOf func(lane, item int) int) {
+	*r = leafRunner{ops: ops, lanes: lanes, jOf: jOf, pOf: pOf, cur: r.cur[:0]}
 	for _, l := range lanes {
 		if l.count > r.maxCount {
 			r.maxCount = l.count
@@ -45,11 +109,13 @@ func newLeafRunner(ops *ItemOps, lanes []laneWork, jOf, pOf func(lane, item int)
 	}
 	if r.maxCount == 0 {
 		r.done = true
-		return r
+		return
 	}
-	r.cur = make([]laneItem, len(lanes))
+	if cap(r.cur) < len(lanes) {
+		r.cur = make([]laneItem, len(lanes))
+	}
+	r.cur = r.cur[:len(lanes)]
 	r.enterItem()
-	return r
 }
 
 // enterItem prepares iteration state for item r.j.
@@ -73,41 +139,10 @@ func (r *leafRunner) enterItem() {
 }
 
 // advance moves to the next emission point after the current one.
-// An inner iteration emits one ALU, then one batched load instruction
-// covering every load slot (the slots are independent accesses, so they
-// overlap — memory-level parallelism), then one batched store.
 func (r *leafRunner) advance() {
-	switch r.phase {
-	case 0:
-		if r.ops.Loads > 0 {
-			r.phase = 1
-			return
-		}
-		fallthrough
-	case 1:
-		if r.ops.Stores > 0 {
-			r.phase = 2
-			return
-		}
-		fallthrough
-	case 2:
-		// Inner iteration finished.
-		r.it++
-		if r.it < r.maxInner {
-			r.phase = 0
-			return
-		}
-		if r.ops.FinalStores > 0 {
-			r.phase = 3
-			return
-		}
-		r.nextItem()
-	case 3:
-		r.nextItem()
+	if !r.cursor.advance(r.ops) {
+		return
 	}
-}
-
-func (r *leafRunner) nextItem() {
 	r.j++
 	if r.j >= r.maxCount {
 		r.done = true
@@ -126,10 +161,7 @@ func (r *leafRunner) next(in *kernel.Instr) bool {
 			r.advance()
 			return true
 		case 1, 2: // batched load/store slots of this inner iteration
-			lo, hi := 0, r.ops.Loads
-			if r.phase == 2 {
-				lo, hi = r.ops.Loads, r.ops.Loads+r.ops.Stores
-			}
+			lo, hi := r.slots(r.ops)
 			n := 0
 			for _, c := range r.cur {
 				if c.inner > r.it {
@@ -170,6 +202,79 @@ func (r *leafRunner) next(in *kernel.Instr) bool {
 	return false
 }
 
+// itemWarp emits the stream of a warp whose lanes each process exactly
+// one work item, lane l item base+l of parent key p: every child and
+// grandchild warp. It is the leafRunner of that case, instruction for
+// instruction, with its only per-lane state — the inner trip counts —
+// embedded, so it lives in the program (128 bytes; a warp parked at the
+// sync holds no more) and a recycled program reuses it.
+type itemWarp struct {
+	ops   *ItemOps
+	p     int
+	base  int
+	lanes int
+	inner [warpWidth]uint32
+	cursor
+	done bool
+}
+
+// reset starts the warp's item over lanes lanes (at most warpWidth).
+func (r *itemWarp) reset(ops *ItemOps, p, base, lanes int) {
+	lanes = min(lanes, warpWidth)
+	r.ops, r.p, r.base, r.lanes = ops, p, base, lanes
+	r.cursor = cursor{}
+	r.done = lanes <= 0
+	for l := 0; l < lanes; l++ {
+		n := ops.inner(p, base+l)
+		r.inner[l] = uint32(n)
+		r.maxInner = max(r.maxInner, n)
+	}
+}
+
+// next fills the next instruction; false when the item is finished.
+func (r *itemWarp) next(in *kernel.Instr) bool {
+	for !r.done {
+		switch r.phase {
+		case 0:
+			in.Kind = kernel.InstrALU
+			in.Lat = uint32(r.ops.ALULat)
+			r.done = r.advance(r.ops)
+			return true
+		case 1, 2:
+			lo, hi := r.slots(r.ops)
+			n := 0
+			for l, inner := range r.inner[:r.lanes] {
+				if int(inner) > r.it {
+					for slot := lo; slot < hi; slot++ {
+						in.Addrs = append(in.Addrs, r.ops.Addr(r.p, r.base+l, r.it, slot))
+					}
+					n++
+				}
+			}
+			if n > 0 {
+				in.Kind = kernel.InstrMem
+				in.Store = r.phase == 2
+				r.done = r.advance(r.ops)
+				return true
+			}
+			in.Addrs = in.Addrs[:0]
+			r.done = r.advance(r.ops) // fully masked: no transaction
+		case 3:
+			// Every lane's item has at least one inner iteration.
+			for l := 0; l < r.lanes; l++ {
+				for slot := 0; slot < r.ops.FinalStores; slot++ {
+					in.Addrs = append(in.Addrs, r.ops.FinalAddr(r.p, r.base+l, slot))
+				}
+			}
+			in.Kind = kernel.InstrMem
+			in.Store = true
+			r.done = r.advance(r.ops)
+			return true
+		}
+	}
+	return false
+}
+
 // acceptWalk reports which lanes a launch's policy accepted: lanes
 // lists the candidates' lanes in ascending order and accepted is the
 // per-candidate decision. Queries must come in ascending lane order.
@@ -195,14 +300,18 @@ func selfItem(lane, item int) int { return item }
 // one launch site followed by the serial fallback for declined work.
 type parentProg struct {
 	app *App
-	ps  []int // parent thread id per lane
+	// Lane l runs parent thread base+l, for l < lanes.
+	base, lanes int
 
 	sec       int // current section slot
 	phase     int
 	setupSlot int
-	candLanes []int // lane index per candidate of the current launch
+	candLanes []int      // lane index per candidate of the current launch
+	declined  []laneWork // the serial fallback's lanes
 
-	serial *leafRunner
+	// serial is reused across sections and emptied at the sync, so a
+	// parked warp keeps no lane state; nested is dropped when exhausted.
+	serial leafRunner
 	nested *leafRunner
 }
 
@@ -219,7 +328,7 @@ const (
 // elem returns the element lane processes in section slot sec
 // (-1 when past the end of the input).
 func (pp *parentProg) elem(lane int) int {
-	e := pp.ps[lane]*pp.app.Section + pp.sec
+	e := (pp.base+lane)*pp.app.Section + pp.sec
 	if e >= pp.app.Elements {
 		return -1
 	}
@@ -240,7 +349,7 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 				continue
 			}
 			n := 0
-			for lane := range pp.ps {
+			for lane := 0; lane < pp.lanes; lane++ {
 				if e := pp.elem(lane); e >= 0 {
 					in.Addrs = append(in.Addrs, app.SetupAddr(e, pp.setupSlot))
 					n++
@@ -260,39 +369,40 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 		case phLaunch:
 			in.Kind = kernel.InstrLaunch
 			pp.candLanes = pp.candLanes[:0]
-			for lane := range pp.ps {
+			for lane := 0; lane < pp.lanes; lane++ {
 				e := pp.elem(lane)
-				if e < 0 || app.Items(e) <= 0 {
+				if e < 0 {
 					continue
 				}
-				in.Candidates = append(in.Candidates, kernel.LaunchCandidate{
-					Lane:     lane,
-					Workload: app.Metric(e),
-					Def:      childDef(app, e),
-				})
+				items := app.Items(e)
+				if items <= 0 {
+					continue
+				}
+				in.Candidates = append(in.Candidates, app.childLaunch(lane, e, items))
 				pp.candLanes = append(pp.candLanes, lane)
 			}
 			pp.phase = phAfterLaunch
 			return true
 		case phAfterLaunch:
 			// Build the serial fallback from the declined lanes.
-			declined := make([]laneWork, len(pp.ps))
+			pp.declined = pp.declined[:0]
 			acc := acceptWalk{lanes: pp.candLanes, accepted: x.Accepted}
-			for lane := range pp.ps {
+			for lane := 0; lane < pp.lanes; lane++ {
+				var lw laneWork
 				if e := pp.elem(lane); e >= 0 && !acc.has(lane) {
-					declined[lane] = laneWork{p: e, count: app.Items(e)}
+					lw = laneWork{p: e, count: app.Items(e)}
 				}
+				pp.declined = append(pp.declined, lw)
 			}
-			pp.serial = newLeafRunner(&app.Ops, declined, selfItem, nil)
+			pp.serial.reset(&app.Ops, pp.declined, selfItem, nil)
 			if app.Nest != nil {
-				pp.nested = nestedSerialRunner(app, declined)
+				pp.nested = nestedSerialRunner(app, pp.declined)
 			}
 			pp.phase = phSerial
 		case phSerial:
 			if pp.serial.next(in) {
 				return true
 			}
-			pp.serial = nil
 			pp.phase = phNested
 		case phNested:
 			if pp.nested != nil && pp.nested.next(in) {
@@ -302,6 +412,8 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			pp.sec++
 			pp.phase = phSetup
 		case phSync:
+			// A warp parked at the sync keeps no runner lane state.
+			pp.serial, pp.declined = leafRunner{}, nil
 			in.Kind = kernel.InstrSync
 			pp.phase = phDone
 			return true
@@ -339,12 +451,9 @@ func nestedSerialRunner(app *App, declined []laneWork) *leafRunner {
 // work item; with a Nest, lanes then reach their own launch site.
 type childProg struct {
 	app *App
-	p   int
-	// item per lane (-1 = inactive lane beyond Threads)
-	items []int
+	own itemWarp
 
 	phase     int
-	own       *leafRunner
 	candLanes []int
 	nested    *leafRunner
 }
@@ -360,15 +469,13 @@ const (
 
 func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 	app := cp.app
+	p, base := cp.own.p, cp.own.base
 	for {
 		switch cp.phase {
 		case chOwn:
 			if cp.own.next(in) {
 				return true
 			}
-			// Drop exhausted runners: a warp parked at the sync waiting
-			// for grandchildren must not keep their lane state alive.
-			cp.own = nil
 			if app.Nest == nil {
 				cp.phase = chDone
 				continue
@@ -377,19 +484,13 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 		case chLaunch:
 			in.Kind = kernel.InstrLaunch
 			cp.candLanes = cp.candLanes[:0]
-			for lane, j := range cp.items {
-				if j < 0 {
-					continue
-				}
-				sub := app.Nest.SubItems(cp.p, j)
+			for lane := 0; lane < cp.own.lanes; lane++ {
+				j := base + lane
+				sub := app.Nest.SubItems(p, j)
 				if sub <= 0 {
 					continue
 				}
-				in.Candidates = append(in.Candidates, kernel.LaunchCandidate{
-					Lane:     lane,
-					Workload: sub,
-					Def:      grandchildDef(app, cp.p, j),
-				})
+				in.Candidates = append(in.Candidates, app.grandchildLaunch(lane, p, j, sub))
 				cp.candLanes = append(cp.candLanes, lane)
 			}
 			cp.phase = chAfterLaunch
@@ -397,18 +498,19 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 		case chAfterLaunch:
 			acc := acceptWalk{lanes: cp.candLanes, accepted: x.Accepted}
 			nest := app.Nest
-			lanes := make([]laneWork, len(cp.items))
-			encs := make([]int, len(cp.items))
-			for lane, j := range cp.items {
-				if j < 0 || acc.has(lane) {
+			lanes := make([]laneWork, cp.own.lanes)
+			encs := make([]int, cp.own.lanes)
+			for lane := range lanes {
+				j := base + lane
+				if acc.has(lane) {
 					continue
 				}
-				sub := nest.SubItems(cp.p, j)
+				sub := nest.SubItems(p, j)
 				if sub <= 0 {
 					continue
 				}
-				lanes[lane] = laneWork{p: cp.p, count: sub}
-				encs[lane] = nest.Encode(cp.p, j)
+				lanes[lane] = laneWork{p: p, count: sub}
+				encs[lane] = nest.Encode(p, j)
 			}
 			pOf := func(lane, item int) int { return encs[lane] }
 			cp.nested = newLeafRunner(&nest.Ops, lanes, selfItem, pOf)
@@ -417,6 +519,8 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			if cp.nested.next(in) {
 				return true
 			}
+			// Drop exhausted runners: a warp parked at the sync waiting
+			// for grandchildren must not keep their lane state alive.
 			cp.nested = nil
 			cp.phase = chSync
 		case chSync:
@@ -430,14 +534,32 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 }
 
 // grandchildProg runs nested items of one (p, j) with no further nesting.
-type grandchildProg struct{ r *leafRunner }
+type grandchildProg struct{ own itemWarp }
 
-func (gp *grandchildProg) Next(x *kernel.Exec, in *kernel.Instr) bool { return gp.r.next(in) }
+func (gp *grandchildProg) Next(x *kernel.Exec, in *kernel.Instr) bool { return gp.own.next(in) }
 
-// ParentDef builds the host-launched parent kernel of an App.
+// ParentDef builds the host-launched parent kernel of an App, and the
+// child and grandchild Defs its launches use, so an override of the
+// App's fields made before the call (Figure 7's ChildCTASize) reaches
+// every device launch.
 func ParentDef(app *App) (*kernel.Def, error) {
 	if err := app.Normalize(); err != nil {
 		return nil, err
+	}
+	app.child = &kernel.Def{
+		Name:          app.Name + "-child",
+		CTAThreads:    app.ChildCTASize,
+		RegsPerThread: app.RegsChild,
+		NewProgram:    app.newChildProg,
+	}
+	app.grandchild = nil
+	if app.Nest != nil {
+		app.grandchild = &kernel.Def{
+			Name:          app.Name + "-grandchild",
+			CTAThreads:    app.Nest.CTASize,
+			RegsPerThread: app.RegsChild,
+			NewProgram:    app.newGrandchildProg,
+		}
 	}
 	parents := app.ParentThreads()
 	return &kernel.Def{
@@ -446,78 +568,72 @@ func ParentDef(app *App) (*kernel.Def, error) {
 		CTAThreads:    app.ParentCTASize,
 		Threads:       parents,
 		RegsPerThread: app.RegsParent,
-		NewProgram: func(cta, warp int) kernel.Program {
-			base := cta*app.ParentCTASize + warp*32
-			n := parents - base
-			if n > 32 {
-				n = 32
-			}
-			ps := make([]int, n)
-			for i := range ps {
-				ps[i] = base + i
-			}
-			return &parentProg{app: app, ps: ps}
-		},
+		NewProgram:    app.newParentProg,
 	}, nil
 }
 
-// childDef builds the child kernel launched by parent thread p.
-func childDef(app *App, p int) *kernel.Def {
-	items := app.Items(p)
-	return &kernel.Def{
-		Name:          app.childName,
-		GridCTAs:      kernel.GridFor(items, app.ChildCTASize),
-		CTAThreads:    app.ChildCTASize,
-		Threads:       items,
-		RegsPerThread: app.RegsChild,
-		NewProgram: func(cta, warp int) kernel.Program {
-			base := cta*app.ChildCTASize + warp*32
-			lanes := items - base
-			if lanes > 32 {
-				lanes = 32
-			}
-			laneItems := make([]int, lanes)
-			lw := make([]laneWork, lanes)
-			for i := range laneItems {
-				laneItems[i] = base + i
-				lw[i] = laneWork{p: p, count: 1}
-			}
-			jOf := func(lane, item int) int { return laneItems[lane] }
-			return &childProg{
-				app:   app,
-				p:     p,
-				items: laneItems,
-				own:   newLeafRunner(&app.Ops, lw, jOf, nil),
-			}
-		},
+// newParentProg is the parent Def's NewProgram; host launches carry no
+// argument.
+func (a *App) newParentProg(_, cta, warp, lanes int, old kernel.Program) kernel.Program {
+	pp, _ := old.(*parentProg)
+	if pp == nil {
+		pp = &parentProg{}
+	}
+	*pp = parentProg{
+		app:       a,
+		base:      cta*a.ParentCTASize + warp*warpWidth,
+		lanes:     lanes,
+		candLanes: slices.Grow(pp.candLanes[:0], lanes),
+		declined:  make([]laneWork, 0, lanes),
+	}
+	return pp
+}
+
+// childLaunch is lane's launch of the child kernel of element e, which
+// has items work items: one child thread per item.
+func (a *App) childLaunch(lane, e, items int) kernel.LaunchCandidate {
+	return kernel.LaunchCandidate{
+		Lane:     lane,
+		Workload: a.Metric(e),
+		Def:      a.child,
+		GridCTAs: kernel.GridFor(items, a.child.CTAThreads),
+		Threads:  items,
+		Arg:      e,
 	}
 }
 
-// grandchildDef builds the nested kernel for item j of parent p.
-func grandchildDef(app *App, p, j int) *kernel.Def {
-	nest := app.Nest
-	sub := nest.SubItems(p, j)
-	enc := nest.Encode(p, j)
-	return &kernel.Def{
-		Name:          app.grandchildName,
-		GridCTAs:      kernel.GridFor(sub, nest.CTASize),
-		CTAThreads:    nest.CTASize,
-		Threads:       sub,
-		RegsPerThread: app.RegsChild,
-		NewProgram: func(cta, warp int) kernel.Program {
-			base := cta*nest.CTASize + warp*32
-			lanes := sub - base
-			if lanes > 32 {
-				lanes = 32
-			}
-			ks := make([]int, lanes)
-			lw := make([]laneWork, lanes)
-			for i := range ks {
-				ks[i] = base + i
-				lw[i] = laneWork{p: enc, count: 1}
-			}
-			jOf := func(lane, item int) int { return ks[lane] }
-			return &grandchildProg{r: newLeafRunner(&nest.Ops, lw, jOf, nil)}
-		},
+// newChildProg is the child Def's NewProgram; the argument is the
+// launching element.
+func (a *App) newChildProg(p, cta, warp, lanes int, old kernel.Program) kernel.Program {
+	cp, _ := old.(*childProg)
+	if cp == nil {
+		cp = &childProg{}
 	}
+	cp.app, cp.phase, cp.candLanes, cp.nested = a, chOwn, cp.candLanes[:0], nil
+	cp.own.reset(&a.Ops, p, cta*a.child.CTAThreads+warp*warpWidth, lanes)
+	return cp
+}
+
+// grandchildLaunch is lane's launch of the nested kernel of item j of
+// element p, which has sub sub-items.
+func (a *App) grandchildLaunch(lane, p, j, sub int) kernel.LaunchCandidate {
+	return kernel.LaunchCandidate{
+		Lane:     lane,
+		Workload: sub,
+		Def:      a.grandchild,
+		GridCTAs: kernel.GridFor(sub, a.grandchild.CTAThreads),
+		Threads:  sub,
+		Arg:      a.Nest.Encode(p, j),
+	}
+}
+
+// newGrandchildProg is the grandchild Def's NewProgram; the argument is
+// the encoded (p, j) key of the nested ops.
+func (a *App) newGrandchildProg(enc, cta, warp, lanes int, old kernel.Program) kernel.Program {
+	gp, _ := old.(*grandchildProg)
+	if gp == nil {
+		gp = &grandchildProg{}
+	}
+	gp.own.reset(&a.Nest.Ops, enc, cta*a.grandchild.CTAThreads+warp*warpWidth, lanes)
+	return gp
 }

@@ -18,6 +18,20 @@ func mustParentDef(t *testing.T, app *App) *kernel.Def {
 	return def
 }
 
+// hostLaunch is def's host launch configuration as a launch.
+func hostLaunch(def *kernel.Def) kernel.LaunchCandidate {
+	return kernel.LaunchCandidate{Def: def, GridCTAs: def.GridCTAs, Threads: def.Threads}
+}
+
+// warpProgram builds the program of warp `warp` in CTA `cta` of launch
+// c, as kernel.NewCTA does for 32-lane warps; old is a released program
+// to reinitialise, or nil.
+func warpProgram(c kernel.LaunchCandidate, cta, warp int, old kernel.Program) kernel.Program {
+	d := c.Def
+	lanes := d.WarpLanes(d.LiveThreads(c.GridCTAs, c.Threads), cta, warp, 32)
+	return d.NewProgram(c.Arg, cta, warp, lanes, old)
+}
+
 // drain pulls a program to completion, returning the instruction kinds.
 func drain(t *testing.T, p kernel.Program, accept func(c *kernel.LaunchCandidate) bool) []kernel.Instr {
 	t.Helper()
@@ -75,7 +89,7 @@ func TestParentProgramFlatSerializesEverything(t *testing.T) {
 	if def.GridCTAs != 1 {
 		t.Fatalf("grid = %d", def.GridCTAs)
 	}
-	prog := def.NewProgram(0, 0)
+	prog := warpProgram(hostLaunch(def), 0, 0, nil)
 	ins := drain(t, prog, nil) // decline all
 	k := countKinds(ins)
 	// Serial loop runs to the deepest lane: 7 items, each 1 ALU + 1 load
@@ -95,7 +109,7 @@ func TestParentProgramFlatSerializesEverything(t *testing.T) {
 
 func TestParentProgramLaunchCandidates(t *testing.T) {
 	app := tinyApp([]int{5, 0, 3, 7})
-	prog := mustParentDef(t, app).NewProgram(0, 0)
+	prog := warpProgram(hostLaunch(mustParentDef(t, app)), 0, 0, nil)
 	var candidates []kernel.LaunchCandidate
 	ins := drain(t, prog, func(c *kernel.LaunchCandidate) bool {
 		candidates = append(candidates, *c)
@@ -109,8 +123,8 @@ func TestParentProgramLaunchCandidates(t *testing.T) {
 		if c.Workload != wantWork[i] {
 			t.Errorf("candidate %d workload = %d, want %d", i, c.Workload, wantWork[i])
 		}
-		if c.Def.Threads != wantWork[i] {
-			t.Errorf("candidate %d child threads = %d, want %d", i, c.Def.Threads, wantWork[i])
+		if c.Threads != wantWork[i] {
+			t.Errorf("candidate %d child threads = %d, want %d", i, c.Threads, wantWork[i])
 		}
 	}
 	// All accepted: no serial ALU work remains.
@@ -121,15 +135,13 @@ func TestParentProgramLaunchCandidates(t *testing.T) {
 
 func TestChildProgramCoversItems(t *testing.T) {
 	app := tinyApp([]int{40})
-	if err := app.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	cd := childDef(app, 0)
-	if cd.GridCTAs != 2 || cd.Threads != 40 {
-		t.Fatalf("child def = %d CTAs, %d threads; want 2, 40", cd.GridCTAs, cd.Threads)
+	mustParentDef(t, app)
+	c := app.childLaunch(0, 0, app.Items(0))
+	if c.GridCTAs != 2 || c.Threads != 40 {
+		t.Fatalf("child launch = %d CTAs, %d threads; want 2, 40", c.GridCTAs, c.Threads)
 	}
 	// CTA 1 warp 0 covers items 32..39 (8 lanes).
-	ins := drain(t, cd.NewProgram(1, 0), nil)
+	ins := drain(t, warpProgram(c, 1, 0, nil), nil)
 	k := countKinds(ins)
 	if k[kernel.InstrALU] != 1 {
 		t.Errorf("child ALU = %d, want 1 (each lane does one item)", k[kernel.InstrALU])
@@ -148,7 +160,7 @@ func TestChildProgramCoversItems(t *testing.T) {
 func TestInnerIterations(t *testing.T) {
 	app := tinyApp([]int{2})
 	app.Ops.Inner = func(p, j int) int { return 3 }
-	prog := mustParentDef(t, app).NewProgram(0, 0)
+	prog := warpProgram(hostLaunch(mustParentDef(t, app)), 0, 0, nil)
 	ins := drain(t, prog, nil)
 	k := countKinds(ins)
 	// 2 items x 3 inner iterations = 6 ALU.
@@ -162,7 +174,7 @@ func TestFinalStores(t *testing.T) {
 	app.Ops.Stores = 0
 	app.Ops.FinalStores = 1
 	app.Ops.FinalAddr = func(p, j, slot int) uint64 { return 1 << 22 }
-	ins := drain(t, mustParentDef(t, app).NewProgram(0, 0), nil)
+	ins := drain(t, warpProgram(hostLaunch(mustParentDef(t, app)), 0, 0, nil), nil)
 	stores := 0
 	for _, in := range ins {
 		if in.Kind == kernel.InstrMem && in.Store {
@@ -214,9 +226,7 @@ func TestAppValidation(t *testing.T) {
 
 func TestAMRNestedPrograms(t *testing.T) {
 	app := NewAMR(inputs.NewAMRMesh(256, 1))
-	if err := app.Normalize(); err != nil {
-		t.Fatal(err)
-	}
+	mustParentDef(t, app)
 	// Find a parent with items whose sub-cells nest.
 	p := -1
 	for i := 0; i < app.Elements; i++ {
@@ -228,8 +238,7 @@ func TestAMRNestedPrograms(t *testing.T) {
 	if p < 0 {
 		t.Skip("mesh has no nesting cell in the first 256")
 	}
-	cd := childDef(app, p)
-	prog := cd.NewProgram(0, 0)
+	prog := warpProgram(app.childLaunch(0, p, app.Items(p)), 0, 0, nil)
 	launches := 0
 	ins := drain(t, prog, func(c *kernel.LaunchCandidate) bool {
 		launches++
@@ -250,8 +259,7 @@ func TestAMRNestedPrograms(t *testing.T) {
 		t.Errorf("ALU = %d: nested serial work missing", k[kernel.InstrALU])
 	}
 	// Grandchild program is a plain leaf.
-	gd := grandchildDef(app, p, 0)
-	gins := drain(t, gd.NewProgram(0, 0), nil)
+	gins := drain(t, warpProgram(app.grandchildLaunch(0, p, 0, app.Nest.SubItems(p, 0)), 0, 0, nil), nil)
 	if countKinds(gins)[kernel.InstrLaunch] != 0 {
 		t.Error("grandchild must not launch further")
 	}
@@ -307,7 +315,8 @@ func TestEveryBenchmarkBuildsValidDefs(t *testing.T) {
 			}
 		}
 		if max > 0 {
-			if err := childDef(app, busiest).Validate(); err != nil {
+			c := app.childLaunch(0, busiest, max)
+			if err := c.Def.ValidateLaunch(c.GridCTAs, c.Threads); err != nil {
 				t.Errorf("%s child: %v", b.Name, err)
 			}
 		}
