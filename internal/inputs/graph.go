@@ -111,30 +111,33 @@ func Graph500(scale, edgeFactor int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 << scale
 	m := n * edgeFactor
-	const a, b, c = 0.57, 0.19, 0.19
-	// Hub degrees are capped at 1024: excess edges of a saturated hub
-	// are redirected to a uniformly random source, trimming the extreme
-	// tail while keeping the R-MAT skew.
+	// Hub degrees are capped near 1024: an edge whose R-MAT source is
+	// already saturated is redirected to a uniformly random source,
+	// trimming the extreme tail while keeping the R-MAT skew. The
+	// redirected source is not checked again, so a few hubs end a
+	// little above the cap.
 	const maxDeg = 1024
-	deg := make([]int, n)
+	deg := make([]int32, n)
 	src := make([]int32, m)
 	dst := make([]int32, m)
+	// Each pick consumes the stream exactly as rng.Float64 would (see
+	// xA). The sign bit of t-1-x is [x >= t]; each pick shifts its
+	// quadrant's bits in at the top, so after scale picks bit i of u and
+	// v holds pick i.
+	const top = 1 << 63
+	ltA, ltAB, ltABC := xA-1, xAB-1, xABC-1
 	for e := 0; e < m; e++ {
-		u, v := 0, 0
+		var uu, vv uint64
 		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// upper-left: no bits set
-			case r < a+b:
-				v |= 1 << bit
-			case r < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
+			x := rng.Int63()
+			for x >= xRedraw {
+				x = rng.Int63()
 			}
+			ab := uint64(ltAB - x)
+			uu = uu>>1 | ab&top
+			vv = vv>>1 | (uint64(ltA-x)^ab^uint64(ltABC-x))&top
 		}
+		u, v := int(uu>>(64-scale)), int(vv>>(64-scale))
 		if deg[u] >= maxDeg {
 			u = rng.Intn(n)
 		}
@@ -146,7 +149,7 @@ func Graph500(scale, edgeFactor int, seed int64) *Graph {
 	total := 0
 	for v := 0; v < n; v++ {
 		g.RowPtr[v] = int32(total)
-		total += deg[v]
+		total += int(deg[v])
 	}
 	g.RowPtr[n] = int32(total)
 	g.Adj = make([]int32, total)
@@ -158,4 +161,34 @@ func Graph500(scale, edgeFactor int, seed int64) *Graph {
 	}
 	layoutGraph(g)
 	return g
+}
+
+// The R-MAT partition probabilities: a [0,1) draw below rmatA picks
+// quadrant A, below rmatA+rmatB quadrant B, below rmatA+rmatB+rmatC
+// quadrant C, and D otherwise.
+const rmatA, rmatB, rmatC = 0.57, 0.19, 0.19
+
+// Thresholds on the Int63 behind rand.Float64: x >= xA exactly when
+// float64(x)/(1<<63) >= rmatA, and so on, and Float64 redraws exactly
+// when x >= xRedraw.
+var (
+	xA      = unitThreshold(rmatA)
+	xAB     = unitThreshold(rmatA + rmatB)
+	xABC    = unitThreshold(rmatA + rmatB + rmatC)
+	xRedraw = unitThreshold(1)
+)
+
+// unitThreshold returns the least non-negative int64 x with
+// float64(x)/(1<<63) >= t, the float rand.Float64 makes of x.
+func unitThreshold(t float64) int64 {
+	lo, hi := int64(0), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

@@ -2,6 +2,8 @@ package inputs
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -238,5 +240,190 @@ func TestGeneratorsWellFormedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refGraph500 is Graph500 as first written, with a float draw and a
+// four-way switch per quadrant pick; Graph500 must match it exactly.
+func refGraph500(scale, edgeFactor int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1 << scale
+	m := n * edgeFactor
+	const a, b, c = 0.57, 0.19, 0.19
+	const maxDeg = 1024
+	deg := make([]int, n)
+	src := make([]int32, m)
+	dst := make([]int32, m)
+	for e := 0; e < m; e++ {
+		u, v := 0, 0
+		for bit := 0; bit < scale; bit++ {
+			r := rng.Float64()
+			switch {
+			case r < a:
+				// upper-left: no bits set
+			case r < a+b:
+				v |= 1 << bit
+			case r < a+b+c:
+				u |= 1 << bit
+			default:
+				u |= 1 << bit
+				v |= 1 << bit
+			}
+		}
+		if deg[u] >= maxDeg {
+			u = rng.Intn(n)
+		}
+		src[e] = int32(u)
+		dst[e] = int32(v)
+		deg[u]++
+	}
+	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
+	total := 0
+	for v := 0; v < n; v++ {
+		g.RowPtr[v] = int32(total)
+		total += deg[v]
+	}
+	g.RowPtr[n] = int32(total)
+	g.Adj = make([]int32, total)
+	fill := make([]int32, n)
+	for e := 0; e < m; e++ {
+		u := src[e]
+		g.Adj[g.RowPtr[u]+fill[u]] = dst[e]
+		fill[u]++
+	}
+	layoutGraph(g)
+	return g
+}
+
+// refMandelGrid is NewMandelGrid as first written, one pixel at a
+// time; NewMandelGrid must match it exactly.
+func refMandelGrid(n, maxIter int) *MandelGrid {
+	g := &MandelGrid{N: n, Iters: make([]int, n), MaxIter: maxIter}
+	side := int(math.Sqrt(float64(n)))
+	if side < 1 {
+		side = 1
+	}
+	for i := range g.Iters {
+		px, py := i%side, i/side
+		cr := -0.78 + 0.06*float64(px)/float64(side)
+		ci := 0.10 + 0.06*float64(py)/float64(side)
+		zr, zi := 0.0, 0.0
+		it := 0
+		for ; it < maxIter && zr*zr+zi*zi < 4; it++ {
+			zr, zi = zr*zr-zi*zi+cr, 2*zr*zi+ci
+		}
+		g.Iters[i] = it
+	}
+	l := NewLayout()
+	g.OutBase = l.Alloc(4 * n)
+	return g
+}
+
+func TestGraph500MatchesReference(t *testing.T) {
+	var seeds []int64
+	for s := int64(1); s <= 12; s++ {
+		seeds = append(seeds, s)
+	}
+	for s := int64(100); s <= 112; s++ {
+		seeds = append(seeds, s)
+	}
+	for _, scale := range []int{1, 2, 8, 12, 16} {
+		for _, ef := range []int{1, 10} {
+			for _, seed := range seeds {
+				got, want := Graph500(scale, ef, seed), refGraph500(scale, ef, seed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Graph500(%d, %d, %d) differs from the reference", scale, ef, seed)
+				}
+			}
+		}
+	}
+}
+
+func TestMandelGridMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 4097, 131072} {
+		for _, maxIter := range []int{0, 1, 64, 256} {
+			got, want := NewMandelGrid(n, maxIter), refMandelGrid(n, maxIter)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("NewMandelGrid(%d, %d) differs from the reference", n, maxIter)
+			}
+		}
+	}
+}
+
+// TestUnitThresholds pins each integer threshold to its float test at
+// the boundary itself: a random stream essentially never draws a value
+// on a threshold, so the reference comparisons cannot catch an
+// off-by-one here.
+func TestUnitThresholds(t *testing.T) {
+	unit := func(x int64) float64 { return float64(x) / (1 << 63) }
+	for _, th := range []struct {
+		name string
+		x    int64
+		t    float64
+	}{
+		{"xA", xA, rmatA},
+		{"xAB", xAB, rmatA + rmatB},
+		{"xABC", xABC, rmatA + rmatB + rmatC},
+	} {
+		if !(unit(th.x-1) < th.t && th.t <= unit(th.x)) {
+			t.Errorf("%s = %d: want unit(x-1) = %v < %v <= unit(x) = %v",
+				th.name, th.x, unit(th.x-1), th.t, unit(th.x))
+		}
+	}
+	// rand.Float64 rejects exactly the draws that round to 1.
+	if unit(xRedraw-1) == 1 || unit(xRedraw) != 1 {
+		t.Errorf("xRedraw = %d: unit(x-1) = %v, unit(x) = %v; want the least x with unit(x) == 1",
+			xRedraw, unit(xRedraw-1), unit(xRedraw))
+	}
+}
+
+// Table I input sizes and seeds (internal/workloads/bench.go: seeds are
+// benchSeed(slot) = 100 + slot).
+const (
+	tableISeedBase = 100
+	citationN      = 65536
+	citationDeg    = 8
+	g500Scale      = 16
+	g500Deg        = 10
+	joinN          = 32768
+	joinMatches    = 48
+	mandelPix      = 131072
+	mandelIter     = 256
+	mmSmallN       = 2048
+	mmSmallCols    = 64
+	mmLargeN       = 4096
+	mmLargeCols    = 128
+	saReadsN       = 16384
+	amrCells       = 16384
+)
+
+func benchSeed(slot int64) int64 { return tableISeedBase + slot }
+
+// BenchmarkGenerators times each Table I input generator at the size
+// and seed the benchmark registry builds it with: the input-generation
+// layer of set-up.
+func BenchmarkGenerators(b *testing.B) {
+	for _, gen := range []struct {
+		name string
+		make func() any
+	}{
+		{"Graph500", func() any { return Graph500(g500Scale, g500Deg, benchSeed(2)) }},
+		{"Citation", func() any { return Citation(citationN, citationDeg, benchSeed(1)) }},
+		{"UniformRelation", func() any { return UniformRelation(joinN, joinMatches, benchSeed(3)) }},
+		{"GaussianRelation", func() any { return GaussianRelation(joinN, joinMatches, 14, benchSeed(4)) }},
+		{"SparseMatrix-small", func() any { return NewSparseMatrix(mmSmallN, mmSmallCols, 8, benchSeed(5)) }},
+		{"SparseMatrix-large", func() any { return NewSparseMatrix(mmLargeN, mmLargeCols, 10, benchSeed(6)) }},
+		{"ThalianaReads", func() any { return ThalianaReads(saReadsN, benchSeed(7)) }},
+		{"AMRMesh", func() any { return NewAMRMesh(amrCells, benchSeed(9)) }},
+		{"Mandel", func() any { return NewMandelGrid(mandelPix, mandelIter) }},
+	} {
+		b.Run(gen.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if gen.make() == nil {
+					b.Fatal("nil input")
+				}
+			}
+		})
 	}
 }

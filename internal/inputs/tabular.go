@@ -241,18 +241,46 @@ func NewMandelGrid(n, maxIter int) *MandelGrid {
 	if side < 1 {
 		side = 1
 	}
-	for i := range g.Iters {
+	c := func(i int) (cr, ci float64) {
 		px, py := i%side, i/side
-		cr := -0.78 + 0.06*float64(px)/float64(side)
-		ci := 0.10 + 0.06*float64(py)/float64(side)
-		zr, zi := 0.0, 0.0
+		return -0.78 + 0.06*float64(px)/float64(side), 0.10 + 0.06*float64(py)/float64(side)
+	}
+	// Pixels go in threes whose recurrences advance in lockstep, so
+	// their dependent multiply chains overlap, until any of them exits;
+	// escape then finishes each from where it stopped. Every pixel does
+	// the same float operations in the same order as alone. Three lanes
+	// ran as fast as four and faster than two.
+	i := 0
+	for ; i+2 < n; i += 3 {
+		cr0, ci0 := c(i)
+		cr1, ci1 := c(i + 1)
+		cr2, ci2 := c(i + 2)
+		zr0, zi0, zr1, zi1, zr2, zi2 := 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
 		it := 0
-		for ; it < maxIter && zr*zr+zi*zi < 4; it++ {
-			zr, zi = zr*zr-zi*zi+cr, 2*zr*zi+ci
+		for ; it < maxIter && zr0*zr0+zi0*zi0 < 4 && zr1*zr1+zi1*zi1 < 4 && zr2*zr2+zi2*zi2 < 4; it++ {
+			zr0, zi0 = zr0*zr0-zi0*zi0+cr0, 2*zr0*zi0+ci0
+			zr1, zi1 = zr1*zr1-zi1*zi1+cr1, 2*zr1*zi1+ci1
+			zr2, zi2 = zr2*zr2-zi2*zi2+cr2, 2*zr2*zi2+ci2
 		}
-		g.Iters[i] = it
+		g.Iters[i] = escape(zr0, zi0, cr0, ci0, it, maxIter)
+		g.Iters[i+1] = escape(zr1, zi1, cr1, ci1, it, maxIter)
+		g.Iters[i+2] = escape(zr2, zi2, cr2, ci2, it, maxIter)
+	}
+	for ; i < n; i++ {
+		cr, ci := c(i)
+		g.Iters[i] = escape(0, 0, cr, ci, 0, maxIter)
 	}
 	l := NewLayout()
 	g.OutBase = l.Alloc(4 * n)
 	return g
+}
+
+// escape runs the Mandelbrot recurrence for c = (cr, ci) from z = (zr,
+// zi) after it iterations and returns the iteration count at which z
+// leaves the radius-2 disc, or maxIter.
+func escape(zr, zi, cr, ci float64, it, maxIter int) int {
+	for ; it < maxIter && zr*zr+zi*zi < 4; it++ {
+		zr, zi = zr*zr-zi*zi+cr, 2*zr*zi+ci
+	}
+	return it
 }
