@@ -16,9 +16,11 @@ package spawnsim_test
 
 import (
 	"io"
+	goruntime "runtime"
 	"testing"
 
 	"spawnsim/internal/config"
+	"spawnsim/internal/dtbl"
 	"spawnsim/internal/harness"
 	"spawnsim/internal/runtime"
 	"spawnsim/internal/sim"
@@ -74,6 +76,45 @@ func TestSteadyStateAllocs(t *testing.T) {
 	op := throughputOp(t)
 	if got := testing.AllocsPerRun(1, func() { op() }); got > steadyStateAllocBudget {
 		t.Errorf("throughput op made %.0f allocations, budget %d", got, steadyStateAllocBudget)
+	}
+}
+
+// amrDTBLAllocBudget bounds the bytes one AMR run under DTBL allocates.
+// The run allocated 29.6 MB while every child warp's serial fallback
+// built its own runner, idle warps kept their launch buffers, and the
+// GMU queues, the kernel free list and the launch and CTA-time records
+// grew by copying; it allocates 10.9 MB now, 9.3 MB of it the peak
+// state of the run. In a process already holding as much live heap as
+// that peak state, as a benchmark pass with all its inputs built does,
+// about 15 MB starts a garbage collection late in the run, at the peak,
+// in some runs and not in others.
+const amrDTBLAllocBudget = 13 << 20
+
+// TestAMRDTBLAllocBytes holds one AMR run under DTBL, the largest
+// simulated state of the Table I runs, to amrDTBLAllocBudget.
+func TestAMRDTBLAllocBytes(t *testing.T) {
+	bm, err := workloads.ByName("AMR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := bm.Make()
+	def, err := workloads.ParentDef(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sim.NewChecked(sim.Options{Config: config.K20m(), Policy: dtbl.New(app.DefaultThreshold)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.LaunchHost(def)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	if _, err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	goruntime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > amrDTBLAllocBudget {
+		t.Errorf("AMR under DTBL allocated %.1f MB, budget %.1f MB", float64(got)/(1<<20), float64(amrDTBLAllocBudget)/(1<<20))
 	}
 }
 

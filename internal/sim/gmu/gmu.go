@@ -28,14 +28,14 @@ type PlaceFunc func(k *kernel.Kernel) bool
 type GMU struct {
 	cfg config.GPU
 
-	hwqs [][]*kernel.Kernel // FIFO per hardware work queue
+	hwqs []queue // FIFO per hardware work queue
 
 	// direct holds, in arrival order, the DTBL aggregated kernels (CTA
 	// groups, no HWQ slot) that still have undispatched CTAs. Only the
 	// front group is ever placed and NextCTA only grows, so a group
 	// leaves from the front once its last CTA is placed; groups counts
 	// the resident aggregated kernels, dispatched or not.
-	direct []*kernel.Kernel
+	direct queue
 	groups int
 
 	rr int // round-robin cursor over queues (hwqs + direct)
@@ -70,7 +70,7 @@ type GMU struct {
 func New(cfg config.GPU) *GMU {
 	return &GMU{
 		cfg:  cfg,
-		hwqs: make([][]*kernel.Kernel, cfg.NumHWQs),
+		hwqs: make([]queue, cfg.NumHWQs),
 	}
 }
 
@@ -103,12 +103,12 @@ func (g *GMU) Instrument(reg *metrics.Registry) {
 func (g *GMU) Enqueue(k *kernel.Kernel) {
 	qi := len(g.hwqs) // direct queue index in mEnqueues
 	if k.Aggregated {
-		g.direct = append(g.direct, k)
+		g.direct.push(k)
 		g.groups++
 	} else {
 		qi = int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
-		g.hwqs[qi] = append(g.hwqs[qi], k)
-		if len(g.hwqs[qi]) == 1 {
+		g.hwqs[qi].push(k)
+		if g.hwqs[qi].len() == 1 {
 			g.occupied++
 		}
 	}
@@ -129,14 +129,10 @@ func (g *GMU) headOf(qi int) *kernel.Kernel {
 		// Direct queue: CTA groups do not hold kernel slots, so the
 		// first group with undispatched CTAs is eligible regardless of
 		// groups still running ahead of it.
-		if len(g.direct) > 0 {
-			return g.direct[0]
-		}
-		return nil
+		return g.direct.front()
 	}
-	q := g.hwqs[qi]
-	if len(q) > 0 && !q[0].Dispatched() {
-		return q[0]
+	if k := g.hwqs[qi].front(); k != nil && !k.Dispatched() {
+		return k
 	}
 	return nil
 }
@@ -171,8 +167,7 @@ func (g *GMU) Dispatch(now kernel.Cycle, place PlaceFunc) int {
 				g.mQueueLat.Observe(uint64(now - k.ArrivalCycle))
 			}
 			if k.Aggregated && k.Dispatched() {
-				g.direct[0] = nil
-				g.direct = g.direct[1:]
+				g.direct.pop()
 			}
 			g.pendingCTAs--
 			placed++
@@ -204,12 +199,12 @@ func (g *GMU) Yield(now kernel.Cycle, k *kernel.Kernel) {
 		return
 	}
 	qi := int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
-	q := g.hwqs[qi]
-	if len(q) == 0 || q[0] != k {
+	q := &g.hwqs[qi]
+	if q.front() != k {
 		panic(kernel.Invariantf(now, "gmu", "yielding %v which is not head of HWQ %d", k, qi))
 	}
-	g.hwqs[qi] = q[1:]
-	if len(g.hwqs[qi]) == 0 {
+	q.pop()
+	if q.len() == 0 {
 		g.occupied--
 	}
 	k.Yielded = true
@@ -232,12 +227,12 @@ func (g *GMU) KernelCompleted(now kernel.Cycle, k *kernel.Kernel) {
 		return
 	}
 	qi := int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
-	q := g.hwqs[qi]
-	if len(q) == 0 || q[0] != k {
+	q := &g.hwqs[qi]
+	if q.front() != k {
 		panic(kernel.Invariantf(now, "gmu", "completed %v is not head of HWQ %d", k, qi))
 	}
-	g.hwqs[qi] = q[1:]
-	if len(g.hwqs[qi]) == 0 {
+	q.pop()
+	if q.len() == 0 {
 		g.occupied--
 	}
 }
@@ -258,8 +253,9 @@ func (g *GMU) SetBackpressure(stalled func(now kernel.Cycle) bool) { g.stalled =
 // It returns a *kernel.InvariantError for the first violation, or nil.
 func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 	members, remaining := 0, 0
-	for qi, q := range g.hwqs {
-		for pos, k := range q {
+	for qi := range g.hwqs {
+		for pos := range g.hwqs[qi].len() {
+			k := g.hwqs[qi].at(pos)
 			members++
 			if k.Released {
 				return kernel.Invariantf(now, "gmu", "HWQ %d holds released %v", qi, k)
@@ -284,7 +280,8 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 			}
 		}
 	}
-	for pos, k := range g.direct {
+	for pos := range g.direct.len() {
+		k := g.direct.at(pos)
 		if k.Released || !k.Aggregated {
 			return kernel.Invariantf(now, "gmu", "direct queue holds released or stale %v (aggregated %t)", k, k.Aggregated)
 		}
@@ -301,9 +298,9 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 			return kernel.Invariantf(now, "gmu", "direct queue: non-head %v has dispatched CTAs", k)
 		}
 	}
-	if len(g.direct) > g.groups {
+	if g.direct.len() > g.groups {
 		return kernel.Invariantf(now, "gmu", "resident groups %d < %d direct-queue members",
-			g.groups, len(g.direct))
+			g.groups, g.direct.len())
 	}
 	members += g.groups
 	if remaining != g.pendingCTAs {
@@ -317,8 +314,8 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 			g.queuedKerns, members)
 	}
 	occupied := 0
-	for _, q := range g.hwqs {
-		if len(q) > 0 {
+	for i := range g.hwqs {
+		if g.hwqs[i].len() > 0 {
 			occupied++
 		}
 	}
@@ -387,4 +384,64 @@ func (g *GMU) QueueState(placed int) profile.State {
 		return profile.StateBusy
 	}
 	return profile.StallQueue
+}
+
+// queue is a FIFO of kernels kept in chunks of queueChunk: a push fills
+// the last chunk and a pop empties the first, which is then kept for the
+// next chunk the queue needs. A queue so grows to its peak length
+// without copying and allocates no more, where q = q[1:] followed by
+// append reallocates the whole array every time the tail reaches its
+// capacity.
+type queue struct {
+	chunks [][]*kernel.Kernel
+	head   int // position of the front in chunks[0]
+	n      int
+	spare  []*kernel.Kernel // an emptied chunk, reused before allocating
+}
+
+const queueChunk = 256
+
+func (q *queue) len() int { return q.n }
+
+// front returns the oldest kernel, or nil when the queue is empty.
+func (q *queue) front() *kernel.Kernel {
+	if q.n == 0 {
+		return nil
+	}
+	return q.chunks[0][q.head]
+}
+
+// at returns the kernel pos places behind the front.
+func (q *queue) at(pos int) *kernel.Kernel {
+	i := q.head + pos
+	return q.chunks[i/queueChunk][i%queueChunk]
+}
+
+func (q *queue) push(k *kernel.Kernel) {
+	i := q.head + q.n
+	if i == len(q.chunks)*queueChunk {
+		c := q.spare
+		if c == nil {
+			c = make([]*kernel.Kernel, queueChunk)
+		}
+		q.chunks, q.spare = append(q.chunks, c), nil
+	}
+	q.chunks[i/queueChunk][i%queueChunk] = k
+	q.n++
+}
+
+// pop drops the front kernel; the queue must not be empty.
+func (q *queue) pop() {
+	q.chunks[0][q.head] = nil
+	q.head++
+	q.n--
+	switch {
+	case q.n == 0:
+		q.head = 0
+	case q.head == queueChunk:
+		q.spare = q.chunks[0]
+		n := copy(q.chunks, q.chunks[1:])
+		q.chunks[n] = nil
+		q.chunks, q.head = q.chunks[:n], 0
+	}
 }

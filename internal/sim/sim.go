@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"spawnsim/internal/config"
@@ -168,6 +169,11 @@ type flightHeap []flightItem
 func (h flightHeap) less(i, j int) bool { return h[i].at < h[j].at }
 
 func (h *flightHeap) push(it flightItem) {
+	if len(*h) == cap(*h) {
+		// Double rather than grow by append's quarter: Baseline-DP
+		// keeps thousands of launches in transit.
+		*h = slices.Grow(*h, len(*h))
+	}
 	*h = append(*h, it)
 	h.up(len(*h) - 1)
 }
@@ -260,8 +266,12 @@ type GPU struct {
 	// (with their warps and programs) at completeCTA, one list per Def
 	// so a reused CTA hands each warp a program of the same code. Host
 	// kernels are never released: LaunchHost returns them to the caller.
-	freeKernels []*kernel.Kernel
+	freeKernels stack[*kernel.Kernel]
 	freeCTAs    []ctaPool
+	// launchBufs holds the candidate buffers of decided launch
+	// instructions: a warp holds one only while its launch is being
+	// decided, so warps parked at a sync keep none.
+	launchBufs [][]kernel.LaunchCandidate
 	// site is the one LaunchSite every Decide call receives.
 	site kernel.LaunchSite
 
@@ -310,7 +320,7 @@ type GPU struct {
 	parentCTAs  stats.TimeWeighted
 	childCTAs   stats.TimeWeighted
 
-	launchCycles  []kernel.Cycle // accepted device-launch decision cycles
+	launchCycles  stack[kernel.Cycle] // accepted device-launch decision cycles
 	childKernels  int
 	dtblGroups    int
 	launchOffers  int
@@ -547,16 +557,51 @@ const kernelBlock = 64
 // takeKernel pops a released device kernel, refilling the free list
 // with a fresh block on a miss.
 func (g *GPU) takeKernel() *kernel.Kernel {
-	if len(g.freeKernels) == 0 {
+	if g.freeKernels.n == 0 {
 		block := make([]kernel.Kernel, kernelBlock)
 		for i := range block {
-			g.freeKernels = append(g.freeKernels, &block[i])
+			g.freeKernels.push(&block[i])
 		}
 	}
-	n := len(g.freeKernels)
-	k := g.freeKernels[n-1]
-	g.freeKernels = g.freeKernels[:n-1]
-	return k
+	return g.freeKernels.pop()
+}
+
+// stack is a LIFO kept in chunks of stackChunk, so a stack that grows
+// to its peak length never copies itself: a free list growing to the
+// peak count of live objects, or a record of every launch.
+type stack[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+const stackChunk = 1024
+
+func (s *stack[T]) push(v T) {
+	if s.n == len(s.chunks)*stackChunk {
+		s.chunks = append(s.chunks, make([]T, stackChunk))
+	}
+	s.chunks[s.n/stackChunk][s.n%stackChunk] = v
+	s.n++
+}
+
+// pop removes and returns the last value pushed; the stack must not be
+// empty.
+func (s *stack[T]) pop() T {
+	s.n--
+	c := s.chunks[s.n/stackChunk]
+	v := c[s.n%stackChunk]
+	var zero T
+	c[s.n%stackChunk] = zero
+	return v
+}
+
+// appendTo appends the stack's values to dst, oldest first.
+func (s *stack[T]) appendTo(dst []T) []T {
+	dst = slices.Grow(dst, s.n)
+	for i := 0; i < s.n; i += stackChunk {
+		dst = append(dst, s.chunks[i/stackChunk][:min(stackChunk, s.n-i)]...)
+	}
+	return dst
 }
 
 // LaunchHost submits a kernel from the host (step 1-4 of Figure 4),
@@ -634,7 +679,7 @@ func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchC
 	w.CTA.OutstandingChildren++
 	g.liveKernels++
 	g.offloadedWork += int64(cand.Workload)
-	g.launchCycles = append(g.launchCycles, now)
+	g.launchCycles.push(now)
 	g.emit(trace.Event{Cycle: uint64(now), Kind: trace.KernelSubmitted, Kernel: k.ID, CTA: -1, Extra: cand.Workload})
 	g.flight.push(flightItem{at: arrival, k: k, warp: w, kGen: k.Gen, warpGen: w.Gen})
 }
@@ -642,7 +687,12 @@ func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchC
 // beginLaunch latches an InstrLaunch into the warp for (possibly
 // stalled, resumable) processing.
 func (g *GPU) beginLaunch(now kernel.Cycle, w *kernel.Warp, in *kernel.Instr) {
-	w.LaunchBuf = append(w.LaunchBuf[:0], in.Candidates...)
+	buf := w.LaunchBuf[:0]
+	if n := len(g.launchBufs); cap(buf) == 0 && n > 0 {
+		buf = g.launchBufs[n-1]
+		g.launchBufs = g.launchBufs[:n-1]
+	}
+	w.LaunchBuf = append(buf, in.Candidates...)
 	w.LaunchCursor = 0
 	w.InLaunch = true
 	if cap(w.Exec.Accepted) < len(w.LaunchBuf) {
@@ -734,6 +784,10 @@ func (g *GPU) stepLaunch(now kernel.Cycle, w *kernel.Warp) {
 		g.progress++ // a decided candidate is forward progress; a Defer is not
 	}
 	w.InLaunch = false
+	if cap(w.LaunchBuf) > 0 {
+		g.launchBufs = append(g.launchBufs, w.LaunchBuf[:0])
+	}
+	w.LaunchBuf, w.LaunchCursor = nil, 0
 	if busy < 1 {
 		busy = 1
 	}
@@ -853,7 +907,7 @@ func (g *GPU) completeKernel(now kernel.Cycle, k *kernel.Kernel) {
 		// Device kernels go back to the free list; host kernels belong
 		// to LaunchHost's caller.
 		k.MarkReleased()
-		g.freeKernels = append(g.freeKernels, k)
+		g.freeKernels.push(k)
 	}
 }
 

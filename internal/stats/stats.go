@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -142,7 +143,30 @@ func (t *TimeWeighted) Average(endCycle uint64) float64 {
 // retaining samples for exact quantiles and PDFs.
 type Histogram struct {
 	samples []float64
+	// pending holds the samples added since the last read, in chunks
+	// that grow with the histogram up to histChunk, so a long run of Adds
+	// never copies a sample; the next read appends them to samples.
+	pending [][]float64
 	sorted  bool
+}
+
+// histChunk caps the size of a pending chunk.
+const histChunk = 8192
+
+// settle appends the pending samples to samples, in the order added.
+func (h *Histogram) settle() {
+	if len(h.pending) == 0 {
+		return
+	}
+	n := len(h.samples)
+	for _, c := range h.pending {
+		n += len(c)
+	}
+	h.samples = slices.Grow(h.samples, n-len(h.samples))
+	for _, c := range h.pending {
+		h.samples = append(h.samples, c...)
+	}
+	h.pending = nil
 }
 
 // MarshalJSON serializes the retained samples so results carrying a
@@ -152,6 +176,7 @@ type Histogram struct {
 // or sorts internally, so a decoded histogram reproduces the original's
 // outputs exactly.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
+	h.settle()
 	return json.Marshal(struct {
 		Samples []float64 `json:"samples"`
 	}{h.samples})
@@ -165,19 +190,37 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("stats: decode histogram: %w", err)
 	}
-	h.samples = raw.Samples
+	h.samples, h.pending = raw.Samples, nil
 	h.sorted = false
 	return nil
 }
 
-// Add records one sample.
-func (h *Histogram) Add(v float64) { h.samples = append(h.samples, v); h.sorted = false }
+// Add records one sample. A histogram fed one sample per event so
+// allocates its size once, where appending to one slice allocates about
+// five times that as append grows a long slice by a quarter.
+func (h *Histogram) Add(v float64) {
+	n := len(h.pending)
+	if n == 0 || len(h.pending[n-1]) == cap(h.pending[n-1]) {
+		size := len(h.samples) + 64
+		if n > 0 {
+			size = cap(h.pending[n-1]) * 2
+		}
+		h.pending = append(h.pending, make([]float64, 0, min(size, histChunk)))
+		n++
+	}
+	h.pending[n-1] = append(h.pending[n-1], v)
+	h.sorted = false
+}
 
 // N reports the sample count.
-func (h *Histogram) N() int { return len(h.samples) }
+func (h *Histogram) N() int {
+	h.settle()
+	return len(h.samples)
+}
 
 // Mean returns the sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
+	h.settle()
 	if len(h.samples) == 0 {
 		return 0
 	}
@@ -189,6 +232,7 @@ func (h *Histogram) Mean() float64 {
 }
 
 func (h *Histogram) ensureSorted() {
+	h.settle()
 	if !h.sorted {
 		sort.Float64s(h.samples)
 		h.sorted = true
@@ -197,6 +241,7 @@ func (h *Histogram) ensureSorted() {
 
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank.
 func (h *Histogram) Quantile(q float64) float64 {
+	h.settle()
 	if len(h.samples) == 0 {
 		return 0
 	}
@@ -215,6 +260,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // It reproduces the paper's Figure 12 statistic ("95% of child CTAs have
 // their execution time within 10% of the average").
 func (h *Histogram) FractionWithin(center, tol float64) float64 {
+	h.settle()
 	if len(h.samples) == 0 || center == 0 {
 		return 0
 	}
@@ -232,6 +278,7 @@ func (h *Histogram) FractionWithin(center, tol float64) float64 {
 // edge bins.
 func (h *Histogram) PDF(lo, hi float64, bins int) []float64 {
 	out := make([]float64, bins)
+	h.settle()
 	if len(h.samples) == 0 || bins == 0 || hi <= lo {
 		return out
 	}

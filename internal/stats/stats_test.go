@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -348,5 +351,66 @@ func TestCDFEdgeCases(t *testing.T) {
 	}
 	if cdf[0] != 0 || cdf[1] != 1 {
 		t.Errorf("CDF head = %v %v, want 0 then 1", cdf[0], cdf[1])
+	}
+}
+
+// TestHistogramAddAllocatesOnce feeds a histogram 2^16 samples: they
+// take about their own size in heap, where appending to one slice took
+// about five times that.
+func TestHistogramAddAllocatesOnce(t *testing.T) {
+	const n = 1 << 16
+	var h Histogram
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		h.Add(float64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*8*5/4); got > limit {
+		t.Fatalf("%d Adds allocated %d bytes, want at most %d", n, got, limit)
+	}
+	if h.N() != n || h.Quantile(1) != n-1 {
+		t.Fatalf("N %d, max %v after %d Adds", h.N(), h.Quantile(1), n)
+	}
+}
+
+// TestHistogramReadsSeeEveryAdd interleaves Adds with reads and
+// serialization: every statistic and the JSON match those of the
+// samples kept in one slice, in the order added.
+func TestHistogramReadsSeeEveryAdd(t *testing.T) {
+	var h Histogram
+	var want []float64
+	add := func(n int) {
+		for range n {
+			v := float64((len(want)*7919)%1000) / 3
+			h.Add(v)
+			want = append(want, v)
+		}
+	}
+	add(100)
+	if h.Mean() == 0 {
+		t.Fatal("zero mean")
+	}
+	add(20_000)
+	h.Quantile(0.9) // sorts the samples so far
+	sort.Float64s(want)
+	add(5)
+	got, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := json.Marshal(struct {
+		Samples []float64 `json:"samples"`
+	}{want})
+	if string(got) != string(ref) {
+		t.Fatal("JSON differs from the samples in the order added")
+	}
+	var r Histogram
+	r.samples = want
+	if h.N() != len(want) || h.Mean() != r.Mean() || h.FractionWithin(100, 0.1) != r.FractionWithin(100, 0.1) {
+		t.Fatalf("histogram disagrees with its samples: N %d/%d mean %v/%v", h.N(), len(want), h.Mean(), r.Mean())
+	}
+	if h.Quantile(0.9) != r.Quantile(0.9) {
+		t.Fatalf("p90 %v, its samples' %v", h.Quantile(0.9), r.Quantile(0.9))
 	}
 }

@@ -97,6 +97,12 @@ type App struct {
 	// rather than once per launch candidate, and after any override of
 	// ChildCTASize (Figure 7).
 	child, grandchild *kernel.Def
+	// spareNested holds the exhausted nested runners of child warps
+	// (with their lane buffers), so a child warp reaching its serial
+	// fallback reuses one instead of allocating it, and a warp parked at
+	// the sync holds none. An App must not run in two simulations at
+	// once.
+	spareNested []*leafRunner
 }
 
 // ParentThreads is the parent-kernel thread count.

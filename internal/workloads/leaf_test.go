@@ -432,3 +432,48 @@ func BenchmarkLeafRunner(b *testing.B) {
 		})
 	}
 }
+
+// TestChildWarpsReuseNestedRunner runs two AMR child warps one after the
+// other with every grandchild launch declined: the second takes the
+// nested runner the first handed back, and a warp past its serial
+// fallback holds none.
+func TestChildWarpsReuseNestedRunner(t *testing.T) {
+	bm, err := ByName("AMR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := bm.Make()
+	parent, err := ParentDef(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var children []kernel.LaunchCandidate
+	for _, in := range drain(t, warpProgram(hostLaunch(parent), 0, 0, nil), func(*kernel.LaunchCandidate) bool { return true }) {
+		children = append(children, in.Candidates...)
+	}
+	if len(children) < 2 {
+		t.Fatalf("parent warp 0 offered %d child launches, want 2", len(children))
+	}
+	first := warpProgram(children[0], 0, 0, nil).(*childProg)
+	drain(t, first, nil)
+	if first.nested != nil || len(app.spareNested) != 1 {
+		t.Fatalf("after the first warp: it holds a runner %t, %d spare", first.nested != nil, len(app.spareNested))
+	}
+	r := app.spareNested[0]
+	second := warpProgram(children[1], 0, 0, nil).(*childProg)
+	x := &kernel.Exec{}
+	for second.phase != chNested {
+		var in kernel.Instr
+		if !second.Next(x, &in) {
+			t.Fatal("the second warp ended before its serial fallback")
+		}
+		x.Accepted = make([]bool, len(in.Candidates))
+	}
+	if second.nested != r || len(app.spareNested) != 0 {
+		t.Fatalf("the second warp runs a new runner %t, %d spare", second.nested != r, len(app.spareNested))
+	}
+	drain(t, second, nil)
+	if second.nested != nil || len(app.spareNested) != 1 || app.spareNested[0] != r {
+		t.Fatalf("after the second warp: it holds a runner %t, %d spare", second.nested != nil, len(app.spareNested))
+	}
+}

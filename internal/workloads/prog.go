@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"slices"
+	"math/bits"
 
 	"spawnsim/internal/sim/kernel"
 )
@@ -275,20 +275,21 @@ func (r *itemWarp) next(in *kernel.Instr) bool {
 	return false
 }
 
-// acceptWalk reports which lanes a launch's policy accepted: lanes
-// lists the candidates' lanes in ascending order and accepted is the
-// per-candidate decision. Queries must come in ascending lane order.
-type acceptWalk struct {
-	lanes    []int
+// accepts reports which lanes a launch's policy accepted: lanes has bit
+// l set when lane l offered a candidate, candidates in ascending lane
+// order, and accepted is the per-candidate decision.
+type accepts struct {
+	lanes    uint32
 	accepted []bool
-	i        int
 }
 
-func (a *acceptWalk) has(lane int) bool {
-	for a.i < len(a.lanes) && a.lanes[a.i] < lane {
-		a.i++
+func (a accepts) has(lane int) bool {
+	bit := uint32(1) << lane
+	if a.lanes&bit == 0 {
+		return false
 	}
-	return a.i < len(a.lanes) && a.lanes[a.i] == lane && a.i < len(a.accepted) && a.accepted[a.i]
+	i := bits.OnesCount32(a.lanes & (bit - 1))
+	return i < len(a.accepted) && a.accepted[i]
 }
 
 // selfItem returns jOf for lanes whose items are numbered 0..count-1
@@ -306,7 +307,7 @@ type parentProg struct {
 	sec       int // current section slot
 	phase     int
 	setupSlot int
-	candLanes []int      // lane index per candidate of the current launch
+	candLanes uint32     // lanes with a candidate in the current launch
 	declined  []laneWork // the serial fallback's lanes
 
 	// serial is reused across sections and emptied at the sync, so a
@@ -368,7 +369,7 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			return true
 		case phLaunch:
 			in.Kind = kernel.InstrLaunch
-			pp.candLanes = pp.candLanes[:0]
+			pp.candLanes = 0
 			for lane := 0; lane < pp.lanes; lane++ {
 				e := pp.elem(lane)
 				if e < 0 {
@@ -379,14 +380,14 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 					continue
 				}
 				in.Candidates = append(in.Candidates, app.childLaunch(lane, e, items))
-				pp.candLanes = append(pp.candLanes, lane)
+				pp.candLanes |= 1 << lane
 			}
 			pp.phase = phAfterLaunch
 			return true
 		case phAfterLaunch:
 			// Build the serial fallback from the declined lanes.
 			pp.declined = pp.declined[:0]
-			acc := acceptWalk{lanes: pp.candLanes, accepted: x.Accepted}
+			acc := accepts{lanes: pp.candLanes, accepted: x.Accepted}
 			for lane := 0; lane < pp.lanes; lane++ {
 				var lw laneWork
 				if e := pp.elem(lane); e >= 0 && !acc.has(lane) {
@@ -429,18 +430,29 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 func nestedSerialRunner(app *App, declined []laneWork) *leafRunner {
 	nest := app.Nest
 	type flat struct{ pEnc, k int }
-	perLane := make([][]flat, len(declined))
 	lanes := make([]laneWork, len(declined))
+	total := 0
 	for lane, lw := range declined {
-		e := lw.p
+		n := 0
 		for j := 0; j < lw.count; j++ {
-			sub := nest.SubItems(e, j)
-			enc := nest.Encode(e, j)
+			n += max(nest.SubItems(lw.p, j), 0)
+		}
+		lanes[lane] = laneWork{p: lw.p, count: n}
+		total += n
+	}
+	// One array holds every lane's sub-items, lane after lane.
+	flats := make([]flat, 0, total)
+	perLane := make([][]flat, len(declined))
+	for lane, lw := range declined {
+		start := len(flats)
+		for j := 0; j < lw.count; j++ {
+			sub := nest.SubItems(lw.p, j)
+			enc := nest.Encode(lw.p, j)
 			for k := 0; k < sub; k++ {
-				perLane[lane] = append(perLane[lane], flat{enc, k})
+				flats = append(flats, flat{enc, k})
 			}
 		}
-		lanes[lane] = laneWork{p: e, count: len(perLane[lane])}
+		perLane[lane] = flats[start:]
 	}
 	jOf := func(lane, item int) int { return perLane[lane][item].k }
 	pOf := func(lane, item int) int { return perLane[lane][item].pEnc }
@@ -454,7 +466,7 @@ type childProg struct {
 	own itemWarp
 
 	phase     int
-	candLanes []int
+	candLanes uint32
 	nested    *leafRunner
 }
 
@@ -483,7 +495,7 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			cp.phase = chLaunch
 		case chLaunch:
 			in.Kind = kernel.InstrLaunch
-			cp.candLanes = cp.candLanes[:0]
+			cp.candLanes = 0
 			for lane := 0; lane < cp.own.lanes; lane++ {
 				j := base + lane
 				sub := app.Nest.SubItems(p, j)
@@ -491,36 +503,35 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 					continue
 				}
 				in.Candidates = append(in.Candidates, app.grandchildLaunch(lane, p, j, sub))
-				cp.candLanes = append(cp.candLanes, lane)
+				cp.candLanes |= 1 << lane
 			}
 			cp.phase = chAfterLaunch
 			return true
 		case chAfterLaunch:
-			acc := acceptWalk{lanes: cp.candLanes, accepted: x.Accepted}
+			// A declined lane runs its item's sub-items serially; each
+			// lane's parent key is its item's encoded (p, j).
+			acc := accepts{lanes: cp.candLanes, accepted: x.Accepted}
 			nest := app.Nest
-			lanes := make([]laneWork, cp.own.lanes)
-			encs := make([]int, cp.own.lanes)
-			for lane := range lanes {
-				j := base + lane
-				if acc.has(lane) {
-					continue
+			cp.nested = app.takeNested()
+			lanes := cp.nested.lanes[:0]
+			for lane := 0; lane < cp.own.lanes; lane++ {
+				var lw laneWork
+				if j := base + lane; !acc.has(lane) {
+					if sub := nest.SubItems(p, j); sub > 0 {
+						lw = laneWork{p: nest.Encode(p, j), count: sub}
+					}
 				}
-				sub := nest.SubItems(p, j)
-				if sub <= 0 {
-					continue
-				}
-				lanes[lane] = laneWork{p: p, count: sub}
-				encs[lane] = nest.Encode(p, j)
+				lanes = append(lanes, lw)
 			}
-			pOf := func(lane, item int) int { return encs[lane] }
-			cp.nested = newLeafRunner(&nest.Ops, lanes, selfItem, pOf)
+			cp.nested.reset(&nest.Ops, lanes, selfItem, nil)
 			cp.phase = chNested
 		case chNested:
 			if cp.nested.next(in) {
 				return true
 			}
-			// Drop exhausted runners: a warp parked at the sync waiting
-			// for grandchildren must not keep their lane state alive.
+			// Hand the exhausted runner back: a warp parked at the sync
+			// waiting for grandchildren must not keep its lane state.
+			app.spareNested = append(app.spareNested, cp.nested)
 			cp.nested = nil
 			cp.phase = chSync
 		case chSync:
@@ -531,6 +542,18 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			return false
 		}
 	}
+}
+
+// takeNested returns an exhausted child-warp nested runner for reuse, or
+// a new one.
+func (a *App) takeNested() *leafRunner {
+	n := len(a.spareNested)
+	if n == 0 {
+		return &leafRunner{}
+	}
+	r := a.spareNested[n-1]
+	a.spareNested = a.spareNested[:n-1]
+	return r
 }
 
 // grandchildProg runs nested items of one (p, j) with no further nesting.
@@ -580,11 +603,10 @@ func (a *App) newParentProg(_, cta, warp, lanes int, old kernel.Program) kernel.
 		pp = &parentProg{}
 	}
 	*pp = parentProg{
-		app:       a,
-		base:      cta*a.ParentCTASize + warp*warpWidth,
-		lanes:     lanes,
-		candLanes: slices.Grow(pp.candLanes[:0], lanes),
-		declined:  make([]laneWork, 0, lanes),
+		app:      a,
+		base:     cta*a.ParentCTASize + warp*warpWidth,
+		lanes:    lanes,
+		declined: make([]laneWork, 0, lanes),
 	}
 	return pp
 }
@@ -609,7 +631,7 @@ func (a *App) newChildProg(p, cta, warp, lanes int, old kernel.Program) kernel.P
 	if cp == nil {
 		cp = &childProg{}
 	}
-	cp.app, cp.phase, cp.candLanes, cp.nested = a, chOwn, cp.candLanes[:0], nil
+	cp.app, cp.phase, cp.candLanes, cp.nested = a, chOwn, 0, nil
 	cp.own.reset(&a.Ops, p, cta*a.child.CTAThreads+warp*warpWidth, lanes)
 	return cp
 }
