@@ -1,21 +1,20 @@
 // Command spawnvet is the project's static-analysis driver. It loads
 // the module with the standard library's parser and type checker (no
-// external tooling) and runs twelve analyzers over it: determinism,
-// hotpath, invariants, errwrap, metricshygiene, seedtaint, exhaustive,
-// units, purity, sharedstate, clockstep, and skipsafe.
+// external tooling) and runs the analyzers `spawnvet -list` prints:
+// determinism, hotpath, invariants, errwrap, metrics, seedtaint,
+// exhaustive, units, purity, sharedstate, clockstep, and skipsafe.
 //
 // Usage:
 //
-//	spawnvet [-fix] [-list] [./... | dir ...]
+//	spawnvet [-list] [./... | dir ...]
 //
-//	-fix         apply mechanical fixes (%v→%w, sort-before-range),
-//	             then re-analyze and report what remains
 //	-list        print the available analyzers and exit
 //
-// A finding is silenced only at its site, by a
-// //spawnvet:allow <analyzer> <justification> comment on its line or
-// the line above; //spawnvet:hotpath marks a function as a per-cycle
-// root for the hotpath analyzer. No other directive exists.
+// Each finding's message says what to rewrite. A finding is silenced
+// only at its site, by a //spawnvet:allow <analyzer> <justification>
+// comment on its line or the line above; //spawnvet:hotpath marks a
+// function as a per-cycle root for the hotpath analyzer. No other
+// directive exists.
 //
 // Exit status: 0 when the tree is clean, 1 when diagnostics were
 // reported, 2 on usage or load errors.
@@ -24,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,10 +34,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("spawnvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fix := fs.Bool("fix", false, "apply mechanical fixes, then re-analyze")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -61,23 +60,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	if *fix {
-		fixed, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "spawnvet:", err)
-			return 2
-		}
-		for _, f := range fixed {
-			fmt.Fprintf(stderr, "spawnvet: fixed %s\n", f)
-		}
-		// Re-analyze the rewritten tree with a fresh loader.
-		diags, err = analyze(patterns, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, "spawnvet:", err)
-			return 2
-		}
-	}
-
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d.String())
 	}
@@ -89,7 +71,7 @@ func run(args []string, stdout, stderr *os.File) int {
 
 // analyze loads the packages matched by patterns and runs every
 // analyzer. Patterns are "./..." (the whole module) or directories.
-func analyze(patterns []string, stderr *os.File) ([]analysis.Diagnostic, error) {
+func analyze(patterns []string, stderr io.Writer) ([]analysis.Diagnostic, error) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		return nil, err

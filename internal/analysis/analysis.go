@@ -16,24 +16,10 @@ type Diagnostic struct {
 	Line     int
 	Column   int
 	Message  string
-
-	// Fix, when non-nil, is a mechanical byte-level rewrite that resolves
-	// the finding (applied by `spawnvet -fix`).
-	Fix *TextEdit
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Column, d.Analyzer, d.Message)
-}
-
-// TextEdit replaces the byte range [Start, End) of File with New.
-type TextEdit struct {
-	File       string
-	Start, End int
-	New        string
-	// NewImport, when non-empty, names a package that must be imported
-	// by File for the edit to compile (e.g. "sort").
-	NewImport string
 }
 
 // A Pass carries one analyzer's run over one package.
@@ -49,15 +35,6 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFix records a diagnostic carrying a mechanical fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *TextEdit, format string, args ...interface{}) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *TextEdit, format string, args ...interface{}) {
 	position := p.Pkg.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
@@ -66,7 +43,6 @@ func (p *Pass) report(pos token.Pos, fix *TextEdit, format string, args ...inter
 		Line:     position.Line,
 		Column:   position.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 

@@ -38,7 +38,8 @@ const (
 	callGraphFanCap = 128
 )
 
-// effectKind classifies one direct effect recorded in a summary.
+// effectKind classifies one direct effect recorded in a summary. The
+// first three kinds are purity's, the rest skipsafe's.
 type effectKind uint8
 
 const (
@@ -53,12 +54,11 @@ const (
 	// state that outlives the call. It is a global write too.
 	effectLeak
 	// effectStateWrite: a write through a pointer-shaped parameter or
-	// receiver — caller-visible mutation (skipsafe only, which is
-	// stricter than purity: even receiver state must stay frozen while
-	// the engine fast-forwards).
+	// receiver — caller-visible mutation (stricter than purity: even
+	// receiver state must stay frozen while the engine fast-forwards).
 	effectStateWrite
 	// effectSpawn / effectSend: goroutine launch and channel send —
-	// externally observable scheduling effects (skipsafe only).
+	// externally observable scheduling effects.
 	effectSpawn
 	effectSend
 )

@@ -1,10 +1,9 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
+	"slices"
 )
 
 // DeterminismAnalyzer enforces the simulator's replay contract: a
@@ -22,10 +21,10 @@ import (
 //   - no package-global math/rand state (rand.Intn, rand.Seed, ...);
 //     seeded generators via rand.New(rand.NewSource(seed)) are fine;
 //   - no ranging over a map, except the canonical key-collection
-//     prelude (append every key to a slice, then sort) and keyless
-//     `for range m` counting loops. Everything else either feeds
-//     Result/trace/CSV emission — where order is the bug — or is one
-//     refactor away from doing so.
+//     prelude (append every key to a slice, sorted by the very next
+//     statement) and keyless `for range m` counting loops. Everything
+//     else either feeds Result/trace/CSV emission — where order is the
+//     bug — or is one refactor away from doing so.
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
@@ -50,7 +49,7 @@ var randAllowed = map[string]bool{
 func runDeterminism(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+		walkStack(f, func(n ast.Node, stack []ast.Node) {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				// Only package-level selectors (rand.Intn) touch the global
@@ -72,15 +71,15 @@ func runDeterminism(pass *Pass) {
 						obj.Name())
 				}
 			case *ast.RangeStmt:
-				checkMapRange(pass, n)
+				checkMapRange(pass, n, stack)
 			}
-			return true
 		})
 	}
 }
 
-// checkMapRange flags nondeterministic map iteration.
-func checkMapRange(pass *Pass, rs *ast.RangeStmt) {
+// checkMapRange flags nondeterministic map iteration; stack holds the
+// loop's ancestors.
+func checkMapRange(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	info := pass.Pkg.Info
 	tv, ok := info.Types[rs.X]
 	if !ok {
@@ -93,140 +92,82 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt) {
 	if rs.Key == nil && rs.Value == nil {
 		return
 	}
-	if isKeyCollectLoop(rs) {
+	if keys := keyCollectSlice(rs); keys != "" && sortsSlice(info, nextStmt(rs, stack), keys) {
 		return
 	}
-	fix := buildSortedRangeFix(pass, rs)
-	msg := fmt.Sprintf(
+	pass.Reportf(rs.Pos(),
 		"range over map %s has nondeterministic iteration order; collect the keys, sort them, then iterate",
 		exprText(rs.X))
-	if fix != nil {
-		pass.ReportFix(rs.Pos(), fix, "%s", msg)
-	} else {
-		pass.Reportf(rs.Pos(), "%s", msg)
-	}
 }
 
-// isKeyCollectLoop recognizes the canonical sort prelude, whose body
-// is order-insensitive:
+// keyCollectSlice recognizes the canonical key-collection loop and
+// returns the slice it appends to ("" otherwise):
 //
 //	for k := range m {
 //		keys = append(keys, k)
 //	}
-func isKeyCollectLoop(rs *ast.RangeStmt) bool {
+func keyCollectSlice(rs *ast.RangeStmt) string {
 	key, ok := rs.Key.(*ast.Ident)
-	if !ok || key.Name == "_" || rs.Value != nil {
-		return false
-	}
-	if len(rs.Body.List) != 1 {
-		return false
+	if !ok || key.Name == "_" || rs.Value != nil || len(rs.Body.List) != 1 {
+		return ""
 	}
 	asg, ok := rs.Body.List[0].(*ast.AssignStmt)
 	if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 {
-		return false
+		return ""
 	}
 	call, ok := asg.Rhs[0].(*ast.CallExpr)
 	if !ok || len(call.Args) < 2 {
-		return false
+		return ""
 	}
 	if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
-		return false
+		return ""
 	}
-	if exprText(call.Args[0]) != exprText(asg.Lhs[0]) {
-		return false
-	}
+	keys := exprText(asg.Lhs[0])
 	last, ok := call.Args[len(call.Args)-1].(*ast.Ident)
-	return ok && last.Name == key.Name
+	if !ok || last.Name != key.Name || exprText(call.Args[0]) != keys {
+		return ""
+	}
+	return keys
 }
 
-// buildSortedRangeFix produces the mechanical sort-before-range rewrite
-// when the loop is simple enough: the ranged expression has no side
-// effects (ident/selector/index chain) and the key type is a basic
-// ordered type. Returns nil when the site needs a human.
-func buildSortedRangeFix(pass *Pass, rs *ast.RangeStmt) *TextEdit {
-	info := pass.Pkg.Info
-	switch ast.Unparen(rs.X).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-	default:
-		return nil
-	}
-	mt, _ := info.Types[rs.X].Type.Underlying().(*types.Map)
-	if mt == nil {
-		return nil
-	}
-	basic, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok || basic.Info()&(types.IsInteger|types.IsString|types.IsFloat) == 0 {
-		return nil
-	}
-	keyType := types.TypeString(mt.Key(), types.RelativeTo(pass.Pkg.Types))
-	if strings.Contains(keyType, ".") || strings.Contains(keyType, "/") {
-		// A named key type from another package would need an import.
-		return nil
-	}
-	if rs.Tok.String() != ":=" && rs.Key != nil {
-		// Assignment form (`for k = range m`) reuses outer variables;
-		// leave it to a human.
-		return nil
-	}
+// keySorts are the in-place sorts that make a collected key slice
+// order-free.
+var keySorts = map[string]bool{
+	"sort.Strings": true, "sort.Ints": true, "sort.Slice": true, "sort.SliceStable": true,
+	"slices.Sort": true, "slices.SortFunc": true,
+}
 
-	file := pass.Pkg.Fset.File(rs.Pos())
-	src, ok := pass.Pkg.Src[file.Name()]
+// sortsSlice reports whether stmt sorts the slice named keys in place:
+// the key-collection loop is exempt only when it is followed directly
+// by its sort.
+func sortsSlice(info *types.Info, stmt ast.Stmt, keys string) bool {
+	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
-		return nil
+		return false
 	}
-	start := file.Offset(rs.Pos())
-	end := file.Offset(rs.End())
-	bodyStart := file.Offset(rs.Body.Lbrace) + 1
-	bodyEnd := file.Offset(rs.Body.Rbrace)
-	body := string(src[bodyStart:bodyEnd]) // includes trailing newline+indent
-
-	indent := lineIndent(src, start)
-	mapText := exprText(rs.X)
-
-	keyName := "k"
-	if id, ok := rs.Key.(*ast.Ident); ok && id.Name != "_" {
-		keyName = id.Name
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
 	}
-	keysName := keyName + "s"
-	if strings.Contains(body, keysName) || mapText == keysName {
-		keysName = keyName + "Keys"
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s := make([]%s, 0, len(%s))\n", keysName, keyType, mapText)
-	fmt.Fprintf(&b, "%sfor %s := range %s {\n", indent, keyName, mapText)
-	fmt.Fprintf(&b, "%s\t%s = append(%s, %s)\n", indent, keysName, keysName, keyName)
-	fmt.Fprintf(&b, "%s}\n", indent)
-	fmt.Fprintf(&b, "%ssort.Slice(%s, func(i, j int) bool { return %s[i] < %s[j] })\n",
-		indent, keysName, keysName, keysName)
-	fmt.Fprintf(&b, "%sfor _, %s := range %s {", indent, keyName, keysName)
-	if v, ok := rs.Value.(*ast.Ident); ok && v.Name != "_" {
-		fmt.Fprintf(&b, "\n%s\t%s := %s[%s]", indent, v.Name, mapText, keyName)
-		// Keep the original body's leading newline/indentation after the
-		// injected value binding.
-	}
-	b.WriteString(body)
-	b.WriteString("}")
-
-	return &TextEdit{
-		File:      file.Name(),
-		Start:     start,
-		End:       end,
-		New:       b.String(),
-		NewImport: "sort",
-	}
+	fn, ok := calleeObject(info, call).(*types.Func)
+	return ok && fn.Pkg() != nil && keySorts[fn.Pkg().Path()+"."+fn.Name()] &&
+		exprText(call.Args[0]) == keys
 }
 
-// lineIndent returns the whitespace prefix of the line containing
-// offset.
-func lineIndent(src []byte, offset int) string {
-	ls := offset
-	for ls > 0 && src[ls-1] != '\n' {
-		ls--
+// nextStmt returns the statement after s in the statement list of its
+// parent (the last element of stack), or nil.
+func nextStmt(s ast.Stmt, stack []ast.Node) ast.Stmt {
+	var list []ast.Stmt
+	switch p := stack[len(stack)-1].(type) {
+	case *ast.BlockStmt:
+		list = p.List
+	case *ast.CaseClause:
+		list = p.Body
+	case *ast.CommClause:
+		list = p.Body
 	}
-	i := ls
-	for i < len(src) && (src[i] == ' ' || src[i] == '\t') {
-		i++
+	if i := slices.Index(list, s); i >= 0 && i+1 < len(list) {
+		return list[i+1]
 	}
-	return string(src[ls:i])
+	return nil
 }

@@ -16,8 +16,6 @@ import (
 //     context.Canceled all rely on unwrapping);
 //   - sentinel and typed errors are matched with errors.Is/errors.As,
 //     never compared with == / != or by message text.
-//
-// The %v→%w rewrite is mechanical; `spawnvet -fix` applies it.
 func ErrWrapAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "errwrap",
@@ -56,45 +54,29 @@ func checkErrorf(pass *Pass, call *ast.CallExpr) {
 	if err != nil {
 		return
 	}
-	verbs := scanVerbs(format)
 	info := pass.Pkg.Info
-	for vi, v := range verbs {
+	for vi, letter := range scanVerbs(format) {
 		argIdx := 1 + vi
 		if argIdx >= len(call.Args) {
 			break
 		}
-		if v.letter != 'v' && v.letter != 's' {
+		if letter != 'v' && letter != 's' {
 			continue
 		}
 		arg := call.Args[argIdx]
-		tv, ok := info.Types[arg]
-		if !ok || !isErrorType(tv.Type) {
-			continue
-		}
-		fix := buildVerbFix(pass, lit, format, v)
-		msg := "fmt.Errorf flattens an error with %" + string(v.letter) +
-			"; wrap it with %w so errors.Is/As see through this layer"
-		if fix != nil {
-			pass.ReportFix(arg.Pos(), fix, "%s", msg)
-		} else {
-			pass.Reportf(arg.Pos(), "%s", msg)
+		if tv, ok := info.Types[arg]; ok && isErrorType(tv.Type) {
+			pass.Reportf(arg.Pos(),
+				"fmt.Errorf flattens an error with %%%c; wrap it with %%w so errors.Is/As see through this layer", letter)
 		}
 	}
 }
 
-// verb is one format directive: the index of its '%' in the unquoted
-// format string and its terminating letter.
-type verb struct {
-	start  int
-	end    int // index just past the letter
-	letter byte
-}
-
-// scanVerbs extracts the argument-consuming format directives in order.
-// Width/precision stars are rare in this codebase and not handled; a
-// format containing them yields no fix (indices would shift).
-func scanVerbs(format string) []verb {
-	var out []verb
+// scanVerbs returns the letters of the argument-consuming format
+// directives, in order. A star width or precision consumes an argument
+// of its own; formats using one yield nothing rather than a misaligned
+// argument mapping.
+func scanVerbs(format string) []byte {
+	var out []byte
 	for i := 0; i < len(format); {
 		if format[i] != '%' {
 			i++
@@ -112,37 +94,12 @@ func scanVerbs(format string) []verb {
 			continue
 		}
 		if format[j] == '*' {
-			return nil // star width consumes an arg; bail out
+			return nil
 		}
-		out = append(out, verb{start: i, end: j + 1, letter: format[j]})
+		out = append(out, format[j])
 		i = j + 1
 	}
 	return out
-}
-
-// buildVerbFix rewrites one verb letter to 'w' inside the original
-// (quoted) literal. Only plain double-quoted literals are rewritten.
-func buildVerbFix(pass *Pass, lit *ast.BasicLit, format string, v verb) *TextEdit {
-	if !strings.HasPrefix(lit.Value, `"`) {
-		return nil // raw string: offsets differ from the unquoted form
-	}
-	// Within a double-quoted literal the unquoted text maps 1:1 onto the
-	// quoted text only when no escape sequences precede the verb; verify
-	// by re-quoting the prefix.
-	prefix := format[:v.end-1]
-	quotedPrefix := strconv.Quote(prefix)
-	quotedPrefix = quotedPrefix[:len(quotedPrefix)-1] // drop closing quote
-	if !strings.HasPrefix(lit.Value, quotedPrefix) {
-		return nil
-	}
-	file := pass.Pkg.Fset.File(lit.Pos())
-	off := file.Offset(lit.Pos()) + len(quotedPrefix)
-	return &TextEdit{
-		File:  file.Name(),
-		Start: off,
-		End:   off + 1,
-		New:   "w",
-	}
 }
 
 // checkErrCompare flags == / != between errors and message-text checks.

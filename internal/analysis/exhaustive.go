@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -14,10 +13,9 @@ import (
 // iota-style kind enum (instruction opcodes, fault kinds, abort
 // reasons, trace event types) must either cover every declared member
 // or carry a default clause — the project convention is a
-// kernel.Invariantf panic default, so that adding a new enum member
-// fails loudly at the first simulated occurrence instead of silently
-// falling through. Missing-member switches are fixable: `spawnvet
-// -fix` inserts the panic default.
+// kernel.Invariantf panic default stamped with the caller's clock, so
+// that adding a new enum member fails loudly at the first simulated
+// occurrence instead of silently falling through.
 //
 // An enum, for this analyzer, is a defined (named) integer type with
 // at least two same-typed constants declared in its package. Constants
@@ -30,10 +28,6 @@ func ExhaustiveAnalyzer() *Analyzer {
 		Run:  runExhaustive,
 	}
 }
-
-// kernelImportSuffix locates the unit/invariant package inside any
-// module that follows the project layout.
-const kernelImportSuffix = "internal/sim/kernel"
 
 // sentinelName reports whether a constant name marks an enum sentinel
 // rather than a member (numKinds, maxOpcode, kindCount, ...).
@@ -99,13 +93,13 @@ func runExhaustive(pass *Pass) {
 			if !ok || sw.Tag == nil {
 				return true
 			}
-			checkSwitch(pass, f, sw)
+			checkSwitch(pass, sw)
 			return true
 		})
 	}
 }
 
-func checkSwitch(pass *Pass, file *ast.File, sw *ast.SwitchStmt) {
+func checkSwitch(pass *Pass, sw *ast.SwitchStmt) {
 	named := enumType(pass.Pkg.Info, sw.Tag)
 	if named == nil {
 		return
@@ -151,88 +145,7 @@ func checkSwitch(pass *Pass, file *ast.File, sw *ast.SwitchStmt) {
 	if named.Obj().Pkg() != pass.Pkg.Types {
 		typeName = named.Obj().Pkg().Name() + "." + typeName
 	}
-	msg := fmt.Sprintf("switch over %s is not exhaustive: missing %s and no default; cover them or add a kernel.Invariantf panic default",
+	pass.Reportf(sw.Pos(),
+		"switch over %s is not exhaustive: missing %s and no default; cover them or add a default that panics with kernel.Invariantf, stamped with the caller's clock (not 0)",
 		typeName, strings.Join(missing, ", "))
-	if fix := defaultClauseFix(pass, file, sw, typeName); fix != nil {
-		pass.ReportFix(sw.Pos(), fix, "%s", msg)
-		return
-	}
-	pass.Reportf(sw.Pos(), "%s", msg)
-}
-
-// defaultClauseFix builds the `default: panic(kernel.Invariantf(...))`
-// insertion for a non-exhaustive switch, or nil when the tag expression
-// is not safely repeatable inside the panic message.
-func defaultClauseFix(pass *Pass, file *ast.File, sw *ast.SwitchStmt, typeName string) *TextEdit {
-	if !sideEffectFree(sw.Tag) {
-		return nil
-	}
-	qual, newImport, ok := invariantQualifier(pass, file)
-	if !ok {
-		return nil
-	}
-	pos := pass.Pkg.Fset.Position(sw.Pos())
-	rbrace := pass.Pkg.Fset.Position(sw.Body.Rbrace)
-	src, ok := pass.Pkg.Src[rbrace.Filename]
-	if !ok || rbrace.Offset > len(src) {
-		return nil
-	}
-	indent := strings.Repeat("\t", pos.Column-1)
-	clause := fmt.Sprintf("default:\n%s\tpanic(%sInvariantf(0, %q, \"unhandled %s %%d\", %s))\n%s",
-		indent, qual, pass.Pkg.Types.Name(), typeName, exprText(sw.Tag), indent)
-	return &TextEdit{
-		File:      rbrace.Filename,
-		Start:     rbrace.Offset,
-		End:       rbrace.Offset,
-		New:       clause,
-		NewImport: newImport,
-	}
-}
-
-// sideEffectFree reports whether re-evaluating e inside the inserted
-// panic argument is safe.
-func sideEffectFree(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return true
-	case *ast.SelectorExpr:
-		return sideEffectFree(x.X)
-	case *ast.StarExpr:
-		return sideEffectFree(x.X)
-	default:
-		return false
-	}
-}
-
-// invariantQualifier resolves how the fixed file spells
-// kernel.Invariantf: bare inside the kernel package itself, via the
-// file's existing import name, or via a fresh "kernel." import whose
-// path is derived from the module layout.
-func invariantQualifier(pass *Pass, file *ast.File) (qual, newImport string, ok bool) {
-	if strings.HasSuffix(pass.Pkg.Path, "/"+kernelImportSuffix) {
-		return "", "", true
-	}
-	for _, imp := range file.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		if !strings.HasSuffix(path, "/"+kernelImportSuffix) {
-			continue
-		}
-		name := "kernel"
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		return name + ".", "", true
-	}
-	// Not imported by this file: derive the module's kernel path from any
-	// package-level import of it, else from the module prefix of our own
-	// import path.
-	for _, dep := range pass.Pkg.Types.Imports() {
-		if strings.HasSuffix(dep.Path(), "/"+kernelImportSuffix) {
-			return "kernel.", dep.Path(), true
-		}
-	}
-	if i := strings.Index(pass.Pkg.Path, "/internal/"); i >= 0 {
-		return "kernel.", pass.Pkg.Path[:i] + "/" + kernelImportSuffix, true
-	}
-	return "", "", false
 }

@@ -88,11 +88,7 @@ func renderDiagnostics(t *testing.T, dir string, analyzers []*Analyzer) string {
 		if err != nil {
 			rel = d.File
 		}
-		fixable := ""
-		if d.Fix != nil {
-			fixable = " [fixable]"
-		}
-		fmt.Fprintf(&b, "%s:%d:%d: [%s] %s%s\n", rel, d.Line, d.Column, d.Analyzer, d.Message, fixable)
+		fmt.Fprintf(&b, "%s:%d:%d: [%s] %s\n", rel, d.Line, d.Column, d.Analyzer, d.Message)
 	}
 	return b.String()
 }

@@ -33,9 +33,6 @@ type Package struct {
 
 	Fset  *token.FileSet
 	Files []*ast.File
-	// Src holds each file's raw bytes, keyed by filename, for the byte
-	// fixer and the directive scanner.
-	Src map[string][]byte
 
 	Types *types.Package
 	Info  *types.Info
@@ -204,7 +201,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Src: map[string][]byte{}}
+	p := &Package{Path: path, Dir: dir, Fset: l.Fset}
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
@@ -226,7 +223,6 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		p.Files = append(p.Files, f)
-		p.Src[full] = src
 	}
 	if len(p.Files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)

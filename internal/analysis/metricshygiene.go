@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 )
 
@@ -220,19 +221,11 @@ func checkHandlesWritten(pass *Pass, handles map[types.Object]token.Pos, assignU
 			objs = append(objs, obj)
 		}
 	}
-	sortObjectsByPos(pass, handles, objs)
+	sort.Slice(objs, func(i, j int) bool { return handles[objs[i]] < handles[objs[j]] })
 	for _, obj := range objs {
 		pass.Reportf(handles[obj],
 			"instrument %s is registered but never written (no Inc/Add/Set/Observe anywhere in the package)",
 			obj.Name())
-	}
-}
-
-func sortObjectsByPos(pass *Pass, handles map[types.Object]token.Pos, objs []types.Object) {
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && handles[objs[j]] < handles[objs[j-1]]; j-- {
-			objs[j], objs[j-1] = objs[j-1], objs[j]
-		}
 	}
 }
 
@@ -246,7 +239,7 @@ func finishMetricsHygiene(pass *Pass, regs map[string][]regSite) {
 	for name := range regs {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, name := range names {
 		sites := regs[name]
 		if len(sites) < 2 {
@@ -265,14 +258,6 @@ func finishMetricsHygiene(pass *Pass, regs map[string][]regSite) {
 			pass.Reportf(s.pos,
 				"metric %q already registered at %s; unlabeled duplicate registrations shadow each other",
 				name, sites[0].posStr)
-		}
-	}
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
 		}
 	}
 }

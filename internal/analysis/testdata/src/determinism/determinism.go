@@ -16,7 +16,7 @@ func SeededRand(seed int64) int {
 	return r.Intn(10)
 }
 
-// SumValues observes map iteration order: flagged (fixable).
+// SumValues observes map iteration order: flagged.
 func SumValues(m map[string]int) int {
 	s := 0
 	for _, v := range m {
@@ -36,7 +36,7 @@ func AllowedRange(m map[string]int) int {
 	return s
 }
 
-// CollectKeys is the canonical sort prelude: not flagged.
+// CollectKeys hands the keys back in map order, unsorted: flagged.
 func CollectKeys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

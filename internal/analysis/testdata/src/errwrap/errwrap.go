@@ -10,12 +10,12 @@ import (
 // ErrSentinel is a package sentinel error.
 var ErrSentinel = errors.New("sentinel")
 
-// Flatten loses the error chain through %v: flagged (fixable).
+// Flatten loses the error chain through %v: flagged.
 func Flatten(err error) error {
 	return fmt.Errorf("loading config: %v", err)
 }
 
-// FlattenString loses the chain through %s: flagged (fixable).
+// FlattenString loses the chain through %s: flagged.
 func FlattenString(err error) error {
 	return fmt.Errorf("parsing spec: %s", err)
 }

@@ -39,7 +39,7 @@ func defaulted(k Kind) int {
 }
 
 func missing(k Kind) int {
-	switch k { // missing Gamma, no default: flagged, fixable
+	switch k { // missing Gamma, no default: flagged
 	case Alpha:
 		return 1
 	case Beta:
@@ -51,7 +51,7 @@ func missing(k Kind) int {
 func next(k Kind) Kind { return (k + 1) % numKinds }
 
 func sideEffectTag(k Kind) int {
-	switch next(k) { // tag re-evaluation unsafe: flagged, not fixable
+	switch next(k) { // call tag, missing Beta and Gamma: flagged
 	case Alpha:
 		return 1
 	}

@@ -1,6 +1,6 @@
 // Package skipsafe is a spawnvet golden-test fixture for the idle
 // fast-forward contract: every effect class the analyzer reports,
-// staged beside the sanctioned patterns.
+// staged beside the sanctioned patterns and purity's classes.
 package skipsafe
 
 import (
@@ -11,7 +11,7 @@ import (
 // Cycle mirrors kernel.Cycle.
 type Cycle uint64
 
-// launches is package-level state: skip-path writes to it are effects.
+// launches is package-level state: skip-path writes to it are purity's.
 var launches int
 
 // table is package-level state reachable through aliases.
@@ -36,13 +36,13 @@ func (g *GPU) Run() error {
 		g.pace(&g.idle)      // flagged inside: write through p before p is rebound
 		span := g.estimate() // clean: pure computation
 		_ = lookup(span)     // clean: checked, nothing to report
-		g.recordStats()      // flagged inside: package-level write
+		g.recordStats()      // unflagged: package-level writes are purity's
 		g.touch()            // flagged inside: receiver mutation
-		g.logIdle()          // flagged inside: ambient I/O
+		g.logIdle()          // unflagged: ambient I/O is purity's
 		g.fanout()           // flagged inside: goroutine spawn
 		g.publish()          // flagged inside: channel send
 		g.probe()            // flagged inside helper: multi-hop chain
-		scribble()           // flagged inside: aliased global write
+		scribble()           // unflagged: aliased global writes are purity's
 		g.skim()             // flagged inside: a leftover directive trusts nothing
 		g.tally()            // suppressed inside: //spawnvet:allow
 		g.profTick()         // flagged inside: accumulators get no trust
@@ -83,9 +83,9 @@ func (g *GPU) estimate() int {
 // lookup is a pure table lookup: the walk checks it and finds nothing.
 func lookup(x int) int { return x * 2 }
 
-// recordStats writes package-level state.
+// recordStats writes package-level state: purity's finding.
 func (g *GPU) recordStats() {
-	launches++ // flagged
+	launches++ // unflagged
 }
 
 // touch mutates the receiver: even the GPU's own fields must stay
@@ -94,9 +94,9 @@ func (g *GPU) touch() {
 	g.idle++ // flagged
 }
 
-// logIdle reads the wall clock.
+// logIdle reads the wall clock: purity's finding.
 func (g *GPU) logIdle() {
-	_ = time.Now() // flagged
+	_ = time.Now() // unflagged
 }
 
 // fanout schedules observable work.
@@ -116,13 +116,13 @@ func (g *GPU) probe() {
 }
 
 func helper() {
-	launches++ // flagged via the chain from probe
+	go lookup(0) // flagged via the chain from probe
 }
 
-// scribble writes package-level state through a local alias.
+// scribble writes package-level state through a local alias: purity's.
 func scribble() {
 	t := table
-	t[1] = 2 // flagged: aliases the package-level table
+	t[1] = 2 // unflagged
 }
 
 // skim carries a leftover trust directive: it is an unknown directive
@@ -130,13 +130,13 @@ func scribble() {
 //
 //spawnvet:skipsafe
 func (g *GPU) skim() {
-	launches++ // flagged: no directive confers trust
+	g.idle++ // flagged: no directive confers trust
 }
 
 // tally stages site-level suppression.
 func (g *GPU) tally() {
 	//spawnvet:allow skipsafe fixture: diagnostic counter is invisible to simulated state
-	launches++
+	g.idle++
 }
 
 // pace writes through its pointer parameter, then rebinds it: the
@@ -150,7 +150,7 @@ func (g *GPU) pace(p *uint64) {
 // abort sits on a cold return path (deadlock surfacing), so the
 // skip-path walk excludes it.
 func (g *GPU) abort(msg string) error {
-	launches++ // unflagged: cold path
+	g.idle++ // unflagged: cold path
 	return errors.New(msg)
 }
 

@@ -36,6 +36,10 @@ func UnitsAnalyzer() *Analyzer {
 	}
 }
 
+// kernelImportSuffix locates the unit package inside any module that
+// follows the project layout.
+const kernelImportSuffix = "internal/sim/kernel"
+
 // unitName resolves t to one of the kernel unit types, returning its
 // name ("Cycle", "Bytes", "ThreadCount") or "".
 func unitName(t types.Type) string {

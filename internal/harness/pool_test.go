@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -210,6 +211,32 @@ func TestPoolFirstHardErrorCancelsBatch(t *testing.T) {
 	outs, err := (&Pool{Workers: 4}).Run(specs)
 	if err == nil {
 		t.Fatal("parallel batch with a poisoned spec reported success")
+	}
+	if outs != nil {
+		t.Errorf("failed batch returned outcomes: %v", outs)
+	}
+}
+
+// TestPoolConcurrentFailuresFailFast fails two specs at the same time
+// on different workers: a barrier in the Defaults hook holds each worker
+// until both have started, so both failures reach the batch's
+// first-error slot concurrently. The batch must report one of the two
+// errors and no outcomes; under -race it also proves that slot is
+// guarded.
+func TestPoolConcurrentFailuresFailFast(t *testing.T) {
+	var started sync.WaitGroup
+	started.Add(2)
+	barrier := func(*Spec) {
+		started.Done()
+		started.Wait()
+	}
+	specs := []Spec{
+		{Benchmark: "no-such-benchmark-a", Scheme: SchemeFlat},
+		{Benchmark: "no-such-benchmark-b", Scheme: SchemeFlat},
+	}
+	outs, err := (&Pool{Workers: 2, Defaults: barrier}).Run(specs)
+	if err == nil || !strings.Contains(err.Error(), "no-such-benchmark-") {
+		t.Fatalf("batch error = %v, want one of the unknown-benchmark failures", err)
 	}
 	if outs != nil {
 		t.Errorf("failed batch returned outcomes: %v", outs)
