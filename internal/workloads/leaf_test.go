@@ -178,13 +178,50 @@ func (r *refLeafRunner) next(in *kernel.Instr) bool {
 	return false
 }
 
+// listNested is the reference's item source for a nested walk: it lists
+// every sub-item (nest.Encode(p, j), k) of the lanes' items, lane after
+// lane, as the parent's nested fallback did before it walked them, and
+// returns each lane's sub-item count with jOf and pOf over that list.
+func listNested(nest *Nest, lanes []laneWork) (counts []laneWork, jOf, pOf func(lane, item int) int) {
+	type flat struct{ pEnc, k int }
+	perLane := make([][]flat, len(lanes))
+	counts = make([]laneWork, len(lanes))
+	for lane, lw := range lanes {
+		for j := 0; j < lw.count; j++ {
+			sub := nest.SubItems(lw.p, j)
+			enc := nest.Encode(lw.p, j)
+			for k := 0; k < sub; k++ {
+				perLane[lane] = append(perLane[lane], flat{enc, k})
+			}
+		}
+		counts[lane] = laneWork{p: lw.p, count: len(perLane[lane])}
+	}
+	jOf = func(lane, item int) int { return perLane[lane][item].k }
+	pOf = func(lane, item int) int { return perLane[lane][item].pEnc }
+	return counts, jOf, pOf
+}
+
+// runnerKey tells apart the runs of one leafRunner: a parent warp runs
+// its serial fallback and then, with a Nest, the nested one on the
+// same runner, with no other instruction between them.
+type runnerKey struct {
+	r     *leafRunner
+	phase int
+}
+
 // activeRunner returns the runner that emitted prog's last instruction
-// — a *leafRunner or a child or grandchild warp's *itemWarp — with a
-// refLeafRunner built from the same inputs, or nil when the program
-// emitted it itself (set-up loads, launches, syncs).
+// — a runnerKey of a *leafRunner or a child or grandchild warp's
+// *itemWarp — with a refLeafRunner built from the same inputs, or nil
+// when the program emitted it itself (set-up loads, launches, syncs).
 func activeRunner(prog kernel.Program) (any, func() *refLeafRunner) {
-	leaf := func(r *leafRunner) (any, func() *refLeafRunner) {
-		return r, func() *refLeafRunner { return newRefLeafRunner(r.ops, r.lanes, r.jOf, r.pOf) }
+	leaf := func(r *leafRunner, phase int) (any, func() *refLeafRunner) {
+		return runnerKey{r, phase}, func() *refLeafRunner {
+			if r.nest != nil {
+				lanes, jOf, pOf := listNested(r.nest, r.lanes)
+				return newRefLeafRunner(r.ops, lanes, jOf, pOf)
+			}
+			return newRefLeafRunner(r.ops, r.lanes, func(_, item int) int { return item }, nil)
+		}
 	}
 	item := func(r *itemWarp) (any, func() *refLeafRunner) {
 		return r, func() *refLeafRunner {
@@ -199,17 +236,15 @@ func activeRunner(prog kernel.Program) (any, func() *refLeafRunner) {
 	switch p := prog.(type) {
 	case *parentProg:
 		switch p.phase {
-		case phSerial:
-			return leaf(&p.serial)
-		case phNested:
-			return leaf(p.nested)
+		case phSerial, phNested:
+			return leaf(&p.serial, p.phase)
 		}
 	case *childProg:
 		switch p.phase {
 		case chOwn:
 			return item(&p.own)
 		case chNested:
-			return leaf(p.nested)
+			return leaf(p.nested, p.phase)
 		}
 	case *grandchildProg:
 		return item(&p.own)
@@ -405,32 +440,58 @@ func sameInstr(a, b kernel.Instr) bool {
 // BenchmarkLeafRunner times the serial fallback of one parent warp, the
 // work the flat scheme runs everywhere: a leafRunner over the first
 // section element of each of parent warp 0's lanes, every lane
-// declined, drained to the end. It reports the instructions per op.
+// declined, drained to the end. AMR-nested times the nested fallback
+// that follows it in an AMR parent warp: the same lanes walking their
+// items' sub-items. Each reports the instructions per op; the runner
+// is reused across ops, as a parent warp reuses its own across sections.
 func BenchmarkLeafRunner(b *testing.B) {
 	for _, bm := range Registry() {
 		b.Run(bm.Name, func(b *testing.B) {
-			app := bm.Make()
-			if err := app.Normalize(); err != nil {
-				b.Fatal(err)
-			}
-			lanes := make([]laneWork, 32)
-			for lane := range lanes {
-				if e := lane * app.Section; e < app.Elements {
-					lanes[lane] = laneWork{p: e, count: app.Items(e)}
-				}
-			}
-			var in kernel.Instr
-			instrs := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr := newLeafRunner(&app.Ops, lanes, selfItem, nil)
-				for in.Reset(); lr.next(&in); in.Reset() {
-					instrs++
-				}
-			}
-			b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
+			app, lanes := warpZeroDeclined(b, bm)
+			drainRunner(b, &app.Ops, nil, lanes)
 		})
 	}
+	b.Run("AMR-nested", func(b *testing.B) {
+		bm, err := ByName("AMR")
+		if err != nil {
+			b.Fatal(err)
+		}
+		app, lanes := warpZeroDeclined(b, bm)
+		drainRunner(b, &app.Nest.Ops, app.Nest, lanes)
+	})
+}
+
+// warpZeroDeclined builds bm's app and the serial fallback lanes of
+// parent warp 0 when every lane declines its first section element.
+func warpZeroDeclined(b *testing.B, bm Benchmark) (*App, []laneWork) {
+	app := bm.Make()
+	if err := app.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	lanes := make([]laneWork, warpWidth)
+	for lane := range lanes {
+		if e := lane * app.Section; e < app.Elements {
+			lanes[lane] = laneWork{p: e, count: app.Items(e)}
+		}
+	}
+	return app, lanes
+}
+
+// drainRunner is BenchmarkLeafRunner's op: one runner reset over lanes
+// and drained, with allocations reported.
+func drainRunner(b *testing.B, ops *ItemOps, nest *Nest, lanes []laneWork) {
+	b.ReportAllocs()
+	var lr leafRunner
+	var in kernel.Instr
+	instrs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lr.reset(ops, nest, lanes)
+		for in.Reset(); lr.next(&in); in.Reset() {
+			instrs++
+		}
+	}
+	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
 }
 
 // TestChildWarpsReuseNestedRunner runs two AMR child warps one after the
@@ -475,5 +536,51 @@ func TestChildWarpsReuseNestedRunner(t *testing.T) {
 	drain(t, second, nil)
 	if second.nested != nil || len(app.spareNested) != 1 || app.spareNested[0] != r {
 		t.Fatalf("after the second warp: it holds a runner %t, %d spare", second.nested != nil, len(app.spareNested))
+	}
+}
+
+// TestParentSectionsAllocateNothing runs an AMR parent warp's program
+// again and again with every launch declined, so each of its sections
+// runs the serial and the nested fallback: a life allocates only the
+// runner's two lane buffers, which every section reuses, and the warp
+// holds neither at its sync.
+func TestParentSectionsAllocateNothing(t *testing.T) {
+	bm, err := ByName("AMR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := ParentDef(bm.Make())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := hostLaunch(parent)
+	x := &kernel.Exec{}
+	var in kernel.Instr
+	var prog kernel.Program
+	nested := 0
+	life := func() {
+		prog = warpProgram(host, 0, 0, prog)
+		for in.Reset(); prog.Next(x, &in); in.Reset() {
+			if in.Kind == kernel.InstrLaunch {
+				x.Accepted = x.Accepted[:0]
+				for range in.Candidates {
+					x.Accepted = append(x.Accepted, false)
+				}
+			}
+			pp := prog.(*parentProg)
+			if pp.phase == phNested {
+				nested++
+			}
+			if in.Kind == kernel.InstrSync && (pp.serial.lanes != nil || pp.serial.cur != nil) {
+				t.Fatal("a parent warp at its sync holds lane buffers")
+			}
+		}
+	}
+	life()
+	if nested == 0 {
+		t.Fatal("parent warp 0 ran no nested fallback")
+	}
+	if got := testing.AllocsPerRun(3, life); got > 2 {
+		t.Errorf("a parent warp's life made %.0f allocations, want its 2 lane buffers", got)
 	}
 }

@@ -6,16 +6,22 @@ import (
 	"spawnsim/internal/sim/kernel"
 )
 
-// laneWork is one lane's share of a leafRunner.
+// laneWork is one lane's share of a leafRunner: items 0..count-1 of
+// parent key p.
 type laneWork struct {
-	p     int // default ops parent key
-	count int // items this lane processes
+	p     int
+	count int
 }
 
-// laneItem caches one lane's current item: the ops' p and j arguments
-// and the inner trip count, 0 when the lane has no item left.
+// laneItem is one lane's place in its walk and the item it is on: the
+// ops' p and j arguments and the inner trip count, 0 when the lane has
+// no item left. A nested walk is on sub-item j of item next-1 of its
+// laneWork, which has sub sub-items. Counts and indices are 32-bit so a
+// lane takes 24 bytes.
 type laneItem struct {
-	p, j, inner int
+	p         int
+	j, inner  int32
+	next, sub int32
 }
 
 // warpWidth is the lane count the programs model: warp w of a CTA
@@ -77,78 +83,81 @@ func (c *cursor) slots(ops *ItemOps) (lo, hi int) {
 // lanes each process a sequence of work items with the given ItemOps:
 // the warp iterates to the deepest lane (Figure 1's intra-warp
 // imbalance), masking lanes out of memory slots as they run dry.
+//
+// Every lane walks its items in order, so a lane's whole state is its
+// laneItem. With a nest, a lane walks the sub-items of its laneWork's
+// items instead — (nest.Encode(p, j), k) for k < nest.SubItems(p, j),
+// item after item — which is the fully serialized AMR fallback.
 type leafRunner struct {
 	ops   *ItemOps
+	nest  *Nest
 	lanes []laneWork
-	// jOf maps (lane, item index) to the ops' j argument; pOf overrides
-	// the parent key per item (nil = lane's constant p).
-	jOf func(lane, item int) int
-	pOf func(lane, item int) int
-	// cur holds every lane's item r.j, filled once per item by enterItem.
+	// cur holds every lane's walk, advanced once per item by enterItem.
 	cur []laneItem
 
-	maxCount int
-	j        int
 	cursor
 	done bool
 }
 
-func newLeafRunner(ops *ItemOps, lanes []laneWork, jOf, pOf func(lane, item int) int) *leafRunner {
-	r := &leafRunner{}
-	r.reset(ops, lanes, jOf, pOf)
-	return r
-}
-
-// reset reinitialises r over new lanes, keeping cur's capacity.
-func (r *leafRunner) reset(ops *ItemOps, lanes []laneWork, jOf, pOf func(lane, item int) int) {
-	*r = leafRunner{ops: ops, lanes: lanes, jOf: jOf, pOf: pOf, cur: r.cur[:0]}
-	for _, l := range lanes {
-		if l.count > r.maxCount {
-			r.maxCount = l.count
-		}
-	}
-	if r.maxCount == 0 {
-		r.done = true
-		return
-	}
+// reset starts r over lanes, keeping cur's capacity. A nested walk
+// (non-nil nest) runs with ops = &nest.Ops.
+func (r *leafRunner) reset(ops *ItemOps, nest *Nest, lanes []laneWork) {
+	*r = leafRunner{ops: ops, nest: nest, lanes: lanes, cur: r.cur[:0]}
 	if cap(r.cur) < len(lanes) {
 		r.cur = make([]laneItem, len(lanes))
 	}
 	r.cur = r.cur[:len(lanes)]
+	for lane := range r.cur {
+		r.cur[lane] = laneItem{j: -1}
+	}
 	r.enterItem()
 }
 
-// enterItem prepares iteration state for item r.j.
+// enterItem moves every lane to its next item; the runner is done when
+// none has one.
 func (r *leafRunner) enterItem() {
 	r.maxInner = 0
-	for lane, l := range r.lanes {
-		c := &r.cur[lane]
-		c.inner = 0
-		if l.count <= r.j {
-			continue
+	for lane := range r.cur {
+		if c := &r.cur[lane]; r.step(r.lanes[lane], c) {
+			r.maxInner = max(r.maxInner, int(c.inner))
 		}
-		c.p = l.p
-		if r.pOf != nil {
-			c.p = r.pOf(lane, r.j)
-		}
-		c.j = r.jOf(lane, r.j)
-		c.inner = r.ops.inner(c.p, c.j)
-		r.maxInner = max(r.maxInner, c.inner)
 	}
 	r.it, r.phase = 0, 0
+	r.done = r.maxInner == 0
+}
+
+// step moves c, the walk of lane work lw, to its next item and reports
+// whether there is one.
+func (r *leafRunner) step(lw laneWork, c *laneItem) bool {
+	if r.nest == nil {
+		if int(c.j)+1 >= lw.count {
+			c.inner = 0
+			return false
+		}
+		c.p = lw.p
+		c.j++
+	} else {
+		for c.j+1 >= c.sub {
+			if int(c.next) >= lw.count {
+				c.inner = 0
+				return false
+			}
+			c.p = r.nest.Encode(lw.p, int(c.next))
+			c.sub = int32(r.nest.SubItems(lw.p, int(c.next)))
+			c.j = -1
+			c.next++
+		}
+		c.j++
+	}
+	c.inner = int32(r.ops.inner(c.p, int(c.j)))
+	return true
 }
 
 // advance moves to the next emission point after the current one.
 func (r *leafRunner) advance() {
-	if !r.cursor.advance(r.ops) {
-		return
+	if r.cursor.advance(r.ops) {
+		r.enterItem()
 	}
-	r.j++
-	if r.j >= r.maxCount {
-		r.done = true
-		return
-	}
-	r.enterItem()
 }
 
 // next fills the next instruction; false when the runner is exhausted.
@@ -164,9 +173,9 @@ func (r *leafRunner) next(in *kernel.Instr) bool {
 			lo, hi := r.slots(r.ops)
 			n := 0
 			for _, c := range r.cur {
-				if c.inner > r.it {
+				if int(c.inner) > r.it {
 					for slot := lo; slot < hi; slot++ {
-						in.Addrs = append(in.Addrs, r.ops.Addr(c.p, c.j, r.it, slot))
+						in.Addrs = append(in.Addrs, r.ops.Addr(c.p, int(c.j), r.it, slot))
 					}
 					n++
 				}
@@ -184,7 +193,7 @@ func (r *leafRunner) next(in *kernel.Instr) bool {
 			for _, c := range r.cur {
 				if c.inner > 0 {
 					for slot := 0; slot < r.ops.FinalStores; slot++ {
-						in.Addrs = append(in.Addrs, r.ops.FinalAddr(c.p, c.j, slot))
+						in.Addrs = append(in.Addrs, r.ops.FinalAddr(c.p, int(c.j), slot))
 					}
 					n++
 				}
@@ -292,10 +301,6 @@ func (a accepts) has(lane int) bool {
 	return i < len(a.accepted) && a.accepted[i]
 }
 
-// selfItem returns jOf for lanes whose items are numbered 0..count-1
-// within themselves (the parent serial loop).
-func selfItem(lane, item int) int { return item }
-
 // parentProg is the Figure 3 parent-kernel program of one warp. Each
 // lane's parent thread walks its section of elements; every element is
 // one launch site followed by the serial fallback for declined work.
@@ -307,13 +312,13 @@ type parentProg struct {
 	sec       int // current section slot
 	phase     int
 	setupSlot int
-	candLanes uint32     // lanes with a candidate in the current launch
-	declined  []laneWork // the serial fallback's lanes
+	candLanes uint32 // lanes with a candidate in the current launch
 
-	// serial is reused across sections and emptied at the sync, so a
-	// parked warp keeps no lane state; nested is dropped when exhausted.
+	// serial runs each section's serial fallback over its declined
+	// lanes, then, with a Nest, their sub-items over the same lanes,
+	// reusing its buffers across sections. It is emptied at the sync, so
+	// a parked warp keeps no lane state.
 	serial leafRunner
-	nested *leafRunner
 }
 
 const (
@@ -386,35 +391,36 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			return true
 		case phAfterLaunch:
 			// Build the serial fallback from the declined lanes.
-			pp.declined = pp.declined[:0]
+			declined := pp.serial.lanes[:0]
 			acc := accepts{lanes: pp.candLanes, accepted: x.Accepted}
 			for lane := 0; lane < pp.lanes; lane++ {
 				var lw laneWork
 				if e := pp.elem(lane); e >= 0 && !acc.has(lane) {
 					lw = laneWork{p: e, count: app.Items(e)}
 				}
-				pp.declined = append(pp.declined, lw)
+				declined = append(declined, lw)
 			}
-			pp.serial.reset(&app.Ops, pp.declined, selfItem, nil)
-			if app.Nest != nil {
-				pp.nested = nestedSerialRunner(app, pp.declined)
-			}
+			pp.serial.reset(&app.Ops, nil, declined)
 			pp.phase = phSerial
 		case phSerial:
 			if pp.serial.next(in) {
 				return true
 			}
+			if app.Nest != nil {
+				// The declined lanes' items run their sub-items
+				// serially too.
+				pp.serial.reset(&app.Nest.Ops, app.Nest, pp.serial.lanes)
+			}
 			pp.phase = phNested
 		case phNested:
-			if pp.nested != nil && pp.nested.next(in) {
+			if pp.serial.next(in) {
 				return true
 			}
-			pp.nested = nil
 			pp.sec++
 			pp.phase = phSetup
 		case phSync:
 			// A warp parked at the sync keeps no runner lane state.
-			pp.serial, pp.declined = leafRunner{}, nil
+			pp.serial = leafRunner{}
 			in.Kind = kernel.InstrSync
 			pp.phase = phDone
 			return true
@@ -422,41 +428,6 @@ func (pp *parentProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 			return false
 		}
 	}
-}
-
-// nestedSerialRunner flattens the declined lanes' nested sub-items into
-// a second serial pass (the fully-serialized AMR fallback). The lanes'
-// p fields carry the element ids.
-func nestedSerialRunner(app *App, declined []laneWork) *leafRunner {
-	nest := app.Nest
-	type flat struct{ pEnc, k int }
-	lanes := make([]laneWork, len(declined))
-	total := 0
-	for lane, lw := range declined {
-		n := 0
-		for j := 0; j < lw.count; j++ {
-			n += max(nest.SubItems(lw.p, j), 0)
-		}
-		lanes[lane] = laneWork{p: lw.p, count: n}
-		total += n
-	}
-	// One array holds every lane's sub-items, lane after lane.
-	flats := make([]flat, 0, total)
-	perLane := make([][]flat, len(declined))
-	for lane, lw := range declined {
-		start := len(flats)
-		for j := 0; j < lw.count; j++ {
-			sub := nest.SubItems(lw.p, j)
-			enc := nest.Encode(lw.p, j)
-			for k := 0; k < sub; k++ {
-				flats = append(flats, flat{enc, k})
-			}
-		}
-		perLane[lane] = flats[start:]
-	}
-	jOf := func(lane, item int) int { return perLane[lane][item].k }
-	pOf := func(lane, item int) int { return perLane[lane][item].pEnc }
-	return newLeafRunner(&nest.Ops, lanes, jOf, pOf)
 }
 
 // childProg is the child-kernel program of one warp: each lane owns one
@@ -523,7 +494,7 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 				}
 				lanes = append(lanes, lw)
 			}
-			cp.nested.reset(&nest.Ops, lanes, selfItem, nil)
+			cp.nested.reset(&nest.Ops, nil, lanes)
 			cp.phase = chNested
 		case chNested:
 			if cp.nested.next(in) {
@@ -545,11 +516,11 @@ func (cp *childProg) Next(x *kernel.Exec, in *kernel.Instr) bool {
 }
 
 // takeNested returns an exhausted child-warp nested runner for reuse, or
-// a new one.
+// a new one with room for a warp's lanes.
 func (a *App) takeNested() *leafRunner {
 	n := len(a.spareNested)
 	if n == 0 {
-		return &leafRunner{}
+		return &leafRunner{lanes: make([]laneWork, 0, warpWidth), cur: make([]laneItem, 0, warpWidth)}
 	}
 	r := a.spareNested[n-1]
 	a.spareNested = a.spareNested[:n-1]
@@ -603,10 +574,10 @@ func (a *App) newParentProg(_, cta, warp, lanes int, old kernel.Program) kernel.
 		pp = &parentProg{}
 	}
 	*pp = parentProg{
-		app:      a,
-		base:     cta*a.ParentCTASize + warp*warpWidth,
-		lanes:    lanes,
-		declined: make([]laneWork, 0, lanes),
+		app:    a,
+		base:   cta*a.ParentCTASize + warp*warpWidth,
+		lanes:  lanes,
+		serial: leafRunner{lanes: make([]laneWork, 0, lanes)},
 	}
 	return pp
 }
