@@ -23,9 +23,12 @@ import (
 	spawn "spawnsim/internal/core"
 	"spawnsim/internal/dtbl"
 	"spawnsim/internal/harness"
+	"spawnsim/internal/metrics"
+	"spawnsim/internal/profile"
 	"spawnsim/internal/runtime"
 	"spawnsim/internal/sim"
 	"spawnsim/internal/sim/kernel"
+	"spawnsim/internal/trace"
 	"spawnsim/internal/workloads"
 )
 
@@ -61,6 +64,39 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(float64(op().Cycles), "sim-cycles/op")
+	}
+}
+
+// BenchmarkObservedThroughput is the BenchmarkSimulatorThroughput op
+// with every observer attached, as spawnsim -metrics-out -trace-out
+// runs it with spawnreport's profiler: a metrics registry, a JSONL
+// trace written to io.Discard and the cycle-attribution profiler. Its
+// gap to BenchmarkSimulatorThroughput is the cost of observing a run.
+func BenchmarkObservedThroughput(b *testing.B) {
+	app, def := throughputApp(b)
+	cfg := config.K20m()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink := trace.NewJSONL(io.Discard)
+		g, err := sim.NewChecked(sim.Options{
+			Config:  cfg,
+			Policy:  runtime.Threshold{T: app.DefaultThreshold},
+			Metrics: metrics.NewRegistry(),
+			Sinks:   []trace.Sink{sink},
+			Profile: profile.New(cfg.NumSMX, profile.Options{}),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.LaunchHost(def)
+		res, err := g.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Cycles), "sim-cycles/op")
 	}
 }
 
@@ -140,15 +176,7 @@ func TestAMRAllocBytes(t *testing.T) {
 // the throughput op: a fresh Threshold policy and simulated GPU running
 // them to completion.
 func throughputOp(tb testing.TB) func() *sim.Result {
-	bm, err := workloads.ByName("BFS-graph500")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	app := bm.Make()
-	def, err := workloads.ParentDef(app)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	app, def := throughputApp(tb)
 	cfg := config.K20m()
 	return func() *sim.Result {
 		g, err := sim.NewChecked(sim.Options{Config: cfg, Policy: runtime.Threshold{T: app.DefaultThreshold}})
@@ -162,4 +190,19 @@ func throughputOp(tb testing.TB) func() *sim.Result {
 		}
 		return res
 	}
+}
+
+// throughputApp builds the throughput op's BFS-graph500 app and parent
+// kernel.
+func throughputApp(tb testing.TB) (*workloads.App, *kernel.Def) {
+	bm, err := workloads.ByName("BFS-graph500")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	app := bm.Make()
+	def, err := workloads.ParentDef(app)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return app, def
 }

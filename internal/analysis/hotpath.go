@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // HotPathAnalyzer polices the per-cycle call trees of the engine. It
@@ -55,6 +57,16 @@ var profileHotCalls = map[string]bool{
 	"Note": true, "EndTick": true, "SkipTo": true, "SampleDue": true,
 	"KernelSite": true, "Finish": true, "Record": true,
 }
+
+// profileHotNames lists profileHotCalls, sorted, for the finding text.
+var profileHotNames = func() string {
+	names := make([]string, 0, len(profileHotCalls))
+	for n := range profileHotCalls {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}()
 
 // fmtFormatting lists the fmt functions that allocate on every call.
 var fmtFormatting = map[string]bool{
@@ -171,8 +183,8 @@ func (h hotFunc) checkCall(call *ast.CallExpr, stack []ast.Node) {
 			if fn.Pkg().Path() != h.pkg.Types.Path() &&
 				pathWithin(profilePkgSuffix)(fn.Pkg().Path()) && !profileHotCalls[fn.Name()] {
 				h.pass.Reportf(call.Pos(),
-					"profile.%s in hot path (call chain: %s); only nil-safe accumulators (Note, EndTick, SkipTo, SampleDue, KernelSite, Finish, Record) may run per cycle",
-					fn.Name(), h.chain)
+					"profile.%s in hot path (call chain: %s); only nil-safe accumulators (%s) may run per cycle",
+					fn.Name(), h.chain, profileHotNames)
 				return
 			}
 		}

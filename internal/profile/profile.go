@@ -4,13 +4,16 @@
 //
 // Three views are assembled over one run:
 //
-//   - Activity accounting: every simulated tick, each machine component
-//     (GMU, the HWQ block, the memory system, DRAM, each SMX) is
-//     classified busy / stalled-on-X / idle into dense counters, plus an
-//     idle-run-length histogram per component. The run lengths bound the
-//     achievable event-skip speedup directly: a component whose idle
-//     runs are long can be advanced in one step by an event wheel, one
-//     whose runs are short cannot (see DESIGN.md).
+//   - Activity accounting: each machine component (GMU, the HWQ block,
+//     the memory system, DRAM, each SMX) is classified busy /
+//     stalled-on-X / idle on every ticked cycle into dense counters,
+//     plus an idle-run-length histogram per component. The engine notes
+//     a component's state when it changes, not on every tick: a noted
+//     state holds until the next Note, so a tick costs the profiler
+//     nothing for a component that did not change. The run lengths
+//     bound the achievable event-skip speedup directly: a component
+//     whose idle runs are long can be advanced in one step by an event
+//     wheel, one whose runs are short cannot (see DESIGN.md).
 //   - Kernel-lifecycle spans: the existing trace event stream (the
 //     Profile is a trace.Sink) is folded into per-stage latency
 //     histograms — launch transit, HWQ residency, execution — keyed by
@@ -21,10 +24,10 @@
 //
 // The accumulation surface follows the internal/metrics nil contract: a
 // nil *Profile no-ops on every method, so the engine pays one nil check
-// per tick when profiling is off and zero allocations per tick when it
-// is on. spawnvet's hotpath analyzer enforces that only the nil-safe
-// accumulators (Note, EndTick, SkipTo, SampleDue, KernelSite, Finish,
-// Record) appear in per-cycle call trees.
+// per call when profiling is off and zero allocations per tick when it
+// is on. EndTick and SkipTo do constant work whatever the number of
+// components. spawnvet's hotpath analyzer enforces that only the
+// nil-safe accumulators appear in per-cycle call trees.
 //
 // Profiling never alters simulation artifacts: Results, trace streams
 // and metrics snapshots are byte-identical with profiling on or off
@@ -135,11 +138,14 @@ type TickStats struct {
 	Utilization   float64
 }
 
-// comp accumulates one component's activity.
+// comp accumulates one component's activity. The state it holds began
+// at tick since; counts holds every span closed before it.
 type comp struct {
 	name   string
 	counts [numStates]uint64
-	runLen uint64 // current non-busy run (ticked + skipped cycles)
+	state  State  // never StateBusy: a busy tick is booked when noted
+	since  uint64 // Profile.ticked when state began
+	mark   uint64 // ticked+skipped just after the last busy tick
 	runs   hist
 }
 
@@ -148,7 +154,6 @@ type comp struct {
 // the internal/metrics receiver contract.
 type Profile struct {
 	comps []comp
-	state []State // per-tick scratch, reset to idle by EndTick
 
 	ticked   uint64 // cycles the engine actually simulated
 	skipped  uint64 // cycles the quiescence fast-forward jumped over
@@ -174,7 +179,6 @@ type Profile struct {
 func New(numSMX int, opts Options) *Profile {
 	p := &Profile{
 		comps:       make([]comp, CompSMX0+numSMX),
-		state:       make([]State, CompSMX0+numSMX),
 		sampleEvery: opts.SampleEvery,
 		sites:       map[int]siteKey{},
 		open:        map[int]openSpan{},
@@ -193,13 +197,40 @@ func New(numSMX int, opts Options) *Profile {
 	return p
 }
 
-// Note records component comp's state for the current tick. Safe on a
-// nil receiver; allocation-free.
+// Note records that component comp is in state s from the current tick
+// on. A non-busy state holds on every later cycle until the next Note
+// for comp, so the engine notes a component when its state changes.
+// StateBusy covers the current tick only: the component is idle after
+// it, and a non-busy state noted later in the same tick begins at the
+// next tick. Every component starts idle. Safe on a nil receiver;
+// allocation-free.
 func (p *Profile) Note(comp int, s State) {
 	if p == nil {
 		return
 	}
-	p.state[comp] = s
+	c := &p.comps[comp]
+	if c.since > p.ticked {
+		// This tick is already booked busy: s begins at the next one.
+		if s != StateBusy {
+			c.state = s
+		}
+		return
+	}
+	if s == c.state {
+		return
+	}
+	c.counts[c.state] += p.ticked - c.since
+	if s != StateBusy {
+		c.state, c.since = s, p.ticked
+		return
+	}
+	c.counts[StateBusy]++
+	c.state, c.since = StateIdle, p.ticked+1
+	pos := p.ticked + p.skipped
+	if run := pos - c.mark; run > 0 {
+		c.runs.observe(run)
+	}
+	c.mark = pos + 1
 }
 
 // SampleDue reports whether the timeline schedule wants a sample at
@@ -212,36 +243,26 @@ func (p *Profile) SampleDue(now uint64) bool {
 	return now >= p.nextSample
 }
 
-// EndTick folds the noted states plus the machine snapshot into the
-// counters and closes the tick. The memory system and DRAM are
-// classified here from cumulative counter deltas (busy exactly on
-// issue ticks — an issue-side approximation; in-flight latency shows
-// up on the consuming SMX as StallLatency instead). Safe on a nil
-// receiver; allocation-free apart from amortized timeline growth.
+// EndTick closes the tick. The memory system and DRAM are classified
+// here from cumulative counter deltas (busy exactly on issue ticks — an
+// issue-side approximation; in-flight latency shows up on the consuming
+// SMX as StallLatency instead); every other component keeps the state
+// last noted for it. Safe on a nil receiver; allocation-free apart from
+// amortized timeline growth.
 func (p *Profile) EndTick(st TickStats) {
 	if p == nil {
 		return
 	}
-	p.state[CompMem] = busyIf(st.Transactions > p.lastTx)
-	p.state[CompDRAM] = busyIf(st.DRAMAccesses > p.lastDRAM)
+	if st.Transactions > p.lastTx {
+		p.Note(CompMem, StateBusy)
+	}
+	if st.DRAMAccesses > p.lastDRAM {
+		p.Note(CompDRAM, StateBusy)
+	}
 	p.lastTx, p.lastDRAM = st.Transactions, st.DRAMAccesses
 	p.ticked++
 	if st.Now >= p.endCycle {
 		p.endCycle = st.Now + 1
-	}
-	for i := range p.comps {
-		c := &p.comps[i]
-		s := p.state[i]
-		c.counts[s]++
-		if s == StateBusy {
-			if c.runLen > 0 {
-				c.runs.observe(c.runLen)
-				c.runLen = 0
-			}
-		} else {
-			c.runLen++
-		}
-		p.state[i] = StateIdle
 	}
 	if st.Now >= p.nextSample {
 		p.nextSample = st.Now + p.sampleEvery
@@ -266,11 +287,7 @@ func (p *Profile) SkipTo(now, next uint64) {
 	if p == nil || next <= now+1 {
 		return
 	}
-	n := next - now - 1
-	p.skipped += n
-	for i := range p.comps {
-		p.comps[i].runLen += n
-	}
+	p.skipped += next - now - 1
 }
 
 // Finish pins the run's final cycle (result snapshot time, including
@@ -284,29 +301,34 @@ func (p *Profile) Finish(end uint64) {
 	}
 }
 
-// busyIf maps a did-work predicate to the two-way busy/idle states.
-func busyIf(b bool) State {
-	if b {
-		return StateBusy
-	}
-	return StateIdle
-}
-
 // finalize closes open idle runs and still-open spans. Idempotent;
-// called by Report.
+// called by Report. The open state spans are not closed here: Report
+// adds them to its counts, so a report taken mid-run leaves the
+// accounting of later ticks exact.
 func (p *Profile) finalize() {
 	if p.finished {
 		return
 	}
 	p.finished = true
+	pos := p.ticked + p.skipped
 	for i := range p.comps {
 		c := &p.comps[i]
-		if c.runLen > 0 {
-			c.runs.observe(c.runLen)
-			c.runLen = 0
+		if pos > c.mark {
+			c.runs.observe(pos - c.mark)
+			c.mark = pos
 		}
 	}
 	p.closeOpenSpans()
+}
+
+// activity returns the component's state counts over every ticked
+// cycle, the open span included.
+func (c *comp) activity(ticked uint64) [numStates]uint64 {
+	counts := c.counts
+	if ticked > c.since {
+		counts[c.state] += ticked - c.since
+	}
+	return counts
 }
 
 // hist is a power-of-two bucket histogram over uint64 values: bucket i

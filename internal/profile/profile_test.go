@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"spawnsim/internal/trace"
@@ -42,38 +43,50 @@ func TestHistObserveReportQuantile(t *testing.T) {
 	}
 }
 
+// TestEndTickClassification checks the booking contract: a noted
+// state holds until the component is noted again, a busy state lasts
+// one tick, a state noted after busy in the same tick begins at the next
+// tick, and a component never noted is idle.
 func TestEndTickClassification(t *testing.T) {
 	p := New(2, Options{SampleEvery: 1000})
-	// Tick 0: GMU busy, SMX0 stalled on latency, SMX1 idle; mem issues.
+	// Tick 0: GMU busy, HWQ stalled on its queue, SMX0 stalled on
+	// latency, SMX1 not noted; mem issues.
 	p.Note(CompGMU, StateBusy)
 	p.Note(CompHWQ, StallQueue)
 	p.Note(CompSMX0, StallLatency)
 	p.EndTick(TickStats{Now: 0, Transactions: 1})
-	// Tick 1: everything idle, no new transactions.
+	// Tick 1: only SMX0 is noted (idle); no new transactions. GMU is
+	// idle after its busy tick, HWQ still stalls.
+	p.Note(CompSMX0, StateIdle)
 	p.EndTick(TickStats{Now: 1, Transactions: 1})
+	// Tick 2: SMX1 issues and then waits on a sync from tick 3 on.
+	p.Note(CompSMX0+1, StateBusy)
+	p.Note(CompSMX0+1, StallSync)
+	p.EndTick(TickStats{Now: 2, Transactions: 1})
+	p.EndTick(TickStats{Now: 3, Transactions: 1})
 
 	r := p.Report()
-	if r.Ticked != 2 || r.Cycles != 2 {
-		t.Fatalf("ticked/cycles = %d/%d, want 2/2", r.Ticked, r.Cycles)
+	if r.Ticked != 4 || r.Cycles != 4 {
+		t.Fatalf("ticked/cycles = %d/%d, want 4/4", r.Ticked, r.Cycles)
 	}
 	byName := map[string]ComponentReport{}
 	for _, c := range r.Components {
 		byName[c.Name] = c
 	}
-	if g := byName["gmu"]; g.Busy != 1 || g.Idle != 1 {
-		t.Errorf("gmu busy/idle = %d/%d, want 1/1", g.Busy, g.Idle)
+	if g := byName["gmu"]; g.Busy != 1 || g.Idle != 3 {
+		t.Errorf("gmu busy/idle = %d/%d, want 1/3 (busy lasts one tick)", g.Busy, g.Idle)
 	}
-	if h := byName["hwq"]; h.StallQueue != 1 {
-		t.Errorf("hwq stall-queue = %d, want 1", h.StallQueue)
+	if h := byName["hwq"]; h.StallQueue != 4 {
+		t.Errorf("hwq stall-queue = %d, want 4 (held until noted again)", h.StallQueue)
 	}
-	if m := byName["mem"]; m.Busy != 1 || m.Idle != 1 {
-		t.Errorf("mem busy/idle = %d/%d, want 1/1 (delta classification)", m.Busy, m.Idle)
+	if m := byName["mem"]; m.Busy != 1 || m.Idle != 3 {
+		t.Errorf("mem busy/idle = %d/%d, want 1/3 (delta classification)", m.Busy, m.Idle)
 	}
-	if s := byName["smx0"]; s.StallLatency != 1 || s.Idle != 1 {
-		t.Errorf("smx0 stall-latency/idle = %d/%d, want 1/1", s.StallLatency, s.Idle)
+	if s := byName["smx0"]; s.StallLatency != 1 || s.Idle != 3 {
+		t.Errorf("smx0 stall-latency/idle = %d/%d, want 1/3", s.StallLatency, s.Idle)
 	}
-	if s := byName["smx1"]; s.Idle != 2 {
-		t.Errorf("smx1 idle = %d, want 2 (Note never called)", s.Idle)
+	if s := byName["smx1"]; s.Idle != 2 || s.Busy != 1 || s.StallSync != 1 {
+		t.Errorf("smx1 idle/busy/stall-sync = %d/%d/%d, want 2/1/1", s.Idle, s.Busy, s.StallSync)
 	}
 }
 
@@ -347,5 +360,375 @@ func TestTimelineSampling(t *testing.T) {
 		if s.Cycle != uint64(i*10) {
 			t.Errorf("sample %d at cycle %d, want %d", i, s.Cycle, i*10)
 		}
+	}
+}
+
+// refProfile is the activity accounting as it stood when the engine
+// noted every component on every tick and EndTick folded each of them,
+// idle unless noted: kept unchanged as the reference the change-based
+// booking must reproduce.
+type refProfile struct {
+	comps []refComp
+	state []State // per-tick scratch, reset to idle by EndTick
+
+	ticked   uint64
+	skipped  uint64
+	endCycle uint64
+	finished bool
+
+	lastTx   uint64
+	lastDRAM uint64
+
+	sampleEvery uint64
+	nextSample  uint64
+	samples     []Sample
+}
+
+type refComp struct {
+	name   string
+	counts [numStates]uint64
+	runLen uint64 // current non-busy run (ticked + skipped cycles)
+	runs   hist
+}
+
+func newRefProfile(numSMX int, opts Options) *refProfile {
+	p := &refProfile{
+		comps:       make([]refComp, CompSMX0+numSMX),
+		state:       make([]State, CompSMX0+numSMX),
+		sampleEvery: opts.SampleEvery,
+	}
+	if p.sampleEvery == 0 {
+		p.sampleEvery = DefaultSampleEvery
+	}
+	for i, c := range New(numSMX, opts).comps {
+		p.comps[i].name = c.name
+	}
+	return p
+}
+
+func (p *refProfile) Note(comp int, s State) {
+	p.state[comp] = s
+}
+
+func (p *refProfile) EndTick(st TickStats) {
+	p.state[CompMem] = busyIf(st.Transactions > p.lastTx)
+	p.state[CompDRAM] = busyIf(st.DRAMAccesses > p.lastDRAM)
+	p.lastTx, p.lastDRAM = st.Transactions, st.DRAMAccesses
+	p.ticked++
+	if st.Now >= p.endCycle {
+		p.endCycle = st.Now + 1
+	}
+	for i := range p.comps {
+		c := &p.comps[i]
+		s := p.state[i]
+		c.counts[s]++
+		if s == StateBusy {
+			if c.runLen > 0 {
+				c.runs.observe(c.runLen)
+				c.runLen = 0
+			}
+		} else {
+			c.runLen++
+		}
+		p.state[i] = StateIdle
+	}
+	if st.Now >= p.nextSample {
+		p.nextSample = st.Now + p.sampleEvery
+		p.samples = append(p.samples, Sample{
+			Cycle:         st.Now,
+			QueuedKernels: st.QueuedKernels,
+			PendingCTAs:   st.PendingCTAs,
+			ActiveWarps:   st.ActiveWarps,
+			BusySMXs:      st.BusySMXs,
+			BusyBanks:     st.BusyBanks,
+			Utilization:   st.Utilization,
+		})
+	}
+}
+
+func (p *refProfile) SkipTo(now, next uint64) {
+	if next <= now+1 {
+		return
+	}
+	n := next - now - 1
+	p.skipped += n
+	for i := range p.comps {
+		p.comps[i].runLen += n
+	}
+}
+
+func (p *refProfile) Finish(end uint64) {
+	if end > p.endCycle {
+		p.endCycle = end
+	}
+}
+
+func busyIf(b bool) State {
+	if b {
+		return StateBusy
+	}
+	return StateIdle
+}
+
+func (p *refProfile) finalize() {
+	if p.finished {
+		return
+	}
+	p.finished = true
+	for i := range p.comps {
+		c := &p.comps[i]
+		if c.runLen > 0 {
+			c.runs.observe(c.runLen)
+			c.runLen = 0
+		}
+	}
+}
+
+// Report assembles the activity part of a Report as Profile.Report does.
+func (p *refProfile) Report() *Report {
+	p.finalize()
+	r := &Report{Runs: 1, Cycles: p.endCycle, Ticked: p.ticked, Skipped: p.skipped}
+	for i := range p.comps {
+		c := &p.comps[i]
+		r.Components = append(r.Components, ComponentReport{
+			Name:              c.name,
+			Busy:              c.counts[StateBusy],
+			Idle:              c.counts[StateIdle],
+			StallLatency:      c.counts[StallLatency],
+			StallSync:         c.counts[StallSync],
+			StallDispatch:     c.counts[StallDispatch],
+			StallBackpressure: c.counts[StallBackpressure],
+			StallQueue:        c.counts[StallQueue],
+			IdleRuns:          c.runs.report(),
+		})
+	}
+	r.Timeline = append([]Sample(nil), p.samples...)
+	r.refresh()
+	return r
+}
+
+// tickScript is a recorded run of the engine's profiler calls: per tick
+// its cycle and every component's state, as the per-tick reference saw
+// them (mem and DRAM come from the counter deltas in stats).
+type tickScript struct {
+	numSMX      int
+	sampleEvery uint64
+	cycles      []uint64  // ticked cycles, ascending
+	states      [][]State // per tick, per component
+	stats       []TickStats
+	reportAt    map[int]bool // Finish and report at the entry of these ticks
+	end         uint64       // Finish cycle after the last tick
+}
+
+// randomScript draws a script: some components are never noted, each
+// noted component draws a new state on one tick in change, so states
+// persist over runs of ticks (busy streaks included), and the gaps
+// between ticks skip 0, 1 or many cycles, the first one too.
+func randomScript(rng *rand.Rand, numSMX, ticks, change int) tickScript {
+	sc := tickScript{numSMX: numSMX, reportAt: map[int]bool{}}
+	sc.sampleEvery = []uint64{1, 5, 64, 0}[rng.Intn(4)]
+	n := CompSMX0 + numSMX
+	silent := make([]bool, n)
+	for c := range silent {
+		silent[c] = c == CompMem || c == CompDRAM || rng.Intn(4) == 0
+	}
+	cur := make([]State, n)
+	var now, tx, dram uint64
+	switch rng.Intn(3) {
+	case 0: // first tick at cycle 0
+	case 1:
+		now = 1
+	default:
+		now = 2 + uint64(rng.Intn(5000))
+	}
+	for t := 0; t < ticks; t++ {
+		if t > 0 {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				now++
+			case r < 8:
+				now += 2
+			default:
+				now += 2 + uint64(rng.Intn(3000))
+			}
+		}
+		row := make([]State, n)
+		for c := range row {
+			if silent[c] {
+				continue
+			}
+			if rng.Intn(change) == 0 {
+				cur[c] = State(rng.Intn(int(numStates)))
+			}
+			row[c] = cur[c]
+		}
+		if rng.Intn(2) == 0 {
+			tx += uint64(rng.Intn(3))
+		}
+		if rng.Intn(3) == 0 {
+			dram++
+		}
+		sc.cycles = append(sc.cycles, now)
+		sc.states = append(sc.states, row)
+		sc.stats = append(sc.stats, TickStats{
+			Now: now, QueuedKernels: rng.Intn(40), PendingCTAs: rng.Intn(300),
+			ActiveWarps: int64(rng.Intn(900)), BusySMXs: rng.Intn(numSMX + 1),
+			Transactions: tx, DRAMAccesses: dram, BusyBanks: rng.Intn(48),
+			Utilization: float64(rng.Intn(100)) / 100,
+		})
+		if t > 0 && rng.Intn(ticks/3+1) == 0 {
+			sc.reportAt[t] = true
+		}
+	}
+	sc.end = now + 1 + uint64(rng.Intn(3))*uint64(rng.Intn(1000))
+	return sc
+}
+
+// profiler is what both implementations offer the script drivers.
+type profiler interface {
+	Note(comp int, s State)
+	EndTick(st TickStats)
+	SkipTo(now, next uint64)
+	Finish(end uint64)
+	Report() *Report
+}
+
+// play drives p through sc with the Note calls of scriptNotes and
+// returns the JSON of every report it took.
+func play(t *testing.T, p profiler, sc tickScript, perTick bool, rng *rand.Rand) []string {
+	t.Helper()
+	var out []string
+	report := func() {
+		var b bytes.Buffer
+		if err := p.Report().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b.String())
+	}
+	notes := scriptNotes(sc, perTick, rng)
+	var last uint64
+	for i, now := range sc.cycles {
+		p.SkipTo(last, now)
+		last = now
+		if sc.reportAt[i] {
+			// An abort at tick entry, as the stall watchdog's: result()
+			// pins the end and the report is taken, here mid-run.
+			p.Finish(now)
+			report()
+		}
+		for _, n := range notes[i] {
+			p.Note(n.comp, n.s)
+		}
+		p.EndTick(sc.stats[i])
+	}
+	p.SkipTo(last, sc.end)
+	p.Finish(sc.end)
+	report()
+	return out
+}
+
+// TestProfileMatchesPerTickReference runs seeded random tick scripts
+// through the change-based profiler and the per-tick reference and
+// requires byte-identical reports, the mid-run ones included.
+func TestProfileMatchesPerTickReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		numSMX := []int{0, 1, 2, 13}[seed%4]
+		sc := randomScript(rng, numSMX, 1+rng.Intn(400), 3)
+		opts := Options{SampleEvery: sc.sampleEvery}
+		want := play(t, newRefProfile(numSMX, opts), sc, true, rand.New(rand.NewSource(seed)))
+		got := play(t, New(numSMX, opts), sc, false, rand.New(rand.NewSource(seed)))
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d reports, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d (%d SMXs, %d ticks), report %d of %d differs:\ngot  %s\nwant %s",
+					seed, numSMX, len(sc.cycles), i+1, len(want), got[i], want[i])
+			}
+		}
+	}
+}
+
+// note is one Note call of a recorded tick.
+type note struct {
+	comp int
+	s    State
+}
+
+// scriptNotes records the Note calls of every tick of sc (mem and DRAM
+// come from the counter deltas instead). perTick notes every non-idle
+// component on every tick, as the reference requires. Otherwise a
+// component is noted when its state changes, and after a busy tick it
+// is noted again at once with the state the next tick will find, as the
+// engine notes an SMX after a visit. With an rng, perTick also notes
+// some idle components, and the change-based calls sometimes skip the
+// note after busy and add notes that change nothing.
+func scriptNotes(sc tickScript, perTick bool, rng *rand.Rand) [][]note {
+	coin := func(n int) bool { return rng != nil && rng.Intn(n) == 0 }
+	held := make([]State, CompSMX0+sc.numSMX)
+	out := make([][]note, len(sc.states))
+	for i, row := range sc.states {
+		for c, s := range row {
+			switch {
+			case c == CompMem || c == CompDRAM:
+			case perTick:
+				if s != StateIdle || coin(3) {
+					out[i] = append(out[i], note{c, s})
+				}
+			case s == StateBusy:
+				out[i] = append(out[i], note{c, s})
+				held[c] = StateIdle
+				if i+1 < len(sc.states) && sc.states[i+1][c] != StateBusy && !coin(2) {
+					held[c] = sc.states[i+1][c]
+					out[i] = append(out[i], note{c, held[c]})
+				}
+			case s != held[c] || coin(8):
+				out[i] = append(out[i], note{c, s})
+				held[c] = s
+			}
+		}
+	}
+	return out
+}
+
+// BenchmarkProfileTick replays a seeded tick script over the 17
+// components of a K20m (GMU, HWQ, mem, DRAM, 13 SMXs), each drawing a
+// new state on one tick in 16, with its Note calls recorded before the
+// timer: one op is one tick. "booked" makes the calls of the change-based
+// profiler, "per-tick" those of the per-tick reference.
+func BenchmarkProfileTick(b *testing.B) {
+	const numSMX = 13
+	sc := randomScript(rand.New(rand.NewSource(1)), numSMX, 4096, 16)
+	for _, mode := range []struct {
+		name    string
+		p       profiler
+		perTick bool
+	}{
+		{"booked", New(numSMX, Options{}), false},
+		{"per-tick", newRefProfile(numSMX, Options{}), true},
+	} {
+		notes := scriptNotes(sc, mode.perTick, nil)
+		b.Run(mode.name, func(b *testing.B) {
+			p := mode.p
+			b.ReportAllocs()
+			b.ResetTimer()
+			var base, last uint64
+			for i := 0; i < b.N; i++ {
+				j := i % len(sc.cycles)
+				if j == 0 && i > 0 {
+					base = last + 1
+				}
+				now := base + sc.cycles[j]
+				p.SkipTo(last, now)
+				last = now
+				for _, n := range notes[j] {
+					p.Note(n.comp, n.s)
+				}
+				st := sc.stats[j]
+				st.Now = now
+				p.EndTick(st)
+			}
+		})
 	}
 }

@@ -227,15 +227,16 @@ func (p *Profile) Report() *Report {
 	}
 	for i := range p.comps {
 		c := &p.comps[i]
+		counts := c.activity(p.ticked)
 		r.Components = append(r.Components, ComponentReport{
 			Name:              c.name,
-			Busy:              c.counts[StateBusy],
-			Idle:              c.counts[StateIdle],
-			StallLatency:      c.counts[StallLatency],
-			StallSync:         c.counts[StallSync],
-			StallDispatch:     c.counts[StallDispatch],
-			StallBackpressure: c.counts[StallBackpressure],
-			StallQueue:        c.counts[StallQueue],
+			Busy:              counts[StateBusy],
+			Idle:              counts[StateIdle],
+			StallLatency:      counts[StallLatency],
+			StallSync:         counts[StallSync],
+			StallDispatch:     counts[StallDispatch],
+			StallBackpressure: counts[StallBackpressure],
+			StallQueue:        counts[StallQueue],
 			IdleRuns:          c.runs.report(),
 		})
 	}

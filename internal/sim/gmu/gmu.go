@@ -37,6 +37,11 @@ type GMU struct {
 	// the resident aggregated kernels, dispatched or not.
 	direct queue
 	groups int
+	// readyHWQs counts the HWQs whose head kernel still has undispatched
+	// CTAs, so HasDispatchable needs no queue scan. Every change of an
+	// HWQ head (Enqueue into an empty queue, Yield, KernelCompleted) and
+	// every head's last dispatch updates it; CheckInvariants recounts it.
+	readyHWQs int
 
 	rr int // round-robin cursor over queues (hwqs + direct)
 
@@ -110,6 +115,7 @@ func (g *GMU) Enqueue(k *kernel.Kernel) {
 		g.hwqs[qi].push(k)
 		if g.hwqs[qi].len() == 1 {
 			g.occupied++
+			g.readyHWQs += headReady(&g.hwqs[qi])
 		}
 	}
 	g.pendingCTAs += k.GridCTAs
@@ -166,8 +172,12 @@ func (g *GMU) Dispatch(now kernel.Cycle, place PlaceFunc) int {
 				g.QueueLatency.Add(float64(now - k.ArrivalCycle))
 				g.mQueueLat.Observe(uint64(now - k.ArrivalCycle))
 			}
-			if k.Aggregated && k.Dispatched() {
-				g.direct.pop()
+			if k.Dispatched() {
+				if k.Aggregated {
+					g.direct.pop()
+				} else {
+					g.readyHWQs--
+				}
 			}
 			g.pendingCTAs--
 			placed++
@@ -203,10 +213,7 @@ func (g *GMU) Yield(now kernel.Cycle, k *kernel.Kernel) {
 	if q.front() != k {
 		panic(kernel.Invariantf(now, "gmu", "yielding %v which is not head of HWQ %d", k, qi))
 	}
-	q.pop()
-	if q.len() == 0 {
-		g.occupied--
-	}
+	g.popHead(q)
 	k.Yielded = true
 	g.mYields.Inc()
 }
@@ -231,10 +238,26 @@ func (g *GMU) KernelCompleted(now kernel.Cycle, k *kernel.Kernel) {
 	if q.front() != k {
 		panic(kernel.Invariantf(now, "gmu", "completed %v is not head of HWQ %d", k, qi))
 	}
+	g.popHead(q)
+}
+
+// popHead removes the head of HWQ q, keeping the occupied and ready-head
+// counters current as the next kernel becomes the head.
+func (g *GMU) popHead(q *queue) {
+	g.readyHWQs -= headReady(q)
 	q.pop()
 	if q.len() == 0 {
 		g.occupied--
 	}
+	g.readyHWQs += headReady(q)
+}
+
+// headReady is 1 when q's head kernel has undispatched CTAs, else 0.
+func headReady(q *queue) int {
+	if k := q.front(); k != nil && !k.Dispatched() {
+		return 1
+	}
+	return 0
 }
 
 // SetBackpressure installs the transient-stall predicate consulted by
@@ -246,7 +269,8 @@ func (g *GMU) SetBackpressure(stalled func(now kernel.Cycle) bool) { g.stalled =
 // pending-CTA counter must equal the undispatched CTAs summed over the
 // queue members, only queue heads may have dispatched CTAs, every
 // direct-queue member must have CTAs left, and the resident-kernel
-// counter must cover every HWQ member and resident group. Every member
+// counter must cover every HWQ member and resident group, and the
+// ready-head counter must equal the HWQ heads with CTAs left. Every member
 // must be a live kernel in the queue it was enqueued on: a released
 // kernel, or a recycled one whose stream or aggregation no longer maps
 // to the queue, is a use after release.
@@ -313,15 +337,20 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 		return kernel.Invariantf(now, "gmu", "resident kernels %d < %d queue members",
 			g.queuedKerns, members)
 	}
-	occupied := 0
+	occupied, ready := 0, 0
 	for i := range g.hwqs {
 		if g.hwqs[i].len() > 0 {
 			occupied++
 		}
+		ready += headReady(&g.hwqs[i])
 	}
 	if occupied != g.occupied {
 		return kernel.Invariantf(now, "gmu", "occupied-HWQ counter %d != %d non-empty queues",
 			g.occupied, occupied)
+	}
+	if ready != g.readyHWQs {
+		return kernel.Invariantf(now, "gmu", "ready-head counter %d != %d HWQ heads with undispatched CTAs",
+			g.readyHWQs, ready)
 	}
 	return nil
 }
@@ -333,14 +362,11 @@ func (g *GMU) PendingCTAs() int { return g.pendingCTAs }
 // waiting).
 func (g *GMU) QueuedKernels() int { return g.queuedKerns }
 
-// HasDispatchable reports whether any queue head has undispatched CTAs.
+// HasDispatchable reports whether any queue head has undispatched CTAs:
+// an HWQ head counted in readyHWQs, or a direct-queue group (the direct
+// queue holds only groups with CTAs left).
 func (g *GMU) HasDispatchable() bool {
-	for qi := 0; qi < g.numQueues(); qi++ {
-		if g.headOf(qi) != nil {
-			return true
-		}
-	}
-	return false
+	return g.readyHWQs > 0 || g.direct.len() > 0
 }
 
 // ConcurrentKernelSlots reports how many HWQ heads are occupied

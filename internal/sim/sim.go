@@ -126,11 +126,12 @@ type Options struct {
 	// (0 = default 65,536 when CheckInvariants is set).
 	InvariantEvery kernel.Cycle
 	// Profile, when non-nil, attaches the cycle-attribution profiler:
-	// per-component busy/stall/idle accounting every tick, kernel-
-	// lifecycle span assembly off the trace stream, and sampled queue-
-	// depth/occupancy timelines (see internal/profile and
-	// cmd/spawnreport). Costs one nil check per tick when unset and
-	// never alters the Result, traces, or metrics.
+	// per-component busy/stall/idle accounting of every ticked cycle,
+	// booked when a component's state changes, kernel-lifecycle span
+	// assembly off the trace stream, and sampled queue-depth/occupancy
+	// timelines (see internal/profile and cmd/spawnreport). Costs a nil
+	// check per tick and per visited SMX when unset and never alters
+	// the Result, traces, or metrics.
 	Profile *profile.Profile
 	// Context, when non-nil, cancels the run: Run returns an AbortError
 	// (kind canceled or deadline) with a partial Result once it observes
@@ -255,9 +256,6 @@ type GPU struct {
 	// asserts it).
 	smxReady []kernel.Cycle
 	smxWake  kernel.Cycle
-	// issued marks, per SMX, whether a warp issued this tick (profiler
-	// busy attribution; cleared at tick start when profiling).
-	issued []bool
 
 	flight      flightHeap
 	liveKernels int
@@ -400,7 +398,6 @@ func NewChecked(opts Options) (*GPU, error) {
 	for i := 0; i < opts.Config.NumSMX; i++ {
 		g.smxs = append(g.smxs, smx.New(i, &g.cfg))
 	}
-	g.issued = make([]bool, len(g.smxs))
 	g.smxReady = make([]kernel.Cycle, len(g.smxs))
 	g.syncSMXReady()
 	if opts.Faults != nil {
@@ -945,22 +942,15 @@ func (g *GPU) meanUtilization() float64 {
 	return sum / float64(len(g.smxs))
 }
 
-// profTick classifies every component's tick for the attribution
-// profiler. Only reached when profiling is enabled; the classification
-// helpers read state the engine already maintains, and the expensive
-// sampled fields (bank scan, utilization) are gathered only on
-// timeline-sample ticks.
-func (g *GPU) profTick(now kernel.Cycle, arrived bool, placed int, hasDisp bool, issued []bool) {
+// profTick books the GMU and HWQ states of the tick and closes it for
+// the attribution profiler. Only reached when profiling is enabled; the
+// SMXs were noted when the tick visited them, and the expensive sampled
+// fields (bank scan, utilization) are gathered only on timeline-sample
+// ticks.
+func (g *GPU) profTick(now kernel.Cycle, arrived bool, placed int, hasDisp bool, busySMXs int) {
 	p := g.prof
 	p.Note(profile.CompGMU, g.gmu.DispatchState(arrived, placed, hasDisp))
 	p.Note(profile.CompHWQ, g.gmu.QueueState(placed))
-	busySMXs := 0
-	for i, m := range g.smxs {
-		if issued[i] {
-			busySMXs++
-		}
-		p.Note(profile.CompSMX0+i, m.ActivityState(issued[i]))
-	}
 	st := profile.TickStats{
 		Now:           uint64(now),
 		QueuedKernels: g.gmu.QueuedKernels(),
@@ -1122,7 +1112,7 @@ func (g *GPU) abortStalled(now kernel.Cycle) (*Result, error) {
 		"hwq="+g.gmu.QueueState(0).String())
 	for _, m := range g.smxs {
 		//spawnvet:allow hotpath cold abort path; formatting the one terminal snapshot
-		comps = append(comps, "smx"+strconv.Itoa(m.ID)+"="+m.ActivityState(false).String())
+		comps = append(comps, "smx"+strconv.Itoa(m.ID)+"="+m.ActivityState().String())
 	}
 	snap.Components = comps
 	return g.result(), &AbortError{
@@ -1281,28 +1271,36 @@ func (g *GPU) Run() (*Result, error) {
 					}
 				}
 			}
-			if g.prof != nil {
-				for i := range g.issued {
-					g.issued[i] = false
-				}
-			}
 			if g.engine == EngineStepped {
 				g.syncSMXReady()
 			}
 			// Visit the due SMXs only, refreshing each visited slot; no
 			// Place happens past dispatch, so unvisited slots stay exact.
+			// The profiler notes an SMX only here: its resident set and
+			// wake cycle change only when it is visited (place lowers the
+			// slot to now, and only its own warps release its CTAs), so
+			// the state noted after a visit holds until the next one.
 			wake := smx.NoEvent
+			busySMXs := 0
 			for mi, r := range g.smxReady {
 				if r <= now {
 					m := g.smxs[mi]
+					issued := false
 					for si := 0; si < m.Schedulers(); si++ {
 						if w := m.Pick(si, now); w != nil {
 							g.execute(now, w)
-							g.issued[mi] = true
+							issued = true
 						}
 					}
 					r = m.NextReady()
 					g.smxReady[mi] = r
+					if g.prof != nil {
+						if issued {
+							busySMXs++
+							g.prof.Note(profile.CompSMX0+mi, profile.StateBusy)
+						}
+						g.prof.Note(profile.CompSMX0+mi, m.ActivityState())
+					}
 				}
 				wake = min(wake, r)
 			}
@@ -1313,7 +1311,7 @@ func (g *GPU) Run() (*Result, error) {
 					// consulted, so classify against the live queue state.
 					hasDisp = g.gmu.HasDispatchable()
 				}
-				g.profTick(now, arrived, placed, hasDisp, g.issued)
+				g.profTick(now, arrived, placed, hasDisp, busySMXs)
 			}
 			g.clock = now + 1
 			continue

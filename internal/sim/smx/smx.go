@@ -235,16 +235,14 @@ func (m *SMX) NextReady() kernel.Cycle {
 // ResidentCTAs reports CTAs currently holding resources.
 func (m *SMX) ResidentCTAs() int { return len(m.resident) }
 
-// ActivityState classifies this SMX's tick for the cycle-attribution
-// profiler (see internal/profile): busy when a warp issued, idle when
-// nothing is resident, stalled-on-sync when every resident warp is
-// parked at a synchronization point (NextReady sees no wake cycle),
-// and stalled-on-latency otherwise (resident warps blocked on memory
-// or ALU timing edges). Two cached loads on the common no-issue path.
-func (m *SMX) ActivityState(issued bool) profile.State {
-	if issued {
-		return profile.StateBusy
-	}
+// ActivityState classifies this SMX for the cycle-attribution profiler
+// (see internal/profile) on the ticks where no warp issues (the engine
+// notes an issuing tick busy itself): idle when nothing is resident,
+// stalled-on-sync when every resident warp is parked at a
+// synchronization point (NextReady sees no wake cycle), and
+// stalled-on-latency otherwise (resident warps blocked on memory or
+// ALU timing edges). Two cached loads.
+func (m *SMX) ActivityState() profile.State {
 	if len(m.resident) == 0 {
 		return profile.StateIdle
 	}
