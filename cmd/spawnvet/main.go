@@ -1,6 +1,8 @@
 // Command spawnvet is the project's static-analysis driver. It loads
-// the module with the standard library's parser and type checker (no
-// external tooling) and runs the analyzers `spawnvet -list` prints:
+// the module through the go command (`go list` names each package's
+// files and builds the standard library's export data), type-checks it
+// with the standard library's parser and type checker (no external
+// tooling), and runs the analyzers `spawnvet -list` prints:
 // determinism, hotpath, invariants, errwrap, metrics, seedtaint,
 // exhaustive, units, purity, sharedstate, clockstep, and skipsafe.
 //
@@ -17,7 +19,8 @@
 // directive exists.
 //
 // Exit status: 0 when the tree is clean, 1 when diagnostics were
-// reported, 2 on usage or load errors.
+// reported, 2 on usage or load errors. A package that does not
+// type-check is analyzed best-effort, its type errors on stderr.
 package main
 
 import (

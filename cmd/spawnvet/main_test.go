@@ -34,7 +34,8 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestExitCodes pins the exit-status contract CI relies on: 0 clean,
-// 1 with findings, 2 on a usage or load error.
+// 1 with findings, 2 on a usage or load error. A package that does not
+// type-check is no load error: it is analyzed best-effort.
 func TestExitCodes(t *testing.T) {
 	clean := stage(t, "package clean\n\nfunc Add(a, b int) int { return a + b }\n")
 	dirty := stage(t, `package dirty
@@ -42,6 +43,12 @@ func TestExitCodes(t *testing.T) {
 import "fmt"
 
 func Wrap(err error) error { return fmt.Errorf("wrap: %v", err) }
+`)
+	broken := stage(t, `package broken
+
+import "fmt"
+
+func Wrap(err error) error { undefinedHelper(); return fmt.Errorf("wrap: %v", err) }
 `)
 	cases := []struct {
 		name   string
@@ -52,6 +59,7 @@ func Wrap(err error) error { return fmt.Errorf("wrap: %v", err) }
 	}{
 		{"clean package", []string{clean}, 0, "", ""},
 		{"findings", []string{dirty}, 1, "staged.go:5:60: [errwrap] fmt.Errorf flattens an error with %v", ""},
+		{"type errors", []string{broken}, 1, "staged.go:5:79: [errwrap] fmt.Errorf flattens an error with %v", "type error (analysis may be incomplete)"},
 		{"unknown flag", []string{"-fix", clean}, 2, "", "flag provided but not defined: -fix"},
 		{"missing directory", []string{filepath.Join(clean, "absent")}, 2, "", "spawnvet:"},
 		{"outside the module", []string{os.TempDir()}, 2, "", "outside module"},

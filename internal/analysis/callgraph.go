@@ -39,7 +39,7 @@ const (
 )
 
 // effectKind classifies one direct effect recorded in a summary. The
-// first three kinds are purity's, the rest skipsafe's.
+// first two kinds are purity's, the rest skipsafe's.
 type effectKind uint8
 
 const (
@@ -49,10 +49,6 @@ const (
 	// effectAmbientIO: a call into the ambient-I/O surface of the
 	// standard library (os, net, wall clock, global rand, console fmt).
 	effectAmbientIO
-	// effectLeak: a package-level write whose value retains a pointer
-	// that flowed in through a parameter — caller memory escaping into
-	// state that outlives the call. It is a global write too.
-	effectLeak
 	// effectStateWrite: a write through a pointer-shaped parameter or
 	// receiver — caller-visible mutation (stricter than purity: even
 	// receiver state must stay frozen while the engine fast-forwards).
@@ -70,8 +66,6 @@ type effect struct {
 	// what names the offender: the written variable, the ambient callee,
 	// the mutated target.
 	what string
-	// param names the retained pointer parameter of an effectLeak.
-	param string
 }
 
 // funcSummary is the bottom-up summary of one function declaration.
@@ -102,15 +96,11 @@ func summarize(pkg *Package, fd *ast.FuncDecl, obj *types.Func) *funcSummary {
 		case *ast.CallExpr:
 			s.recordCall(n)
 		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				var rhs ast.Expr
-				if len(n.Lhs) == len(n.Rhs) {
-					rhs = n.Rhs[i]
-				}
-				s.recordWrite(stack, lhs, rhs)
+			for _, lhs := range n.Lhs {
+				s.recordWrite(stack, lhs)
 			}
 		case *ast.IncDecStmt:
-			s.recordWrite(stack, n.X, nil)
+			s.recordWrite(stack, n.X)
 		case *ast.GoStmt:
 			s.effects = append(s.effects, effect{kind: effectSpawn, pos: n.Pos(), what: "goroutine spawn"})
 		case *ast.SendStmt:
@@ -136,12 +126,12 @@ func (s *funcSummary) recordCall(call *ast.CallExpr) {
 }
 
 // recordWrite classifies one assignment target. A package-level target
-// is a global write, or a leak when the value retains pointer-shaped
-// parameter memory. An indirect write through a reference-shaped local
-// is a global write when the local's origins include package-level
-// state, else a caller-visible state write when they include a
-// pointer-shaped parameter. Frame-local scratch is no effect.
-func (s *funcSummary) recordWrite(stack []ast.Node, lhs, rhs ast.Expr) {
+// is a global write, whatever the value (a retained pointer input is
+// one too). An indirect write through a reference-shaped local is a
+// global write when the local's origins include package-level state,
+// else a caller-visible state write when they include a pointer-shaped
+// parameter. Frame-local scratch is no effect.
+func (s *funcSummary) recordWrite(stack []ast.Node, lhs ast.Expr) {
 	base, hadStar, wrapped := writeBase(lhs)
 	if base == nil || base.Name == "_" {
 		return
@@ -150,13 +140,8 @@ func (s *funcSummary) recordWrite(stack []ast.Node, lhs, rhs ast.Expr) {
 	if !ok || v.IsField() {
 		return
 	}
-	flows := s.pkg.flows()
 	if isPackageLevel(v) {
-		eff := effect{kind: effectGlobalWrite, pos: lhs.Pos(), what: "package-level variable " + v.Name()}
-		if p := leakedParam(flows.at(stack), rhs); p != nil {
-			eff.kind, eff.param = effectLeak, p.Name()
-		}
-		s.effects = append(s.effects, eff)
+		s.effects = append(s.effects, effect{kind: effectGlobalWrite, pos: lhs.Pos(), what: "package-level variable " + v.Name()})
 		return
 	}
 	if !wrapped || (!hadStar && !refShaped(v.Type())) {
@@ -165,7 +150,7 @@ func (s *funcSummary) recordWrite(stack []ast.Node, lhs, rhs ast.Expr) {
 		return
 	}
 	var stateWrite *effect
-	for _, o := range flows.at(stack).originsOf(base) {
+	for _, o := range s.pkg.flows().at(stack).originsOf(base) {
 		switch o.Kind {
 		case OriginGlobal:
 			alias := exprText(o.Expr)
@@ -187,23 +172,6 @@ func (s *funcSummary) recordWrite(stack []ast.Node, lhs, rhs ast.Expr) {
 	if stateWrite != nil {
 		s.effects = append(s.effects, *stateWrite)
 	}
-}
-
-// leakedParam returns the pointer-shaped parameter whose memory rhs
-// retains, or nil.
-func leakedParam(flow *funcFlow, rhs ast.Expr) *types.Var {
-	if rhs == nil {
-		return nil
-	}
-	for _, o := range flow.originsOf(rhs) {
-		if o.Kind != OriginParam || o.Obj == nil {
-			continue
-		}
-		if p, ok := o.Obj.(*types.Var); ok && refShaped(p.Type()) {
-			return p
-		}
-	}
-	return nil
 }
 
 // isPackageLevel reports whether v is a package-level variable.
@@ -388,15 +356,13 @@ type chainVisit struct {
 	depth  int
 }
 
-// walkFrom breadth-first-traverses the graph from the roots, invoking
-// visit exactly once per reachable summarized function with the chain
-// that first reached it. When a chain would exceed callGraphDepthCap,
-// deep is called with the truncation point and the walk stops
-// descending there.
-func (g *callGraph) walkFrom(roots []*types.Func,
-	visit func(sum *funcSummary, chain []string),
-	deep func(sum *funcSummary, calleePos token.Pos, chain []string)) {
-
+// walkFrom breadth-first-traverses the graph from the roots for pass,
+// invoking visit exactly once per reachable summarized function with
+// the chain that first reached it. It reports both caps as pass's own
+// findings: a reached function whose callees overflowed
+// callGraphFanCap, and a chain that would exceed callGraphDepthCap,
+// where the walk stops descending.
+func (g *callGraph) walkFrom(pass *Pass, roots []*types.Func, visit func(sum *funcSummary, chain []string)) {
 	parent := map[*types.Func]*types.Func{}
 	seen := map[*types.Func]bool{}
 	var queue []chainVisit
@@ -414,10 +380,18 @@ func (g *callGraph) walkFrom(roots []*types.Func,
 			continue
 		}
 		parent[v.fn] = v.parent
-		visit(sum, g.chain(parent, v.fn))
+		chain := g.chain(parent, v.fn)
+		if sum.overflow {
+			pass.Reportf(sum.decl.Name.Pos(),
+				"%s has more than %d static callees; %s cannot verify its callees (call chain: %s) — split it",
+				sum.displayName(), callGraphFanCap, pass.Analyzer.Name, chainText(chain))
+		}
+		visit(sum, chain)
 		if v.depth >= callGraphDepthCap {
 			if len(sum.callees) > 0 {
-				deep(sum, sum.calleePos[sum.callees[0]], g.chain(parent, v.fn))
+				pass.Reportf(sum.calleePos[sum.callees[0]],
+					"call chain exceeds the %s depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
+					pass.Analyzer.Name, callGraphDepthCap, sum.displayName(), chainText(chain))
 			}
 			continue
 		}

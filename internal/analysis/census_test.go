@@ -242,7 +242,7 @@ func (g *GPU) plantAliasWrite() {
 func (g *GPU) plantWallClock() {
 	_ = time.Now() // plant
 }`, reach: "g.plantWallClock()", from: "run", catchers: []string{"purity"}},
-	{rule: "purity: input-pointer leak", code: `
+	{rule: "purity: package write of a pointer input", code: `
 var censusKept *int
 
 func (g *GPU) plantLeak(p *int) {
@@ -250,9 +250,9 @@ func (g *GPU) plantLeak(p *int) {
 }`, reach: "g.plantLeak(nil)", from: "run", catchers: []string{"purity"}},
 
 	// Reached from the skip root sim.(GPU).nextEvent. The root lies
-	// inside Run's call closure, so purity covers package writes,
-	// ambient I/O and leaks there, and skipsafe reports only what purity
-	// allows.
+	// inside Run's call closure, so purity covers package writes
+	// (a retained pointer input included) and ambient I/O there, and
+	// skipsafe reports only what purity allows.
 	{rule: "purity: package-level write on the skip path", code: `
 var censusIdleTicks int
 
@@ -263,7 +263,7 @@ func (g *GPU) plantSkipGlobal() {
 func (g *GPU) plantSkipClock() {
 	_ = time.Now() // plant
 }`, reach: "g.plantSkipClock()", from: "skip", catchers: []string{"purity"}},
-	{rule: "purity: input-pointer leak on the skip path", code: `
+	{rule: "purity: package write of a pointer input on the skip path", code: `
 var censusIdleKept *int
 
 func (g *GPU) plantSkipLeak(p *int) {

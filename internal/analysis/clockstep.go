@@ -488,15 +488,9 @@ func (st *clockstepState) finish(pass *Pass) {
 		return
 	}
 	g := pass.callGraph()
-	g.walkFrom(g.roots(runRoot),
-		func(sum *funcSummary, chain []string) {
-			for _, d := range st.deferred[sum.obj] {
-				pass.Reportf(d.pos, "%s", d.text(chainText(chain)))
-			}
-		},
-		func(sum *funcSummary, pos token.Pos, chain []string) {
-			pass.Reportf(pos,
-				"call chain from the run root exceeds the clockstep depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
-				callGraphDepthCap, sum.displayName(), chainText(chain))
-		})
+	g.walkFrom(pass, g.roots(runRoot), func(sum *funcSummary, chain []string) {
+		for _, d := range st.deferred[sum.obj] {
+			pass.Reportf(d.pos, "%s", d.text(chainText(chain)))
+		}
+	})
 }

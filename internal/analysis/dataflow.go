@@ -270,8 +270,8 @@ func (f *funcFlow) trace(e ast.Expr, visiting map[*types.Var]bool, depth int, ou
 			f.trace(x.X, visiting, depth+1, out)
 		case token.AND:
 			// &x aliases x: the pointer carries its referent's origins
-			// (what lets the purity analyzer see leaks and alias writes
-			// through address-taken values).
+			// (what lets the purity analyzer see alias writes through
+			// address-taken values).
 			f.trace(x.X, visiting, depth+1, out)
 		default:
 			f.add(out, Origin{Kind: OriginUnknown, Expr: x})

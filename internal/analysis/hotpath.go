@@ -88,21 +88,9 @@ func finishHotPath(pass *Pass) {
 		return
 	}
 	g := pass.callGraph()
-	g.walkFrom(g.roots(hotRoot),
-		func(sum *funcSummary, chain []string) {
-			h := hotFunc{pass: pass, pkg: sum.pkg, chain: chainText(chain)}
-			if sum.overflow {
-				pass.Reportf(sum.decl.Name.Pos(),
-					"%s has more than %d static callees; its hot callees are unverified (call chain: %s) — split it",
-					sum.displayName(), callGraphFanCap, h.chain)
-			}
-			h.checkFunc(sum.decl)
-		},
-		func(sum *funcSummary, pos token.Pos, chain []string) {
-			pass.Reportf(pos,
-				"call chain from the hot-path roots exceeds the hotpath depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
-				callGraphDepthCap, sum.displayName(), chainText(chain))
-		})
+	g.walkFrom(pass, g.roots(hotRoot), func(sum *funcSummary, chain []string) {
+		hotFunc{pass: pass, pkg: sum.pkg, chain: chainText(chain)}.checkFunc(sum.decl)
+	})
 }
 
 // hotFunc checks one reached function: pkg is the package declaring it

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/token"
 	"path/filepath"
 	"testing"
 )
@@ -46,11 +45,12 @@ func TestHotPathRealTreeCoverage(t *testing.T) {
 	}
 	g := buildCallGraph(pkgs)
 	hot := map[string]bool{}
-	g.walkFrom(g.roots(hotRoot),
-		func(sum *funcSummary, _ []string) { hot[sum.displayName()] = true },
-		func(sum *funcSummary, _ token.Pos, chain []string) {
-			t.Errorf("depth cap exceeded inside %s (chain: %s)", sum.displayName(), chainText(chain))
-		})
+	var caps []Diagnostic
+	pass := &Pass{Analyzer: HotPathAnalyzer(), Pkg: pkgs[0], diags: &caps}
+	g.walkFrom(pass, g.roots(hotRoot), func(sum *funcSummary, _ []string) { hot[sum.displayName()] = true })
+	for _, d := range caps {
+		t.Errorf("call-graph cap reached: %s", d)
+	}
 	for _, fn := range []string{
 		"gmu.(GMU).Enqueue", "gmu.(GMU).Dispatch", "gmu.(GMU).DispatchState", "gmu.(GMU).QueueState",
 		"smx.(SMX).Place", "smx.(SMX).Release", "smx.(SMX).Pick", "smx.(SMX).ActivityState",

@@ -1,25 +1,28 @@
-// Package analysis is spawnvet's engine: a stdlib-only static-analysis
-// framework (go/ast + go/parser + go/types, no golang.org/x/tools
-// dependency) plus the project's analyzers. It enforces, at compile
-// time, the conventions the simulator's guarantees rest on:
-// bit-identical replay of a (config, seed, plan) triple, nil-check-only
-// observability hooks on the hot path, InvariantError-only panics in
-// the engine, %w error wrapping across package boundaries, and metrics
-// registration hygiene. See DESIGN.md "Determinism contract" and the
-// README "Static analysis" section.
+// Package analysis is spawnvet's engine: a static-analysis framework on
+// the standard library's go/ast, go/parser and go/types (no
+// golang.org/x/tools dependency), fed by the go command, plus the
+// project's analyzers. It enforces, at compile time, the conventions
+// the simulator's guarantees rest on: bit-identical replay of a
+// (config, seed, plan) triple, nil-check-only observability hooks on
+// the hot path, InvariantError-only panics in the engine, %w error
+// wrapping across package boundaries, and metrics registration hygiene.
+// See DESIGN.md "Determinism contract" and the README "Static analysis"
+// section.
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -56,116 +59,66 @@ func (p *Package) flows() *flowCache {
 	return p.flowScopes
 }
 
-// Loader parses and type-checks module packages. One Loader shares a
-// FileSet and an importer across packages so common dependencies are
-// checked once.
+// Loader parses and type-checks module packages. The go command decides
+// what a package is: one `go list` per load names each package's
+// non-test files (build constraints applied) and its dependencies in
+// dependency order, and builds the standard library's export data,
+// which the gc importer reads. One Loader shares a FileSet and the
+// checked packages across loads, so each package is checked once.
 type Loader struct {
 	Fset *token.FileSet
 
-	// IncludeTests, when set, also loads _test.go files. spawnvet runs
-	// with it off: tests legitimately read the wall clock, allocate, and
-	// compare errors loosely.
-	IncludeTests bool
-
-	modRoot string
-	modPath string
-
-	std  types.ImporterFrom // source importer for out-of-module deps
-	pkgs map[string]*Package
-	// checking guards against import cycles (which would be a compile
-	// error anyway, but must not hang the loader).
-	checking map[string]bool
+	root   string            // directory of the go.mod enclosing the loader's dir
+	std    types.Importer    // gc importer over export
+	export map[string]string // standard import path -> export data file
+	pkgs   map[string]*Package
 }
 
 // NewLoader creates a loader rooted at the module containing dir.
 func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
+	cmd := exec.Command("go", "env", "GOMOD")
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: go env GOMOD in %s: %w", dir, err)
 	}
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:     fset,
-		modRoot:  root,
-		modPath:  modPath,
-		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs:     map[string]*Package{},
-		checking: map[string]bool{},
-	}, nil
-}
-
-// findModule walks upward from dir to the enclosing go.mod.
-func findModule(dir string) (root, modPath string, err error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return nil, fmt.Errorf("analysis: no go.mod above %s", dir)
 	}
-	for {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("analysis: %s/go.mod has no module line", d)
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("analysis: no go.mod above %s", dir)
-		}
-		d = parent
+	l := &Loader{
+		Fset:   token.NewFileSet(),
+		root:   filepath.Dir(gomod),
+		export: map[string]string{},
+		pkgs:   map[string]*Package{},
 	}
-}
-
-// LoadAll loads every package under the module root (the "./..."
-// pattern), in deterministic path order, skipping testdata, vendor, and
-// hidden directories.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.modRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	l.std = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := l.export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.modRoot && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
-		return nil
+		return os.Open(file)
 	})
+	return l, nil
+}
+
+// LoadAll loads the "./..." packages of the module and of every module
+// nested one directory below its root, in directory order.
+func (l *Loader) LoadAll() ([]*Package, error) {
+	nested, err := filepath.Glob(filepath.Join(l.root, "*", "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(dirs)
 	var out []*Package
-	for _, dir := range dirs {
-		p, err := l.LoadDir(dir)
+	for _, gomod := range append([]string{filepath.Join(l.root, "go.mod")}, nested...) {
+		pkgs, err := l.list(filepath.Dir(gomod), "./...")
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p)
+		out = append(out, pkgs...)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
 	return out, nil
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			return true
-		}
-	}
-	return false
 }
 
 // LoadDir loads the package in one directory (which must live inside
@@ -175,60 +128,81 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel, err := filepath.Rel(l.modRoot, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("analysis: %s is outside module %s", dir, l.modRoot)
+	if rel, err := filepath.Rel(l.root, abs); err != nil || strings.HasPrefix(rel, "..") {
+		return nil, fmt.Errorf("analysis: %s is outside module %s", dir, l.root)
 	}
-	path := l.modPath
-	if rel != "." {
-		path = l.modPath + "/" + filepath.ToSlash(rel)
-	}
-	return l.load(path, abs)
-}
-
-// load parses and type-checks the package at (path, dir), memoized.
-func (l *Loader) load(path, dir string) (*Package, error) {
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
-	}
-	if l.checking[path] {
-		return nil, fmt.Errorf("analysis: import cycle through %s", path)
-	}
-	l.checking[path] = true
-	defer func() { l.checking[path] = false }()
-
-	ents, err := os.ReadDir(dir)
+	pkgs, err := l.list(abs, ".")
 	if err != nil {
 		return nil, err
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
+	if len(pkgs) != 1 {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	return pkgs[0], nil
+}
+
+// listed is the part of a `go list -json` record the loader reads.
+type listed struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	Standard, DepOnly       bool
+	Error                   *struct{ Err string }
+}
+
+// list runs `go list` on pattern in dir, records the export data of the
+// standard packages, type-checks the module packages in the order
+// listed, and returns the ones the pattern matched. A module package
+// that does not compile still loads (its errors land in TypeErrors);
+// an error is fatal only for a standard package or a matched pattern
+// with no Go files.
+func (l *Loader) list(dir, pattern string) ([]*Package, error) {
+	cmd := exec.Command("go", "list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Standard,Export,DepOnly,Error", pattern)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list %s in %s: %w\n%s", pattern, dir, err, stderr.Bytes())
+	}
+	var matched []*Package
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listed
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("analysis: go list output: %w", err)
 		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
-			continue
+		if lp.Error != nil && (lp.Standard || !lp.DepOnly && len(lp.GoFiles) == 0) {
+			return nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
 		}
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
+		switch {
+		case lp.Standard:
+			l.export[lp.ImportPath] = lp.Export
+		case len(lp.GoFiles) > 0:
+			p, err := l.check(lp)
+			if err != nil {
+				return nil, err
+			}
+			if !lp.DepOnly {
+				matched = append(matched, p)
+			}
 		}
-		if excludedByBuildConstraint(src) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, full, src, parser.ParseComments)
+	}
+	return matched, nil
+}
+
+// check parses and type-checks one module package, memoized.
+func (l *Loader) check(lp listed) (*Package, error) {
+	if p, ok := l.pkgs[lp.ImportPath]; ok {
+		return p, nil
+	}
+	p := &Package{Path: lp.ImportPath, Dir: lp.Dir, Fset: l.Fset}
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		p.Files = append(p.Files, f)
 	}
-	if len(p.Files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	// External test packages (package foo_test files without IncludeTests
-	// filtered above) cannot appear here; all files share one package name.
 	p.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -240,59 +214,19 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		Importer: (*loaderImporter)(l),
 		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
-	p.Types, _ = conf.Check(path, l.Fset, p.Files, p.Info)
-	l.pkgs[path] = p
+	p.Types, _ = conf.Check(p.Path, l.Fset, p.Files, p.Info)
+	l.pkgs[p.Path] = p
 	return p, nil
 }
 
-// excludedByBuildConstraint reports whether a //go:build line above the
-// package clause excludes the file from the host build: generator
-// scripts (//go:build ignore) and foreign-platform files would
-// otherwise fail the type check. Only the host GOOS/GOARCH, the gc
-// toolchain tag, and released go1.N versions evaluate true; malformed
-// expressions keep the file (the compile error is the better report).
-func excludedByBuildConstraint(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "package ") {
-			return false // constraints must precede the package clause
-		}
-		if !constraint.IsGoBuild(line) {
-			continue
-		}
-		expr, err := constraint.Parse(line)
-		if err != nil {
-			return false
-		}
-		return !expr.Eval(func(tag string) bool {
-			return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" ||
-				strings.HasPrefix(tag, "go1")
-		})
-	}
-	return false
-}
-
-// loaderImporter resolves module-internal imports through the loader
-// itself (so each module package is checked exactly once) and everything
-// else — the standard library — through the source importer.
+// loaderImporter resolves module imports to the packages the loader
+// already checked (`go list` lists dependencies first) and everything
+// else to the standard library's export data.
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
-	return li.ImportFrom(path, li.modRoot, 0)
-}
-
-func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	l := (*Loader)(li)
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
-		p, err := l.load(path, filepath.Join(l.modRoot, filepath.FromSlash(rel)))
-		if err != nil {
-			return nil, err
-		}
-		if p.Types == nil {
-			return nil, fmt.Errorf("analysis: %s failed to type-check", path)
-		}
+	if p, ok := li.pkgs[path]; ok {
 		return p.Types, nil
 	}
-	return l.std.ImportFrom(path, srcDir, mode)
+	return li.std.Import(path)
 }

@@ -1,52 +1,45 @@
 package analysis
 
 import (
+	"go/build"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"testing"
 )
 
-// TestLoaderSkipsBuildConstrainedFiles loads the buildtags fixture:
-// ignored.go carries //go:build ignore and deliberately does not
-// type-check, so a clean load proves the loader honored the constraint.
+// TestLoaderSkipsBuildConstrainedFiles loads the buildtags fixture and
+// pins its exact file set: ignored.go and foreign_plan9.go do not
+// type-check, so a clean load proves both were left out, and unix.go
+// must be kept wherever the unix build tag holds.
 func TestLoaderSkipsBuildConstrainedFiles(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "buildtags")
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "buildtags"))
+	pkg, err := loader.LoadDir(dir)
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
 	if len(pkg.TypeErrors) != 0 {
-		t.Fatalf("fixture did not type-check (ignored.go was loaded?): %v", pkg.TypeErrors)
+		t.Fatalf("fixture did not type-check (an excluded file was loaded?): %v", pkg.TypeErrors)
 	}
-	if len(pkg.Files) != 1 {
-		t.Fatalf("loaded %d files, want 1 (ignored.go skipped)", len(pkg.Files))
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(pkg.Fset.File(f.Pos()).Name()))
+	}
+	want := []string{"buildtags.go"}
+	if unix, err := build.Default.MatchFile(dir, "unix.go"); err != nil {
+		t.Fatal(err)
+	} else if unix {
+		want = append(want, "unix.go")
+	} else {
+		t.Log("not a unix host: the unix.go check is skipped")
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("loaded files %v, want %v", got, want)
 	}
 	if pkg.Types.Name() != "buildtags" {
 		t.Errorf("package name = %q, want buildtags", pkg.Types.Name())
-	}
-}
-
-func TestExcludedByBuildConstraint(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want bool
-	}{
-		{"no constraint", "package p\n", false},
-		{"ignore", "//go:build ignore\n\npackage main\n", true},
-		{"host os", "//go:build " + runtime.GOOS + "\n\npackage p\n", false},
-		{"foreign os", "//go:build plan9 && arm\n\npackage p\n", true},
-		{"negated host", "//go:build !" + runtime.GOOS + "\n\npackage p\n", true},
-		{"go version", "//go:build go1.22\n\npackage p\n", false},
-		{"after package clause", "package p\n\n//go:build ignore\n", false},
-		{"malformed", "//go:build &&\n\npackage p\n", false},
-	}
-	for _, tc := range cases {
-		if got := excludedByBuildConstraint([]byte(tc.src)); got != tc.want {
-			t.Errorf("%s: excludedByBuildConstraint = %v, want %v", tc.name, got, tc.want)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -11,17 +10,15 @@ import (
 // workload), which is only sound if every function reachable from the
 // simulator's run roots is a pure function of those inputs. The
 // analyzer closes the shared module call graph (callgraph.go) over the
-// run roots and reports three violation classes with the call chain
+// run roots and reports two violation classes with the call chain
 // that reaches each one:
 //
 //   - writes to package-level variables, directly or through a local
 //     that the dataflow engine traces back to package-level state
-//     (aliasing);
+//     (aliasing); retaining a pointer input in package state is one;
 //   - ambient I/O: calls into os/net/syscall/log (and friends), the
 //     wall clock (time.Now, Sleep, timers), the global math/rand
-//     generator, and console fmt printing;
-//   - input-pointer leaks: a package-level write that retains
-//     pointer-shaped caller memory handed in through a parameter.
+//     generator, and console fmt printing.
 //
 // The run roots are the method Run on a receiver type named GPU and the
 // harness attempt path (harness.runSpec / harness.runOnce). Pool.Run
@@ -106,13 +103,8 @@ func finishPurity(pass *Pass) {
 		return
 	}
 	g := pass.callGraph()
-	g.walkFrom(g.roots(purityRoot),
+	g.walkFrom(pass, g.roots(purityRoot),
 		func(sum *funcSummary, chain []string) {
-			if sum.overflow {
-				pass.Reportf(sum.decl.Name.Pos(),
-					"%s has more than %d static callees; purity is unverifiable (call chain: %s) — split it",
-					sum.displayName(), callGraphFanCap, chainText(chain))
-			}
 			for _, eff := range sum.effects {
 				switch eff.kind {
 				case effectGlobalWrite:
@@ -123,18 +115,9 @@ func finishPurity(pass *Pass) {
 					pass.Reportf(eff.pos,
 						"run-reachable function performs ambient I/O via %s (call chain: %s); keep wall-clock and OS state off the run path",
 						eff.what, chainText(chain))
-				case effectLeak:
-					pass.Reportf(eff.pos,
-						"run-reachable function leaks caller memory: %s retains pointer input %s (call chain: %s); copy the input instead of retaining it",
-						eff.what, eff.param, chainText(chain))
 				default:
 					// State writes, spawns, and sends are skipsafe's concern.
 				}
 			}
-		},
-		func(sum *funcSummary, pos token.Pos, chain []string) {
-			pass.Reportf(pos,
-				"call chain from the run roots exceeds the purity depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
-				callGraphDepthCap, sum.displayName(), chainText(chain))
 		})
 }

@@ -132,13 +132,8 @@ func finishSkipSafe(pass *Pass) {
 		}
 		roots = append(roots, rs...)
 	}
-	g.walkFrom(roots,
+	g.walkFrom(pass, roots,
 		func(sum *funcSummary, chain []string) {
-			if sum.overflow {
-				pass.Reportf(sum.decl.Name.Pos(),
-					"%s has more than %d static callees; skip-safety is unverifiable (call chain: %s) — split it",
-					sum.displayName(), callGraphFanCap, chainText(chain))
-			}
 			for _, eff := range sum.effects {
 				switch eff.kind {
 				case effectStateWrite:
@@ -157,10 +152,5 @@ func finishSkipSafe(pass *Pass) {
 					// Package-level writes and ambient I/O are purity's.
 				}
 			}
-		},
-		func(sum *funcSummary, pos token.Pos, chain []string) {
-			pass.Reportf(pos,
-				"call chain from the skip-path roots exceeds the depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
-				callGraphDepthCap, sum.displayName(), chainText(chain))
 		})
 }

@@ -17,7 +17,7 @@ type GPU struct {
 // launchCount is the package-level state the staged helpers mutate.
 var launchCount int
 
-// lastInput retains caller memory handed to Run (the leak target).
+// lastInput retains caller memory handed to Run: a package write.
 var lastInput []byte
 
 // table is package-level state aliased through a local below.
@@ -53,7 +53,7 @@ func tick() {
 }
 
 func retain(in []byte) {
-	lastInput = in // want: pointer input leaks into package state
+	lastInput = in // want: package-level write of a pointer input
 }
 
 func poke() {
@@ -67,9 +67,9 @@ func sneaky() {
 }
 
 // rebind retains its pointer input, then rebinds the parameter: the
-// incoming value is one more definition of in, so the leak counts.
+// package write counts whatever in holds afterwards.
 func rebind(in []byte) {
-	lastInput = in // want: pointer input leaks despite the rebinding
+	lastInput = in // want: package-level write despite the rebinding
 	var local [4]byte
 	in = local[:]
 }
