@@ -28,14 +28,14 @@ type PlaceFunc func(k *kernel.Kernel) bool
 type GMU struct {
 	cfg config.GPU
 
-	hwqs []queue // FIFO per hardware work queue
+	hwqs []stats.Seq[*kernel.Kernel] // FIFO per hardware work queue
 
 	// direct holds, in arrival order, the DTBL aggregated kernels (CTA
 	// groups, no HWQ slot) that still have undispatched CTAs. Only the
 	// front group is ever placed and NextCTA only grows, so a group
 	// leaves from the front once its last CTA is placed; groups counts
 	// the resident aggregated kernels, dispatched or not.
-	direct queue
+	direct stats.Seq[*kernel.Kernel]
 	groups int
 	// readyHWQs counts the HWQs whose head kernel still has undispatched
 	// CTAs, so HasDispatchable needs no queue scan. Every change of an
@@ -75,7 +75,7 @@ type GMU struct {
 func New(cfg config.GPU) *GMU {
 	return &GMU{
 		cfg:  cfg,
-		hwqs: make([]queue, cfg.NumHWQs),
+		hwqs: make([]stats.Seq[*kernel.Kernel], cfg.NumHWQs),
 	}
 }
 
@@ -108,12 +108,12 @@ func (g *GMU) Instrument(reg *metrics.Registry) {
 func (g *GMU) Enqueue(k *kernel.Kernel) {
 	qi := len(g.hwqs) // direct queue index in mEnqueues
 	if k.Aggregated {
-		g.direct.push(k)
+		g.direct.PushBack(k)
 		g.groups++
 	} else {
 		qi = int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
-		g.hwqs[qi].push(k)
-		if g.hwqs[qi].len() == 1 {
+		g.hwqs[qi].PushBack(k)
+		if g.hwqs[qi].Len() == 1 {
 			g.occupied++
 			g.readyHWQs += headReady(&g.hwqs[qi])
 		}
@@ -135,9 +135,9 @@ func (g *GMU) headOf(qi int) *kernel.Kernel {
 		// Direct queue: CTA groups do not hold kernel slots, so the
 		// first group with undispatched CTAs is eligible regardless of
 		// groups still running ahead of it.
-		return g.direct.front()
+		return g.direct.Front()
 	}
-	if k := g.hwqs[qi].front(); k != nil && !k.Dispatched() {
+	if k := g.hwqs[qi].Front(); k != nil && !k.Dispatched() {
 		return k
 	}
 	return nil
@@ -174,7 +174,7 @@ func (g *GMU) Dispatch(now kernel.Cycle, place PlaceFunc) int {
 			}
 			if k.Dispatched() {
 				if k.Aggregated {
-					g.direct.pop()
+					g.direct.PopFront()
 				} else {
 					g.readyHWQs--
 				}
@@ -210,7 +210,7 @@ func (g *GMU) Yield(now kernel.Cycle, k *kernel.Kernel) {
 	}
 	qi := int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
 	q := &g.hwqs[qi]
-	if q.front() != k {
+	if q.Front() != k {
 		panic(kernel.Invariantf(now, "gmu", "yielding %v which is not head of HWQ %d", k, qi))
 	}
 	g.popHead(q)
@@ -235,7 +235,7 @@ func (g *GMU) KernelCompleted(now kernel.Cycle, k *kernel.Kernel) {
 	}
 	qi := int(uint32(k.Stream) % uint32(g.cfg.NumHWQs))
 	q := &g.hwqs[qi]
-	if q.front() != k {
+	if q.Front() != k {
 		panic(kernel.Invariantf(now, "gmu", "completed %v is not head of HWQ %d", k, qi))
 	}
 	g.popHead(q)
@@ -243,18 +243,18 @@ func (g *GMU) KernelCompleted(now kernel.Cycle, k *kernel.Kernel) {
 
 // popHead removes the head of HWQ q, keeping the occupied and ready-head
 // counters current as the next kernel becomes the head.
-func (g *GMU) popHead(q *queue) {
+func (g *GMU) popHead(q *stats.Seq[*kernel.Kernel]) {
 	g.readyHWQs -= headReady(q)
-	q.pop()
-	if q.len() == 0 {
+	q.PopFront()
+	if q.Len() == 0 {
 		g.occupied--
 	}
 	g.readyHWQs += headReady(q)
 }
 
 // headReady is 1 when q's head kernel has undispatched CTAs, else 0.
-func headReady(q *queue) int {
-	if k := q.front(); k != nil && !k.Dispatched() {
+func headReady(q *stats.Seq[*kernel.Kernel]) int {
+	if k := q.Front(); k != nil && !k.Dispatched() {
 		return 1
 	}
 	return 0
@@ -278,8 +278,8 @@ func (g *GMU) SetBackpressure(stalled func(now kernel.Cycle) bool) { g.stalled =
 func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 	members, remaining := 0, 0
 	for qi := range g.hwqs {
-		for pos := range g.hwqs[qi].len() {
-			k := g.hwqs[qi].at(pos)
+		for pos := range g.hwqs[qi].Len() {
+			k := g.hwqs[qi].At(pos)
 			members++
 			if k.Released {
 				return kernel.Invariantf(now, "gmu", "HWQ %d holds released %v", qi, k)
@@ -304,8 +304,8 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 			}
 		}
 	}
-	for pos := range g.direct.len() {
-		k := g.direct.at(pos)
+	for pos := range g.direct.Len() {
+		k := g.direct.At(pos)
 		if k.Released || !k.Aggregated {
 			return kernel.Invariantf(now, "gmu", "direct queue holds released or stale %v (aggregated %t)", k, k.Aggregated)
 		}
@@ -322,9 +322,9 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 			return kernel.Invariantf(now, "gmu", "direct queue: non-head %v has dispatched CTAs", k)
 		}
 	}
-	if g.direct.len() > g.groups {
+	if g.direct.Len() > g.groups {
 		return kernel.Invariantf(now, "gmu", "resident groups %d < %d direct-queue members",
-			g.groups, g.direct.len())
+			g.groups, g.direct.Len())
 	}
 	members += g.groups
 	if remaining != g.pendingCTAs {
@@ -339,7 +339,7 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 	}
 	occupied, ready := 0, 0
 	for i := range g.hwqs {
-		if g.hwqs[i].len() > 0 {
+		if g.hwqs[i].Len() > 0 {
 			occupied++
 		}
 		ready += headReady(&g.hwqs[i])
@@ -366,7 +366,7 @@ func (g *GMU) QueuedKernels() int { return g.queuedKerns }
 // an HWQ head counted in readyHWQs, or a direct-queue group (the direct
 // queue holds only groups with CTAs left).
 func (g *GMU) HasDispatchable() bool {
-	return g.readyHWQs > 0 || g.direct.len() > 0
+	return g.readyHWQs > 0 || g.direct.Len() > 0
 }
 
 // ConcurrentKernelSlots reports how many HWQ heads are occupied
@@ -410,64 +410,4 @@ func (g *GMU) QueueState(placed int) profile.State {
 		return profile.StateBusy
 	}
 	return profile.StallQueue
-}
-
-// queue is a FIFO of kernels kept in chunks of queueChunk: a push fills
-// the last chunk and a pop empties the first, which is then kept for the
-// next chunk the queue needs. A queue so grows to its peak length
-// without copying and allocates no more, where q = q[1:] followed by
-// append reallocates the whole array every time the tail reaches its
-// capacity.
-type queue struct {
-	chunks [][]*kernel.Kernel
-	head   int // position of the front in chunks[0]
-	n      int
-	spare  []*kernel.Kernel // an emptied chunk, reused before allocating
-}
-
-const queueChunk = 256
-
-func (q *queue) len() int { return q.n }
-
-// front returns the oldest kernel, or nil when the queue is empty.
-func (q *queue) front() *kernel.Kernel {
-	if q.n == 0 {
-		return nil
-	}
-	return q.chunks[0][q.head]
-}
-
-// at returns the kernel pos places behind the front.
-func (q *queue) at(pos int) *kernel.Kernel {
-	i := q.head + pos
-	return q.chunks[i/queueChunk][i%queueChunk]
-}
-
-func (q *queue) push(k *kernel.Kernel) {
-	i := q.head + q.n
-	if i == len(q.chunks)*queueChunk {
-		c := q.spare
-		if c == nil {
-			c = make([]*kernel.Kernel, queueChunk)
-		}
-		q.chunks, q.spare = append(q.chunks, c), nil
-	}
-	q.chunks[i/queueChunk][i%queueChunk] = k
-	q.n++
-}
-
-// pop drops the front kernel; the queue must not be empty.
-func (q *queue) pop() {
-	q.chunks[0][q.head] = nil
-	q.head++
-	q.n--
-	switch {
-	case q.n == 0:
-		q.head = 0
-	case q.head == queueChunk:
-		q.spare = q.chunks[0]
-		n := copy(q.chunks, q.chunks[1:])
-		q.chunks[n] = nil
-		q.chunks, q.head = q.chunks[:n], 0
-	}
 }

@@ -209,65 +209,3 @@ func TestCheckInvariantsRejectsReleasedMembers(t *testing.T) {
 		t.Errorf("audit with a recycled member on another stream = %v", err)
 	}
 }
-
-// TestQueueReusesChunks streams kernels through a queue that holds at
-// most queueChunk+1 of them: they leave in arrival order, and once the
-// queue has its chunks it allocates no more.
-func TestQueueReusesChunks(t *testing.T) {
-	var q queue
-	ks := make([]kernel.Kernel, 20*queueChunk)
-	popped := 0
-	pop := func() {
-		if q.front() != &ks[popped] {
-			t.Fatalf("front is not kernel %d", popped)
-		}
-		q.pop()
-		popped++
-	}
-	stream := func(from, to int) {
-		for i := from; i < to; i++ {
-			q.push(&ks[i])
-			if q.len() > queueChunk {
-				pop()
-			}
-		}
-	}
-	stream(0, 4*queueChunk)
-	next := 4 * queueChunk
-	// AllocsPerRun calls the function once more than asked.
-	allocs := testing.AllocsPerRun(3, func() {
-		stream(next, next+4*queueChunk)
-		next += 4 * queueChunk
-	})
-	if allocs != 0 {
-		t.Fatalf("a queue in steady state made %.0f allocations", allocs)
-	}
-	for q.len() > 0 {
-		pop()
-	}
-	if popped != len(ks) || q.front() != nil {
-		t.Fatalf("popped %d of %d kernels, front %v", popped, len(ks), q.front())
-	}
-}
-
-// TestQueueAt reads every position across chunk boundaries, after pops
-// emptied the first chunk.
-func TestQueueAt(t *testing.T) {
-	var q queue
-	ks := make([]kernel.Kernel, 3*queueChunk)
-	for i := range ks {
-		q.push(&ks[i])
-	}
-	const popped = queueChunk + 5
-	for range popped {
-		q.pop()
-	}
-	if q.len() != len(ks)-popped {
-		t.Fatalf("len %d, want %d", q.len(), len(ks)-popped)
-	}
-	for pos := range q.len() {
-		if q.at(pos) != &ks[popped+pos] {
-			t.Fatalf("position %d is not kernel %d", pos, popped+pos)
-		}
-	}
-}

@@ -71,7 +71,7 @@ func TestHasDispatchableMatchesScan(t *testing.T) {
 				// Yield a fully dispatched HWQ head, as a fully
 				// suspended kernel does.
 				for qi := range g.hwqs {
-					if k := g.hwqs[qi].front(); k != nil && k.Dispatched() && rng.Intn(2) == 0 {
+					if k := g.hwqs[qi].Front(); k != nil && k.Dispatched() && rng.Intn(2) == 0 {
 						g.Yield(now, k)
 						break
 					}
@@ -81,7 +81,7 @@ func TestHasDispatchableMatchesScan(t *testing.T) {
 				// a yielded one, a dispatched group, or an HWQ head.
 				for i, k := range live {
 					qi := int(uint32(k.Stream) % uint32(cfg.NumHWQs))
-					if !k.Dispatched() || (!k.Yielded && !k.Aggregated && g.hwqs[qi].front() != k) {
+					if !k.Dispatched() || (!k.Yielded && !k.Aggregated && g.hwqs[qi].Front() != k) {
 						continue
 					}
 					k.CTAsDone = k.GridCTAs

@@ -103,7 +103,7 @@ func (g *GPU) result() *Result {
 		AvgConcurrentParentCTAs: g.parentCTAs.Average(uint64(end)),
 		AvgConcurrentChildCTAs:  g.childCTAs.Average(uint64(end)),
 		ChildCTAExec:            &g.childCTAExec,
-		LaunchCycles:            g.launchCycles.appendTo(nil),
+		LaunchCycles:            g.launchCycles.AppendTo(nil),
 		DRAMAccesses:            g.mem.DRAMAccesses,
 		Transactions:            g.mem.Transactions,
 	}

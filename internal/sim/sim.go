@@ -264,7 +264,7 @@ type GPU struct {
 	// (with their warps and programs) at completeCTA, one list per Def
 	// so a reused CTA hands each warp a program of the same code. Host
 	// kernels are never released: LaunchHost returns them to the caller.
-	freeKernels stack[*kernel.Kernel]
+	freeKernels stats.Seq[*kernel.Kernel]
 	freeCTAs    []ctaPool
 	// launchBufs holds the candidate buffers of decided launch
 	// instructions: a warp holds one only while its launch is being
@@ -318,7 +318,7 @@ type GPU struct {
 	parentCTAs  stats.TimeWeighted
 	childCTAs   stats.TimeWeighted
 
-	launchCycles  stack[kernel.Cycle] // accepted device-launch decision cycles
+	launchCycles  stats.Seq[kernel.Cycle] // accepted device-launch decision cycles
 	childKernels  int
 	dtblGroups    int
 	launchOffers  int
@@ -554,51 +554,13 @@ const kernelBlock = 64
 // takeKernel pops a released device kernel, refilling the free list
 // with a fresh block on a miss.
 func (g *GPU) takeKernel() *kernel.Kernel {
-	if g.freeKernels.n == 0 {
+	if g.freeKernels.Len() == 0 {
 		block := make([]kernel.Kernel, kernelBlock)
 		for i := range block {
-			g.freeKernels.push(&block[i])
+			g.freeKernels.PushBack(&block[i])
 		}
 	}
-	return g.freeKernels.pop()
-}
-
-// stack is a LIFO kept in chunks of stackChunk, so a stack that grows
-// to its peak length never copies itself: a free list growing to the
-// peak count of live objects, or a record of every launch.
-type stack[T any] struct {
-	chunks [][]T
-	n      int
-}
-
-const stackChunk = 1024
-
-func (s *stack[T]) push(v T) {
-	if s.n == len(s.chunks)*stackChunk {
-		s.chunks = append(s.chunks, make([]T, stackChunk))
-	}
-	s.chunks[s.n/stackChunk][s.n%stackChunk] = v
-	s.n++
-}
-
-// pop removes and returns the last value pushed; the stack must not be
-// empty.
-func (s *stack[T]) pop() T {
-	s.n--
-	c := s.chunks[s.n/stackChunk]
-	v := c[s.n%stackChunk]
-	var zero T
-	c[s.n%stackChunk] = zero
-	return v
-}
-
-// appendTo appends the stack's values to dst, oldest first.
-func (s *stack[T]) appendTo(dst []T) []T {
-	dst = slices.Grow(dst, s.n)
-	for i := 0; i < s.n; i += stackChunk {
-		dst = append(dst, s.chunks[i/stackChunk][:min(stackChunk, s.n-i)]...)
-	}
-	return dst
+	return g.freeKernels.PopBack()
 }
 
 // LaunchHost submits a kernel from the host (step 1-4 of Figure 4),
@@ -676,7 +638,7 @@ func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchC
 	w.CTA.OutstandingChildren++
 	g.liveKernels++
 	g.offloadedWork += int64(cand.Workload)
-	g.launchCycles.push(now)
+	g.launchCycles.PushBack(now)
 	g.emit(trace.Event{Cycle: uint64(now), Kind: trace.KernelSubmitted, Kernel: k.ID, CTA: -1, Extra: cand.Workload})
 	g.flight.push(flightItem{at: arrival, k: k, warp: w, kGen: k.Gen, warpGen: w.Gen})
 }
@@ -904,7 +866,7 @@ func (g *GPU) completeKernel(now kernel.Cycle, k *kernel.Kernel) {
 		// Device kernels go back to the free list; host kernels belong
 		// to LaunchHost's caller.
 		k.MarkReleased()
-		g.freeKernels.push(k)
+		g.freeKernels.PushBack(k)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -143,30 +142,21 @@ func (t *TimeWeighted) Average(endCycle uint64) float64 {
 // retaining samples for exact quantiles and PDFs.
 type Histogram struct {
 	samples []float64
-	// pending holds the samples added since the last read, in chunks
-	// that grow with the histogram up to histChunk, so a long run of Adds
-	// never copies a sample; the next read appends them to samples.
-	pending [][]float64
+	// pending holds the samples added since the last read, so a long run
+	// of Adds never copies a sample; the next read appends them to
+	// samples.
+	pending Seq[float64]
 	sorted  bool
 }
 
-// histChunk caps the size of a pending chunk.
-const histChunk = 8192
-
-// settle appends the pending samples to samples, in the order added.
+// settle appends the pending samples to samples, in the order added. A
+// settled histogram is only read, so concurrent reads do not race.
 func (h *Histogram) settle() {
-	if len(h.pending) == 0 {
+	if h.pending.Len() == 0 {
 		return
 	}
-	n := len(h.samples)
-	for _, c := range h.pending {
-		n += len(c)
-	}
-	h.samples = slices.Grow(h.samples, n-len(h.samples))
-	for _, c := range h.pending {
-		h.samples = append(h.samples, c...)
-	}
-	h.pending = nil
+	h.samples = h.pending.AppendTo(h.samples)
+	h.pending.Reset()
 }
 
 // MarshalJSON serializes the retained samples so results carrying a
@@ -190,8 +180,8 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("stats: decode histogram: %w", err)
 	}
-	h.samples, h.pending = raw.Samples, nil
-	h.sorted = false
+	h.samples, h.sorted = raw.Samples, false
+	h.pending.Reset()
 	return nil
 }
 
@@ -199,16 +189,7 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 // allocates its size once, where appending to one slice allocates about
 // five times that as append grows a long slice by a quarter.
 func (h *Histogram) Add(v float64) {
-	n := len(h.pending)
-	if n == 0 || len(h.pending[n-1]) == cap(h.pending[n-1]) {
-		size := len(h.samples) + 64
-		if n > 0 {
-			size = cap(h.pending[n-1]) * 2
-		}
-		h.pending = append(h.pending, make([]float64, 0, min(size, histChunk)))
-		n++
-	}
-	h.pending[n-1] = append(h.pending[n-1], v)
+	h.pending.PushBack(v)
 	h.sorted = false
 }
 
