@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -146,51 +145,31 @@ func main() {
 
 func fatal(err error) { runflags.Fatal("spawnreport", err) }
 
-// jsonlEvent mirrors the trace.JSONL wire schema.
-type jsonlEvent struct {
-	Cycle  uint64 `json:"cycle"`
-	Kind   string `json:"kind"`
-	Kernel int    `json:"kernel"`
-	CTA    int    `json:"cta"`
-	Extra  int    `json:"extra"`
-}
-
 // ingestTrace replays a JSONL event stream through the profiler's span
 // assembler and returns the resulting report. Without tick data only
 // the lifecycle-span view is populated; launch sites are unknown in a
-// bare stream, so spans key under the "(trace)" site. Lines with
-// unknown kinds are skipped (forward compatibility), malformed JSON is
-// an error.
+// bare stream, so spans key under the "(trace)" site. trace.ReadJSONL
+// skips lines with unknown kinds (forward compatibility) and rejects
+// malformed JSON.
 func ingestTrace(r io.Reader, opts profile.Options) (*profile.Report, error) {
 	prof := profile.New(0, opts)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	var last uint64
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var je jsonlEvent
-		if err := json.Unmarshal(raw, &je); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", line, err)
-		}
-		kind, ok := trace.ParseKind(je.Kind)
-		if !ok {
-			continue
-		}
-		if je.Cycle > last {
-			last = je.Cycle
-		}
-		prof.Record(trace.Event{Cycle: je.Cycle, Kind: kind, Kernel: je.Kernel, CTA: je.CTA, Extra: je.Extra})
-	}
-	if err := sc.Err(); err != nil {
+	last := &lastCycle{Sink: prof}
+	if err := trace.ReadJSONL(r, last); err != nil {
 		return nil, err
 	}
-	prof.Finish(last)
+	prof.Finish(last.cycle)
 	return prof.Report(), nil
+}
+
+// lastCycle forwards events to its Sink, keeping the latest cycle seen.
+type lastCycle struct {
+	trace.Sink
+	cycle uint64
+}
+
+func (l *lastCycle) Record(e trace.Event) {
+	l.cycle = max(l.cycle, e.Cycle)
+	l.Sink.Record(e)
 }
 
 // writeReport serializes one report in the requested format.

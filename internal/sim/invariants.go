@@ -5,6 +5,9 @@ import (
 	"spawnsim/internal/sim/smx"
 )
 
+// invariantEvery is the audit period in simulated cycles.
+const invariantEvery kernel.Cycle = 65_536
+
 // checkInvariants audits the machine's conservation laws at cycle `now`:
 // engine-level kernel accounting, the SMX wake mirror (smxReady and
 // smxWake), then every SMX's resource pools and scheduler lists and the
@@ -14,8 +17,8 @@ import (
 // here; the schedulers, resident CTAs and queues, with the Parent
 // chains of their kernels, by smx and gmu. It returns the first
 // violation as a *kernel.InvariantError, or nil. Driven by
-// Options.CheckInvariants every Options.InvariantEvery cycles and once
-// more at completion.
+// Options.CheckInvariants every invariantEvery cycles and once more at
+// completion.
 func (g *GPU) checkInvariants(now kernel.Cycle) error {
 	// Every live kernel is either in launch flight or resident in the
 	// GMU (dispatching, queued, or yielded off-queue until completion).

@@ -161,10 +161,13 @@ func TestHeartbeatAndMetricsSurviveAbort(t *testing.T) {
 
 func TestInvariantCheckingDoesNotChangeTiming(t *testing.T) {
 	plain := run(t, runtime.Threshold{T: 0}, dpParent(128, 50, 3, 8))
-	audited := run(t, runtime.Threshold{T: 0}, dpParent(128, 50, 3, 8), func(o *Options) {
-		o.CheckInvariants = true
-		o.InvariantEvery = 512
-	})
+	g := New(Options{Config: config.K20m(), Policy: runtime.Threshold{T: 0}, MaxCycles: 50_000_000, CheckInvariants: true})
+	g.invEvery = 512
+	g.LaunchHost(dpParent(128, 50, 3, 8))
+	audited, err := g.Run()
+	if err != nil {
+		t.Fatalf("audited Run() error: %v", err)
+	}
 	if plain.Cycles != audited.Cycles {
 		t.Errorf("auditing changed timing: %d vs %d cycles", plain.Cycles, audited.Cycles)
 	}

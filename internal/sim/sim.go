@@ -119,12 +119,9 @@ type Options struct {
 	// stream as FaultInjected events. Nil costs nothing.
 	Faults *faults.Injector
 	// CheckInvariants audits the machine's conservation laws every
-	// InvariantEvery cycles and at completion; a violation aborts the
-	// run with an AbortError wrapping the *InvariantError.
+	// invariantEvery (65,536) cycles and at completion; a violation
+	// aborts the run with an AbortError wrapping the *InvariantError.
 	CheckInvariants bool
-	// InvariantEvery is the audit period in simulated cycles
-	// (0 = default 65,536 when CheckInvariants is set).
-	InvariantEvery kernel.Cycle
 	// Profile, when non-nil, attaches the cycle-attribution profiler:
 	// per-component busy/stall/idle accounting of every ticked cycle,
 	// booked when a component's state changes, kernel-lifecycle span
@@ -295,7 +292,7 @@ type GPU struct {
 	inj *faults.Injector
 
 	checkInv bool
-	invEvery kernel.Cycle
+	invEvery kernel.Cycle // invariantEvery; tests audit more often
 	invNext  kernel.Cycle
 
 	ctx context.Context
@@ -374,7 +371,7 @@ func NewChecked(opts Options) (*GPU, error) {
 		maxCycles:   opts.MaxCycles,
 		stallWindow: opts.StallWindow,
 		checkInv:    opts.CheckInvariants,
-		invEvery:    opts.InvariantEvery,
+		invEvery:    invariantEvery,
 		ctx:         opts.Context,
 	}
 	for _, s := range opts.Sinks {
@@ -391,9 +388,6 @@ func NewChecked(opts Options) (*GPU, error) {
 	}
 	if g.maxCycles == 0 {
 		g.maxCycles = DefaultMaxCycles
-	}
-	if g.checkInv && g.invEvery == 0 {
-		g.invEvery = 65_536
 	}
 	for i := 0; i < opts.Config.NumSMX; i++ {
 		g.smxs = append(g.smxs, smx.New(i, &g.cfg))

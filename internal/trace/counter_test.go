@@ -111,7 +111,8 @@ func TestPerfettoCountersComposeWithEvents(t *testing.T) {
 }
 
 func TestParseKind(t *testing.T) {
-	for k := Kind(0); k < Kind(11); k++ {
+	for i := range kindNames {
+		k := Kind(i)
 		got, ok := ParseKind(k.String())
 		if !ok || got != k {
 			t.Errorf("ParseKind(%q) = %v/%v, want %v/true", k.String(), got, ok, k)

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bufio"
+	"encoding/json"
+	"fmt"
 	"io"
 	"strconv"
 )
@@ -14,8 +16,9 @@ import (
 //
 // Fields follow Event semantics: kernel 0 means "no kernel", cta -1
 // means "no CTA", extra is kind-specific (SMX id for cta-placed,
-// workload for launch decisions). Writes are buffered; call Close (or
-// Flush) to drain. Write errors are sticky and surface from Close.
+// workload for launch decisions). ReadJSONL decodes the stream. Writes
+// are buffered; call Close (or Flush) to drain. Write errors are sticky
+// and surface from Close.
 type JSONL struct {
 	w   *bufio.Writer
 	buf []byte
@@ -62,3 +65,31 @@ func (s *JSONL) Flush() error {
 
 // Close implements Sink: it flushes and reports any sticky write error.
 func (s *JSONL) Close() error { return s.Flush() }
+
+// ReadJSONL decodes a stream written by JSONL and records its events
+// into sink in order; it does not close sink. Blank lines and events of
+// a kind ParseKind does not know are skipped, so a stream from a newer
+// writer still reads; malformed JSON is an error naming its line.
+func ReadJSONL(r io.Reader, sink Sink) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var e struct {
+			Cycle  uint64 `json:"cycle"`
+			Kind   string `json:"kind"`
+			Kernel int    `json:"kernel"`
+			CTA    int    `json:"cta"`
+			Extra  int    `json:"extra"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			return fmt.Errorf("trace line %d: %w", line, err)
+		}
+		if kind, ok := ParseKind(e.Kind); ok {
+			sink.Record(Event{Cycle: e.Cycle, Kind: kind, Kernel: e.Kernel, CTA: e.CTA, Extra: e.Extra})
+		}
+	}
+	return sc.Err()
+}

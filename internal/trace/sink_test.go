@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,5 +162,51 @@ func TestJSONLThroughBufio(t *testing.T) {
 	}
 	if n := strings.Count(b.String(), "\n"); n != 13 {
 		t.Errorf("streamed %d lines, want 13", n)
+	}
+}
+
+// TestJSONLRoundTrip writes one event of every Kind in the name table
+// through the JSONL sink and reads the stream back: every event returns
+// unchanged and in order.
+func TestJSONLRoundTrip(t *testing.T) {
+	var b strings.Builder
+	s := NewJSONL(&b)
+	var want []Event
+	for k := range kindNames {
+		e := Event{Cycle: uint64(100 * k), Kind: Kind(k), Kernel: k + 1, CTA: k - 1, Extra: -k}
+		s.Record(e)
+		want = append(want, e)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := New(len(want))
+	if err := ReadJSONL(strings.NewReader(b.String()), got); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Events(), want) {
+		t.Fatalf("read back %v, wrote %v", got.Events(), want)
+	}
+}
+
+// TestReadJSONLSkipsAndErrors feeds ReadJSONL a blank line and an
+// unknown kind, which it skips, then malformed JSON, which it reports
+// with its line number.
+func TestReadJSONLSkipsAndErrors(t *testing.T) {
+	stream := strings.Join([]string{
+		`{"cycle":1,"kind":"cta-placed","kernel":1,"cta":0,"extra":2}`,
+		``,
+		`{"cycle":2,"kind":"some-future-kind","kernel":1,"cta":0,"extra":0}`,
+		`{"cycle":3,"kind":"cta-completed","kernel":1,"cta":0,"extra":0}`,
+		`{not json}`,
+		`{"cycle":4,"kind":"kernel-completed","kernel":1,"cta":-1,"extra":0}`,
+	}, "\n")
+	r := New(8)
+	err := ReadJSONL(strings.NewReader(stream), r)
+	if err == nil || !strings.Contains(err.Error(), "line 5") {
+		t.Fatalf("malformed line 5 gave error %v", err)
+	}
+	if got := r.Events(); len(got) != 2 || got[0].Kind != CTAPlaced || got[1].Kind != CTACompleted {
+		t.Fatalf("recorded %v before the malformed line, want the two known events", got)
 	}
 }

@@ -49,57 +49,43 @@ const (
 	FaultInjected
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KernelSubmitted:
-		return "kernel-submitted"
-	case KernelArrived:
-		return "kernel-arrived"
-	case KernelCompleted:
-		return "kernel-completed"
-	case KernelYielded:
-		return "kernel-yielded"
-	case CTAPlaced:
-		return "cta-placed"
-	case CTASuspended:
-		return "cta-suspended"
-	case CTACompleted:
-		return "cta-completed"
-	case LaunchAccepted:
-		return "launch-accepted"
-	case LaunchDeclined:
-		return "launch-declined"
-	case LaunchDeferred:
-		return "launch-deferred"
-	case FaultInjected:
-		return "fault-injected"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
+// kindNames holds each Kind's wire name, indexed by Kind: the one table
+// String and ParseKind read.
+var kindNames = [...]string{
+	KernelSubmitted: "kernel-submitted",
+	KernelArrived:   "kernel-arrived",
+	KernelCompleted: "kernel-completed",
+	KernelYielded:   "kernel-yielded",
+	CTAPlaced:       "cta-placed",
+	CTASuspended:    "cta-suspended",
+	CTACompleted:    "cta-completed",
+	LaunchAccepted:  "launch-accepted",
+	LaunchDeclined:  "launch-declined",
+	LaunchDeferred:  "launch-deferred",
+	FaultInjected:   "fault-injected",
 }
 
-// kindNames maps the wire strings emitted by Kind.String back to Kinds.
-// Kept in a package-level map (built once) so JSONL ingestion — the
-// spawnreport replay path — does not re-run an 11-way string switch per
-// event.
-var kindNames = map[string]Kind{
-	"kernel-submitted": KernelSubmitted,
-	"kernel-arrived":   KernelArrived,
-	"kernel-completed": KernelCompleted,
-	"kernel-yielded":   KernelYielded,
-	"cta-placed":       CTAPlaced,
-	"cta-suspended":    CTASuspended,
-	"cta-completed":    CTACompleted,
-	"launch-accepted":  LaunchAccepted,
-	"launch-declined":  LaunchDeclined,
-	"launch-deferred":  LaunchDeferred,
-	"fault-injected":   FaultInjected,
+func (k Kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
+
+// kindByName inverts kindNames, built once so JSONL ingestion does not
+// scan the table per event.
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, len(kindNames))
+	for k, name := range kindNames {
+		m[name] = Kind(k)
+	}
+	return m
+}()
 
 // ParseKind inverts Kind.String, reporting false for strings that name
 // no known kind (including the "kind(N)" fallback form).
 func ParseKind(s string) (Kind, bool) {
-	k, ok := kindNames[s]
+	k, ok := kindByName[s]
 	return k, ok
 }
 
