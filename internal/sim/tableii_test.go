@@ -4,15 +4,19 @@ import (
 	"testing"
 
 	"spawnsim/internal/config"
+	"spawnsim/internal/metrics"
 	"spawnsim/internal/runtime"
 	"spawnsim/internal/sim/kernel"
+	"spawnsim/internal/sim/mem"
 	"spawnsim/internal/trace"
 )
 
 // TestTableIIProbes measures Table II's K20m parameters through the
 // engine's public surface (host launches, device launches, the trace
-// stream) and asserts the paper's values, independently of how the
-// GMU, the SMXs and the launch pipeline implement them.
+// stream) and the memory hierarchy's (line accesses, their completion
+// cycles, the metrics series), and asserts the paper's values,
+// independently of how the GMU, the SMXs, the launch pipeline and the
+// memory system implement them.
 func TestTableIIProbes(t *testing.T) {
 	cfg := config.K20m()
 
@@ -168,6 +172,84 @@ func TestTableIIProbes(t *testing.T) {
 			got := started[id] - submitted[id]
 			if want := uint64(1721*x + 20210); got != want {
 				t.Errorf("launch %d: first CTA %d cycles after the launch, want 1721·%d + 20210 = %d", x, got, x, want)
+			}
+		}
+	})
+	t.Run("12 L2 partitions", func(t *testing.T) {
+		if cfg.L2Partitions != 12 {
+			t.Fatalf("L2Partitions = %d, want Table II's 12", cfg.L2Partitions)
+		}
+		// A stream of distinct lines, each missing its L1, reaches
+		// every L2 partition; the partitions are the series labels.
+		h := mem.NewHierarchy(cfg)
+		reg := metrics.NewRegistry()
+		h.Instrument(reg)
+		const lines = 1000
+		for line := range uint64(lines) {
+			h.Access(kernel.Cycle(line), 0, []uint64{line * uint64(cfg.CacheLineBytes)})
+		}
+		reached := map[string]float64{}
+		for _, m := range reg.Snapshot(lines).Metrics {
+			if m.Name != "mem_l2_hits" && m.Name != "mem_l2_misses" {
+				continue
+			}
+			for _, l := range m.Labels {
+				if l.Key == "partition" {
+					reached[l.Value] += m.Value
+				}
+			}
+		}
+		total := 0.0
+		for _, n := range reached {
+			if n == 0 {
+				t.Errorf("an L2 partition series saw no access: %v", reached)
+			}
+			total += n
+		}
+		if len(reached) != 12 || total != lines {
+			t.Errorf("%d lines reached %d partition series with %v accesses, want 12 series and %d", lines, len(reached), total, lines)
+		}
+	})
+
+	t.Run("6 memory controllers", func(t *testing.T) {
+		if cfg.MemControllers != 6 || cfg.L2Partitions/cfg.MemControllers != 2 {
+			t.Fatalf("%d memory controllers over %d partitions, want Table II's 6 over 12", cfg.MemControllers, cfg.L2Partitions)
+		}
+		parts := uint64(cfg.L2Partitions)
+		// lineOf is the q-th line of partition p: lines interleave
+		// across the partitions.
+		lineOf := func(p int, q uint64) uint64 { return q*parts + uint64(p) }
+		// done issues the lines at one cycle, each from its own SMX so
+		// no L1 port is shared, on a hierarchy where the line eight
+		// places further on in each one's partition was read long
+		// before: with 8 banks per controller and 16 lines per 2 KB
+		// row it opened the DRAM row, so every probed line, a cold L2
+		// miss, hits it. It returns the completion cycle of the last
+		// line.
+		done := func(lines ...uint64) kernel.Cycle {
+			h := mem.NewHierarchy(cfg)
+			for i, line := range lines {
+				h.Access(0, i, []uint64{(line + 8*parts) * uint64(cfg.CacheLineBytes)})
+			}
+			var last kernel.Cycle
+			for i, line := range lines {
+				last = h.Access(100_000, i, []uint64{line * uint64(cfg.CacheLineBytes)})
+			}
+			return last
+		}
+		const q = 5
+		for k := range cfg.MemControllers {
+			alone := done(lineOf(2*k+1, q))
+			// Partitions 2k and 2k+1 share controller k: the same
+			// partition-local line index lands on one of its banks,
+			// so the second request waits for the first.
+			if got := done(lineOf(2*k, q), lineOf(2*k+1, q)); got <= alone {
+				t.Errorf("partitions %d and %d: the second request completed at %d, alone at %d; they should serialize on a bank", 2*k, 2*k+1, got, alone)
+			}
+			// A partition of another controller does not delay it.
+			other := (2*k + 2) % cfg.L2Partitions
+			if got := done(lineOf(other, q), lineOf(2*k+1, q)); got != alone {
+				t.Errorf("partitions %d and %d: the second request completed at %d, alone at %d; other controllers should overlap", other, 2*k+1, got, alone)
 			}
 		}
 	})
