@@ -16,8 +16,8 @@ type Seq[T any] struct {
 	spare  []T // a drained front chunk, reused before allocating
 }
 
-// seqChunk is the length of a chunk: 2 KB of pointers, the most one of
-// the GMU's queues keeps once it has drained.
+// seqChunk is the length of a chunk. A chunk of pointers is then 2 KB,
+// and a drained FIFO, such as an idle GMU queue, keeps at most two.
 const seqChunk = 256
 
 // Len reports the number of values.
