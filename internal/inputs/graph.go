@@ -1,9 +1,6 @@
 package inputs
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Graph is a directed graph in CSR form with a virtual-memory layout for
 // its arrays (4 bytes per element).
@@ -52,7 +49,7 @@ func layoutGraph(g *Graph) {
 
 // fromDegrees builds a CSR graph with the given out-degrees and
 // uniformly random edge targets.
-func fromDegrees(deg []int, rng *rand.Rand) *Graph {
+func fromDegrees(deg []int, rng *source) *Graph {
 	n := len(deg)
 	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
 	total := 0
@@ -75,7 +72,7 @@ func fromDegrees(deg []int, rng *rand.Rand) *Graph {
 // with the given exponent (~2.1 for real citation graphs), scaled so the
 // mean is close to avgDeg.
 func Citation(n, avgDeg int, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newSource(seed)
 	alpha := 2.1
 	// Pareto sample: floor(xm * u^(-1/alpha)); xm chosen so mean ~= avgDeg.
 	// Mean of Pareto = xm*alpha/(alpha-1) => xm = avgDeg*(alpha-1)/alpha.
@@ -108,7 +105,7 @@ func Citation(n, avgDeg int, seed int64) *Graph {
 // partition probabilities. The resulting out-degree distribution is
 // highly skewed, with hub vertices of very large degree.
 func Graph500(scale, edgeFactor int, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newSource(seed)
 	n := 1 << scale
 	m := n * edgeFactor
 	// Hub degrees are capped near 1024: an edge whose R-MAT source is

@@ -295,6 +295,43 @@ func refGraph500(scale, edgeFactor int, seed int64) *Graph {
 	return g
 }
 
+// refCitation is Citation as first written, on math/rand's own
+// source; Citation must match it exactly.
+func refCitation(n, avgDeg int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	alpha := 2.1
+	xm := float64(avgDeg) * (alpha - 1) / alpha
+	if xm < 1 {
+		xm = 1
+	}
+	maxDeg := 128
+	if maxDeg > n/4 {
+		maxDeg = n / 4
+	}
+	deg := make([]int, n)
+	for v := range deg {
+		u := rng.Float64()
+		d := int(xm * math.Pow(1-u, -1/alpha))
+		if d > maxDeg {
+			d = maxDeg
+		}
+		deg[v] = d
+	}
+	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
+	total := 0
+	for v, d := range deg {
+		g.RowPtr[v] = int32(total)
+		total += d
+	}
+	g.RowPtr[n] = int32(total)
+	g.Adj = make([]int32, total)
+	for i := range g.Adj {
+		g.Adj[i] = int32(rng.Intn(n))
+	}
+	layoutGraph(g)
+	return g
+}
+
 // refMandelGrid is NewMandelGrid as first written, one pixel at a
 // time; NewMandelGrid must match it exactly.
 func refMandelGrid(n, maxIter int) *MandelGrid {
@@ -339,9 +376,106 @@ func TestGraph500MatchesReference(t *testing.T) {
 	}
 }
 
+// TestSourceMatchesMathRand pins source to math/rand: the raw stream
+// over several blocks, the methods the generators call on it directly,
+// and rand.Rand's methods on top of it.
+func TestSourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 7, math.MaxInt64, math.MinInt64}
+	for s := int64(100); s <= 112; s++ {
+		seeds = append(seeds, s)
+	}
+	// Powers of two take the mask branch, the others the rejection
+	// branch, which rejects about half the draws at 1<<30 + 1 and
+	// 1<<62 + 1; 1<<31 and above take Intn's Int63n branch.
+	ns := []int{1, 2, 3, 5, 1000, 1 << 16, 65537, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 3 << 40, 1<<62 + 1, math.MaxInt64}
+	const draws = 5 * streamLag
+	for _, seed := range seeds {
+		want := rand.NewSource(seed).(rand.Source64)
+		got := newSource(seed)
+		for i := range draws {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d: Uint64 #%d = %d, want %d", seed, i, g, w)
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d: Int63 #%d = %d, want %d", seed, i, g, w)
+			}
+		}
+
+		// The direct methods, interleaved so that rejections and
+		// redraws shift every later draw.
+		src, ref := newSource(seed), rand.New(rand.NewSource(seed))
+		for i := range draws {
+			n := ns[i%len(ns)]
+			if g, w := src.Float64(), ref.Float64(); g != w {
+				t.Fatalf("seed %d: Float64 #%d = %v, want %v", seed, i, g, w)
+			}
+			if g, w := src.Intn(n), ref.Intn(n); g != w {
+				t.Fatalf("seed %d: Intn(%d) #%d = %d, want %d", seed, n, i, g, w)
+			}
+			if g, w := src.Int63n(int64(n)), ref.Int63n(int64(n)); g != w {
+				t.Fatalf("seed %d: Int63n(%d) #%d = %d, want %d", seed, n, i, g, w)
+			}
+			if n <= math.MaxInt32 {
+				if g, w := src.Int31n(int32(n)), ref.Int31n(int32(n)); g != w {
+					t.Fatalf("seed %d: Int31n(%d) #%d = %d, want %d", seed, n, i, g, w)
+				}
+			}
+		}
+
+		// rand.Rand's methods on top of the source.
+		r, ref := rand.New(newSource(seed)), rand.New(rand.NewSource(seed))
+		for i := range draws {
+			n := ns[i%len(ns)]
+			if g, w := r.Float64(), ref.Float64(); g != w {
+				t.Fatalf("seed %d: rand.New(src).Float64 #%d = %v, want %v", seed, i, g, w)
+			}
+			if g, w := r.Intn(n), ref.Intn(n); g != w {
+				t.Fatalf("seed %d: rand.New(src).Intn(%d) #%d = %d, want %d", seed, n, i, g, w)
+			}
+			if g, w := r.Int63n(int64(n)), ref.Int63n(int64(n)); g != w {
+				t.Fatalf("seed %d: rand.New(src).Int63n(%d) #%d = %d, want %d", seed, n, i, g, w)
+			}
+			if g, w := r.NormFloat64(), ref.NormFloat64(); g != w {
+				t.Fatalf("seed %d: rand.New(src).NormFloat64 #%d = %v, want %v", seed, i, g, w)
+			}
+			if g, w := r.ExpFloat64(), ref.ExpFloat64(); g != w {
+				t.Fatalf("seed %d: rand.New(src).ExpFloat64 #%d = %v, want %v", seed, i, g, w)
+			}
+		}
+		if g, w := r.Perm(1000), ref.Perm(1000); !reflect.DeepEqual(g, w) {
+			t.Fatalf("seed %d: rand.New(src).Perm differs", seed)
+		}
+		if g, w := r.Uint64(), ref.Uint64(); g != w {
+			t.Fatalf("seed %d: rand.New(src).Uint64 after Perm = %d, want %d", seed, g, w)
+		}
+	}
+}
+
+func TestCitationMatchesReference(t *testing.T) {
+	var seeds []int64
+	for s := int64(1); s <= 12; s++ {
+		seeds = append(seeds, s)
+	}
+	for s := int64(100); s <= 112; s++ {
+		seeds = append(seeds, s)
+	}
+	// n below 4 caps every degree at 0; n that is not a power of two
+	// takes Intn's rejection branch.
+	for _, n := range []int{1, 2, 3, 4, 5, 1000, 4099, 65536} {
+		for _, deg := range []int{1, 8} {
+			for _, seed := range seeds {
+				got, want := Citation(n, deg, seed), refCitation(n, deg, seed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Citation(%d, %d, %d) differs from the reference", n, deg, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestMandelGridMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 1000, 4097, 131072} {
-		for _, maxIter := range []int{0, 1, 64, 256} {
+	for _, n := range []int{1, 2, 3, 1000, 4097, 131072, 262144} {
+		for _, maxIter := range []int{0, 1, 64, 256, 1000, 5000} {
 			got, want := NewMandelGrid(n, maxIter), refMandelGrid(n, maxIter)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("NewMandelGrid(%d, %d) differs from the reference", n, maxIter)
@@ -401,7 +535,9 @@ func benchSeed(slot int64) int64 { return tableISeedBase + slot }
 
 // BenchmarkGenerators times each Table I input generator at the size
 // and seed the benchmark registry builds it with: the input-generation
-// layer of set-up.
+// layer of set-up. The seeded generators draw through source, a block
+// of the stream at a time; Mandel iterates only the pixels outside the
+// main cardioid and the period-2 bulb.
 func BenchmarkGenerators(b *testing.B) {
 	for _, gen := range []struct {
 		name string

@@ -4,6 +4,18 @@
 // reads with heavy-tailed candidate counts, and AMR meshes. Every
 // generator is seeded and deterministic.
 //
+// The random generators draw from source, which yields exactly the
+// stream of math/rand's rand.NewSource(seed): its first 607 values are
+// math/rand's own, and every later block of 607 follows by the source's
+// own recurrence o[k] = o[k-607] + o[k-273], computed a block at a time
+// rather than one value per call. The hot loops call its Int63 and its
+// copies of rand.Rand's Float64 and Intn directly; rand.New(src) serves
+// the rest. NewMandelGrid gives a c in the main cardioid or the period-2
+// bulb maxIter without running the recurrence, which is what the
+// recurrence returns there. Both keep every input bit-identical to the
+// one-value-at-a-time, one-pixel-at-a-time originals, which the
+// reference tests pin.
+//
 // Each dataset also carries a virtual-memory layout: its arrays are
 // assigned base addresses in the simulated address space so workloads
 // can emit realistic, locality-bearing memory accesses.
