@@ -32,7 +32,7 @@ func main() {
 		bench      = flag.String("bench", "", "restrict fig5, hwq and ablation to one benchmark")
 		all        = flag.Bool("all", false, "run every experiment")
 		csv        = flag.String("csv", "", "also write machine-readable CSVs into this directory")
-		metricsDir = flag.String("metrics", "", "dump a per-run metrics snapshot (metrics-<bench>-<scheme>-<key>.json) into this directory")
+		metricsDir = flag.String("metrics", "", "dump a per-run metrics snapshot (metrics-<bench>-<label>-<key>.json) into this directory")
 	)
 	runFlags := runflags.Register(flag.CommandLine)
 	runFlags.RegisterGuards(flag.CommandLine)
@@ -88,20 +88,29 @@ func main() {
 func fatal(err error) { runflags.Fatal("experiments", err) }
 
 // metricsDumper returns an observer that writes every run's metrics
-// snapshot to <dir>/metrics-<bench>-<scheme>-<key>.json, where <key> is
-// the first 12 hex digits of the spec's store key. Scheme names like
-// "threshold:512" are sanitized for the filesystem. Specs that share a
-// benchmark and scheme (Fig 7's CTA sizes, Fig 8's stream modes, the
-// HWQ sweep) differ in key, so each gets its own file and the dump is
-// the same at any -parallel. An uncacheable spec has no key and keeps
-// metrics-<bench>-<scheme>.json; runs that share such a name overwrite
-// in completion order.
+// snapshot to <dir>/metrics-<bench>-<label>-<key>.json. <label> is the
+// spec's scheme; when a MakePolicy replaces the scheme (the ablation
+// variants), it is the spec's PolicyTag, or "custom-policy" for an
+// untagged one. ':' becomes '-' for the filesystem. <key> is the first
+// 12 hex digits of the spec's store key. Specs that share a benchmark
+// and label (Fig 7's CTA sizes, Fig 8's stream modes, the HWQ sweep)
+// differ in key, so each gets its own file and the dump is the same at
+// any -parallel. An uncacheable spec (a MakePolicy with no PolicyTag)
+// has no key and keeps metrics-<bench>-<label>.json; runs that share
+// such a name overwrite in completion order.
 func metricsDumper(dir string) func(*harness.Outcome) {
 	return func(out *harness.Outcome) {
 		if out.Metrics == nil {
 			return
 		}
-		name := "metrics-" + out.Spec.Benchmark + "-" + strings.ReplaceAll(out.Spec.Scheme, ":", "-")
+		label := out.Spec.Scheme
+		if label == "" {
+			label = out.Spec.PolicyTag
+		}
+		if label == "" {
+			label = "custom-policy"
+		}
+		name := "metrics-" + out.Spec.Benchmark + "-" + strings.ReplaceAll(label, ":", "-")
 		if key := out.Key(); key != "" {
 			name += "-" + key[:12]
 		}

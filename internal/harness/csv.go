@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -46,33 +45,6 @@ func (r *Fig5Result) WriteCSV(w io.Writer) error {
 			strconv.FormatFloat(p.Threshold, 'g', -1, 64),
 			strconv.FormatFloat(p.Offload, 'g', -1, 64),
 			strconv.FormatFloat(p.Speedup, 'g', -1, 64),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteCSV emits a time series as CSV (cycle, parent, child, utilization).
-func (s *SeriesSet) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"cycle", "parent_ctas", "child_ctas", "utilization"}); err != nil {
-		return err
-	}
-	n := len(s.Parent)
-	if len(s.Child) < n {
-		n = len(s.Child)
-	}
-	if len(s.Util) < n {
-		n = len(s.Util)
-	}
-	for i := 0; i < n; i++ {
-		if err := cw.Write([]string{
-			fmt.Sprint(uint64(i) * s.Interval),
-			strconv.FormatFloat(s.Parent[i], 'g', -1, 64),
-			strconv.FormatFloat(s.Child[i], 'g', -1, 64),
-			strconv.FormatFloat(s.Util[i], 'g', -1, 64),
 		}); err != nil {
 			return err
 		}

@@ -62,8 +62,8 @@ func Experiments() []Experiment {
 		{"table2", table2},
 		{"fig5", fig5},
 		{"fig6", fig6},
-		{"fig7", tableFig((*Pool).Fig7)},
-		{"fig8", tableFig((*Pool).Fig8)},
+		{"fig7", fig7},
+		{"fig8", fig8},
 		{"fig12", fig12},
 		mainFig("fig15", Fig15),
 		mainFig("fig16", Fig16),
@@ -71,7 +71,7 @@ func Experiments() []Experiment {
 		mainFig("fig18", Fig18),
 		{"fig19", fig19},
 		{"fig20", fig20},
-		{"fig21", tableFig((*Pool).Fig21)},
+		{"fig21", fig21},
 		{"ablation", ablation},
 		{"hwq", hwq},
 	}
@@ -135,44 +135,6 @@ func fig5(p *Pool, _ *Memo, bench string) (*Output, error) {
 	return out, nil
 }
 
-func fig6(p *Pool, _ *Memo, _ string) (*Output, error) {
-	ss, err := p.Fig6()
-	if err != nil {
-		return nil, err
-	}
-	if len(ss.Child) == 0 {
-		return nil, errors.New("empty child-CTA series")
-	}
-	return &Output{Text: "Figure 6: CTA concurrency and resource utilization (BFS-graph500, Baseline-DP)\n" + ss.Render()}, nil
-}
-
-// tableFig adapts a pool method that renders one Table without CSV.
-func tableFig(run func(*Pool) (*Table, error)) func(*Pool, *Memo, string) (*Output, error) {
-	return func(p *Pool, _ *Memo, _ string) (*Output, error) {
-		t, err := run(p)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Text: t.Render()}, nil
-	}
-}
-
-func fig12(p *Pool, _ *Memo, _ string) (*Output, error) {
-	rs, err := p.Fig12()
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != 4 {
-		return nil, fmt.Errorf("want 4 benchmarks, got %d", len(rs))
-	}
-	var b strings.Builder
-	fmt.Fprintln(&b, "Figure 12: child kernel CTA execution time distribution (Baseline-DP)")
-	for _, r := range rs {
-		b.WriteString(r.Render())
-	}
-	return &Output{Text: b.String()}, nil
-}
-
 // mainFig is one of Figures 15-18: a table over the memo's comparison
 // batch, written as <id>.csv.
 func mainFig(id string, render func([]*MainComparison) *Table) Experiment {
@@ -184,51 +146,4 @@ func mainFig(id string, render func([]*MainComparison) *Table) Experiment {
 		t := render(mcs)
 		return &Output{Text: t.Render(), CSVs: []CSV{{id, t.WriteCSV}}}, nil
 	}}
-}
-
-func fig19(p *Pool, _ *Memo, _ string) (*Output, error) {
-	base, sp, err := p.Fig19()
-	if err != nil {
-		return nil, err
-	}
-	return &Output{Text: "Figure 19: concurrent CTAs of BFS-graph500 over time\n" + base.Render() + sp.Render()}, nil
-}
-
-func fig20(p *Pool, _ *Memo, _ string) (*Output, error) {
-	r, err := p.Fig20()
-	if err != nil {
-		return nil, err
-	}
-	if len(r.Spawn) == 0 {
-		return nil, errors.New("empty SPAWN launch CDF")
-	}
-	return &Output{Text: r.Render()}, nil
-}
-
-func ablation(p *Pool, _ *Memo, bench string) (*Output, error) {
-	names := []string{"BFS-graph500", "SA-thaliana"}
-	if bench != "" {
-		names = []string{bench}
-	}
-	var b strings.Builder
-	for _, n := range names {
-		t, err := p.Ablation(n)
-		if err != nil {
-			return nil, err
-		}
-		b.WriteString(t.Render())
-	}
-	return &Output{Text: b.String()}, nil
-}
-
-func hwq(p *Pool, _ *Memo, bench string) (*Output, error) {
-	n := "BFS-graph500"
-	if bench != "" {
-		n = bench
-	}
-	t, err := p.HWQSensitivity(n)
-	if err != nil {
-		return nil, err
-	}
-	return &Output{Text: t.Render(), CSVs: []CSV{{"hwq-" + n, t.WriteCSV}}}, nil
 }

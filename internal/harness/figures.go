@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"spawnsim/internal/sim/kernel"
 	"spawnsim/internal/stats"
@@ -86,44 +88,28 @@ func (p *Pool) Fig5(names ...string) ([]*Fig5Result, error) {
 	return results, nil
 }
 
-// SeriesSet carries the time-series outputs of Figures 6 and 19.
-type SeriesSet struct {
-	Benchmark string
-	Scheme    string
-	Interval  uint64
-	Parent    []float64
-	Child     []float64
-	Util      []float64
-	Cycles    uint64
-}
+// seriesInterval is the sampling period, in cycles, of the Figure 6
+// and 19 timelines.
+const seriesInterval = 1000
 
-// seriesFrom shapes a sampled outcome into its SeriesSet.
-func seriesFrom(benchmark, scheme string, interval uint64, out *Outcome) *SeriesSet {
-	return &SeriesSet{
-		Benchmark: benchmark,
-		Scheme:    scheme,
-		Interval:  interval,
-		Parent:    out.Result.ParentCTASeries.Values,
-		Child:     out.Result.ChildCTASeries.Values,
-		Util:      out.Result.UtilSeries.Values,
-		Cycles:    uint64(out.Result.Cycles),
-	}
-}
-
-// Fig6 renders the Baseline-DP CTA-concurrency/utilization timeline of
+// fig6 renders the Baseline-DP CTA-concurrency/utilization timeline of
 // BFS-graph500 (the paper's Figure 6).
-func (p *Pool) Fig6() (*SeriesSet, error) {
-	out, err := p.RunSpec(Spec{Benchmark: "BFS-graph500", Scheme: SchemeBaseline, SampleInterval: 1000})
+func fig6(p *Pool, _ *Memo, _ string) (*Output, error) {
+	out, err := p.RunSpec(Spec{Benchmark: "BFS-graph500", Scheme: SchemeBaseline, SampleInterval: seriesInterval})
 	if err != nil {
 		return nil, err
 	}
-	return seriesFrom("BFS-graph500", SchemeBaseline, 1000, out), nil
+	if len(out.Result.ChildCTASeries.Values) == 0 {
+		return nil, errors.New("empty child-CTA series")
+	}
+	return &Output{Text: "Figure 6: CTA concurrency and resource utilization (BFS-graph500, Baseline-DP)\n" +
+		renderSeries("BFS-graph500", SchemeBaseline, seriesInterval, out.Result)}, nil
 }
 
-// Fig7 measures speedup sensitivity to the child CTA size: 64, 128 and
+// fig7 measures speedup sensitivity to the child CTA size: 64, 128 and
 // 256 threads/CTA, normalized to 32 (the paper's Figure 7), under
 // Baseline-DP.
-func (p *Pool) Fig7() (*Table, error) {
+func fig7(p *Pool, _ *Memo, _ string) (*Output, error) {
 	t := &Table{
 		Title:   "Figure 7: performance sensitivity to child CTA size (normalized to 32 threads/CTA)",
 		Columns: []string{"CTA-64", "CTA-128", "CTA-256"},
@@ -149,13 +135,13 @@ func (p *Pool) Fig7() (*Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t, nil
+	return &Output{Text: t.Render()}, nil
 }
 
-// Fig8 compares one SWQ per child kernel against one SWQ per parent CTA
+// fig8 compares one SWQ per child kernel against one SWQ per parent CTA
 // (the paper's Figure 8), under Baseline-DP, reporting per-child-stream
 // speedup normalized to per-parent-CTA streams.
-func (p *Pool) Fig8() (*Table, error) {
+func fig8(p *Pool, _ *Memo, _ string) (*Output, error) {
 	t := &Table{
 		Title:   "Figure 8: per-child-kernel SWQ speedup over per-parent-CTA SWQ",
 		Columns: []string{"speedup"},
@@ -178,24 +164,14 @@ func (p *Pool) Fig8() (*Table, error) {
 			Values: []float64{float64(perCTA.Result.Cycles) / float64(perChild.Result.Cycles)},
 		})
 	}
-	return t, nil
+	return &Output{Text: t.Render()}, nil
 }
 
-// Fig12Result is the child-CTA execution-time PDF of one benchmark.
-type Fig12Result struct {
-	Benchmark string
-	Mean      float64
-	// PDF over [0.5*mean, 1.5*mean] in 20 bins (the paper plots
-	// -20%..+20% around the average).
-	PDF []float64
-	// Within10 is the fraction of child CTAs within 10% of the mean
-	// (the paper reports >= 95% for most benchmarks).
-	Within10 float64
-	N        int
-}
-
-// Fig12 reproduces the paper's Figure 12 for the four benchmarks shown.
-func (p *Pool) Fig12() ([]*Fig12Result, error) {
+// fig12 renders the child-CTA execution-time PDF of the four
+// benchmarks the paper's Figure 12 shows: 20 bins over [0.5, 1.5] of
+// the mean (the paper plots -20%..+20%), and the fraction of child
+// CTAs within 10% of the mean (the paper reports >= 95% for most).
+func fig12(p *Pool, _ *Memo, _ string) (*Output, error) {
 	names := []string{"MM-small", "SA-thaliana", "BFS-graph500", "SSSP-graph500"}
 	specs := make([]Spec, len(names))
 	for i, name := range names {
@@ -205,19 +181,16 @@ func (p *Pool) Fig12() ([]*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res []*Fig12Result
+	var b strings.Builder
+	fmt.Fprintln(&b, "Figure 12: child kernel CTA execution time distribution (Baseline-DP)")
 	for i, name := range names {
 		h := outs[i].Result.ChildCTAExec
 		mean := h.Mean()
-		res = append(res, &Fig12Result{
-			Benchmark: name,
-			Mean:      mean,
-			PDF:       h.PDF(0.5*mean, 1.5*mean, 20),
-			Within10:  h.FractionWithin(mean, 0.10),
-			N:         h.N(),
-		})
+		fmt.Fprintf(&b, "%s: %d child CTAs, mean exec %.0f cycles, %.0f%% within +/-10%% of mean\n",
+			name, h.N(), mean, h.FractionWithin(mean, 0.10)*100)
+		fmt.Fprintf(&b, "  PDF over [-50%%,+50%%] of mean: %s\n", stats.Sparkline(h.PDF(0.5*mean, 1.5*mean, 20)))
 	}
-	return res, nil
+	return &Output{Text: b.String()}, nil
 }
 
 // MainComparison runs flat/baseline/offline/spawn for one benchmark and
@@ -342,31 +315,25 @@ func Fig18(mcs []*MainComparison) *Table {
 	return t
 }
 
-// Fig19 renders the concurrent-CTA timelines of BFS-graph500 under
+// fig19 renders the concurrent-CTA timelines of BFS-graph500 under
 // Baseline-DP and SPAWN.
-func (p *Pool) Fig19() (baseline, spawnSeries *SeriesSet, err error) {
+func fig19(p *Pool, _ *Memo, _ string) (*Output, error) {
 	outs, err := p.Run([]Spec{
-		{Benchmark: "BFS-graph500", Scheme: SchemeBaseline, SampleInterval: 1000},
-		{Benchmark: "BFS-graph500", Scheme: SchemeSpawn, SampleInterval: 1000},
+		{Benchmark: "BFS-graph500", Scheme: SchemeBaseline, SampleInterval: seriesInterval},
+		{Benchmark: "BFS-graph500", Scheme: SchemeSpawn, SampleInterval: seriesInterval},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return seriesFrom("BFS-graph500", SchemeBaseline, 1000, outs[0]),
-		seriesFrom("BFS-graph500", SchemeSpawn, 1000, outs[1]), nil
+	return &Output{Text: "Figure 19: concurrent CTAs of BFS-graph500 over time\n" +
+		renderSeries("BFS-graph500", SchemeBaseline, seriesInterval, outs[0].Result) +
+		renderSeries("BFS-graph500", SchemeSpawn, seriesInterval, outs[1].Result)}, nil
 }
 
-// Fig20Result carries the cumulative-launch CDFs of BFS-graph500.
-type Fig20Result struct {
-	Interval uint64
-	Baseline []float64
-	Offline  []float64
-	Spawn    []float64
-}
-
-// Fig20 renders the CDF of child-kernel launches over time.
-func (p *Pool) Fig20() (*Fig20Result, error) {
+// fig20 renders the CDF of child-kernel launches over time.
+func fig20(p *Pool, _ *Memo, _ string) (*Output, error) {
 	const interval = 10_000
+	labels := []string{"Baseline-DP", "Offline-Search", "SPAWN"}
 	outs, err := p.Run([]Spec{
 		{Benchmark: "BFS-graph500", Scheme: SchemeBaseline},
 		{Benchmark: "BFS-graph500", Scheme: SchemeOffline},
@@ -375,13 +342,14 @@ func (p *Pool) Fig20() (*Fig20Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, o, s := outs[0], outs[1], outs[2]
-	return &Fig20Result{
-		Interval: interval,
-		Baseline: stats.CDF(cyclesToU64(b.Result.LaunchCycles), interval, uint64(b.Result.Cycles)),
-		Offline:  stats.CDF(cyclesToU64(o.Result.LaunchCycles), interval, uint64(o.Result.Cycles)),
-		Spawn:    stats.CDF(cyclesToU64(s.Result.LaunchCycles), interval, uint64(s.Result.Cycles)),
-	}, nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 20: cumulative child-kernel launches over time (BFS-graph500, one sample per %d cycles)\n", interval)
+	for i, label := range labels {
+		r := outs[i].Result
+		cdf := stats.CDF(cyclesToU64(r.LaunchCycles), interval, uint64(r.Cycles))
+		fmt.Fprintf(&b, "  %-14s (total %5.0f) %s\n", label, cdf[len(cdf)-1], stats.Sparkline(cdf))
+	}
+	return &Output{Text: b.String()}, nil
 }
 
 // cyclesToU64 converts typed cycle stamps to the raw-integer form the
@@ -394,9 +362,9 @@ func cyclesToU64(cs []kernel.Cycle) []uint64 {
 	return out
 }
 
-// Fig21 compares SPAWN against DTBL on the paper's six workloads,
+// fig21 compares SPAWN against DTBL on the paper's six workloads,
 // normalized to flat.
-func (p *Pool) Fig21() (*Table, error) {
+func fig21(p *Pool, _ *Memo, _ string) (*Output, error) {
 	t := &Table{
 		Title:   "Figure 21: SPAWN vs DTBL (speedup over flat)",
 		Columns: []string{"SPAWN", "DTBL"},
@@ -421,5 +389,5 @@ func (p *Pool) Fig21() (*Table, error) {
 			fb / float64(g[2].Result.Cycles),
 		}})
 	}
-	return t, nil
+	return &Output{Text: t.Render()}, nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -205,12 +206,12 @@ func TestSeriesRunProducesSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := seriesFrom("MM-small", SchemeBaseline, 2000, out)
-	if len(ss.Parent) == 0 || len(ss.Child) == 0 || len(ss.Util) == 0 {
+	r := out.Result
+	if len(r.ParentCTASeries.Values) == 0 || len(r.ChildCTASeries.Values) == 0 || len(r.UtilSeries.Values) == 0 {
 		t.Fatal("empty series")
 	}
-	if !strings.Contains(ss.Render(), "MM-small") {
-		t.Error("render missing benchmark")
+	if !strings.HasPrefix(renderSeries("MM-small", SchemeBaseline, 2000, r), "MM-small / baseline (one sample per 2000 cycles") {
+		t.Error("render missing benchmark, scheme or interval")
 	}
 }
 
@@ -262,19 +263,25 @@ func TestAllBenchmarksCompleteUnderEveryScheme(t *testing.T) {
 }
 
 func TestAblationVariantsComplete(t *testing.T) {
-	tb, err := (&Pool{Workers: 1}).Ablation("MM-small")
+	out, err := ablation(&Pool{Workers: 1}, &Memo{}, "MM-small")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 6 {
-		t.Fatalf("ablation rows = %d, want 6", len(tb.Rows))
-	}
-	for _, r := range tb.Rows {
-		if r.Values[0] <= 0 {
-			t.Errorf("%s: non-positive speedup", r.Label)
+	var rows int
+	for _, line := range strings.Split(out.Text, "\n")[2:] {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			continue
+		}
+		rows++
+		if v, err := strconv.ParseFloat(f[1], 64); err != nil || v <= 0 {
+			t.Errorf("%s: speedup %q, want a positive number", f[0], f[1])
 		}
 	}
-	if !strings.Contains(tb.Render(), "coldcap-off") {
+	if rows != 6 {
+		t.Fatalf("ablation rows = %d, want 6:\n%s", rows, out.Text)
+	}
+	if !strings.Contains(out.Text, "  coldcap-off ") {
 		t.Error("render missing variant labels")
 	}
 }
@@ -309,15 +316,6 @@ func TestCSVExports(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "b,2,0.5,1.5") {
 		t.Errorf("fig5 csv = %q", buf.String())
-	}
-
-	buf.Reset()
-	ss := &SeriesSet{Interval: 10, Parent: []float64{1, 2}, Child: []float64{3, 4}, Util: []float64{0.1, 0.2}}
-	if err := ss.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "10,2,4,0.2") {
-		t.Errorf("series csv = %q", buf.String())
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 // only way a Spec runs. It executes a slice of Specs concurrently and
 // assembles the outcomes in submission order, so every CSV, table, and
 // best-threshold selection derived from a pool batch is byte-identical
-// to the serial result regardless of worker count. Batch-wide settings
-// (cancellation, observer, defaults, memoization) live on the Pool; a
-// Spec describes one run.
+// at any worker count. Batch-wide settings (cancellation, observer,
+// defaults, memoization) live on the Pool; a Spec describes one run.
 //
 // The determinism contract (DESIGN.md §5):
 //
@@ -33,11 +32,11 @@ import (
 //     therefore key any output they write by run identity (benchmark,
 //     scheme), never by call sequence.
 //
-// Workers == 1 runs every spec inline on the calling goroutine in
-// submission order — bit-for-bit the pre-pool serial path.
+// With Workers == 1, one worker goroutine runs the specs one at a time
+// in submission order.
 type Pool struct {
 	// Workers bounds the number of concurrent simulations.
-	// 0 means runtime.GOMAXPROCS(0); 1 reproduces the serial path.
+	// 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Context, when non-nil, cancels the whole batch cooperatively;
 	// in-flight simulations abort with partial results and queued specs
@@ -54,8 +53,8 @@ type Pool struct {
 	// included) before its content address is computed, so process-wide
 	// settings (wall-clock deadlines, chaos plans, cycle budgets from
 	// command-line flags) reach runs whose Spec the caller never
-	// constructs directly. With Workers > 1 it runs on the worker
-	// goroutines, so it must touch only the Spec it is handed.
+	// constructs directly. It runs on the worker goroutines, so it must
+	// touch only the Spec it is handed.
 	Defaults func(*Spec)
 	// Progress, when non-nil, receives sweep-level progress: one Started
 	// event when a worker picks a spec up and one completion event when
@@ -88,7 +87,7 @@ type PoolProgress struct {
 	// Total is the batch size.
 	Total int
 	// Worker identifies the worker goroutine running the spec (0-based;
-	// always 0 on the serial path).
+	// always 0 with Workers == 1).
 	Worker int
 	// Benchmark and Scheme identify the spec.
 	Benchmark string
@@ -137,8 +136,7 @@ func (p *Pool) RunSpec(spec Spec) (*Outcome, error) {
 // Run executes the specs and returns their outcomes in submission
 // order, failing fast: the first hard error cancels the remaining
 // workers (in-flight runs abort, queued specs are skipped) and is
-// returned. With Workers == 1 this is exactly the serial
-// run-until-first-error loop.
+// returned. With Workers == 1 no spec after the failing one starts.
 func (p *Pool) Run(specs []Spec) ([]*Outcome, error) {
 	outs, _, hard := p.runBatch(specs, true)
 	if hard != nil {
@@ -156,56 +154,6 @@ func (p *Pool) Sweep(specs []Spec) ([]*Outcome, []error) {
 	return outs, errs
 }
 
-// runBatch is the engine under Run and Sweep. outs[i] and errs[i]
-// always describe specs[i]. When stopOnErr is set, the first error (in
-// submission order for the serial path, completion order otherwise)
-// cancels the batch and is returned as hard.
-func (p *Pool) runBatch(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []error, hard error) {
-	outs = make([]*Outcome, len(specs))
-	errs = make([]error, len(specs))
-	if len(specs) == 0 {
-		return outs, errs, nil
-	}
-	if n := p.workers(); n <= 1 || len(specs) == 1 {
-		return p.runSerial(specs, stopOnErr)
-	}
-	return p.runParallel(specs, stopOnErr)
-}
-
-// runSerial executes the batch inline on the calling goroutine: the
-// bit-for-bit serial reference path. Observers and progress callbacks
-// fire directly, in submission order.
-func (p *Pool) runSerial(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []error, hard error) {
-	outs = make([]*Outcome, len(specs))
-	errs = make([]error, len(specs))
-	ctx := p.context()
-	done := 0
-	for i := range specs {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			if stopOnErr {
-				return outs, errs, err
-			}
-			continue
-		}
-		if p.Progress != nil {
-			p.Progress(PoolProgress{Done: done, Total: len(specs),
-				Benchmark: specs[i].Benchmark, Scheme: specs[i].Scheme, Started: true})
-		}
-		out, err := p.runAny(ctx, p.Observer, specs[i])
-		outs[i], errs[i] = out, err
-		done++
-		if p.Progress != nil {
-			p.Progress(PoolProgress{Done: done, Total: len(specs),
-				Benchmark: specs[i].Benchmark, Scheme: specs[i].Scheme})
-		}
-		if err != nil && stopOnErr {
-			return outs, errs, err
-		}
-	}
-	return outs, errs, nil
-}
-
 // obsEvent carries one completed outcome or one progress update to the
 // collector goroutine. Exactly one of (out, prog) is set.
 type obsEvent struct {
@@ -213,12 +161,19 @@ type obsEvent struct {
 	prog *PoolProgress
 }
 
-// runParallel fans the batch out over min(Workers, len(specs)) worker
-// goroutines. Every observer callback is forwarded to one collector
-// goroutine, so the observer never runs concurrently with itself.
-func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []error, hard error) {
+// runBatch is the engine under Run and Sweep: it fans the batch out
+// over min(Workers, len(specs)) worker goroutines, and forwards every
+// observer callback to one collector goroutine, so the observer never
+// runs concurrently with itself. outs[i] and errs[i] always describe
+// specs[i]. When stopOnErr is set, the first error in completion order
+// cancels the batch and is returned as hard; with one worker, that is
+// the first in submission order, and nothing after it starts.
+func (p *Pool) runBatch(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []error, hard error) {
 	outs = make([]*Outcome, len(specs))
 	errs = make([]error, len(specs))
+	if len(specs) == 0 {
+		return outs, errs, nil
+	}
 
 	n := p.workers()
 	if n > len(specs) {
@@ -312,7 +267,7 @@ func (p *Pool) runParallel(specs []Spec, stopOnErr bool) (outs []*Outcome, errs 
 // RunSpec or a batch carrying a SchemeOffline spec: the Figure 5
 // threshold candidates run across the workers, and the winner is
 // reduced over the submission order with a deterministic tie-break
-// (betterOutcome), so any worker count crowns the serial winner. A
+// (betterOutcome), so any worker count crowns the same winner. A
 // failing candidate is recorded in the winning Outcome's Failures list
 // (submission order) rather than aborting the sweep; the search errors
 // only when every candidate fails.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"spawnsim/internal/sim"
 	"spawnsim/internal/stats"
 )
 
@@ -44,53 +45,29 @@ func (r *Fig5Result) Render() string {
 	return b.String()
 }
 
-// Render formats a concurrency/utilization time series (Figures 6, 19).
-func (s *SeriesSet) Render() string {
+// renderSeries formats the concurrency/utilization time series of one
+// sampled run (Figures 6, 19).
+func renderSeries(bench, scheme string, interval uint64, r *sim.Result) string {
+	parent, child := r.ParentCTASeries.Values, r.ChildCTASeries.Values
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s / %s (one sample per %d cycles, %d cycles total)\n",
-		s.Benchmark, s.Scheme, s.Interval, s.Cycles)
-	fmt.Fprintf(&b, "  parent CTAs %s\n", stats.Sparkline(s.Parent))
-	fmt.Fprintf(&b, "  child CTAs  %s\n", stats.Sparkline(s.Child))
-	fmt.Fprintf(&b, "  utilization %s\n", stats.Sparkline(s.Util))
+		bench, scheme, interval, uint64(r.Cycles))
+	fmt.Fprintf(&b, "  parent CTAs %s\n", stats.Sparkline(parent))
+	fmt.Fprintf(&b, "  child CTAs  %s\n", stats.Sparkline(child))
+	fmt.Fprintf(&b, "  utilization %s\n", stats.Sparkline(r.UtilSeries.Values))
 	maxP, maxC := 0.0, 0.0
-	for _, v := range s.Parent {
+	for _, v := range parent {
 		if v > maxP {
 			maxP = v
 		}
 	}
-	for _, v := range s.Child {
+	for _, v := range child {
 		if v > maxC {
 			maxC = v
 		}
 	}
 	fmt.Fprintf(&b, "  peak concurrent parent CTAs %.0f, child CTAs %.0f (hardware limit 208)\n", maxP, maxC)
 	return b.String()
-}
-
-// Render formats the Figure 12 PDFs.
-func (r *Fig12Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d child CTAs, mean exec %.0f cycles, %.0f%% within +/-10%% of mean\n",
-		r.Benchmark, r.N, r.Mean, r.Within10*100)
-	fmt.Fprintf(&b, "  PDF over [-50%%,+50%%] of mean: %s\n", stats.Sparkline(r.PDF))
-	return b.String()
-}
-
-// Render formats the Figure 20 launch CDFs.
-func (r *Fig20Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 20: cumulative child-kernel launches over time (BFS-graph500, one sample per %d cycles)\n", r.Interval)
-	fmt.Fprintf(&b, "  Baseline-DP    (total %5.0f) %s\n", last(r.Baseline), stats.Sparkline(r.Baseline))
-	fmt.Fprintf(&b, "  Offline-Search (total %5.0f) %s\n", last(r.Offline), stats.Sparkline(r.Offline))
-	fmt.Fprintf(&b, "  SPAWN          (total %5.0f) %s\n", last(r.Spawn), stats.Sparkline(r.Spawn))
-	return b.String()
-}
-
-func last(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	return vs[len(vs)-1]
 }
 
 // Summary renders the headline metrics of one outcome.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -259,6 +260,39 @@ func TestOutcomeKeyIsStoreKey(t *testing.T) {
 	u := Outcome{Spec: Spec{Benchmark: "MM-small", MakePolicy: func(config.GPU) kernel.Policy { return nil }}}
 	if k := u.Key(); k != "" {
 		t.Errorf("uncacheable spec has key %q, want none", k)
+	}
+}
+
+// TestSpecKeyClassifiesEveryField: every Spec field either enters the
+// content address (a specKeyDesc field of the same name) or sits on the
+// unkeyed list below with its reason. A result-affecting field added
+// without a key entry would let one run replay another's stored result.
+func TestSpecKeyClassifiesEveryField(t *testing.T) {
+	unkeyed := map[string]string{
+		"MakePolicy":     "named by PolicyTag",
+		"Engine":         "both engines give byte-identical results",
+		"TraceSinks":     "observer",
+		"Metrics":        "observer",
+		"Heartbeat":      "observer",
+		"HeartbeatEvery": "observer",
+		"Deadline":       "abort knob",
+		"Tolerate":       "abort knob",
+		"StallWindow":    "abort knob",
+		"StallTimeout":   "abort knob",
+	}
+	desc, spec := reflect.TypeOf(specKeyDesc{}), reflect.TypeOf(Spec{})
+	for i := 0; i < spec.NumField(); i++ {
+		name := spec.Field(i).Name
+		_, keyed := desc.FieldByName(name)
+		_, listed := unkeyed[name]
+		if keyed == listed {
+			t.Errorf("Spec.%s: in specKeyDesc %v, on the unkeyed list %v; want exactly one", name, keyed, listed)
+		}
+	}
+	for i := 0; i < desc.NumField(); i++ {
+		if _, ok := spec.FieldByName(desc.Field(i).Name); !ok {
+			t.Errorf("specKeyDesc.%s names no Spec field", desc.Field(i).Name)
+		}
 	}
 }
 

@@ -119,10 +119,13 @@ type Spec struct {
 	StallWindow uint64
 	// StallTimeout, when non-zero, arms the harness's wall-clock stall
 	// guard: if the simulator delivers no heartbeat for this long in
-	// wall time — the process is wedged below the cycle loop, or the
-	// run is pathologically slow — the run is canceled and the abort is
-	// reported as AbortStalled. Complements StallWindow, which watches
-	// simulated progress and cannot see wall-clock hangs.
+	// wall time, the run's context is canceled and the abort is
+	// reported as AbortStalled. The abort is cooperative: the cycle
+	// loop polls that context, so a call that blocks below the loop (a
+	// policy's Decide, a trace sink) ends the run only when it returns,
+	// and one that never returns is never stopped. Complements
+	// StallWindow, which watches simulated progress and cannot see wall
+	// time.
 	StallTimeout time.Duration
 }
 

@@ -14,9 +14,13 @@ import (
 // cycle-progress watchdog (sim.Options.StallWindow). The simulator's
 // watchdog sees simulated progress but cannot see wall time; this guard
 // sees only wall time: it rides the run's heartbeat stream, and if no
-// heartbeat lands for Spec.StallTimeout — the process is wedged below
-// the cycle loop, or simulating pathologically slowly — it cancels the
-// run and rewraps the resulting cancellation abort as AbortStalled.
+// heartbeat lands for Spec.StallTimeout it cancels the run's context
+// and rewraps the resulting cancellation abort as AbortStalled.
+// Cancellation is cooperative: the cycle loop polls its context once
+// every few thousand iterations, so the guard stops a run that is
+// simulating pathologically slowly, but a call below the loop that
+// blocks (a policy's Decide, a trace sink's write) is aborted only
+// once it returns, and one that never returns is never stopped.
 type stallGuard struct {
 	timeout time.Duration
 	timer   *time.Timer

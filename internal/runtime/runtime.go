@@ -20,9 +20,6 @@ const (
 	// DeclineCycles is charged for the THRESHOLD comparison on the
 	// serialize path of a static-threshold application.
 	DeclineCycles = 4
-	// WrapperDeclineCycles is charged when a runtime wrapper (SPAWN)
-	// performs the API call but returns "fail" (Figure 14 line 6).
-	WrapperDeclineCycles = 12
 )
 
 // Flat never launches children: every parent thread performs its own
