@@ -2,7 +2,7 @@
 // spawnsim, spawnreport and experiments share: the simulator engine,
 // the worker count, the chaos plan and its retries, and the guards that
 // bound a run (deadline, invariant audit, checkpoint directory,
-// tolerance, stall watchdogs). Pool turns the parsed flags into the
+// tolerance, stall watchdog). Pool turns the parsed flags into the
 // harness.Pool every command runs through, so each setting reaches every
 // run — sweep candidates included — through one Defaults hook.
 package runflags
@@ -31,12 +31,11 @@ type Flags struct {
 	chaosSeed uint64
 	retries   int
 
-	timeout      time.Duration
-	check        bool
-	resume       string
-	tolerate     bool
-	stallWindow  uint64
-	stallTimeout time.Duration
+	timeout     time.Duration
+	check       bool
+	resume      string
+	tolerate    bool
+	stallWindow uint64
 }
 
 // Register declares the settings every command takes on fs.
@@ -58,7 +57,6 @@ func (f *Flags) RegisterGuards(fs *flag.FlagSet) {
 	fs.StringVar(&f.resume, "resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
 	fs.BoolVar(&f.tolerate, "tolerate", false, "degrade gracefully when a run's retry budget is exhausted: keep its partial result with the failure quarantined instead of failing the run")
 	fs.Uint64Var(&f.stallWindow, "stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
-	fs.DurationVar(&f.stallTimeout, "stall-timeout", 0, "abort a run that delivers no heartbeat for this long in wall time (0 = off)")
 }
 
 // Pool builds the pool every run of the command goes through: canceled
@@ -94,7 +92,6 @@ func (f *Flags) Pool(prog string) (*harness.Pool, func(), error) {
 			s.Retries = f.retries
 			s.Tolerate = f.tolerate
 			s.StallWindow = f.stallWindow
-			s.StallTimeout = f.stallTimeout
 			if plan != nil && s.FaultPlan == nil {
 				s.FaultPlan = plan
 			}

@@ -36,7 +36,7 @@ func TestDefaultsApplyEverySetting(t *testing.T) {
 	pool, err := parse(t, true,
 		"-engine", "stepped", "-parallel", "3", "-chaos-plan", "mild", "-chaos-seed", "7",
 		"-retries", "2", "-timeout", "3s", "-check", "-tolerate",
-		"-stall-window", "100", "-stall-timeout", "5s")
+		"-stall-window", "100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,6 @@ func TestDefaultsApplyEverySetting(t *testing.T) {
 		Retries:         2,
 		Tolerate:        true,
 		StallWindow:     100,
-		StallTimeout:    5 * time.Second,
 		FaultPlan:       &plan,
 	}
 	got := harness.Spec{Benchmark: "MM-small"}

@@ -206,7 +206,7 @@ type DirectiveKind uint8
 const (
 	// DirectiveAllow suppresses named analyzers on its (or the next) line:
 	//
-	//	//spawnvet:allow purity stall-guard timer only aborts a wedged run
+	//	//spawnvet:allow hotpath cold abort path; formats the one terminal snapshot
 	//
 	// The justification text after the analyzer list is mandatory.
 	DirectiveAllow DirectiveKind = iota

@@ -38,9 +38,11 @@ type GPU struct {
 	// MaxPendingLaunches bounds a warp's in-flight device launches (the
 	// CUDA device-runtime pending-launch buffer). A warp whose pool is
 	// full stalls until older launches reach the GMU, which is what
-	// spreads launch decisions over the run. Sized near
-	// LaunchOverheadB/LaunchOverheadA so a saturated warp still sustains
-	// the Table II launch throughput of one kernel per A cycles.
+	// spreads launch decisions over the run. A launch holds its slot
+	// for about A + B cycles, so a pool of C sustains one launch per A
+	// cycles only when C >= B/A + 1 (about 12.7 at Table II values);
+	// the K20m value of 8 lets a saturated warp issue at most 8
+	// launches per A + B cycles, about one per 2,741 cycles.
 	MaxPendingLaunches int
 
 	// Memory system.

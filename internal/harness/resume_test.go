@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -278,7 +279,6 @@ func TestSpecKeyClassifiesEveryField(t *testing.T) {
 		"Deadline":       "abort knob",
 		"Tolerate":       "abort knob",
 		"StallWindow":    "abort knob",
-		"StallTimeout":   "abort knob",
 	}
 	desc, spec := reflect.TypeOf(specKeyDesc{}), reflect.TypeOf(Spec{})
 	for i := 0; i < spec.NumField(); i++ {
@@ -486,31 +486,45 @@ func TestQuarantinedOutcomesNeverEnterStore(t *testing.T) {
 	}
 }
 
-// TestStallTimeoutRewrapsAsStalled: the wall-clock guard must classify
-// its abort as AbortStalled — one stall taxonomy whether the cycle
-// watchdog or the wall guard caught it.
-func TestStallTimeoutRewrapsAsStalled(t *testing.T) {
-	spec := Spec{
-		Benchmark:    "BFS-graph500",
-		Scheme:       SchemeFlat,
-		StallTimeout: time.Nanosecond, // fires before any heartbeat can land
-	}
-	out, err := Run(spec)
-	if err == nil {
-		t.Fatal("run with an instant stall timeout completed")
-	}
-	kind, ok := AbortKind(err)
-	if !ok || kind != sim.AbortStalled {
+// deferAll defers every launch candidate, so a launching warp livelocks
+// inside the launch API: the clock advances, nothing else does.
+type deferAll struct{ kernel.BasePolicy }
+
+func (deferAll) Name() string { return "defer-all" }
+func (deferAll) Decide(*kernel.LaunchSite) kernel.Decision {
+	return kernel.Decision{Action: kernel.Defer, APICycles: 100}
+}
+
+// TestStallWindowAbortsThroughHarness: the cycle watchdog's abort must
+// reach a harness caller whole — classified AbortStalled with its
+// machine snapshot, a partial result, the timeout exit code — and, with
+// no fault plan, must not be retried.
+func TestStallWindowAbortsThroughHarness(t *testing.T) {
+	out, err := Run(Spec{
+		Benchmark:   "MM-small",
+		MakePolicy:  func(config.GPU) kernel.Policy { return deferAll{} },
+		StallWindow: 100_000,
+		MaxCycles:   50_000_000,
+		Retries:     1,
+	})
+	if kind, ok := AbortKind(err); !ok || kind != sim.AbortStalled {
 		t.Fatalf("error = %v, want an AbortStalled abort", err)
 	}
-	if !strings.Contains(err.Error(), "wall-clock stall guard") {
-		t.Errorf("stall error %q does not name the wall-clock guard", err)
+	var abort *sim.AbortError
+	if !errors.As(err, &abort) || abort.Stall == nil {
+		t.Errorf("stall abort %v carries no machine snapshot", err)
 	}
 	if out == nil || out.Result == nil {
-		t.Error("stall abort carries no partial result")
+		t.Fatal("stall abort carries no partial result")
+	}
+	if out.Result.Cycles >= 50_000_000 {
+		t.Errorf("aborted at cycle %d, the MaxCycles bound rather than the stall window", out.Result.Cycles)
 	}
 	if code := ExitCode(err); code != ExitTimeout {
 		t.Errorf("ExitCode = %d, want %d", code, ExitTimeout)
+	}
+	if out.Attempts != 1 {
+		t.Errorf("Attempts = %d, want 1 (nothing retries without a fault plan)", out.Attempts)
 	}
 }
 

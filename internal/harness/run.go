@@ -117,16 +117,6 @@ type Spec struct {
 	// AbortStalled carrying a machine snapshot, instead of spinning to
 	// its cycle budget.
 	StallWindow uint64
-	// StallTimeout, when non-zero, arms the harness's wall-clock stall
-	// guard: if the simulator delivers no heartbeat for this long in
-	// wall time, the run's context is canceled and the abort is
-	// reported as AbortStalled. The abort is cooperative: the cycle
-	// loop polls that context, so a call that blocks below the loop (a
-	// policy's Decide, a trace sink) ends the run only when it returns,
-	// and one that never returns is never stopped. Complements
-	// StallWindow, which watches simulated progress and cannot see wall
-	// time.
-	StallTimeout time.Duration
 }
 
 // Outcome bundles a run's result with its context.
@@ -385,8 +375,6 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 		ctx, cancel = context.WithTimeout(ctx, spec.Deadline)
 		defer cancel()
 	}
-	ctx, guard := armStallGuard(ctx, &spec)
-	defer guard.stop()
 	g, err := sim.NewChecked(sim.Options{
 		Config:          cfg,
 		Policy:          pol,
@@ -409,7 +397,6 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 	}
 	g.LaunchHost(def)
 	res, runErr := g.Run()
-	runErr = guard.rewrap(runErr)
 	if runErr != nil {
 		err = fmt.Errorf("harness: %s/%s: %w", spec.Benchmark, pol.Name(), runErr)
 		if res == nil {

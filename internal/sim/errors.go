@@ -31,13 +31,12 @@ const (
 	// AbortInvariant: the Options.CheckInvariants auditor found a broken
 	// conservation law (the underlying *InvariantError is in Err).
 	AbortInvariant
-	// AbortStalled: the watchdog saw no forward progress — no issued
-	// instruction, placed CTA, launch decision, arrival, or completed
-	// kernel — for Options.StallWindow consecutive scheduler steps
-	// while the clock kept advancing (a livelock, e.g. a policy
-	// deferring forever), or the harness's wall-clock stall guard
-	// fired. The Stall field carries a snapshot of where the machine
-	// was stuck.
+	// AbortStalled: the cycle watchdog saw no forward progress — no
+	// issued instruction, placed CTA, launch decision, arrival, or
+	// completed kernel — for Options.StallWindow consecutive scheduler
+	// steps while the clock kept advancing (a livelock, e.g. a policy
+	// deferring forever). The Stall field carries a snapshot of where
+	// the machine was stuck.
 	AbortStalled
 )
 
@@ -75,9 +74,8 @@ type AbortError struct {
 	// Detail carries kind-specific context (queue depths for deadlocks,
 	// the configured bound for max-cycles).
 	Detail string
-	// Stall is the machine snapshot of an AbortStalled abort (nil for
-	// every other kind, and for the harness's wall-clock guard, which
-	// has no cycle-accurate view of the engine).
+	// Stall is the machine snapshot of an AbortStalled abort; it is
+	// non-nil exactly when Kind is AbortStalled.
 	Stall *StallSnapshot
 }
 

@@ -86,16 +86,19 @@ type Options struct {
 	SampleInterval kernel.Cycle
 	// MaxCycles aborts the run when exceeded (0 = DefaultMaxCycles).
 	MaxCycles kernel.Cycle
-	// StallWindow, when non-zero, arms the cycle-progress watchdog: if
-	// the machine makes no forward progress — no issued instruction,
-	// launch decision, CTA placement, kernel arrival or completion —
-	// for StallWindow consecutive ticked cycles (spanning at least
-	// StallWindow cycles), the run aborts with AbortStalled and a
-	// StallSnapshot instead of spinning to MaxCycles. Quiet spans the
-	// engine fast-forwards (warps blocked on memory or children in
-	// flight) are not ticked and never count, so legitimate waits never
-	// trip the window; only livelock — e.g. a policy deferring the same
-	// candidates forever, waking every cycle — accumulates toward it.
+	// StallWindow, when non-zero, arms the cycle-progress watchdog. It
+	// counts ticked cycles whose work made no forward progress — no
+	// issued instruction, launch decision, CTA placement, kernel
+	// arrival or completion — judging each tick after its work, and
+	// resets the count on a tick that made progress. When StallWindow
+	// consecutive ticks make none, the run aborts at the end of the
+	// last of them with AbortStalled and a StallSnapshot, instead of
+	// spinning to MaxCycles; the abort cycle is one past that tick.
+	// Quiet spans the engine fast-forwards (warps blocked on memory or
+	// children in flight) are not ticked and never count, so legitimate
+	// waits never trip the window; only livelock — e.g. a policy
+	// deferring the same candidates forever, waking every cycle —
+	// accumulates toward it.
 	StallWindow kernel.Cycle
 	// Sinks receive the kernel/CTA lifecycle and launch-decision event
 	// stream, in order (the bounded trace.Ring, streaming JSONL, the
@@ -275,9 +278,9 @@ type GPU struct {
 	prof      *profile.Profile
 
 	// Watchdog state (see Options.StallWindow). progress counts forward-
-	// progress events; the Run loop latches it into progressSeen and
-	// counts progress-free ticked cycles in noProgress, aborting when
-	// that reaches stallWindow. Counting ticks rather than raw cycles is
+	// progress events; the Run loop latches it into progressSeen at the
+	// end of each tick and counts progress-free ticked cycles in
+	// noProgress, aborting when that reaches stallWindow. Counting ticks rather than raw cycles is
 	// what keeps the watchdog both sound and quiet: a fast-forwarded
 	// quiet span over a long memory or child wait contributes nothing no
 	// matter how many cycles it spans, while a defer livelock — a wakeup
@@ -1185,15 +1188,6 @@ func (g *GPU) Run() (*Result, error) {
 			// without double-booking the span in result().
 			g.prof.SkipTo(uint64(g.lastTick), uint64(now))
 			g.lastTick = now
-			if g.stallWindow > 0 {
-				if g.progress != g.progressSeen {
-					g.progressSeen = g.progress
-					g.lastProgressCycle = now
-					g.noProgress = 0
-				} else if g.noProgress++; g.noProgress >= g.stallWindow {
-					return g.abortStalled(now)
-				}
-			}
 			if g.checkInv && now >= g.invNext {
 				g.invNext = now + g.invEvery
 				if err := g.checkInvariants(now); err != nil {
@@ -1270,6 +1264,19 @@ func (g *GPU) Run() (*Result, error) {
 				g.profTick(now, arrived, placed, hasDisp, busySMXs)
 			}
 			g.clock = now + 1
+			// The watchdog judges the tick after its work, so the first
+			// tick is counted only once it has had its chance to progress.
+			// The clock already reads now+1: the profiler has booked
+			// cycle now, and the partial Result must count it.
+			if g.stallWindow > 0 {
+				if g.progress != g.progressSeen {
+					g.progressSeen = g.progress
+					g.lastProgressCycle = now
+					g.noProgress = 0
+				} else if g.noProgress++; g.noProgress >= g.stallWindow {
+					return g.abortStalled(g.clock)
+				}
+			}
 			continue
 		} else {
 			// Quiescent at now: every component event is in the future.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spawnsim/internal/config"
+	"spawnsim/internal/profile"
 	"spawnsim/internal/runtime"
 	"spawnsim/internal/sim/kernel"
 )
@@ -84,5 +85,46 @@ func TestWatchdogQuietOnHealthyRuns(t *testing.T) {
 	res := run(t, runtime.Flat{}, def, armed)
 	if res.Cycles == 0 {
 		t.Fatal("zero cycles")
+	}
+}
+
+// TestWatchdogJudgesTicksAfterTheirWork pins what the window counts: a
+// tick counts only once its work has run, so the first tick — which
+// delivers the host kernel — is progress, and a window of 1 aborts one
+// past the first progress-free tick that follows a progress tick. The
+// abort cycle is the partial Result's cycle count, and the profiler,
+// which booked the tripping tick, still accounts every cycle.
+func TestWatchdogJudgesTicksAfterTheirWork(t *testing.T) {
+	for _, eng := range []Engine{EngineWheel, EngineStepped} {
+		t.Run(eng.String(), func(t *testing.T) {
+			cfg := config.K20m()
+			prof := profile.New(cfg.NumSMX, profile.Options{})
+			g := New(Options{
+				Config:      cfg,
+				Policy:      runtime.Flat{},
+				Engine:      eng,
+				MaxCycles:   50_000_000,
+				StallWindow: 1,
+				Profile:     prof,
+			})
+			g.LaunchHost(dpParent(256, 64, 32, 4))
+			res, err := g.Run()
+			var abort *AbortError
+			if !errors.As(err, &abort) || abort.Kind != AbortStalled || abort.Stall == nil {
+				t.Fatalf("error = %v, want an AbortStalled with a snapshot", err)
+			}
+			if abort.Cycle < abort.Stall.LastProgress+2 {
+				t.Errorf("abort at cycle %d, last progress at cycle %d: want a progress-free tick between them",
+					abort.Cycle, abort.Stall.LastProgress)
+			}
+			if res == nil || res.Cycles != abort.Cycle {
+				t.Fatalf("partial result %v, want one of %d cycles", res, abort.Cycle)
+			}
+			rep := prof.Report()
+			if rep.Ticked == 0 || rep.Ticked+rep.Skipped != uint64(res.Cycles) {
+				t.Errorf("profiler accounts ticked %d + skipped %d, want %d cycles with at least one tick",
+					rep.Ticked, rep.Skipped, res.Cycles)
+			}
+		})
 	}
 }
