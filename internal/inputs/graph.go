@@ -49,13 +49,13 @@ func layoutGraph(g *Graph) {
 
 // fromDegrees builds a CSR graph with the given out-degrees and
 // uniformly random edge targets.
-func fromDegrees(deg []int, rng *source) *Graph {
+func fromDegrees(deg []int32, rng *source) *Graph {
 	n := len(deg)
 	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
 	total := 0
 	for v, d := range deg {
 		g.RowPtr[v] = int32(total)
-		total += d
+		total += int(d)
 	}
 	g.RowPtr[n] = int32(total)
 	g.Adj = make([]int32, total)
@@ -71,7 +71,12 @@ func fromDegrees(deg []int, rng *source) *Graph {
 // The degree of vertex v is drawn from a discrete Pareto distribution
 // with the given exponent (~2.1 for real citation graphs), scaled so the
 // mean is close to avgDeg.
-func Citation(n, avgDeg int, seed int64) *Graph {
+func Citation(n, avgDeg int, seed int64) *Graph { return citation(n, avgDeg, seed, workers(n)) }
+
+// citation is Citation with the Pareto transform of the degree draws
+// split across the given number of workers. The draws themselves are
+// taken first, in order, and the edge targets after them.
+func citation(n, avgDeg int, seed int64, workers int) *Graph {
 	rng := newSource(seed)
 	alpha := 2.1
 	// Pareto sample: floor(xm * u^(-1/alpha)); xm chosen so mean ~= avgDeg.
@@ -87,17 +92,30 @@ func Citation(n, avgDeg int, seed int64) *Graph {
 	if maxDeg > n/4 {
 		maxDeg = n / 4
 	}
-	deg := make([]int, n)
-	for v := range deg {
-		u := rng.Float64()
-		d := int(xm * math.Pow(1-u, -1/alpha))
-		if d > maxDeg {
-			d = maxDeg
-		}
-		deg[v] = d
+	draws := make([]float64, n)
+	for v := range draws {
+		draws[v] = rng.Float64()
 	}
+	deg := make([]int32, n)
+	yf := 1 / alpha
+	parallelFor(n, workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			d := int(xm * powNeg(1-draws[v], yf))
+			if d > maxDeg {
+				d = maxDeg
+			}
+			deg[v] = int32(d)
+		}
+	})
 	return fromDegrees(deg, rng)
 }
+
+// powNeg returns math.Pow(x, -yf) for 0 < x <= 1 and 0 < yf < 0.5,
+// bit for bit, by the path math.Pow's pure-Go body takes there: the
+// exponent's integer part is 0 and its fraction yf, so Pow computes
+// Exp(yf*Log(x)), skips its squaring loop, inverts for the negative
+// exponent and scales by 2^0. Only s390x replaces that body (archPow).
+func powNeg(x, yf float64) float64 { return 1 / math.Exp(yf*math.Log(x)) }
 
 // Graph500 generates an R-MAT (Kronecker) graph per the Graph500
 // specification: scale gives 2^scale vertices, edgeFactor edges per

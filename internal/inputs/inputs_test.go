@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -356,6 +357,32 @@ func refMandelGrid(n, maxIter int) *MandelGrid {
 	return g
 }
 
+// refAMRMesh is NewAMRMesh as first written, one cell after another on
+// math/rand's own source; NewAMRMesh must match it exactly.
+func refAMRMesh(n int, seed int64) *AMRMesh {
+	rng := rand.New(rand.NewSource(seed))
+	m := &AMRMesh{N: n, Refine: make([]int, n), SubFrac: 0.125, SubWork: 16}
+	type bump struct{ c, w, h float64 }
+	bumps := make([]bump, 6)
+	for i := range bumps {
+		bumps[i] = bump{c: rng.Float64(), w: 0.01 + rng.Float64()*0.05, h: 20 + rng.Float64()*120}
+	}
+	for i := range m.Refine {
+		x := float64(i) / float64(n)
+		v := 0.0
+		for _, b := range bumps {
+			d := (x - b.c) / b.w
+			v += b.h * math.Exp(-d*d)
+		}
+		m.Refine[i] = int(v)
+	}
+	l := NewLayout()
+	m.CellBase = l.Alloc(32 * n)
+	m.SubBase = l.Alloc(32 * n * 8)
+	m.OutBase = l.Alloc(32 * n)
+	return m
+}
+
 func TestGraph500MatchesReference(t *testing.T) {
 	var seeds []int64
 	for s := int64(1); s <= 12; s++ {
@@ -484,6 +511,126 @@ func TestMandelGridMatchesReference(t *testing.T) {
 	}
 }
 
+func TestAMRMeshMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 4097, 16384, 65536} {
+		for _, seed := range []int64{1, 7, 42, 109} {
+			got, want := NewAMRMesh(n, seed), refAMRMesh(n, seed)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("NewAMRMesh(%d, %d) differs from the reference", n, seed)
+			}
+		}
+	}
+}
+
+// TestWorkerRangesCoverOnce checks that parallelFor hands every index
+// of [0, n) to exactly one call, in ranges that are not empty, for
+// more workers than indices too, and that one worker gets the whole
+// range inline.
+func TestWorkerRangesCoverOnce(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		for w := 0; w <= 9; w++ {
+			hits := make([]int, n)
+			calls := make([]int, n+1)
+			parallelFor(n, w, func(lo, hi int) {
+				if lo >= hi && n > 0 {
+					t.Errorf("n=%d workers=%d: empty range [%d, %d)", n, w, lo, hi)
+				}
+				if lo < n {
+					calls[lo]++ // each call owns its lo
+				}
+				for i := lo; i < hi; i++ {
+					hits[i]++
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d covered %d times", n, w, i, h)
+				}
+			}
+			ranges := 0
+			for _, c := range calls {
+				ranges += c
+			}
+			if want := max(1, min(w, n)); n > 0 && ranges != want {
+				t.Errorf("n=%d workers=%d: %d ranges, want %d", n, w, ranges, want)
+			}
+		}
+	}
+	if w := workers(minChunk - 1); w != 1 {
+		t.Errorf("workers(%d) = %d, want 1: below one chunk runs inline", minChunk-1, w)
+	}
+	if w, p := workers(1<<30), runtime.GOMAXPROCS(0); w != p {
+		t.Errorf("workers(1<<30) = %d, want GOMAXPROCS = %d", w, p)
+	}
+}
+
+// TestParallelGeneratorsWorkerInvariant requires each generator with a
+// parallel element loop to equal its one-element-at-a-time reference at
+// 1, 2, 3 and 7 workers, including n below the worker count and n that
+// the worker count does not divide.
+func TestParallelGeneratorsWorkerInvariant(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 7} {
+		for _, n := range []int{1, 2, 3, 10, 1000, 4097, 131072} {
+			for _, maxIter := range []int{0, 1, 256} {
+				if got, want := newMandelGrid(n, maxIter, w), refMandelGrid(n, maxIter); !reflect.DeepEqual(got, want) {
+					t.Fatalf("newMandelGrid(%d, %d) at %d workers differs from the reference", n, maxIter, w)
+				}
+			}
+		}
+		for _, n := range []int{1, 2, 3, 5, 1000, 4099, 65536} {
+			for _, seed := range []int64{7, 101} {
+				if got, want := citation(n, citationDeg, seed, w), refCitation(n, citationDeg, seed); !reflect.DeepEqual(got, want) {
+					t.Fatalf("citation(%d, %d, %d) at %d workers differs from the reference", n, citationDeg, seed, w)
+				}
+			}
+		}
+		for _, n := range []int{1, 2, 3, 1000, 4097, 16384} {
+			for _, seed := range []int64{7, 109} {
+				if got, want := newAMRMesh(n, seed, w), refAMRMesh(n, seed); !reflect.DeepEqual(got, want) {
+					t.Fatalf("newAMRMesh(%d, %d) at %d workers differs from the reference", n, seed, w)
+				}
+			}
+		}
+	}
+}
+
+// TestPowNegMatchesPow pins Citation's Pareto transform to the
+// math.Pow form it replaces, xm * math.Pow(1-u, -1/alpha) capped at
+// maxDeg, bit for bit. The identity holds because math.Pow's pure-Go
+// body, for a base in (0, 1) and an exponent y with |y| < 0.5 that is
+// not an integer, splits |y| by Modf into integer part 0 and fraction
+// |y| (exact, as is negating 1/alpha), computes a1 = Exp(|y|*Log(x))
+// through the same exported Exp and Log, runs its squaring loop zero
+// times (Frexp's result is unused), sets a1 = 1/a1 for y < 0 and
+// returns Ldexp(a1, 0), which is a1 for every normal a1. Base 1 (u = 0)
+// hits Pow's Pow(1, y) = 1 special case, which Exp(0) = 1 matches. Only
+// s390x replaces that body with an assembly archPow, and this test
+// would fail there.
+func TestPowNegMatchesPow(t *testing.T) {
+	const alpha = 2.1 // Citation's exponent
+	xm := float64(citationDeg) * (alpha - 1) / alpha
+	const maxDeg = 128
+	check := func(u float64) {
+		t.Helper()
+		got, want := powNeg(1-u, 1/alpha), math.Pow(1-u, -1/alpha)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("u = %v: powNeg = %v, math.Pow = %v", u, got, want)
+		}
+		g, w := min(int(xm*got), maxDeg), min(int(xm*want), maxDeg)
+		if g != w {
+			t.Fatalf("u = %v: degree %d, want %d", u, g, w)
+		}
+	}
+	check(0)
+	check(1 - 0x1p-53) // the largest Float64 draw: 1-u = 2^-53
+	for _, seed := range []int64{101, 7} {
+		src := newSource(seed)
+		for range 1_000_000 {
+			check(src.Float64())
+		}
+	}
+}
+
 // TestUnitThresholds pins each integer threshold to its float test at
 // the boundary itself: a random stream essentially never draws a value
 // on a threshold, so the reference comparisons cannot catch an
@@ -537,7 +684,9 @@ func benchSeed(slot int64) int64 { return tableISeedBase + slot }
 // and seed the benchmark registry builds it with: the input-generation
 // layer of set-up. The seeded generators draw through source, a block
 // of the stream at a time; Mandel iterates only the pixels outside the
-// main cardioid and the period-2 bulb.
+// main cardioid and the period-2 bulb. Mandel's pixels, AMRMesh's cells
+// and Citation's Pareto transform split across GOMAXPROCS workers, so
+// compare -cpu 1 with -cpu 2 to separate that from the serial work.
 func BenchmarkGenerators(b *testing.B) {
 	for _, gen := range []struct {
 		name string

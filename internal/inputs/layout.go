@@ -12,9 +12,22 @@
 // copies of rand.Rand's Float64 and Intn directly; rand.New(src) serves
 // the rest. NewMandelGrid gives a c in the main cardioid or the period-2
 // bulb maxIter without running the recurrence, which is what the
-// recurrence returns there. Both keep every input bit-identical to the
-// one-value-at-a-time, one-pixel-at-a-time originals, which the
-// reference tests pin.
+// recurrence returns there. Citation computes each Pareto degree's
+// (1-u)^(-1/alpha) as 1/Exp(yf*Log(1-u)) with yf = 1/alpha, the very
+// operations math.Pow performs for that exponent (see powNeg).
+//
+// The element loops whose elements do not depend on one another run on
+// every core: NewMandelGrid's pixels, NewAMRMesh's intensity field and
+// Citation's Pareto transform, which starts once all its draws are
+// taken in order. parallelFor gives each of runtime.GOMAXPROCS(0)
+// workers one contiguous range of at least minChunk elements, and runs
+// inline when that leaves one worker. Each element does the same float
+// operations as it does alone, so no input depends on the worker count.
+// Loops that consume the stream draw by draw (Graph500's edges, the
+// edge targets, the relations, reads and sparse matrices) stay serial.
+// All of this keeps every input bit-identical to the one-value-at-a-
+// time, one-element-at-a-time originals, which the reference tests pin
+// at 1, 2, 3 and 7 workers.
 //
 // Each dataset also carries a virtual-memory layout: its arrays are
 // assigned base addresses in the simulated address space so workloads

@@ -197,29 +197,43 @@ type AMRMesh struct {
 
 // NewAMRMesh generates a mesh whose refinement demand follows a smooth
 // intensity field with sharp fronts: a minority of cells refine heavily.
-func NewAMRMesh(n int, seed int64) *AMRMesh {
+func NewAMRMesh(n int, seed int64) *AMRMesh { return newAMRMesh(n, seed, workers(n)) }
+
+// newAMRMesh is NewAMRMesh with the field's cells split across the
+// given number of workers, each summing the same bumps for its cells.
+func newAMRMesh(n int, seed int64, workers int) *AMRMesh {
 	rng := newSource(seed)
 	m := &AMRMesh{N: n, Refine: make([]int, n), SubFrac: 0.125, SubWork: 16}
 	// Intensity field: sum of a few random Gaussian bumps over [0,1).
-	type bump struct{ c, w, h float64 }
 	bumps := make([]bump, 6)
 	for i := range bumps {
 		bumps[i] = bump{c: rng.Float64(), w: 0.01 + rng.Float64()*0.05, h: 20 + rng.Float64()*120}
 	}
-	for i := range m.Refine {
+	parallelFor(n, workers, func(lo, hi int) { intensity(m.Refine, bumps, lo, hi) })
+	l := NewLayout()
+	m.CellBase = l.Alloc(32 * n)
+	m.SubBase = l.Alloc(32 * n * 8)
+	m.OutBase = l.Alloc(32 * n)
+	return m
+}
+
+// bump is one Gaussian bump of an AMR mesh's intensity field: centre
+// c, width w and height h over [0, 1).
+type bump struct{ c, w, h float64 }
+
+// intensity sets refine[i] to the whole part of the bumps' sum at cell
+// i's position i/len(refine), for lo <= i < hi.
+func intensity(refine []int, bumps []bump, lo, hi int) {
+	n := len(refine)
+	for i := lo; i < hi; i++ {
 		x := float64(i) / float64(n)
 		v := 0.0
 		for _, b := range bumps {
 			d := (x - b.c) / b.w
 			v += b.h * math.Exp(-d*d)
 		}
-		m.Refine[i] = int(v)
+		refine[i] = int(v)
 	}
-	l := NewLayout()
-	m.CellBase = l.Alloc(32 * n)
-	m.SubBase = l.Alloc(32 * n * 8)
-	m.OutBase = l.Alloc(32 * n)
-	return m
 }
 
 // MandelGrid models the Mandelbrot benchmark: pixel block i needs
@@ -235,12 +249,25 @@ type MandelGrid struct {
 }
 
 // NewMandelGrid samples an n-block strip across the seahorse valley.
-func NewMandelGrid(n, maxIter int) *MandelGrid {
+func NewMandelGrid(n, maxIter int) *MandelGrid { return newMandelGrid(n, maxIter, workers(n)) }
+
+// newMandelGrid is NewMandelGrid with the pixels split across the given
+// number of workers.
+func newMandelGrid(n, maxIter, workers int) *MandelGrid {
 	g := &MandelGrid{N: n, Iters: make([]int, n), MaxIter: maxIter}
 	side := int(math.Sqrt(float64(n)))
 	if side < 1 {
 		side = 1
 	}
+	parallelFor(n, workers, func(lo, hi int) { mandelRange(g.Iters, lo, hi, side, maxIter) })
+	l := NewLayout()
+	g.OutBase = l.Alloc(4 * n)
+	return g
+}
+
+// mandelRange sets iters[i] for the pixels lo <= i < hi of a grid side
+// pixels wide.
+func mandelRange(iters []int, lo, hi, side, maxIter int) {
 	c := func(i int) (cr, ci float64) {
 		px, py := i%side, i/side
 		return -0.78 + 0.06*float64(px)/float64(side), 0.10 + 0.06*float64(py)/float64(side)
@@ -250,13 +277,14 @@ func NewMandelGrid(n, maxIter int) *MandelGrid {
 	// other pixels go in threes whose recurrences advance in lockstep,
 	// so their dependent multiply chains overlap, until any of them
 	// exits; escape then finishes each from where it stopped. Every
-	// pixel does the same float operations in the same order as alone.
+	// pixel does the same float operations in the same order as alone,
+	// so where a range starts does not change any pixel's count.
 	// Three lanes ran as fast as four and faster than two.
 	var lane [3]int
 	lanes := 0
-	for i := range n {
+	for i := lo; i < hi; i++ {
 		if cr, ci := c(i); interior(cr, ci) {
-			g.Iters[i] = maxIter
+			iters[i] = maxIter
 			continue
 		}
 		lane[lanes] = i
@@ -274,17 +302,14 @@ func NewMandelGrid(n, maxIter int) *MandelGrid {
 			zr1, zi1 = zr1*zr1-zi1*zi1+cr1, 2*zr1*zi1+ci1
 			zr2, zi2 = zr2*zr2-zi2*zi2+cr2, 2*zr2*zi2+ci2
 		}
-		g.Iters[lane[0]] = escape(zr0, zi0, cr0, ci0, it, maxIter)
-		g.Iters[lane[1]] = escape(zr1, zi1, cr1, ci1, it, maxIter)
-		g.Iters[lane[2]] = escape(zr2, zi2, cr2, ci2, it, maxIter)
+		iters[lane[0]] = escape(zr0, zi0, cr0, ci0, it, maxIter)
+		iters[lane[1]] = escape(zr1, zi1, cr1, ci1, it, maxIter)
+		iters[lane[2]] = escape(zr2, zi2, cr2, ci2, it, maxIter)
 	}
 	for _, i := range lane[:lanes] {
 		cr, ci := c(i)
-		g.Iters[i] = escape(0, 0, cr, ci, 0, maxIter)
+		iters[i] = escape(0, 0, cr, ci, 0, maxIter)
 	}
-	l := NewLayout()
-	g.OutBase = l.Alloc(4 * n)
-	return g
 }
 
 // escape runs the Mandelbrot recurrence for c = (cr, ci) from z = (zr,
