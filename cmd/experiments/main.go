@@ -45,13 +45,15 @@ func main() {
 		fatal(err)
 	}
 	defer done()
+	var dump *metricsDumper
 	if *metricsDir != "" {
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
 			fatal(err)
 		}
 		// The pool serializes observer callbacks, so the dumper needs no
 		// locking even at -parallel > 1.
-		pool.Observer = metricsDumper(*metricsDir)
+		dump = &metricsDumper{dir: *metricsDir}
+		pool.Observer = dump.observe
 	}
 
 	var memo harness.Memo
@@ -60,7 +62,7 @@ func main() {
 		// still regenerate, and the failures are summarized at the end.
 		var failed []string
 		for _, e := range exps {
-			if err := run(pool, &memo, e, *bench, *csv); err != nil {
+			if err := run(pool, &memo, dump, e, *bench, *csv); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
 				failed = append(failed, e.ID)
 			}
@@ -80,14 +82,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := run(pool, &memo, e, *bench, *csv); err != nil {
+	if err := run(pool, &memo, dump, e, *bench, *csv); err != nil {
 		fatal(err)
 	}
 }
 
 func fatal(err error) { runflags.Fatal("experiments", err) }
 
-// metricsDumper returns an observer that writes every run's metrics
+// metricsDumper is an observer that writes every run's metrics
 // snapshot to <dir>/metrics-<bench>-<label>-<key>.json. <label> is the
 // spec's scheme; when a MakePolicy replaces the scheme (the ablation
 // variants), it is the spec's PolicyTag, or "custom-policy" for an
@@ -97,35 +99,53 @@ func fatal(err error) { runflags.Fatal("experiments", err) }
 // differ in key, so each gets its own file and the dump is the same at
 // any -parallel. An uncacheable spec (a MakePolicy with no PolicyTag)
 // has no key and keeps metrics-<bench>-<label>.json; runs that share
-// such a name overwrite in completion order.
-func metricsDumper(dir string) func(*harness.Outcome) {
-	return func(out *harness.Outcome) {
-		if out.Metrics == nil {
-			return
-		}
-		label := out.Spec.Scheme
-		if label == "" {
-			label = out.Spec.PolicyTag
-		}
-		if label == "" {
-			label = "custom-policy"
-		}
-		name := "metrics-" + out.Spec.Benchmark + "-" + strings.ReplaceAll(label, ":", "-")
-		if key := out.Key(); key != "" {
-			name += "-" + key[:12]
-		}
-		path := filepath.Join(dir, name+".json")
-		if err := out.Metrics.WriteFile(path); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: metrics:", err)
-		}
+// such a name overwrite in completion order. The first write error is
+// kept for the experiment that caused it (see takeErr).
+type metricsDumper struct {
+	dir string
+	err error
+}
+
+func (d *metricsDumper) observe(out *harness.Outcome) {
+	if out.Metrics == nil {
+		return
+	}
+	label := out.Spec.Scheme
+	if label == "" {
+		label = out.Spec.PolicyTag
+	}
+	if label == "" {
+		label = "custom-policy"
+	}
+	name := "metrics-" + out.Spec.Benchmark + "-" + strings.ReplaceAll(label, ":", "-")
+	if key := out.Key(); key != "" {
+		name += "-" + key[:12]
+	}
+	if err := out.Metrics.WriteFile(filepath.Join(d.dir, name+".json")); err != nil && d.err == nil {
+		d.err = fmt.Errorf("metrics: %w", err)
 	}
 }
 
+// takeErr returns the first write error since the last call and clears
+// it. A nil dumper has none.
+func (d *metricsDumper) takeErr() error {
+	if d == nil {
+		return nil
+	}
+	err := d.err
+	d.err = nil
+	return err
+}
+
 // run regenerates one experiment, prints its text and, when csvDir is
-// set, writes its CSVs there. It returns the first run, write or close
-// error, so a truncated CSV never exits 0.
-func run(pool *harness.Pool, memo *harness.Memo, e harness.Experiment, bench, csvDir string) error {
+// set, writes its CSVs there. It returns the first run, metrics dump,
+// write or close error, so a missing snapshot or a truncated CSV never
+// exits 0.
+func run(pool *harness.Pool, memo *harness.Memo, dump *metricsDumper, e harness.Experiment, bench, csvDir string) error {
 	out, err := e.Run(pool, memo, bench)
+	if derr := dump.takeErr(); err == nil {
+		err = derr
+	}
 	if err != nil {
 		return err
 	}

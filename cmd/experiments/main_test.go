@@ -2,6 +2,8 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"spawnsim/internal/config"
@@ -30,7 +32,11 @@ func TestMetricsDumpNames(t *testing.T) {
 	for _, c := range cases {
 		dir := t.TempDir()
 		out := &harness.Outcome{Spec: c.spec, Metrics: &metrics.Snapshot{}}
-		metricsDumper(dir)(out)
+		d := &metricsDumper{dir: dir}
+		d.observe(out)
+		if err := d.takeErr(); err != nil {
+			t.Fatalf("%s: %v", c.stem, err)
+		}
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -45,5 +51,41 @@ func TestMetricsDumpNames(t *testing.T) {
 		if got := entries[0].Name(); got != want {
 			t.Errorf("dump named %q, want %q", got, want)
 		}
+	}
+}
+
+// TestMetricsDumpFailureFailsExperiment: a snapshot that cannot be
+// written fails the experiment whose run produced it, so the command
+// exits 1 instead of 0 with a hole in the dump. A directory sitting at
+// the target file name makes the write fail even for root.
+func TestMetricsDumpFailureFailsExperiment(t *testing.T) {
+	spec := harness.Spec{Benchmark: "MM-small", Scheme: harness.SchemeFlat}
+	dir := t.TempDir()
+	target := "metrics-MM-small-flat-" + (&harness.Outcome{Spec: spec}).Key()[:12] + ".json"
+	if err := os.Mkdir(filepath.Join(dir, target), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dump := &metricsDumper{dir: dir}
+	pool := &harness.Pool{Workers: 1, Observer: dump.observe}
+	exp := harness.Experiment{ID: "one-run", Run: func(p *harness.Pool, _ *harness.Memo, _ string) (*harness.Output, error) {
+		if _, err := p.RunSpec(spec); err != nil {
+			return nil, err
+		}
+		return &harness.Output{}, nil
+	}}
+	var memo harness.Memo
+	err := run(pool, &memo, dump, exp, "", "")
+	if err == nil || !strings.Contains(err.Error(), target) {
+		t.Fatalf("run = %v, want the failed write of %s", err, target)
+	}
+	if code := harness.ExitCode(err); code != 1 {
+		t.Errorf("ExitCode = %d, want 1", code)
+	}
+	// The error belongs to that experiment alone: the next one that
+	// dumps nothing new succeeds.
+	if err := run(pool, &memo, dump, harness.Experiment{ID: "none", Run: func(*harness.Pool, *harness.Memo, string) (*harness.Output, error) {
+		return &harness.Output{}, nil
+	}}, "", ""); err != nil {
+		t.Errorf("next experiment: %v", err)
 	}
 }

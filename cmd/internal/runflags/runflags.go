@@ -54,7 +54,7 @@ func Register(fs *flag.FlagSet) *Flags {
 func (f *Flags) RegisterGuards(fs *flag.FlagSet) {
 	fs.DurationVar(&f.timeout, "timeout", 0, "wall-clock deadline per simulation run; the run aborts cleanly with partial results (0 = none)")
 	fs.BoolVar(&f.check, "check", false, "audit simulator conservation-law invariants during every run")
-	fs.StringVar(&f.resume, "resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
+	fs.StringVar(&f.resume, "resume", "", "checkpoint directory: completed runs are stored in <dir>/store; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
 	fs.BoolVar(&f.tolerate, "tolerate", false, "degrade gracefully when a run's retry budget is exhausted: keep its partial result with the failure quarantined instead of failing the run")
 	fs.Uint64Var(&f.stallWindow, "stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
 }
@@ -64,8 +64,14 @@ func (f *Flags) RegisterGuards(fs *flag.FlagSet) {
 // partial result), applying the settings to each run through
 // Pool.Defaults, and memoized in the -resume checkpoint directory when
 // one is given. prog prefixes the resume notice on stderr. The returned
-// function stops the signal handling and closes the journal.
+// function stops the signal handling.
 func (f *Flags) Pool(prog string) (*harness.Pool, func(), error) {
+	if f.retries < 0 {
+		return nil, nil, fmt.Errorf("-retries %d: want 0 or more", f.retries)
+	}
+	if f.parallel < 0 {
+		return nil, nil, fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or more", f.parallel)
+	}
 	eng, err := sim.ParseEngine(f.engine)
 	if err != nil {
 		return nil, nil, err
@@ -105,19 +111,11 @@ func (f *Flags) Pool(prog string) (*harness.Pool, func(), error) {
 		stop()
 		return nil, nil, err
 	}
-	j, err := store.OpenJournal(filepath.Join(f.resume, "journal.jsonl"))
-	if err != nil {
-		stop()
-		return nil, nil, err
+	pool.Store = st
+	if n := st.Len(); n > 0 {
+		fmt.Fprintf(os.Stderr, "%s: resuming over %d stored points in %s\n", prog, n, f.resume)
 	}
-	pool.Store, pool.Journal = st, j
-	if n := len(j.Prior()); n > 0 {
-		fmt.Fprintf(os.Stderr, "%s: resuming over %d journaled points in %s\n", prog, n, f.resume)
-	}
-	return pool, func() {
-		j.Close()
-		stop()
-	}, nil
+	return pool, stop, nil
 }
 
 // Progress returns a Pool.Progress printer writing one stderr line per

@@ -3,6 +3,8 @@ package runflags
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"spawnsim/internal/faults"
 	"spawnsim/internal/harness"
 	"spawnsim/internal/sim"
+	"spawnsim/internal/store"
 )
 
 // parse declares the shared flags on a fresh FlagSet (the guards too
@@ -43,8 +46,8 @@ func TestDefaultsApplyEverySetting(t *testing.T) {
 	if pool.Workers != 3 || pool.Context == nil {
 		t.Fatalf("pool Workers=%d Context=%v, want 3 and a signal context", pool.Workers, pool.Context)
 	}
-	if pool.Store != nil || pool.Journal != nil {
-		t.Fatal("pool has a store or journal without -resume")
+	if pool.Store != nil {
+		t.Fatal("pool has a store without -resume")
 	}
 	plan := faults.Mild(7)
 	want := harness.Spec{
@@ -95,6 +98,8 @@ func TestPoolRejectsBadSettings(t *testing.T) {
 	for _, args := range [][]string{
 		{"-engine", "bogus"},
 		{"-chaos-plan", "transit=1.5"},
+		{"-retries", "-1"},
+		{"-parallel", "-1"},
 	} {
 		if _, err := parse(t, false, args...); err == nil {
 			t.Errorf("Pool accepted %q", args)
@@ -102,12 +107,62 @@ func TestPoolRejectsBadSettings(t *testing.T) {
 	}
 }
 
-func TestResumeOpensStoreAndJournal(t *testing.T) {
-	pool, err := parse(t, true, "-resume", t.TempDir())
+// TestResumeReportsStoredPoints: -resume opens DIR/store and reports
+// the entries it holds, so the count stays the same over repeated
+// resumes of one finished sweep; an empty store prints nothing, and a
+// stray journal.jsonl left by an older checkpoint is ignored.
+func TestResumeReportsStoredPoints(t *testing.T) {
+	dir := t.TempDir()
+	var err error
+	if notice := captureStderr(t, func() { _, err = parse(t, true, "-resume", dir) }); err != nil || notice != "" {
+		t.Fatalf("fresh checkpoint: err %v, notice %q; want neither", err, notice)
+	}
+	st, err := store.Open(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Store == nil || pool.Journal == nil {
-		t.Fatalf("-resume pool: Store=%v Journal=%v, want both", pool.Store, pool.Journal)
+	for _, desc := range []string{"a", "b", "c"} {
+		key, _ := store.Key("v1", desc)
+		if err := st.Put(key, []byte(desc)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(`{"v":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := "test: resuming over 3 stored points in " + dir + "\n"
+	for i := 0; i < 2; i++ {
+		var pool *harness.Pool
+		notice := captureStderr(t, func() {
+			if pool, err = parse(t, true, "-resume", dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if pool.Store == nil {
+			t.Fatal("-resume pool has no store")
+		}
+		if notice != want {
+			t.Errorf("resume %d notice = %q, want %q", i+1, notice, want)
+		}
+	}
+}
+
+// captureStderr runs f with os.Stderr sent to a temp file and returns
+// what f wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = saved }()
+	f()
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -185,9 +185,7 @@ func main() {
 		fmt.Printf("metrics snapshot (%d series) written to %s\n", len(out.Metrics.Metrics), *metricsOut)
 	}
 	if *series {
-		ss := out.Result
-		fmt.Printf("parent CTAs: %v\n", compact(ss.ParentCTASeries.Values))
-		fmt.Printf("child CTAs : %v\n", compact(ss.ChildCTASeries.Values))
+		printSeries(os.Stdout, out.Result)
 	}
 	if ring != nil {
 		fmt.Printf("last %d of %d simulator events:\n", len(ring.Events()), ring.Total())
@@ -223,6 +221,14 @@ func heartbeatPrinter(w io.Writer) func(sim.Progress) {
 		fmt.Fprintf(w, "heartbeat: cycle %d, %d live kernels (%d queued), %.2fM sim-cycles/s\n",
 			p.Cycle, p.LiveKernels, p.QueuedKernels, rate/1e6)
 	}
+}
+
+// printSeries writes the -series lines: the parent and child CTA
+// concurrency and the mean SMX utilization over the run.
+func printSeries(w io.Writer, r *sim.Result) {
+	fmt.Fprintf(w, "parent CTAs: %v\n", compact(r.ParentCTASeries.Values))
+	fmt.Fprintf(w, "child CTAs : %v\n", compact(r.ChildCTASeries.Values))
+	fmt.Fprintf(w, "utilization: %v\n", compact(r.UtilSeries.Values))
 }
 
 // compact truncates long series for terminal output.

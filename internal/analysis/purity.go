@@ -22,8 +22,8 @@ import (
 //
 // The run roots are the method Run on a receiver type named GPU and the
 // harness attempt path (harness.runSpec / harness.runOnce). Pool.Run
-// and the CLI drivers deliberately sit outside the pure core: storing,
-// journaling, and progress reporting are impure by design, and the
+// and the CLI drivers deliberately sit outside the pure core: storing
+// and progress reporting are impure by design, and the
 // cache key's validity rests only on what happens inside one attempt.
 //
 // The one escape hatch is site-level: //spawnvet:allow purity

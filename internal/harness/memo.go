@@ -98,7 +98,6 @@ type storedOutcome struct {
 	Metrics        *metrics.Snapshot `json:"metrics,omitempty"`
 	Profile        *profile.Report   `json:"profile,omitempty"`
 	FaultsInjected uint64            `json:"faults_injected"`
-	Attempts       int               `json:"attempts"`
 }
 
 // encodeOutcome serializes a successful outcome for the store.
@@ -111,7 +110,6 @@ func encodeOutcome(out *Outcome) ([]byte, error) {
 		Metrics:        out.Metrics,
 		Profile:        out.Profile,
 		FaultsInjected: out.FaultsInjected,
-		Attempts:       out.Attempts,
 	})
 }
 
@@ -159,29 +157,25 @@ func decodeOutcome(s *Spec, observed bool, data []byte) (*Outcome, bool) {
 		Metrics:        so.Metrics,
 		Profile:        so.Profile,
 		FaultsInjected: so.FaultsInjected,
-		Attempts:       0,
-		Replayed:       true,
 	}, true
 }
 
 // runMemo is the single-run path every pool run takes: apply the
 // pool's defaults (exactly once), then replay the spec from the result
-// store when a fit entry exists, otherwise run live, then journal the
-// completed point and store a successful result. With no store and no
-// journal configured it is exactly runSpec.
+// store when a fit entry exists, otherwise run live and store a
+// successful result. With no store configured it is exactly runSpec.
 func (p *Pool) runMemo(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
 	// Resolve defaults first: the content address must describe the spec
 	// as it will run.
 	if p.Defaults != nil {
 		p.Defaults(&spec)
 	}
-	if p.Store == nil && p.Journal == nil {
+	if p.Store == nil {
 		return runSpec(ctx, obs, spec)
 	}
 	key := specKey(&spec)
 	if data, ok := p.Store.Get(key); ok {
 		if out, ok := decodeOutcome(&spec, obs != nil, data); ok {
-			p.journalPoint(key, &spec, store.StatusReplayed, 0, nil)
 			// Observers see replayed outcomes too: a resumed sweep's
 			// observer stream covers every point, not just the re-run ones.
 			if obs != nil {
@@ -191,59 +185,15 @@ func (p *Pool) runMemo(ctx context.Context, obs func(*Outcome), spec Spec) (*Out
 		}
 	}
 	out, err := runSpec(ctx, obs, spec)
-	switch {
-	case err != nil:
-		attempts := 0
-		if out != nil {
-			attempts = out.Attempts
-		}
-		p.journalPoint(key, &spec, store.StatusFailed, attempts, err)
-	case out.Quarantined():
-		// Quarantined outcomes are journaled but never stored: their
-		// partial results must not replay as if the point had succeeded,
-		// and the deterministic failure reproduces identically on resume.
-		p.journalPoint(key, &spec, store.StatusQuarantined, out.Attempts, quarantineErr(out))
-	default:
-		p.journalPoint(key, &spec, store.StatusOK, out.Attempts, nil)
-		if p.Store != nil && key != "" {
-			if blob, eerr := encodeOutcome(out); eerr == nil {
-				// Best-effort: a store that cannot accept writes degrades
-				// resumability, never the run that produced the result.
-				_ = p.Store.Put(key, blob)
-			}
+	// Quarantined outcomes are never stored: their partial results must
+	// not replay as if the point had succeeded, and the deterministic
+	// failure reproduces identically on resume.
+	if err == nil && !out.Quarantined() && key != "" {
+		if blob, eerr := encodeOutcome(out); eerr == nil {
+			// Best-effort: a store that cannot accept writes degrades
+			// resumability, never the run that produced the result.
+			_ = p.Store.Put(key, blob)
 		}
 	}
 	return out, err
-}
-
-// quarantineErr extracts the quarantined failure's error for journal
-// records.
-func quarantineErr(out *Outcome) error {
-	for _, f := range out.Failures {
-		if f.Quarantined {
-			return f.Err
-		}
-	}
-	return nil
-}
-
-// journalPoint appends one completed point to the pool's journal, when
-// one is configured. Best-effort by design: the journal is a
-// resumability aid, and losing a line costs one replayed point on the
-// next resume, not the sweep.
-func (p *Pool) journalPoint(key string, spec *Spec, status string, attempts int, err error) {
-	if p.Journal == nil {
-		return
-	}
-	e := store.Entry{
-		Key:       key,
-		Benchmark: spec.Benchmark,
-		Scheme:    failureLabel(spec),
-		Status:    status,
-		Attempts:  attempts,
-	}
-	if err != nil {
-		e.Err = err.Error()
-	}
-	_ = p.Journal.Append(e)
 }

@@ -72,11 +72,6 @@ type Pool struct {
 	// makes an interrupted sweep resumable with byte-identical
 	// artifacts. Nil disables memoization.
 	Store *store.Store
-	// Journal, when non-nil, receives one append per completed sweep
-	// point (ok / replayed / failed / quarantined) — the ledger a
-	// resumed invocation reads back for progress reporting. Appends are
-	// serialized by the journal itself, so workers share it directly.
-	Journal *store.Journal
 }
 
 // PoolProgress is one sweep-level progress event (see Pool.Progress).
@@ -112,13 +107,13 @@ func (p *Pool) context() context.Context {
 
 // runAny dispatches one spec of a batch under the batch's run context
 // and observer: offline specs expand into a serial sweep inside the
-// worker (an inner pool inheriting the run context, observer, defaults,
-// store and journal — so collector serialization, batch cancellation and
+// worker (an inner pool inheriting the run context, observer, defaults
+// and store — so collector serialization, batch cancellation and
 // memoization all reach the candidates), everything else is a single
 // memoized run.
 func (p *Pool) runAny(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
 	if spec.Scheme == SchemeOffline {
-		inner := &Pool{Workers: 1, Context: ctx, Observer: obs, Defaults: p.Defaults, Store: p.Store, Journal: p.Journal}
+		inner := &Pool{Workers: 1, Context: ctx, Observer: obs, Defaults: p.Defaults, Store: p.Store}
 		return inner.offlineSearch(spec)
 	}
 	return p.runMemo(ctx, obs, spec)

@@ -329,9 +329,7 @@ func TestPoolDefaultsFireOncePerRun(t *testing.T) {
 			p := &Pool{Workers: workers, Defaults: func(*Spec) { calls.Add(1) }}
 			sweeps := 1
 			if stored {
-				st, j := openCheckpoint(t, t.TempDir())
-				t.Cleanup(func() { j.Close() })
-				p.Store, p.Journal = st, j
+				p.Store = openCheckpoint(t, t.TempDir())
 				sweeps = 2 // the second sweep replays every candidate
 			}
 			for i := 0; i < sweeps; i++ {

@@ -47,27 +47,32 @@ func resumeSpec(reg *metrics.Registry, sink trace.Sink) Spec {
 }
 
 // sweepArtifacts runs the resume sweep through the given pool and
-// renders every artifact a harness would write to disk. ctx, store and
-// journal come from the pool; a nil pool error is required unless
+// renders every artifact a harness would write to disk, and counts the
+// observed outcomes replayed from the store (Attempts == 0). ctx and
+// store come from the pool; a nil pool error is required unless
 // allowErr is set (interrupted invocations die mid-sweep by design).
-func sweepArtifacts(t *testing.T, p *Pool, allowErr bool) map[string][]byte {
+func sweepArtifacts(t *testing.T, p *Pool, allowErr bool) (map[string][]byte, int) {
 	t.Helper()
 	var traceBuf bytes.Buffer
 	sink := trace.NewJSONL(&traceBuf)
 	reg := metrics.NewRegistry()
 
 	observed := map[string][]byte{}
+	replayed := 0
 	p.Observer = func(o *Outcome) {
 		var b bytes.Buffer
 		if err := o.Metrics.WriteCSV(&b); err != nil {
 			t.Errorf("observer metrics CSV: %v", err)
 		}
 		observed[o.Spec.Scheme] = b.Bytes()
+		if o.Attempts == 0 {
+			replayed++
+		}
 	}
 	out, err := p.RunSpec(resumeSpec(reg, sink))
 	if err != nil {
 		if allowErr {
-			return nil
+			return nil, replayed
 		}
 		t.Fatalf("RunSpec: %v", err)
 	}
@@ -95,44 +100,37 @@ func sweepArtifacts(t *testing.T, p *Pool, allowErr bool) map[string][]byte {
 	for scheme, snap := range observed {
 		arts["observed-"+scheme+".csv"] = snap
 	}
-	return arts
+	return arts, replayed
 }
 
 // openCheckpoint opens (or reopens) a resume checkpoint directory the
-// way the CLIs do: <dir>/store for results, <dir>/journal.jsonl for the
-// ledger.
-func openCheckpoint(t *testing.T, dir string) (*store.Store, *store.Journal) {
+// way the CLIs do: <dir>/store holds the results.
+func openCheckpoint(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
-	j, err := store.OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatalf("store.OpenJournal: %v", err)
-	}
-	return st, j
+	return st
 }
 
 // interruptThenResume simulates a sweep killed mid-flight: a first
 // invocation is canceled after `after` completed points (the moral
 // equivalent of a SIGKILL — whatever landed in the store stays, the
 // rest is lost), then a second invocation over the same checkpoint
-// directory runs to completion and returns its artifacts plus the
-// resumed journal's statuses.
-func interruptThenResume(t *testing.T, workers, after int) (map[string][]byte, []store.Entry) {
+// directory runs to completion and returns its artifacts plus the number
+// of outcomes it replayed.
+func interruptThenResume(t *testing.T, workers, after int) (map[string][]byte, int) {
 	t.Helper()
 	dir := t.TempDir()
 
-	st, j := openCheckpoint(t, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int32
 	p := &Pool{
 		Workers: workers,
 		Context: ctx,
-		Store:   st,
-		Journal: j,
+		Store:   openCheckpoint(t, dir),
 		Progress: func(pr PoolProgress) {
 			if !pr.Started && int(done.Add(1)) >= after {
 				cancel()
@@ -140,34 +138,7 @@ func interruptThenResume(t *testing.T, workers, after int) (map[string][]byte, [
 		},
 	}
 	sweepArtifacts(t, p, true)
-	if err := j.Close(); err != nil {
-		t.Fatalf("closing interrupted journal: %v", err)
-	}
-
-	st2, j2 := openCheckpoint(t, dir)
-	defer j2.Close()
-	p2 := &Pool{Workers: workers, Store: st2, Journal: j2}
-	arts := sweepArtifacts(t, p2, false)
-
-	// Reload the ledger to see what the resumed invocation recorded.
-	entries := loadJournalTail(t, filepath.Join(dir, "journal.jsonl"), len(j2.Prior()))
-	return arts, entries
-}
-
-// loadJournalTail reopens the journal and returns the entries appended
-// after the first `skip` (the resumed invocation's own records).
-func loadJournalTail(t *testing.T, path string, skip int) []store.Entry {
-	t.Helper()
-	j, err := store.OpenJournal(path)
-	if err != nil {
-		t.Fatalf("reloading journal: %v", err)
-	}
-	defer j.Close()
-	all := j.Prior()
-	if len(all) < skip {
-		t.Fatalf("journal shrank: %d entries, had %d before resume", len(all), skip)
-	}
-	return all[skip:]
+	return sweepArtifacts(t, &Pool{Workers: workers, Store: openCheckpoint(t, dir)}, false)
 }
 
 // TestInterruptedSweepResumesByteIdentical is the tentpole's acceptance
@@ -177,9 +148,9 @@ func loadJournalTail(t *testing.T, path string, skip int) []store.Entry {
 // invocation must actually replay finished points from the store rather
 // than recomputing the world.
 func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
-	clean := sweepArtifacts(t, &Pool{Workers: 1}, false)
+	clean, _ := sweepArtifacts(t, &Pool{Workers: 1}, false)
 	for _, workers := range []int{1, 4} {
-		arts, entries := interruptThenResume(t, workers, 2)
+		arts, replayed := interruptThenResume(t, workers, 2)
 		if len(arts) != len(clean) {
 			t.Errorf("workers=%d: artifact sets differ: %d resumed vs %d clean", workers, len(arts), len(clean))
 		}
@@ -194,14 +165,8 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 					workers, name, want, got)
 			}
 		}
-		replayed := 0
-		for _, e := range entries {
-			if e.Status == store.StatusReplayed {
-				replayed++
-			}
-		}
 		if replayed == 0 {
-			t.Errorf("workers=%d: resumed sweep replayed nothing; journal tail: %+v", workers, entries)
+			t.Errorf("workers=%d: resumed sweep replayed nothing", workers)
 		}
 	}
 }
@@ -209,24 +174,22 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 // TestRunSpecReplaysFromStore: a second identical invocation over the
 // same store must be served from it — same bytes, zero simulation.
 func TestRunSpecReplaysFromStore(t *testing.T) {
-	st, j := openCheckpoint(t, t.TempDir())
-	defer j.Close()
-	p := &Pool{Workers: 1, Store: st, Journal: j}
+	p := &Pool{Workers: 1, Store: openCheckpoint(t, t.TempDir())}
 	spec := Spec{Benchmark: "MM-small", Scheme: SchemeFlat}
 
 	first, err := p.RunSpec(spec)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if first.Replayed || first.Attempts != 1 {
-		t.Fatalf("first run: Replayed=%v Attempts=%d, want live single-attempt", first.Replayed, first.Attempts)
+	if first.Attempts != 1 {
+		t.Fatalf("first run: Attempts=%d, want live single-attempt", first.Attempts)
 	}
 	second, err := p.RunSpec(spec)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if !second.Replayed {
-		t.Fatal("second identical run did not replay from the store")
+	if second.Attempts != 0 {
+		t.Fatalf("second identical run: Attempts=%d, want 0 (replayed from the store)", second.Attempts)
 	}
 	fj, _ := json.Marshal(first.Result)
 	sj, _ := json.Marshal(second.Result)
@@ -243,9 +206,8 @@ func TestRunSpecReplaysFromStore(t *testing.T) {
 // the spec as it ran, tells apart sweep points that share a benchmark
 // and scheme, and is empty for an uncacheable spec.
 func TestOutcomeKeyIsStoreKey(t *testing.T) {
-	st, j := openCheckpoint(t, t.TempDir())
-	defer j.Close()
-	p := &Pool{Workers: 1, Store: st, Journal: j}
+	st := openCheckpoint(t, t.TempDir())
+	p := &Pool{Workers: 1, Store: st}
 	out, err := p.RunSpec(Spec{Benchmark: "MM-small", Scheme: SchemeFlat})
 	if err != nil {
 		t.Fatal(err)
@@ -300,9 +262,7 @@ func TestSpecKeyClassifiesEveryField(t *testing.T) {
 // recomputation, never a wrong replay or a crashed sweep.
 func TestCorruptStoreEntriesRerun(t *testing.T) {
 	dir := t.TempDir()
-	st, j := openCheckpoint(t, dir)
-	defer j.Close()
-	p := &Pool{Workers: 1, Store: st, Journal: j}
+	p := &Pool{Workers: 1, Store: openCheckpoint(t, dir)}
 	spec := Spec{Benchmark: "MM-small", Scheme: SchemeFlat}
 
 	first, err := p.RunSpec(spec)
@@ -324,7 +284,7 @@ func TestCorruptStoreEntriesRerun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run over corrupted store: %v", err)
 	}
-	if second.Replayed {
+	if second.Attempts == 0 {
 		t.Fatal("corrupt entry was replayed instead of missing")
 	}
 	fj, _ := json.Marshal(first.Result)
@@ -367,6 +327,23 @@ func TestDeadlineRetriesGetFreshBudget(t *testing.T) {
 	}
 	if code := ExitCode(err); code != ExitTimeout {
 		t.Errorf("ExitCode = %d, want %d", code, ExitTimeout)
+	}
+}
+
+// TestNegativeRetriesFail: a negative retry budget runs no attempt, so
+// it must fail the run with an error rather than return no outcome and
+// no error, with or without a store, for a single run and a sweep.
+func TestNegativeRetriesFail(t *testing.T) {
+	for _, p := range []*Pool{{Workers: 1}, {Workers: 1, Store: openCheckpoint(t, t.TempDir())}} {
+		for _, scheme := range []string{SchemeFlat, SchemeOffline} {
+			out, err := p.RunSpec(Spec{Benchmark: "MM-small", Scheme: scheme, Retries: -1})
+			if err == nil || !strings.Contains(err.Error(), "negative retry budget") {
+				t.Errorf("%s store=%v: err = %v, want a negative retry budget error", scheme, p.Store != nil, err)
+			}
+			if out != nil {
+				t.Errorf("%s store=%v: outcome %+v, want none", scheme, p.Store != nil, out)
+			}
+		}
 	}
 }
 
@@ -452,10 +429,8 @@ func c2b(t *testing.T, o *Outcome) []byte {
 // TestQuarantinedOutcomesNeverEnterStore: replaying a quarantined
 // partial result as a success would poison every future resume.
 func TestQuarantinedOutcomesNeverEnterStore(t *testing.T) {
-	dir := t.TempDir()
-	st, j := openCheckpoint(t, dir)
-	defer j.Close()
-	p := &Pool{Workers: 1, Store: st, Journal: j}
+	st := openCheckpoint(t, t.TempDir())
+	p := &Pool{Workers: 1, Store: st}
 	plan := faults.Mild(5)
 	spec := Spec{
 		Benchmark: "MM-small",
@@ -472,17 +447,19 @@ func TestQuarantinedOutcomesNeverEnterStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second tolerant run: %v", err)
 	}
-	if second.Replayed {
+	if second.Attempts == 0 {
 		t.Fatal("quarantined outcome was stored and replayed")
 	}
-	tail := loadJournalTail(t, filepath.Join(dir, "journal.jsonl"), 0)
-	for _, e := range tail {
-		if e.Status != store.StatusQuarantined {
-			t.Errorf("journal entry status = %q, want %q", e.Status, store.StatusQuarantined)
+	if !second.Quarantined() {
+		t.Fatalf("second tolerant run was not quarantined: %+v", second)
+	}
+	for _, f := range second.Failures {
+		if f.Quarantined && f.Err == nil {
+			t.Error("quarantined failure carries no error")
 		}
-		if e.Err == "" {
-			t.Error("quarantined journal entry carries no error")
-		}
+	}
+	if n := st.Len(); n != 0 {
+		t.Errorf("store holds %d entries after two quarantined runs, want 0", n)
 	}
 }
 

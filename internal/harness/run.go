@@ -144,9 +144,6 @@ type Outcome struct {
 	// (1 for an unretried run, 0 for an outcome replayed from the
 	// result store).
 	Attempts int
-	// Replayed marks an outcome served from the result store instead of
-	// a live simulation.
-	Replayed bool
 }
 
 // Quarantined reports whether this outcome carries a quarantined
@@ -256,6 +253,9 @@ func Run(spec Spec) (*Outcome, error) {
 // every successful attempt to obs. The spec arrives with the pool's
 // defaults already applied.
 func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
+	if spec.Retries < 0 {
+		return nil, fmt.Errorf("harness: negative retry budget %d", spec.Retries)
+	}
 	app, err := spec.buildApp()
 	if err != nil {
 		return nil, err
@@ -285,7 +285,7 @@ func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, erro
 	var lastOut *Outcome
 	var lastErr error
 	for attempt := 0; attempt <= spec.Retries; attempt++ {
-		out, err := runOnce(ctx, obs, spec, cfg, makePol(cfg), app, def, attempt)
+		out, err := runOnce(ctx, obs != nil, spec, cfg, makePol(cfg), app, def, attempt)
 		if out != nil {
 			out.Attempts = attempt + 1
 			if thr >= 0 {
@@ -293,6 +293,11 @@ func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, erro
 			}
 		}
 		if err == nil {
+			// Observed only once complete: the collector goroutine reads
+			// the outcome while this worker moves on.
+			if obs != nil {
+				obs(out)
+			}
 			return out, nil
 		}
 		lastOut, lastErr = out, err
@@ -338,10 +343,9 @@ func retrySeed(seed uint64, attempt int) uint64 {
 
 // runOnce performs one simulation attempt, recovering engine panics
 // (invariant violations and any other programming error surfacing
-// mid-run) into returned errors so a sweep can skip the run. A non-nil
-// obs forces a metrics registry when the spec carries none and receives
-// the completed Outcome.
-func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, def *kernel.Def, attempt int) (out *Outcome, err error) {
+// mid-run) into returned errors so a sweep can skip the run. An
+// observed run gets a metrics registry when the spec carries none.
+func runOnce(ctx context.Context, observed bool, spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, def *kernel.Def, attempt int) (out *Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
@@ -363,7 +367,7 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 		}
 	}
 	reg := spec.Metrics
-	if reg == nil && obs != nil {
+	if reg == nil && observed {
 		reg = metrics.NewRegistry()
 	}
 	var prof *profile.Profile
@@ -415,17 +419,11 @@ func runOnce(ctx context.Context, obs func(*Outcome), spec Spec, cfg config.GPU,
 		out.Metrics = &snap
 	}
 	if prof != nil {
-		// Assigned before the abort return below, so a partial run still
-		// carries the profile of the cycles it did execute.
+		// A partial run still carries the profile of the cycles it did
+		// execute.
 		out.Profile = prof.Report()
 	}
-	if runErr != nil {
-		return out, err
-	}
-	if obs != nil {
-		obs(out)
-	}
-	return out, nil
+	return out, err
 }
 
 // OffloadTargets are the Figure 5 sweep points (fractions of the

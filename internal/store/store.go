@@ -1,6 +1,6 @@
 // Package store is the crash-safety substrate under the sweep harness:
-// a content-addressed result store plus a journaled completion ledger
-// (see DESIGN.md §7). Because every simulation is a pure function of
+// a content-addressed result store, the one record of a checkpoint (see
+// DESIGN.md §7). Because every simulation is a pure function of
 // its fully-resolved spec — statically enforced by spawnvet's
 // seedtaint/determinism analyzers — a serialized Outcome keyed by a
 // canonical hash of that spec is a perfect memo: an interrupted sweep
@@ -44,12 +44,14 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string {
+// Len counts the entries in the store. A nil or unreadable store has
+// none.
+func (s *Store) Len() int {
 	if s == nil {
-		return ""
+		return 0
 	}
-	return s.dir
+	entries, _ := filepath.Glob(filepath.Join(s.dir, "*", "*.json"))
+	return len(entries)
 }
 
 // path shards entries by the first byte of the key so a long sweep does

@@ -3,7 +3,6 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -88,98 +87,32 @@ func TestStoreCorruptEntriesAreMisses(t *testing.T) {
 	}
 }
 
-func TestJournalAppendAndReload(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path)
+// TestStoreLenCountsEntries: Len counts one per stored key, whatever
+// its shard, and ignores overwrites and a temp file a crashed Put left.
+func TestStoreLenCountsEntries(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if len(j.Prior()) != 0 {
-		t.Fatalf("fresh journal has %d prior entries", len(j.Prior()))
+	if n := s.Len(); n != 0 {
+		t.Fatalf("fresh store Len = %d, want 0", n)
 	}
-	entries := []Entry{
-		{Key: "k1", Benchmark: "MM-small", Scheme: "flat", Status: StatusOK, Attempts: 1},
-		{Key: "k2", Benchmark: "MM-small", Scheme: "spawn", Status: StatusFailed, Attempts: 3, Err: "boom"},
-		{Key: "", Benchmark: "MM-small", Scheme: "ablate", Status: StatusQuarantined, Attempts: 2, Err: "stuck"},
-	}
-	for _, e := range entries {
-		if err := j.Append(e); err != nil {
-			t.Fatalf("Append: %v", err)
+	for _, desc := range []string{"a", "b", "a", "c"} {
+		key, _ := Key("v1", desc)
+		if err := s.Put(key, []byte(desc)); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
 	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer j2.Close()
-	got := j2.Prior()
-	if len(got) != len(entries) {
-		t.Fatalf("reloaded %d entries, want %d", len(got), len(entries))
-	}
-	for i, e := range entries {
-		g := got[i]
-		if g.Key != e.Key || g.Benchmark != e.Benchmark || g.Scheme != e.Scheme ||
-			g.Status != e.Status || g.Attempts != e.Attempts || g.Err != e.Err {
-			t.Errorf("entry %d: got %+v, want %+v", i, g, e)
-		}
-	}
-}
-
-func TestJournalToleratesCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
+	key, _ := Key("v1", "a")
+	torn := filepath.Join(filepath.Dir(s.path(key)), "."+key+".json.tmp-1")
+	if err := os.WriteFile(torn, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j.Append(Entry{Key: "k1", Benchmark: "b", Scheme: "s1", Status: StatusOK})
-	j.Append(Entry{Key: "k2", Benchmark: "b", Scheme: "s2", Status: StatusOK})
-	j.Close()
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if n := s.Len(); n != 3 {
+		t.Errorf("Len = %d, want 3", n)
 	}
-	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("expected 2 journal lines, got %d", len(lines))
-	}
-	// Corrupt the first line, keep the second, and append a torn tail —
-	// the shape a SIGKILL mid-append leaves behind.
-	mangled := "{not json}\n" + lines[1] + "\n" + `{"v":1,"key":"k3","bench":"b","sch`
-	if err := os.WriteFile(path, []byte(mangled), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("reopen over corruption: %v", err)
-	}
-	defer j2.Close()
-	got := j2.Prior()
-	if len(got) != 1 || got[0].Key != "k2" {
-		t.Fatalf("tolerant load = %+v, want only the intact k2 entry", got)
-	}
-	// The reopened journal still appends cleanly after corruption.
-	if err := j2.Append(Entry{Key: "k4", Benchmark: "b", Scheme: "s4", Status: StatusOK}); err != nil {
-		t.Fatalf("append after corruption: %v", err)
-	}
-}
-
-func TestJournalEntrySchemaVersionGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	future := `{"v":99,"key":"k","bench":"b","scheme":"s","status":"ok"}` + "\n"
-	if err := os.WriteFile(path, []byte(future), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if len(j.Prior()) != 0 {
-		t.Fatalf("foreign-version entry was loaded: %+v", j.Prior())
+	var nils *Store
+	if n := nils.Len(); n != 0 {
+		t.Errorf("nil store Len = %d, want 0", n)
 	}
 }
