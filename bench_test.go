@@ -1,11 +1,12 @@
 // Benchmark harness: one sub-benchmark per table and figure of the
 // paper's evaluation, taken from the same experiment table the
 // experiments command runs (DESIGN.md §3 maps each to its experiment).
-// Every iteration regenerates the full experiment, so run with
+// Every iteration regenerates the full experiment, replaying from the
+// run cache what an earlier iteration or experiment simulated, so run
+// with
 //
 //	go test -bench=. -benchmem -benchtime=1x -run='^$' .
 //
-// unless you want the adaptive runner to repeat multi-second sweeps.
 // With -benchtime=1x this is a panic/hang smoke; host performance is
 // measured by the bench/ module.
 //
@@ -28,20 +29,23 @@ import (
 	"spawnsim/internal/runtime"
 	"spawnsim/internal/sim"
 	"spawnsim/internal/sim/kernel"
+	"spawnsim/internal/store"
 	"spawnsim/internal/trace"
 	"spawnsim/internal/workloads"
 )
 
 // BenchmarkExperiments runs every experiment of the evaluation index,
 // one sub-benchmark per experiments -exp id, and writes its CSVs to
-// io.Discard. Figures 15-18 share one comparison batch.
+// io.Discard. The sub-benchmarks share one pool with a memory run
+// cache, as one experiments -all invocation does: a spec an earlier
+// experiment simulated (Figure 5's sweep points, the Figures 15-18
+// batch) replays from it.
 func BenchmarkExperiments(b *testing.B) {
-	pool := &harness.Pool{}
-	var memo harness.Memo
+	pool := &harness.Pool{Store: store.Memory()}
 	for _, e := range harness.Experiments() {
 		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, err := e.Run(pool, &memo, "")
+				out, err := e.Run(pool, "")
 				if err != nil {
 					b.Fatal(err)
 				}

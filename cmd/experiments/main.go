@@ -19,6 +19,7 @@ import (
 
 	"spawnsim/cmd/internal/runflags"
 	"spawnsim/internal/harness"
+	"spawnsim/internal/workloads"
 )
 
 func main() {
@@ -37,6 +38,11 @@ func main() {
 	runFlags := runflags.Register(flag.CommandLine)
 	runFlags.RegisterGuards(flag.CommandLine)
 	flag.Parse()
+	if *bench != "" {
+		if _, err := workloads.ByName(*bench); err != nil {
+			fatal(err)
+		}
+	}
 
 	// The figure drivers build their Specs internally; the pool's
 	// defaults hook carries the run settings to every one of them.
@@ -56,13 +62,12 @@ func main() {
 		pool.Observer = dump.observe
 	}
 
-	var memo harness.Memo
 	if *all {
 		// One failing experiment does not abort the batch: the rest
 		// still regenerate, and the failures are summarized at the end.
 		var failed []string
 		for _, e := range exps {
-			if err := run(pool, &memo, dump, e, *bench, *csv); err != nil {
+			if err := run(pool, dump, e, *bench, *csv); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
 				failed = append(failed, e.ID)
 			}
@@ -82,7 +87,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := run(pool, &memo, dump, e, *bench, *csv); err != nil {
+	if err := run(pool, dump, e, *bench, *csv); err != nil {
 		fatal(err)
 	}
 }
@@ -141,8 +146,8 @@ func (d *metricsDumper) takeErr() error {
 // set, writes its CSVs there. It returns the first run, metrics dump,
 // write or close error, so a missing snapshot or a truncated CSV never
 // exits 0.
-func run(pool *harness.Pool, memo *harness.Memo, dump *metricsDumper, e harness.Experiment, bench, csvDir string) error {
-	out, err := e.Run(pool, memo, bench)
+func run(pool *harness.Pool, dump *metricsDumper, e harness.Experiment, bench, csvDir string) error {
+	out, err := e.Run(pool, bench)
 	if derr := dump.takeErr(); err == nil {
 		err = derr
 	}

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -67,14 +70,13 @@ func TestMetricsDumpFailureFailsExperiment(t *testing.T) {
 	}
 	dump := &metricsDumper{dir: dir}
 	pool := &harness.Pool{Workers: 1, Observer: dump.observe}
-	exp := harness.Experiment{ID: "one-run", Run: func(p *harness.Pool, _ *harness.Memo, _ string) (*harness.Output, error) {
+	exp := harness.Experiment{ID: "one-run", Run: func(p *harness.Pool, _ string) (*harness.Output, error) {
 		if _, err := p.RunSpec(spec); err != nil {
 			return nil, err
 		}
 		return &harness.Output{}, nil
 	}}
-	var memo harness.Memo
-	err := run(pool, &memo, dump, exp, "", "")
+	err := run(pool, dump, exp, "", "")
 	if err == nil || !strings.Contains(err.Error(), target) {
 		t.Fatalf("run = %v, want the failed write of %s", err, target)
 	}
@@ -83,9 +85,48 @@ func TestMetricsDumpFailureFailsExperiment(t *testing.T) {
 	}
 	// The error belongs to that experiment alone: the next one that
 	// dumps nothing new succeeds.
-	if err := run(pool, &memo, dump, harness.Experiment{ID: "none", Run: func(*harness.Pool, *harness.Memo, string) (*harness.Output, error) {
+	if err := run(pool, dump, harness.Experiment{ID: "none", Run: func(*harness.Pool, string) (*harness.Output, error) {
 		return &harness.Output{}, nil
 	}}, "", ""); err != nil {
 		t.Errorf("next experiment: %v", err)
+	}
+}
+
+// TestUnknownBenchExits1 runs the command in a child process: an
+// unknown -bench exits 1 before any experiment runs, even one that
+// ignores -bench, while a registry benchmark and a Figure 21 extra
+// (SA-elegans) are accepted.
+func TestUnknownBenchExits1(t *testing.T) {
+	if args := os.Getenv("EXPERIMENTS_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"experiments"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, c := range []struct {
+		args string
+		code int
+	}{
+		{"-exp table2 -bench nope", 1},
+		{"-exp table2 -bench MM-small", 0},
+		{"-exp table2 -bench SA-elegans", 0},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownBenchExits1$")
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_ARGS="+c.args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != c.code {
+			t.Errorf("experiments %s exited %d, want %d; stderr %q", c.args, code, c.code, stderr.String())
+		}
+		if c.code != 0 && (stdout.Len() != 0 || !strings.Contains(stderr.String(), `unknown benchmark "nope"`)) {
+			t.Errorf("experiments %s: stdout %q, stderr %q; want no output and the unknown name", c.args, stdout.String(), stderr.String())
+		}
 	}
 }

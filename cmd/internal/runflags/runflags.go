@@ -62,9 +62,10 @@ func (f *Flags) RegisterGuards(fs *flag.FlagSet) {
 // Pool builds the pool every run of the command goes through: canceled
 // by SIGINT/SIGTERM (the simulator stops at a clean point with a
 // partial result), applying the settings to each run through
-// Pool.Defaults, and memoized in the -resume checkpoint directory when
-// one is given. prog prefixes the resume notice on stderr. The returned
-// function stops the signal handling.
+// Pool.Defaults, and caching every run in a store: the -resume
+// checkpoint directory when one is given, memory otherwise, so no
+// invocation simulates a spec twice. prog prefixes the resume notice on
+// stderr. The returned function stops the signal handling.
 func (f *Flags) Pool(prog string) (*harness.Pool, func(), error) {
 	if f.retries < 0 {
 		return nil, nil, fmt.Errorf("-retries %d: want 0 or more", f.retries)
@@ -104,6 +105,7 @@ func (f *Flags) Pool(prog string) (*harness.Pool, func(), error) {
 		},
 	}
 	if f.resume == "" {
+		pool.Store = store.Memory()
 		return pool, stop, nil
 	}
 	st, err := store.Open(filepath.Join(f.resume, "store"))

@@ -46,8 +46,22 @@ func TestDefaultsApplyEverySetting(t *testing.T) {
 	if pool.Workers != 3 || pool.Context == nil {
 		t.Fatalf("pool Workers=%d Context=%v, want 3 and a signal context", pool.Workers, pool.Context)
 	}
-	if pool.Store != nil {
-		t.Fatal("pool has a store without -resume")
+	// Without -resume the run cache is a memory store: it holds what is
+	// put and writes nothing to the working directory.
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(cwd)
+	if err := pool.Store.Put("ab12", []byte("x")); err != nil || pool.Store.Len() != 1 {
+		t.Fatalf("store Put = %v, Len = %d; want a store holding one entry", err, pool.Store.Len())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("the store without -resume wrote %d files to the working directory", len(entries))
 	}
 	plan := faults.Mild(7)
 	want := harness.Spec{

@@ -16,7 +16,7 @@ import (
 // pending-launch pool depth. One table per benchmark (BFS-graph500 and
 // SA-thaliana unless bench names one) and one row per variant; values
 // are speedup over flat and child kernels launched.
-func ablation(p *Pool, _ *Memo, bench string) (*Output, error) {
+func ablation(p *Pool, bench string) (*Output, error) {
 	names := []string{"BFS-graph500", "SA-thaliana"}
 	if bench != "" {
 		names = []string{bench}
@@ -92,7 +92,7 @@ func ablation(p *Pool, _ *Memo, bench string) (*Output, error) {
 // should amplify it. It runs on BFS-graph500 unless bench names another
 // benchmark. One row per HWQ count; values are Baseline-DP and SPAWN
 // speedup over flat.
-func hwq(p *Pool, _ *Memo, bench string) (*Output, error) {
+func hwq(p *Pool, bench string) (*Output, error) {
 	benchmark := "BFS-graph500"
 	if bench != "" {
 		benchmark = bench

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"spawnsim/internal/config"
+	"spawnsim/internal/stats"
 	"spawnsim/internal/workloads"
 )
 
@@ -17,9 +18,8 @@ type Experiment struct {
 	ID string
 	// Run regenerates the experiment on the pool. A non-empty bench
 	// restricts fig5, hwq and ablation to that benchmark; the other
-	// experiments ignore it. Figures 15-18 share the memo's comparison
-	// batch.
-	Run func(p *Pool, m *Memo, bench string) (*Output, error)
+	// experiments ignore it.
+	Run func(p *Pool, bench string) (*Output, error)
 }
 
 // Output is what one experiment produced: the text experiments prints
@@ -35,26 +35,6 @@ type CSV struct {
 	Write func(io.Writer) error
 }
 
-// Memo holds the one flat/baseline/offline/spawn comparison batch that
-// Figures 15-18 share. Its owner keeps one per invocation; the zero
-// value is empty. A Memo is not safe for concurrent use.
-type Memo struct {
-	mcs []*MainComparison
-}
-
-// comparisons runs CompareAll on first use and returns the memoized
-// batch afterwards. A failed batch is not memoized.
-func (m *Memo) comparisons(p *Pool) ([]*MainComparison, error) {
-	if m.mcs == nil {
-		mcs, err := p.CompareAll()
-		if err != nil {
-			return nil, err
-		}
-		m.mcs = mcs
-	}
-	return m.mcs, nil
-}
-
 // Experiments returns every experiment in -all order.
 func Experiments() []Experiment {
 	return []Experiment{
@@ -65,10 +45,14 @@ func Experiments() []Experiment {
 		{"fig7", fig7},
 		{"fig8", fig8},
 		{"fig12", fig12},
-		mainFig("fig15", Fig15),
-		mainFig("fig16", Fig16),
-		mainFig("fig17", Fig17),
-		mainFig("fig18", Fig18),
+		mainFig("fig15", "Figure 15: speedup over the flat (non-DP) implementation", "GEOMEAN",
+			func(flat, run *Outcome) float64 { return float64(flat.Result.Cycles) / float64(run.Result.Cycles) }),
+		mainFig("fig16", "Figure 16: SMX occupancy", "AVERAGE",
+			func(_, run *Outcome) float64 { return run.Result.Occupancy }),
+		mainFig("fig17", "Figure 17: L2 cache hit rate", "AVERAGE",
+			func(_, run *Outcome) float64 { return run.Result.L2HitRate }),
+		mainFig("fig18", "Figure 18: number of child kernels launched", "",
+			func(_, run *Outcome) float64 { return float64(run.Result.ChildKernels) }),
 		{"fig19", fig19},
 		{"fig20", fig20},
 		{"fig21", fig21},
@@ -87,7 +71,7 @@ func FindExperiment(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("unknown experiment %q", id)
 }
 
-func table1(*Pool, *Memo, string) (*Output, error) {
+func table1(*Pool, string) (*Output, error) {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table I: benchmarks (<application, input> pairs)")
 	for _, name := range workloads.Names() {
@@ -104,7 +88,7 @@ func table1(*Pool, *Memo, string) (*Output, error) {
 	return &Output{Text: b.String()}, nil
 }
 
-func table2(*Pool, *Memo, string) (*Output, error) {
+func table2(*Pool, string) (*Output, error) {
 	cfg := config.K20m()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -116,7 +100,7 @@ func table2(*Pool, *Memo, string) (*Output, error) {
 	return &Output{Text: t + "\n"}, nil
 }
 
-func fig5(p *Pool, _ *Memo, bench string) (*Output, error) {
+func fig5(p *Pool, bench string) (*Output, error) {
 	names := workloads.Names()
 	if bench != "" {
 		names = []string{bench}
@@ -135,15 +119,51 @@ func fig5(p *Pool, _ *Memo, bench string) (*Output, error) {
 	return out, nil
 }
 
-// mainFig is one of Figures 15-18: a table over the memo's comparison
-// batch, written as <id>.csv.
-func mainFig(id string, render func([]*MainComparison) *Table) Experiment {
-	return Experiment{id, func(p *Pool, m *Memo, _ string) (*Output, error) {
-		mcs, err := m.comparisons(p)
+// mainFig is one of Figures 15-18: for every registry benchmark, the
+// value of its Baseline-DP, Offline-Search and SPAWN runs given its
+// flat run, with a GEOMEAN or AVERAGE row when summary names one,
+// written as <id>.csv. The four figures run the same batch: the pool's
+// result store replays it for every figure after the first.
+func mainFig(id, title, summary string, value func(flat, run *Outcome) float64) Experiment {
+	return Experiment{id, func(p *Pool, _ string) (*Output, error) {
+		names := workloads.Names()
+		schemes := []string{SchemeFlat, SchemeBaseline, SchemeOffline, SchemeSpawn}
+		var specs []Spec
+		for _, name := range names {
+			for _, scheme := range schemes {
+				specs = append(specs, Spec{Benchmark: name, Scheme: scheme})
+			}
+		}
+		outs, err := p.Run(specs)
 		if err != nil {
 			return nil, err
 		}
-		t := render(mcs)
+		t := &Table{Title: title, Columns: []string{"Baseline-DP", "Offline-Search", "SPAWN"}}
+		cols := make([][]float64, len(t.Columns))
+		for i, name := range names {
+			g := outs[i*len(schemes) : (i+1)*len(schemes)]
+			row := Row{Label: name}
+			for j, out := range g[1:] {
+				row.Values = append(row.Values, value(g[0], out))
+				cols[j] = append(cols[j], row.Values[j])
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		if summary != "" {
+			row := Row{Label: summary}
+			for _, col := range cols {
+				if summary == "GEOMEAN" {
+					row.Values = append(row.Values, stats.GeoMean(col))
+					continue
+				}
+				var m stats.Mean
+				for _, v := range col {
+					m.Add(v)
+				}
+				row.Values = append(row.Values, m.Value())
+			}
+			t.Rows = append(t.Rows, row)
+		}
 		return &Output{Text: t.Render(), CSVs: []CSV{{id, t.WriteCSV}}}, nil
 	}}
 }

@@ -2,12 +2,15 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"spawnsim/internal/metrics"
 	"spawnsim/internal/sim"
+	"spawnsim/internal/sim/kernel"
 	"spawnsim/internal/store"
 	"spawnsim/internal/workloads"
 )
@@ -57,7 +60,7 @@ func TestExperimentTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := e.Run(pool, &Memo{}, "")
+		out, err := e.Run(pool, "")
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -70,54 +73,86 @@ func TestExperimentTable(t *testing.T) {
 	}
 }
 
-// TestMemoSharesOneComparisonBatch checks that Figures 15-18 on one
-// memo run the CompareAll batch once. The store is seeded with a
-// stand-in outcome for every run of the batch (Offline-Search
-// candidates included), so the batch replays instead of simulating.
-func TestMemoSharesOneComparisonBatch(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+// standIn is a store entry for a run the test does not simulate: one
+// cycle, the given threshold and an empty metrics snapshot, so an
+// observed pool replays it.
+func standIn(t *testing.T, cycles uint64, threshold int) []byte {
+	t.Helper()
+	blob, err := encodeOutcome(&Outcome{Threshold: threshold,
+		Result: &sim.Result{Cycles: kernel.Cycle(cycles)}, Metrics: &metrics.Snapshot{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := encodeOutcome(&Outcome{Result: &sim.Result{Cycles: 1}, Metrics: &metrics.Snapshot{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return blob
+}
+
+// TestRunCacheSharesOneComparisonBatch checks that the run cache is
+// what spares Figures 15-18 and the Offline-Search candidates a second
+// simulation. A memory store holds stand-ins for every run of the
+// comparison batch except MM-small's. fig5 on MM-small simulates its
+// sweep; fig15 then replays MM-small's flat run and every candidate
+// and simulates only its Baseline-DP and SPAWN runs; fig18 simulates
+// nothing.
+func TestRunCacheSharesOneComparisonBatch(t *testing.T) {
+	st := store.Memory()
 	for _, name := range workloads.Names() {
+		if name == "MM-small" {
+			continue
+		}
 		app, err := Spec{Benchmark: name}.buildApp()
 		if err != nil {
 			t.Fatal(err)
 		}
-		schemes := []string{SchemeFlat, SchemeBaseline, SchemeSpawn}
-		for _, th := range SweepThresholds(app) {
-			schemes = append(schemes, fmt.Sprintf("threshold:%d", th))
+		for _, scheme := range []string{SchemeFlat, SchemeBaseline, SchemeSpawn} {
+			if err := st.Put(specKey(&Spec{Benchmark: name, Scheme: scheme}), standIn(t, 1, 0)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, scheme := range schemes {
-			if err := st.Put(specKey(&Spec{Benchmark: name, Scheme: scheme}), blob); err != nil {
+		for _, th := range SweepThresholds(app) {
+			scheme := fmt.Sprintf("threshold:%d", th)
+			if err := st.Put(specKey(&Spec{Benchmark: name, Scheme: scheme}), standIn(t, 1, th)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	runs := 0
-	pool := &Pool{Workers: 1, Store: st, Observer: func(*Outcome) { runs++ }}
-	var memo Memo
-	var after []int
-	for _, id := range []string{"fig15", "fig18"} {
+	var live, replayed []string // the observed runs of the current experiment
+	pool := &Pool{Store: st, Observer: func(o *Outcome) {
+		id := o.Spec.Benchmark + "/" + o.Spec.Scheme
+		if o.Attempts > 0 {
+			live = append(live, id)
+		} else {
+			replayed = append(replayed, id)
+		}
+	}}
+	observed := map[string]int{}
+	for _, id := range []string{"fig5", "fig15", "fig18"} {
+		live, replayed = nil, nil
 		e, err := FindExperiment(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := e.Run(pool, &memo, "")
-		if err != nil {
+		if _, err := e.Run(pool, "MM-small"); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if len(out.CSVs) != 1 || out.CSVs[0].Name != id {
-			t.Errorf("%s: CSVs %+v, want one named %s", id, out.CSVs, id)
+		sort.Strings(live)
+		observed[id] = len(live) + len(replayed)
+		switch id {
+		case "fig5":
+			if len(live) == 0 || len(replayed) != 0 {
+				t.Errorf("fig5 simulated %d runs and replayed %d; want its whole sweep simulated", len(live), len(replayed))
+			}
+		case "fig15":
+			if want := []string{"MM-small/baseline", "MM-small/spawn"}; !reflect.DeepEqual(live, want) {
+				t.Errorf("fig15 simulated %v; want %v", live, want)
+			}
+		case "fig18":
+			if len(live) != 0 {
+				t.Errorf("fig18 simulated %v; want every run replayed", live)
+			}
 		}
-		after = append(after, runs)
 	}
-	if after[0] == 0 || after[1] != after[0] {
-		t.Errorf("runs after fig15, fig18 = %v; want one nonempty batch shared by both", after)
+	if observed["fig18"] != observed["fig15"] {
+		t.Errorf("fig15 observed %d runs, fig18 %d; want the same batch", observed["fig15"], observed["fig18"])
 	}
 }

@@ -94,7 +94,7 @@ const seriesInterval = 1000
 
 // fig6 renders the Baseline-DP CTA-concurrency/utilization timeline of
 // BFS-graph500 (the paper's Figure 6).
-func fig6(p *Pool, _ *Memo, _ string) (*Output, error) {
+func fig6(p *Pool, _ string) (*Output, error) {
 	out, err := p.RunSpec(Spec{Benchmark: "BFS-graph500", Scheme: SchemeBaseline, SampleInterval: seriesInterval})
 	if err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func fig6(p *Pool, _ *Memo, _ string) (*Output, error) {
 // fig7 measures speedup sensitivity to the child CTA size: 64, 128 and
 // 256 threads/CTA, normalized to 32 (the paper's Figure 7), under
 // Baseline-DP.
-func fig7(p *Pool, _ *Memo, _ string) (*Output, error) {
+func fig7(p *Pool, _ string) (*Output, error) {
 	t := &Table{
 		Title:   "Figure 7: performance sensitivity to child CTA size (normalized to 32 threads/CTA)",
 		Columns: []string{"CTA-64", "CTA-128", "CTA-256"},
@@ -141,7 +141,7 @@ func fig7(p *Pool, _ *Memo, _ string) (*Output, error) {
 // fig8 compares one SWQ per child kernel against one SWQ per parent CTA
 // (the paper's Figure 8), under Baseline-DP, reporting per-child-stream
 // speedup normalized to per-parent-CTA streams.
-func fig8(p *Pool, _ *Memo, _ string) (*Output, error) {
+func fig8(p *Pool, _ string) (*Output, error) {
 	t := &Table{
 		Title:   "Figure 8: per-child-kernel SWQ speedup over per-parent-CTA SWQ",
 		Columns: []string{"speedup"},
@@ -171,7 +171,7 @@ func fig8(p *Pool, _ *Memo, _ string) (*Output, error) {
 // benchmarks the paper's Figure 12 shows: 20 bins over [0.5, 1.5] of
 // the mean (the paper plots -20%..+20%), and the fraction of child
 // CTAs within 10% of the mean (the paper reports >= 95% for most).
-func fig12(p *Pool, _ *Memo, _ string) (*Output, error) {
+func fig12(p *Pool, _ string) (*Output, error) {
 	names := []string{"MM-small", "SA-thaliana", "BFS-graph500", "SSSP-graph500"}
 	specs := make([]Spec, len(names))
 	for i, name := range names {
@@ -193,131 +193,9 @@ func fig12(p *Pool, _ *Memo, _ string) (*Output, error) {
 	return &Output{Text: b.String()}, nil
 }
 
-// MainComparison runs flat/baseline/offline/spawn for one benchmark and
-// feeds Figures 15-18.
-type MainComparison struct {
-	Benchmark string
-	Flat      *Outcome
-	Baseline  *Outcome
-	Offline   *Outcome
-	Spawn     *Outcome
-}
-
-// mainSchemes is the per-benchmark batch shape of CompareAll.
-var mainSchemes = []string{SchemeFlat, SchemeBaseline, SchemeOffline, SchemeSpawn}
-
-// CompareAll runs the three evaluated schemes plus flat for every
-// registry benchmark as one batch and reassembles per-benchmark
-// comparisons.
-func (p *Pool) CompareAll() ([]*MainComparison, error) {
-	names := workloads.Names()
-	var specs []Spec
-	for _, name := range names {
-		for _, scheme := range mainSchemes {
-			specs = append(specs, Spec{Benchmark: name, Scheme: scheme})
-		}
-	}
-	outs, err := p.Run(specs)
-	if err != nil {
-		return nil, err
-	}
-	mcs := make([]*MainComparison, len(names))
-	for i, name := range names {
-		g := outs[i*len(mainSchemes) : (i+1)*len(mainSchemes)]
-		mcs[i] = &MainComparison{Benchmark: name, Flat: g[0], Baseline: g[1], Offline: g[2], Spawn: g[3]}
-	}
-	return mcs, nil
-}
-
-// Fig15 renders speedups over flat (Baseline-DP, Offline-Search, SPAWN)
-// and appends the geometric means.
-func Fig15(mcs []*MainComparison) *Table {
-	t := &Table{
-		Title:   "Figure 15: speedup over the flat (non-DP) implementation",
-		Columns: []string{"Baseline-DP", "Offline-Search", "SPAWN"},
-	}
-	var b, o, s []float64
-	for _, mc := range mcs {
-		fb := float64(mc.Flat.Result.Cycles)
-		row := Row{Label: mc.Benchmark, Values: []float64{
-			fb / float64(mc.Baseline.Result.Cycles),
-			fb / float64(mc.Offline.Result.Cycles),
-			fb / float64(mc.Spawn.Result.Cycles),
-		}}
-		b = append(b, row.Values[0])
-		o = append(o, row.Values[1])
-		s = append(s, row.Values[2])
-		t.Rows = append(t.Rows, row)
-	}
-	t.Rows = append(t.Rows, Row{Label: "GEOMEAN", Values: []float64{
-		stats.GeoMean(b), stats.GeoMean(o), stats.GeoMean(s),
-	}})
-	return t
-}
-
-// Fig16 renders SMX occupancy per scheme.
-func Fig16(mcs []*MainComparison) *Table {
-	t := &Table{
-		Title:   "Figure 16: SMX occupancy",
-		Columns: []string{"Baseline-DP", "Offline-Search", "SPAWN"},
-	}
-	var b, o, s stats.Mean
-	for _, mc := range mcs {
-		row := Row{Label: mc.Benchmark, Values: []float64{
-			mc.Baseline.Result.Occupancy,
-			mc.Offline.Result.Occupancy,
-			mc.Spawn.Result.Occupancy,
-		}}
-		b.Add(row.Values[0])
-		o.Add(row.Values[1])
-		s.Add(row.Values[2])
-		t.Rows = append(t.Rows, row)
-	}
-	t.Rows = append(t.Rows, Row{Label: "AVERAGE", Values: []float64{b.Value(), o.Value(), s.Value()}})
-	return t
-}
-
-// Fig17 renders L2 hit rates per scheme.
-func Fig17(mcs []*MainComparison) *Table {
-	t := &Table{
-		Title:   "Figure 17: L2 cache hit rate",
-		Columns: []string{"Baseline-DP", "Offline-Search", "SPAWN"},
-	}
-	var b, o, s stats.Mean
-	for _, mc := range mcs {
-		row := Row{Label: mc.Benchmark, Values: []float64{
-			mc.Baseline.Result.L2HitRate,
-			mc.Offline.Result.L2HitRate,
-			mc.Spawn.Result.L2HitRate,
-		}}
-		b.Add(row.Values[0])
-		o.Add(row.Values[1])
-		s.Add(row.Values[2])
-		t.Rows = append(t.Rows, row)
-	}
-	t.Rows = append(t.Rows, Row{Label: "AVERAGE", Values: []float64{b.Value(), o.Value(), s.Value()}})
-	return t
-}
-
-// Fig18 renders the number of child kernels launched per scheme.
-func Fig18(mcs []*MainComparison) *Table {
-	t := &Table{
-		Title:   "Figure 18: number of child kernels launched",
-		Columns: []string{"Baseline-DP", "Offline-Search", "SPAWN"},
-	}
-	for _, mc := range mcs {
-		t.Rows = append(t.Rows, Row{Label: mc.Benchmark, Values: []float64{
-			float64(mc.Baseline.Result.ChildKernels),
-			float64(mc.Offline.Result.ChildKernels),
-			float64(mc.Spawn.Result.ChildKernels),
-		}})
-	}
-	return t
-}
-
 // fig19 renders the concurrent-CTA timelines of BFS-graph500 under
 // Baseline-DP and SPAWN.
-func fig19(p *Pool, _ *Memo, _ string) (*Output, error) {
+func fig19(p *Pool, _ string) (*Output, error) {
 	outs, err := p.Run([]Spec{
 		{Benchmark: "BFS-graph500", Scheme: SchemeBaseline, SampleInterval: seriesInterval},
 		{Benchmark: "BFS-graph500", Scheme: SchemeSpawn, SampleInterval: seriesInterval},
@@ -331,7 +209,7 @@ func fig19(p *Pool, _ *Memo, _ string) (*Output, error) {
 }
 
 // fig20 renders the CDF of child-kernel launches over time.
-func fig20(p *Pool, _ *Memo, _ string) (*Output, error) {
+func fig20(p *Pool, _ string) (*Output, error) {
 	const interval = 10_000
 	labels := []string{"Baseline-DP", "Offline-Search", "SPAWN"}
 	outs, err := p.Run([]Spec{
@@ -364,7 +242,7 @@ func cyclesToU64(cs []kernel.Cycle) []uint64 {
 
 // fig21 compares SPAWN against DTBL on the paper's six workloads,
 // normalized to flat.
-func fig21(p *Pool, _ *Memo, _ string) (*Output, error) {
+func fig21(p *Pool, _ string) (*Output, error) {
 	t := &Table{
 		Title:   "Figure 21: SPAWN vs DTBL (speedup over flat)",
 		Columns: []string{"SPAWN", "DTBL"},

@@ -263,7 +263,7 @@ func TestAllBenchmarksCompleteUnderEveryScheme(t *testing.T) {
 }
 
 func TestAblationVariantsComplete(t *testing.T) {
-	out, err := ablation(&Pool{Workers: 1}, &Memo{}, "MM-small")
+	out, err := ablation(&Pool{Workers: 1}, "MM-small")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // assembles the outcomes in submission order, so every CSV, table, and
 // best-threshold selection derived from a pool batch is byte-identical
 // at any worker count. Batch-wide settings (cancellation, observer,
-// defaults, memoization) live on the Pool; a Spec describes one run.
+// defaults, the run cache) live on the Pool; a Spec describes one run.
 //
 // The determinism contract (DESIGN.md §5):
 //
@@ -66,11 +66,12 @@ type Pool struct {
 	// output — callers must keep it out of result artifacts (stderr
 	// heartbeats, status lines).
 	Progress func(PoolProgress)
-	// Store, when non-nil, memoizes completed runs by their canonical
-	// spec hash (see internal/store and memo.go): points whose results
-	// are already stored replay instead of re-running, which is what
-	// makes an interrupted sweep resumable with byte-identical
-	// artifacts. Nil disables memoization.
+	// Store, when non-nil, is the run cache: completed runs are kept by
+	// their canonical spec hash (see internal/store and memo.go), and
+	// points whose results are already stored replay instead of
+	// re-running. A store.Memory spares an invocation simulating a spec
+	// twice; a directory store also makes an interrupted sweep
+	// resumable with byte-identical artifacts. Nil runs every spec.
 	Store *store.Store
 }
 
@@ -328,7 +329,9 @@ func (p *Pool) offlineSearch(spec Spec) (*Outcome, error) {
 			best = out
 		}
 	}
-	best.Spec.Scheme = SchemeOffline
-	best.Failures = failures
-	return best, nil
+	// Relabel a copy: the observer may still be reading the candidate.
+	won := *best
+	won.Spec.Scheme = SchemeOffline
+	won.Failures = failures
+	return &won, nil
 }

@@ -10,9 +10,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spawnsim/internal/faults"
 	"spawnsim/internal/metrics"
+	"spawnsim/internal/store"
 	"spawnsim/internal/trace"
 )
 
@@ -308,6 +310,47 @@ func TestPoolRunSpecOfflineMatchesSerial(t *testing.T) {
 	if serial.Threshold != parallel.Threshold || serial.Result.Cycles != parallel.Result.Cycles {
 		t.Errorf("offline winner diverged: serial threshold %d (%d cycles) vs parallel threshold %d (%d cycles)",
 			serial.Threshold, serial.Result.Cycles, parallel.Threshold, parallel.Result.Cycles)
+	}
+}
+
+// TestOfflineWinnerRelabelsACopy: Offline-Search hands every candidate
+// to the observer and then labels its winner offline. In a batch the
+// outer collector may not have reached the winning candidate when the
+// search returns, so the label goes on a copy: a slow observer sees
+// every candidate as threshold:N. The store holds stand-ins whose last
+// candidate wins, so the winner is the last outcome observed.
+func TestOfflineWinnerRelabelsACopy(t *testing.T) {
+	app, err := Spec{Benchmark: "MM-small"}.buildApp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := SweepThresholds(app)
+	st := store.Memory()
+	for i, th := range ts {
+		key := specKey(&Spec{Benchmark: "MM-small", Scheme: fmt.Sprintf("threshold:%d", th)})
+		if err := st.Put(key, standIn(t, uint64(len(ts)-i), th)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var schemes []string
+	pool := &Pool{Workers: 1, Store: st, Observer: func(o *Outcome) {
+		time.Sleep(time.Millisecond)
+		schemes = append(schemes, o.Spec.Scheme)
+	}}
+	outs, err := pool.Run([]Spec{{Benchmark: "MM-small", Scheme: SchemeOffline}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := outs[0]; w.Spec.Scheme != SchemeOffline || w.Threshold != ts[len(ts)-1] {
+		t.Errorf("winner %s threshold %d, want offline threshold %d", w.Spec.Scheme, w.Threshold, ts[len(ts)-1])
+	}
+	if len(schemes) != len(ts) {
+		t.Fatalf("observed %d candidates, want %d", len(schemes), len(ts))
+	}
+	for _, scheme := range schemes {
+		if !strings.HasPrefix(scheme, "threshold:") {
+			t.Errorf("observer saw scheme %q, want threshold:N", scheme)
+		}
 	}
 }
 

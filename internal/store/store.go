@@ -13,24 +13,38 @@
 // valid key; reads treat every failure mode — missing file, unreadable
 // file, truncated or corrupt JSON — as a cache miss, never an error,
 // so a damaged store degrades to recomputation instead of wedging the
-// sweep that tries to resume from it.
+// sweep that tries to resume from it. A Memory store keeps the same
+// entries in a map for one process: the run cache of every command
+// invoked without a checkpoint directory.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
-// Store is a content-addressed result store rooted at one directory.
-// Entries are opaque byte blobs keyed by the canonical spec hash; the
-// harness owns the encoding. A nil *Store ignores Put and misses Get,
-// so callers thread it unconditionally.
+// Store is a content-addressed result store rooted at one directory,
+// or held in memory (see Memory). Entries are opaque byte blobs keyed
+// by the canonical spec hash; the harness owns the encoding. A nil
+// *Store ignores Put and misses Get, so callers thread it
+// unconditionally. Get and Put are safe for concurrent use.
 type Store struct {
-	dir string
+	dir string // "" for a Memory store
+
+	mu  sync.Mutex
+	mem map[string][]byte // a Memory store's entries
+}
+
+// Memory returns a store that keeps its entries in memory and writes
+// no directory: it lives as long as the process.
+func Memory() *Store {
+	return &Store{mem: map[string][]byte{}}
 }
 
 // Open creates (if needed) and returns the store rooted at dir.
@@ -50,6 +64,11 @@ func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
+	if s.dir == "" {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.mem)
+	}
 	entries, _ := filepath.Glob(filepath.Join(s.dir, "*", "*.json"))
 	return len(entries)
 }
@@ -64,12 +83,19 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, shard, key+".json")
 }
 
-// Get returns the entry stored under key. Every failure mode — absent,
-// unreadable, empty — is a miss, not an error: a corrupted store entry
-// must cost a recomputation, never a crashed sweep.
+// Get returns the entry stored under key; the caller must not modify
+// it. Every failure mode — absent, unreadable, empty — is a miss, not
+// an error: a corrupted store entry must cost a recomputation, never a
+// crashed sweep.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if s == nil || key == "" {
 		return nil, false
+	}
+	if s.dir == "" {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		data := s.mem[key]
+		return data, len(data) > 0
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil || len(data) == 0 {
@@ -78,16 +104,23 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return data, true
 }
 
-// Put stores data under key atomically: the bytes land in a temp file
-// in the entry's own directory and are renamed into place, so readers
-// (including a concurrently resuming sweep) observe either the old
-// complete entry or the new complete entry, never a torn write.
+// Put stores data under key atomically: a Memory store keeps its own
+// copy; otherwise the bytes land in a temp file in the entry's own
+// directory and are renamed into place, so readers (including a
+// concurrently resuming sweep) observe either the old complete entry or
+// the new complete entry, never a torn write.
 func (s *Store) Put(key string, data []byte) error {
 	if s == nil {
 		return nil
 	}
 	if key == "" {
 		return fmt.Errorf("store: Put with empty key")
+	}
+	if s.dir == "" {
+		s.mu.Lock()
+		s.mem[key] = bytes.Clone(data)
+		s.mu.Unlock()
+		return nil
 	}
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -114,5 +116,40 @@ func TestStoreLenCountsEntries(t *testing.T) {
 	var nils *Store
 	if n := nils.Len(); n != 0 {
 		t.Errorf("nil store Len = %d, want 0", n)
+	}
+}
+
+// TestMemoryStoreConcurrent: a Memory store serves Get and Put from
+// many goroutines (CI runs it under -race), misses an unknown key, keeps
+// its own copy of what was put, and Len counts its entries.
+func TestMemoryStoreConcurrent(t *testing.T) {
+	s := Memory()
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			key, _ := Key("v1", i)
+			data := []byte(fmt.Sprint(i))
+			if err := s.Put(key, data); err != nil {
+				t.Errorf("Put: %v", err)
+			}
+			data[0] = 'x'
+			for j := 0; j <= i; j++ {
+				other, _ := Key("v1", j)
+				s.Get(other)
+			}
+			if got, ok := s.Get(key); !ok || string(got) != fmt.Sprint(i) {
+				t.Errorf("Get(%d) = %q, %v", i, got, ok)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if _, ok := s.Get("feedfacedeadbeef"); ok {
+		t.Error("unknown key reported as a hit")
+	}
+	if got := s.Len(); got != n {
+		t.Errorf("Len = %d, want %d", got, n)
 	}
 }
