@@ -47,7 +47,7 @@ func main() {
 
 		format      = flag.String("format", "text", "report format: text|json|csv")
 		out         = flag.String("out", "", "write the report to this file (default stdout)")
-		perfettoOut = flag.String("perfetto-out", "", "write the timeline as Perfetto counter tracks to this file")
+		perfettoOut = flag.String("perfetto-out", "", "write the timeline of a single run as Perfetto counter tracks to this file (not with -all or -trace)")
 		progress    = flag.Bool("progress", false, "print sweep progress to stderr")
 	)
 	runFlags := runflags.Register(flag.CommandLine)
@@ -55,6 +55,9 @@ func main() {
 
 	if *format != "text" && *format != "json" && *format != "csv" {
 		fatal(fmt.Errorf("unknown -format %q (want text, json, or csv)", *format))
+	}
+	if *perfettoOut != "" && (*all || *tracePath != "") {
+		fatal(fmt.Errorf("-perfetto-out exports the timeline of one simulated run; it cannot be combined with -all or -trace"))
 	}
 
 	w := io.Writer(os.Stdout)

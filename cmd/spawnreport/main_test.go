@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -145,6 +149,39 @@ func TestWritePerfettoCountersDeterministic(t *testing.T) {
 	for _, track := range counterTracks {
 		if !strings.Contains(string(out), `"name":"`+track.name+`"`) {
 			t.Errorf("export missing track %q", track.name)
+		}
+	}
+}
+
+// TestPerfettoOutNeedsOneRun runs the command in a child process:
+// -perfetto-out with -all or -trace has no single run's timeline to
+// export, so it exits 1 before doing anything and writes no file.
+func TestPerfettoOutNeedsOneRun(t *testing.T) {
+	if args := os.Getenv("SPAWNREPORT_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"spawnreport"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	dir := t.TempDir()
+	perfetto := filepath.Join(dir, "p.json")
+	for _, args := range []string{
+		"-all -perfetto-out " + perfetto,
+		"-trace " + filepath.Join(dir, "t.jsonl") + " -perfetto-out " + perfetto,
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestPerfettoOutNeedsOneRun$")
+		cmd.Env = append(os.Environ(), "SPAWNREPORT_TEST_ARGS="+args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("spawnreport %s: %v, want exit status 1; stderr %q", args, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-perfetto-out") {
+			t.Errorf("spawnreport %s: stderr %q does not name -perfetto-out", args, stderr.String())
+		}
+		if _, err := os.Stat(perfetto); !os.IsNotExist(err) {
+			t.Errorf("spawnreport %s wrote %s", args, perfetto)
 		}
 	}
 }

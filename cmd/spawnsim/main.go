@@ -34,6 +34,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fatal(err)
+	}
+}
+
+// run is the whole command. It returns every failure instead of
+// exiting, so its deferred cleanup (the CPU profile, the signal
+// handler) runs before main exits with the error's code.
+func run() error {
 	var (
 		bench   = flag.String("bench", "BFS-graph500", "benchmark name (see -list)")
 		scheme  = flag.String("scheme", "spawn", "execution scheme: flat|baseline|offline|spawn|dtbl|threshold:N")
@@ -61,7 +70,7 @@ func main() {
 			fmt.Println(n)
 		}
 		fmt.Println("SA-elegans (Figure 21 only)")
-		return
+		return nil
 	}
 
 	if *pprofAddr != "" {
@@ -74,10 +83,10 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -86,7 +95,7 @@ func main() {
 	// sweep schemes (offline), with byte-identical results.
 	pool, done, err := runFlags.Pool("spawnsim")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer done()
 
@@ -116,7 +125,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		files = append(files, f)
 		sinks = append(sinks, trace.NewJSONL(f))
@@ -124,7 +133,7 @@ func main() {
 	if *perfettoOut != "" {
 		f, err := os.Create(*perfettoOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		files = append(files, f)
 		sinks = append(sinks, trace.NewPerfetto(f, config.K20m().NumSMX))
@@ -135,7 +144,7 @@ func main() {
 		spec.HeartbeatEvery = *heartbeatN
 		spec.Heartbeat = heartbeatPrinter(os.Stderr)
 		// Sweep-level progress rides the heartbeat flag: per-candidate
-		// start/finish lines on stderr, serialized by the pool collector.
+		// start/finish lines on stderr, serialized by the pool's batch lock.
 		pool.Progress = runflags.Progress("sweep")
 	}
 	out, err := pool.RunSpec(spec)
@@ -157,7 +166,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spawnsim: aborted at cycle %d; partial results below\n", out.Result.Cycles)
 			fmt.Println(out.Summary())
 		}
-		fatal(err)
+		return err
 	}
 
 	fmt.Println(out.Summary())
@@ -177,10 +186,10 @@ func main() {
 	}
 	if *metricsOut != "" {
 		if out.Metrics == nil {
-			fatal(fmt.Errorf("no metrics snapshot collected"))
+			return fmt.Errorf("no metrics snapshot collected")
 		}
 		if err := out.Metrics.WriteFile(*metricsOut); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("metrics snapshot (%d series) written to %s\n", len(out.Metrics.Metrics), *metricsOut)
 	}
@@ -190,9 +199,10 @@ func main() {
 	if ring != nil {
 		fmt.Printf("last %d of %d simulator events:\n", len(ring.Events()), ring.Total())
 		if err := ring.Dump(os.Stdout); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 func fatal(err error) { runflags.Fatal("spawnsim", err) }

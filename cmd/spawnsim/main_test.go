@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -66,5 +70,34 @@ func TestPrintSeriesPrintsAllThree(t *testing.T) {
 		if n := len(strings.Fields(l[len(p) : len(l)-1])); n == 0 || n > 64 {
 			t.Errorf("line %d carries %d samples, want 1 to 64", i, n)
 		}
+	}
+}
+
+// TestFailedRunWritesCPUProfile runs the command in a child process: a
+// run the one-tick stall window aborts exits 124, and the -cpuprofile
+// it asked for is still written out.
+func TestFailedRunWritesCPUProfile(t *testing.T) {
+	if args := os.Getenv("SPAWNSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"spawnsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	profile := filepath.Join(t.TempDir(), "cpu.out")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFailedRunWritesCPUProfile$")
+	cmd.Env = append(os.Environ(),
+		"SPAWNSIM_TEST_ARGS=-bench MM-small -scheme flat -stall-window 1 -cpuprofile "+profile)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 124 {
+		t.Fatalf("stalled run: %v, want exit status 124; stderr %q", err, stderr.String())
+	}
+	fi, err := os.Stat(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Error("the failed run left an empty cpu profile")
 	}
 }

@@ -52,13 +52,14 @@ type freezeDigests struct {
 	Profile string `json:"profile"`
 }
 
-// freezeCells lists the pinned runs: every registry benchmark under
-// every single-run scheme, the Offline-Search sweep on two benchmarks,
-// and chaos plans over several launch shapes. MM-small under SPAWN with
-// the mild plan is the cell where injected back-pressure stalls the GMU.
+// freezeCells lists the pinned runs: every registry benchmark and the
+// Figure 21 extra (SA-elegans) under every single-run scheme, the
+// Offline-Search sweep on two benchmarks, and chaos plans over several
+// launch shapes. MM-small under SPAWN with the mild plan is the cell
+// where injected back-pressure stalls the GMU.
 func freezeCells() []freezeCell {
 	var cells []freezeCell
-	for _, b := range workloads.Names() {
+	for _, b := range append(workloads.Names(), "SA-elegans") {
 		for _, s := range []string{harness.SchemeFlat, harness.SchemeBaseline, harness.SchemeSpawn, harness.SchemeDTBL} {
 			cells = append(cells, freezeCell{bench: b, scheme: s})
 		}
@@ -78,9 +79,10 @@ func freezeCells() []freezeCell {
 // cell, keyed by the cell's result-store spec key, so a change to the
 // simulator or to any observer that moves one simulated, traced,
 // counted or attributed value fails the tier-1 suite. Engine parity
-// cannot catch such a change in code both engines share. Rewrite the
-// digests only for an intended change, with a CHANGES.md line saying
-// why: go test -run TestProfileFreeze -update .
+// cannot catch such a change in code both engines share. Every cell
+// must also complete with cycles and an occupancy in (0, 1]. Rewrite
+// the digests only for an intended change, with a CHANGES.md line
+// saying why: go test -run TestProfileFreeze -update .
 func TestProfileFreeze(t *testing.T) {
 	cells := freezeCells()
 	specs := make([]harness.Spec, len(cells))
@@ -127,6 +129,9 @@ func TestProfileFreeze(t *testing.T) {
 			Trace:   hex.EncodeToString(traces[i].Sum(nil)),
 			Metrics: digest(outs[i].Metrics),
 			Profile: digest(outs[i].Profile),
+		}
+		if r := outs[i].Result; r.Cycles == 0 || r.Occupancy <= 0 || r.Occupancy > 1 {
+			t.Errorf("%s: %d cycles, occupancy %v; want cycles and an occupancy in (0, 1]", c.name(), r.Cycles, r.Occupancy)
 		}
 		if c.chaos == "mild" && c.seed == 11 && outs[i].Profile.Components[profile.CompGMU].StallBackpressure == 0 {
 			t.Errorf("%s: the GMU never stalled on back-pressure; the cell no longer covers that state", c.name())

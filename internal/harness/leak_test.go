@@ -21,7 +21,7 @@ func goroutineBaseline() int {
 
 // waitForGoroutines polls until the live goroutine count is back at the
 // baseline (small slack for runtime-owned helpers), dumping all stacks
-// on timeout so a leaked worker or collector is identifiable.
+// on timeout so a leaked worker is identifiable.
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	const slack = 2
@@ -40,10 +40,10 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestPoolLeakOnCancellation proves the collector goroutine and every
-// worker exit once the batch context is canceled mid-sweep: the pool
-// returns only after all of its goroutines are joined, so the count
-// must fall straight back to the baseline.
+// TestPoolLeakOnCancellation proves every worker exits once the batch
+// context is canceled mid-sweep: the pool returns only after all of its
+// goroutines are joined, so the count must fall straight back to the
+// baseline.
 func TestPoolLeakOnCancellation(t *testing.T) {
 	baseline := goroutineBaseline()
 
@@ -69,8 +69,8 @@ func TestPoolLeakOnCancellation(t *testing.T) {
 }
 
 // TestPoolLeakOnFirstHardError proves the fail-fast path joins
-// everything too: a poisoned spec cancels the batch, and no worker or
-// collector goroutine survives the early return.
+// everything too: a poisoned spec cancels the batch, and no worker
+// goroutine survives the early return.
 func TestPoolLeakOnFirstHardError(t *testing.T) {
 	baseline := goroutineBaseline()
 

@@ -163,37 +163,43 @@ func decodeOutcome(s *Spec, observed bool, data []byte) (*Outcome, bool) {
 // runMemo is the single-run path every pool run takes: apply the
 // pool's defaults (exactly once), then replay the spec from the result
 // store when a fit entry exists, otherwise run live and store a
-// successful result. With no store configured it is exactly runSpec.
+// successful result. It is the one place obs is called: for a replayed
+// outcome and for a live one that succeeded without quarantine.
 func (p *Pool) runMemo(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
 	// Resolve defaults first: the content address must describe the spec
 	// as it will run.
 	if p.Defaults != nil {
 		p.Defaults(&spec)
 	}
-	if p.Store == nil {
-		return runSpec(ctx, obs, spec)
-	}
-	key := specKey(&spec)
-	if data, ok := p.Store.Get(key); ok {
-		if out, ok := decodeOutcome(&spec, obs != nil, data); ok {
+	var out *Outcome
+	var key string
+	if p.Store != nil {
+		key = specKey(&spec)
+		if data, ok := p.Store.Get(key); ok {
 			// Observers see replayed outcomes too: a resumed sweep's
 			// observer stream covers every point, not just the re-run ones.
-			if obs != nil {
-				obs(out)
+			out, _ = decodeOutcome(&spec, obs != nil, data)
+		}
+	}
+	if out == nil {
+		var err error
+		out, err = runSpec(ctx, obs != nil, spec)
+		// Quarantined outcomes are neither observed nor stored: their
+		// partial results must not replay as if the point had succeeded,
+		// and the deterministic failure reproduces identically on resume.
+		if err != nil || out.Quarantined() {
+			return out, err
+		}
+		if key != "" {
+			if blob, eerr := encodeOutcome(out); eerr == nil {
+				// Best-effort: a store that cannot accept writes degrades
+				// resumability, never the run that produced the result.
+				_ = p.Store.Put(key, blob)
 			}
-			return out, nil
 		}
 	}
-	out, err := runSpec(ctx, obs, spec)
-	// Quarantined outcomes are never stored: their partial results must
-	// not replay as if the point had succeeded, and the deterministic
-	// failure reproduces identically on resume.
-	if err == nil && !out.Quarantined() && key != "" {
-		if blob, eerr := encodeOutcome(out); eerr == nil {
-			// Best-effort: a store that cannot accept writes degrades
-			// resumability, never the run that produced the result.
-			_ = p.Store.Put(key, blob)
-		}
+	if obs != nil {
+		obs(out)
 	}
-	return out, err
+	return out, nil
 }

@@ -26,11 +26,14 @@ import (
 //   - Reductions over a batch (Offline-Search's winner, sweep failure
 //     lists) fold over the submission order and break ties by value
 //     (betterOutcome), not by arrival.
-//   - Observer callbacks are serialized through a single collector
-//     goroutine: they never run concurrently, but with Workers > 1
-//     their order follows completion, not submission. Observers must
+//   - The worker that ran a spec makes that spec's Observer and
+//     Progress calls itself, under one lock shared by the whole batch:
+//     callbacks never run concurrently, and each returns before its
+//     worker touches the Outcome again, but with Workers > 1 their
+//     order follows completion, not submission. Observers must
 //     therefore key any output they write by run identity (benchmark,
-//     scheme), never by call sequence.
+//     scheme), never by call sequence, and must not run specs on their
+//     own Pool.
 //
 // With Workers == 1, one worker goroutine runs the specs one at a time
 // in submission order.
@@ -58,13 +61,13 @@ type Pool struct {
 	Defaults func(*Spec)
 	// Progress, when non-nil, receives sweep-level progress: one Started
 	// event when a worker picks a spec up and one completion event when
-	// it finishes. Calls are serialized through the same collector
-	// goroutine as Observer, so the callback needs no locking and Done
-	// counts are monotone. Specs skipped by batch cancellation report
-	// nothing. With Workers > 1 the interleaving of events across specs
-	// follows execution, so progress is inherently non-deterministic
-	// output — callers must keep it out of result artifacts (stderr
-	// heartbeats, status lines).
+	// it finishes. Calls are serialized under the same batch lock as
+	// Observer, so the callback needs no locking and Done counts are
+	// monotone. Specs skipped by batch cancellation report nothing.
+	// With Workers > 1 the interleaving of events across specs follows
+	// execution, so progress is inherently non-deterministic output —
+	// callers must keep it out of result artifacts (stderr heartbeats,
+	// status lines).
 	Progress func(PoolProgress)
 	// Store, when non-nil, is the run cache: completed runs are kept by
 	// their canonical spec hash (see internal/store and memo.go), and
@@ -107,9 +110,9 @@ func (p *Pool) context() context.Context {
 }
 
 // runAny dispatches one spec of a batch under the batch's run context
-// and observer: offline specs expand into a serial sweep inside the
-// worker (an inner pool inheriting the run context, observer, defaults
-// and store — so collector serialization, batch cancellation and
+// and locked observer: offline specs expand into a serial sweep inside
+// the worker (an inner pool inheriting the run context, observer,
+// defaults and store — so the batch lock, batch cancellation and
 // memoization all reach the candidates), everything else is a single
 // memoized run.
 func (p *Pool) runAny(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
@@ -150,20 +153,14 @@ func (p *Pool) Sweep(specs []Spec) ([]*Outcome, []error) {
 	return outs, errs
 }
 
-// obsEvent carries one completed outcome or one progress update to the
-// collector goroutine. Exactly one of (out, prog) is set.
-type obsEvent struct {
-	out  *Outcome
-	prog *PoolProgress
-}
-
 // runBatch is the engine under Run and Sweep: it fans the batch out
-// over min(Workers, len(specs)) worker goroutines, and forwards every
-// observer callback to one collector goroutine, so the observer never
-// runs concurrently with itself. outs[i] and errs[i] always describe
-// specs[i]. When stopOnErr is set, the first error in completion order
-// cancels the batch and is returned as hard; with one worker, that is
-// the first in submission order, and nothing after it starts.
+// over min(Workers, len(specs)) worker goroutines, each of which makes
+// its own specs' Observer and Progress calls under the batch lock, so
+// the callbacks never run concurrently. outs[i] and errs[i] always
+// describe specs[i]. When stopOnErr is set, the first error in
+// completion order cancels the batch and is returned as hard; with one
+// worker, that is the first in submission order, and nothing after it
+// starts.
 func (p *Pool) runBatch(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []error, hard error) {
 	outs = make([]*Outcome, len(specs))
 	errs = make([]error, len(specs))
@@ -178,33 +175,16 @@ func (p *Pool) runBatch(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []e
 	runCtx, cancel := context.WithCancel(p.context())
 	defer cancel()
 
-	obsCh := make(chan obsEvent, n)
+	var mu sync.Mutex // serializes Observer and Progress; guards done and hard
+	done := 0
 	var obs func(*Outcome)
 	if p.Observer != nil {
-		obs = func(o *Outcome) { obsCh <- obsEvent{out: o} }
-	}
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		// The collector owns the completion count: workers report raw
-		// events and Done is filled in here, so it is monotone even
-		// though workers finish in arbitrary order.
-		done := 0
-		for e := range obsCh {
-			if e.prog != nil {
-				pr := *e.prog
-				if !pr.Started {
-					done++
-				}
-				pr.Done = done
-				p.Progress(pr)
-				continue
-			}
-			p.Observer(e.out)
+		obs = func(o *Outcome) {
+			mu.Lock()
+			defer mu.Unlock()
+			p.Observer(o)
 		}
-	}()
-
-	var mu sync.Mutex // guards hard
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
@@ -217,24 +197,26 @@ func (p *Pool) runBatch(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []e
 					continue
 				}
 				s := specs[i]
+				pr := PoolProgress{Total: len(specs), Worker: worker, Benchmark: s.Benchmark, Scheme: s.Scheme}
 				if p.Progress != nil {
-					obsCh <- obsEvent{prog: &PoolProgress{Total: len(specs), Worker: worker,
-						Benchmark: s.Benchmark, Scheme: s.Scheme, Started: true}}
+					mu.Lock()
+					pr.Done, pr.Started = done, true
+					p.Progress(pr)
+					mu.Unlock()
 				}
 				out, err := p.runAny(runCtx, obs, s)
 				outs[i], errs[i] = out, err
+				mu.Lock()
 				if p.Progress != nil {
-					obsCh <- obsEvent{prog: &PoolProgress{Total: len(specs), Worker: worker,
-						Benchmark: s.Benchmark, Scheme: s.Scheme}}
+					done++
+					pr.Done, pr.Started = done, false
+					p.Progress(pr)
 				}
-				if err != nil && stopOnErr {
-					mu.Lock()
-					if hard == nil {
-						hard = err
-						cancel()
-					}
-					mu.Unlock()
+				if err != nil && stopOnErr && hard == nil {
+					hard = err
+					cancel()
 				}
+				mu.Unlock()
 			}
 		}(w)
 	}
@@ -243,8 +225,6 @@ func (p *Pool) runBatch(specs []Spec, stopOnErr bool) (outs []*Outcome, errs []e
 	}
 	close(jobs)
 	wg.Wait()
-	close(obsCh)
-	<-collectorDone
 	if stopOnErr && hard == nil {
 		// External cancellation can skip queued specs without any run
 		// reporting the triggering error; surface the first recorded one
@@ -329,7 +309,8 @@ func (p *Pool) offlineSearch(spec Spec) (*Outcome, error) {
 			best = out
 		}
 	}
-	// Relabel a copy: the observer may still be reading the candidate.
+	// Relabel a copy: the observer was handed the candidate itself and
+	// may have kept it.
 	won := *best
 	won.Spec.Scheme = SchemeOffline
 	won.Failures = failures

@@ -10,10 +10,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"spawnsim/internal/faults"
 	"spawnsim/internal/metrics"
+	"spawnsim/internal/profile"
 	"spawnsim/internal/store"
 	"spawnsim/internal/trace"
 )
@@ -159,7 +159,7 @@ func TestPoolPreservesSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestPoolObserverSerialized asserts the collector contract: observer
+// TestPoolObserverSerialized asserts the batch-lock contract: observer
 // callbacks never run concurrently, and every completed run is
 // observed exactly once.
 func TestPoolObserverSerialized(t *testing.T) {
@@ -186,6 +186,99 @@ func TestPoolObserverSerialized(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&overlaps); got != 0 {
 		t.Errorf("observer ran concurrently %d times; the pool must serialize callbacks", got)
+	}
+}
+
+// TestPoolObserverReturnsBeforeNextSpec: the worker that ran a spec
+// observes it before it picks up the next one, so on a one-worker pool
+// the Observer of run k has seen Defaults fire exactly k+1 times.
+func TestPoolObserverReturnsBeforeNextSpec(t *testing.T) {
+	var defaults atomic.Int32
+	var seen []int32
+	p := &Pool{
+		Workers:  1,
+		Defaults: func(*Spec) { defaults.Add(1) },
+		Observer: func(*Outcome) { seen = append(seen, defaults.Load()) },
+	}
+	schemes := []string{SchemeFlat, SchemeBaseline, SchemeSpawn, SchemeDTBL, "threshold:16"}
+	specs := make([]Spec, len(schemes))
+	for i, s := range schemes {
+		specs[i] = Spec{Benchmark: "MM-small", Scheme: s}
+	}
+	if _, err := p.Run(specs); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(specs) {
+		t.Fatalf("observer saw %d runs, want %d", len(seen), len(specs))
+	}
+	for k, n := range seen {
+		if n != int32(k+1) {
+			t.Errorf("observer of run %d saw Defaults fire %d times, want %d", k, n, k+1)
+		}
+	}
+}
+
+// TestPoolObserverSeesFinishedOutcomes: a 4-worker batch of an offline
+// spec, a retried chaos spec and plain specs. The Observer reads every
+// field a worker sets and marshals the Result, Metrics and Profile, and
+// keeps the outcome; after the batch each kept outcome must read as it
+// did when observed. A worker that wrote an Outcome after handing it to
+// the observer fails this test (and, with the write on another
+// goroutine, the race detector).
+func TestPoolObserverSeesFinishedOutcomes(t *testing.T) {
+	type view struct {
+		scheme                        string
+		threshold, attempts, failures int
+		blob                          string
+	}
+	look := func(o *Outcome) view {
+		b, err := json.Marshal([]any{o.Result, o.Metrics, o.Profile})
+		if err != nil {
+			t.Errorf("marshaling an observed outcome: %v", err)
+		}
+		return view{o.Spec.Scheme, o.Threshold, o.Attempts, len(o.Failures), string(b)}
+	}
+	var kept []*Outcome
+	var views []view
+	p := &Pool{Workers: 4, Observer: func(o *Outcome) {
+		kept = append(kept, o)
+		views = append(views, look(o))
+	}}
+	plan := faults.Mild(11)
+	specs := []Spec{
+		{Benchmark: "MM-small", Scheme: SchemeOffline},
+		{Benchmark: "MM-small", Scheme: SchemeSpawn, FaultPlan: &plan, Retries: 2},
+		{Benchmark: "MM-small", Scheme: SchemeBaseline},
+		{Benchmark: "MM-small", Scheme: SchemeDTBL},
+	}
+	for i := range specs {
+		specs[i].Profile = &profile.Options{}
+	}
+	if _, err := p.Run(specs); err != nil {
+		t.Fatal(err)
+	}
+	app, err := Spec{Benchmark: "MM-small"}.buildApp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(SweepThresholds(app)) + len(specs) - 1; len(kept) != want {
+		t.Fatalf("observer saw %d outcomes, want %d", len(kept), want)
+	}
+	for i, o := range kept {
+		v := views[i]
+		if got := look(o); got != v {
+			t.Errorf("outcome %d (%s) changed after it was observed", i, v.scheme)
+		}
+		if v.scheme == SchemeOffline {
+			t.Errorf("outcome %d was observed under the offline label", i)
+		}
+		if th, ok := strings.CutPrefix(v.scheme, "threshold:"); ok && th != fmt.Sprint(v.threshold) {
+			t.Errorf("candidate %s observed with threshold %d", v.scheme, v.threshold)
+		}
+		if v.attempts < 1 || v.failures != 0 || o.Metrics == nil || o.Profile == nil {
+			t.Errorf("outcome %d (%s) observed with %d attempts, %d failures, metrics %v, profile %v",
+				i, v.scheme, v.attempts, v.failures, o.Metrics != nil, o.Profile != nil)
+		}
 	}
 }
 
@@ -314,11 +407,11 @@ func TestPoolRunSpecOfflineMatchesSerial(t *testing.T) {
 }
 
 // TestOfflineWinnerRelabelsACopy: Offline-Search hands every candidate
-// to the observer and then labels its winner offline. In a batch the
-// outer collector may not have reached the winning candidate when the
-// search returns, so the label goes on a copy: a slow observer sees
-// every candidate as threshold:N. The store holds stand-ins whose last
-// candidate wins, so the winner is the last outcome observed.
+// to the observer and then labels its winner offline. An observer may
+// keep the outcomes it is handed, so the label goes on a copy: every
+// candidate the observer kept still reads threshold:N after the batch.
+// The store holds stand-ins whose last candidate wins, so the winner is
+// the last outcome observed.
 func TestOfflineWinnerRelabelsACopy(t *testing.T) {
 	app, err := Spec{Benchmark: "MM-small"}.buildApp()
 	if err != nil {
@@ -332,11 +425,8 @@ func TestOfflineWinnerRelabelsACopy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var schemes []string
-	pool := &Pool{Workers: 1, Store: st, Observer: func(o *Outcome) {
-		time.Sleep(time.Millisecond)
-		schemes = append(schemes, o.Spec.Scheme)
-	}}
+	var kept []*Outcome
+	pool := &Pool{Workers: 1, Store: st, Observer: func(o *Outcome) { kept = append(kept, o) }}
 	outs, err := pool.Run([]Spec{{Benchmark: "MM-small", Scheme: SchemeOffline}})
 	if err != nil {
 		t.Fatal(err)
@@ -344,12 +434,12 @@ func TestOfflineWinnerRelabelsACopy(t *testing.T) {
 	if w := outs[0]; w.Spec.Scheme != SchemeOffline || w.Threshold != ts[len(ts)-1] {
 		t.Errorf("winner %s threshold %d, want offline threshold %d", w.Spec.Scheme, w.Threshold, ts[len(ts)-1])
 	}
-	if len(schemes) != len(ts) {
-		t.Fatalf("observed %d candidates, want %d", len(schemes), len(ts))
+	if len(kept) != len(ts) {
+		t.Fatalf("observed %d candidates, want %d", len(kept), len(ts))
 	}
-	for _, scheme := range schemes {
-		if !strings.HasPrefix(scheme, "threshold:") {
-			t.Errorf("observer saw scheme %q, want threshold:N", scheme)
+	for _, o := range kept {
+		if !strings.HasPrefix(o.Spec.Scheme, "threshold:") {
+			t.Errorf("a kept candidate reads scheme %q, want threshold:N", o.Spec.Scheme)
 		}
 	}
 }

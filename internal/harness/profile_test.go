@@ -60,7 +60,7 @@ func TestPoolProfilesWorkerCountInvariant(t *testing.T) {
 // TestPoolProgressCounts checks the sweep-progress satellite at both
 // worker counts: every spec reports exactly one start and one
 // completion, completions count monotonically up to the batch size, and
-// callbacks never run concurrently (the collector serializes them —
+// callbacks never run concurrently (the batch lock serializes them —
 // the mutex here is only for the test's own visibility guarantees).
 func TestPoolProgressCounts(t *testing.T) {
 	for _, workers := range []int{1, 3} {

@@ -249,10 +249,10 @@ func Run(spec Spec) (*Outcome, error) {
 
 // runSpec is the single-run engine under the Pool: it resolves the
 // policy (building a fresh instance per attempt unless the caller
-// pinned one) and drives the retry loop under the run context, handing
-// every successful attempt to obs. The spec arrives with the pool's
-// defaults already applied.
-func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, error) {
+// pinned one) and drives the retry loop under the run context. An
+// observed run gets a metrics snapshot (see runOnce). The spec arrives
+// with the pool's defaults already applied.
+func runSpec(ctx context.Context, observed bool, spec Spec) (*Outcome, error) {
 	if spec.Retries < 0 {
 		return nil, fmt.Errorf("harness: negative retry budget %d", spec.Retries)
 	}
@@ -285,7 +285,7 @@ func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, erro
 	var lastOut *Outcome
 	var lastErr error
 	for attempt := 0; attempt <= spec.Retries; attempt++ {
-		out, err := runOnce(ctx, obs != nil, spec, cfg, makePol(cfg), app, def, attempt)
+		out, err := runOnce(ctx, observed, spec, cfg, makePol(cfg), app, def, attempt)
 		if out != nil {
 			out.Attempts = attempt + 1
 			if thr >= 0 {
@@ -293,11 +293,6 @@ func runSpec(ctx context.Context, obs func(*Outcome), spec Spec) (*Outcome, erro
 			}
 		}
 		if err == nil {
-			// Observed only once complete: the collector goroutine reads
-			// the outcome while this worker moves on.
-			if obs != nil {
-				obs(out)
-			}
 			return out, nil
 		}
 		lastOut, lastErr = out, err
