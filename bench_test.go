@@ -129,12 +129,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 // state, as a benchmark pass with all its inputs built does, about 15 MB
 // starts one late in the run in some runs and not in others.
 //
-// DTBL's 13 MB is the budget set when the run allocated 10.9 MB (9.3 MB
-// of it peak state); it allocates 10.2 MB now. Every other row is its
-// policy's allocation once parent warps walked their nested sub-items
-// instead of listing them (Flat 0.42 MB, Threshold 13.2, SPAWN 1.62),
-// plus a fifth, rounded up to a whole MB. Listing them again adds 13 MB
-// under Flat and 8 MB under SPAWN.
+// Every budget is its policy's allocation plus a fifth, rounded up to a
+// whole MB: Flat 0.42 MB, Threshold 8.98, DTBL 6.61 and SPAWN 1.56.
+// Threshold and DTBL allocated 13.2 and 10.2 MB while every suspended
+// CTA kept its warps and programs and a device kernel took 144 bytes.
+// Parent warps walk their nested sub-items instead of listing them;
+// listing them again adds 13 MB under Flat and 8 MB under SPAWN.
 func TestAMRAllocBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -142,8 +142,8 @@ func TestAMRAllocBytes(t *testing.T) {
 		budget uint64
 	}{
 		{"Flat", func(*workloads.App) kernel.Policy { return runtime.Flat{} }, 1 << 20},
-		{"Threshold", func(app *workloads.App) kernel.Policy { return runtime.Threshold{T: app.DefaultThreshold} }, 16 << 20},
-		{"DTBL", func(app *workloads.App) kernel.Policy { return dtbl.New(app.DefaultThreshold) }, 13 << 20},
+		{"Threshold", func(app *workloads.App) kernel.Policy { return runtime.Threshold{T: app.DefaultThreshold} }, 11 << 20},
+		{"DTBL", func(app *workloads.App) kernel.Policy { return dtbl.New(app.DefaultThreshold) }, 8 << 20},
 		{"SPAWN", func(*workloads.App) kernel.Policy { return spawn.New(config.K20m()) }, 2 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -200,36 +200,103 @@ func TestEngineParityChaosMatrix(t *testing.T) {
 	}
 }
 
+// suspendPeak is a trace sink that counts the CTAs parked at their
+// sync waiting for children, and keeps the largest count.
+type suspendPeak struct {
+	parked    map[[2]int]bool
+	live, max int
+}
+
+func (p *suspendPeak) Record(e trace.Event) {
+	key := [2]int{e.Kernel, e.CTA}
+	switch e.Kind {
+	case trace.CTASuspended:
+		p.parked[key] = true
+		p.live++
+		p.max = max(p.max, p.live)
+	case trace.CTACompleted:
+		if p.parked[key] {
+			delete(p.parked, key)
+			p.live--
+		}
+	}
+}
+
+func (p *suspendPeak) Close() error { return nil }
+
+// deepArtifacts runs AMR under scheme and engine with the invariant
+// auditor and every observer on, and returns the Result JSON, the
+// metrics snapshot, the JSONL trace and the profile report, with the
+// metrics and the largest number of CTAs suspended at once.
+func deepArtifacts(t *testing.T, scheme string, eng sim.Engine) (artifacts [4][]byte, snap *metrics.Snapshot, suspended int) {
+	t.Helper()
+	var traceBuf bytes.Buffer
+	sink := trace.NewJSONL(&traceBuf)
+	peak := &suspendPeak{parked: map[[2]int]bool{}}
+	out, err := Run(Spec{
+		Benchmark:       "AMR",
+		Scheme:          scheme,
+		Engine:          eng,
+		CheckInvariants: true,
+		Metrics:         metrics.NewRegistry(),
+		TraceSinks:      []trace.Sink{sink, peak},
+		Profile:         &profile.Options{},
+	})
+	if err != nil {
+		t.Fatalf("%s engine %v: %v", scheme, eng, err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatalf("closing trace sink: %v", err)
+	}
+	rj, err := json.Marshal(out.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mj, pj bytes.Buffer
+	if err := out.Metrics.WriteJSON(&mj); err != nil {
+		t.Fatalf("metrics JSON: %v", err)
+	}
+	if err := out.Profile.WriteJSON(&pj); err != nil {
+		t.Fatalf("profile report: %v", err)
+	}
+	return [4][]byte{rj, mj.Bytes(), traceBuf.Bytes(), pj.Bytes()}, out.Metrics, peak.max
+}
+
+// compareDeep requires byte-identical AMR artifacts from the two engines.
+func compareDeep(t *testing.T, wheel, stepped [4][]byte) {
+	t.Helper()
+	for i, name := range []string{"Result JSON", "metrics JSON", "trace JSONL", "profile report"} {
+		if !bytes.Equal(wheel[i], stepped[i]) {
+			t.Errorf("%s differs between engines (%d vs %d bytes)", name, len(wheel[i]), len(stepped[i]))
+		}
+	}
+}
+
 // TestEngineParityDTBLDeepDirectQueue runs AMR under DTBL, whose nested
 // launches keep over 20k CTA groups resident in the GMU's direct queue
 // at once, with the invariant auditor on, and requires byte-identical
-// Results from both engines. The chaos-matrix DTBL cases never hold more
-// than a few groups.
+// Results, metrics, traces and profiles from both engines. The
+// chaos-matrix DTBL cases never hold more than a few groups.
 func TestEngineParityDTBLDeepDirectQueue(t *testing.T) {
-	run := func(eng sim.Engine) []byte {
-		reg := metrics.NewRegistry()
-		out, err := Run(Spec{
-			Benchmark:       "AMR",
-			Scheme:          SchemeDTBL,
-			Engine:          eng,
-			CheckInvariants: true,
-			Metrics:         reg,
-		})
-		if err != nil {
-			t.Fatalf("engine %v: %v", eng, err)
-		}
-		if peak := out.Metrics.Find("gmu_queued_kernels_peak"); peak == nil || peak.Value < 20000 {
-			t.Fatalf("engine %v: peak resident kernels %v, want a direct queue over 20k deep", eng, peak)
-		}
-		rj, err := json.Marshal(out.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rj
+	w, snap, _ := deepArtifacts(t, SchemeDTBL, sim.EngineWheel)
+	if peak := snap.Find("gmu_queued_kernels_peak"); peak == nil || peak.Value < 20000 {
+		t.Fatalf("peak resident kernels %v, want a direct queue over 20k deep", peak)
 	}
-	w := run(sim.EngineWheel)
-	s := run(sim.EngineStepped)
-	if !bytes.Equal(w, s) {
-		t.Errorf("Result diverges between engines:\nwheel:   %s\nstepped: %s", w, s)
+	s, _, _ := deepArtifacts(t, SchemeDTBL, sim.EngineStepped)
+	compareDeep(t, w, s)
+}
+
+// TestEngineParityThresholdDeepSuspension runs AMR under Threshold, the
+// deepest suspension of the Table I runs: over 9k CTAs parked at their
+// sync at once, each handing its warps back as their launches land.
+// With the invariant auditor on, both engines must produce
+// byte-identical Results, metrics, traces and profiles.
+func TestEngineParityThresholdDeepSuspension(t *testing.T) {
+	w, _, suspended := deepArtifacts(t, SchemeBaseline, sim.EngineWheel)
+	if suspended < 9000 {
+		t.Fatalf("at most %d CTAs suspended at once, want over 9k", suspended)
 	}
+	t.Logf("%d CTAs suspended at once", suspended)
+	s, _, _ := deepArtifacts(t, SchemeBaseline, sim.EngineStepped)
+	compareDeep(t, w, s)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,7 +170,7 @@ func TestInvariantsCatchStaleWakeMirror(t *testing.T) {
 		// Idle machine past cycle 0: every slot is smx.NoEvent.
 		k := g.LaunchHost(def)
 		if skipRefresh {
-			c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize, nil)
+			c := kernel.NewCTA(k, int(k.NextCTA), g.cfg.WarpSize, nil, nil)
 			k.NextCTA++
 			g.smxs[g.rrSMX].Place(g.clock, c, &g.ageSeq)
 		} else if !g.place(k) {
@@ -192,9 +193,11 @@ func TestInvariantsCatchStaleWakeMirror(t *testing.T) {
 // TestInvariantsCatchUseAfterRelease stops a Baseline-DP run while
 // children are in launch flight, then plants one premature release per
 // case: the launching CTA, the in-flight kernel, the parent's host
-// kernel, and the launching CTA released and then reused for another
-// CTA. The audit must pass the untouched machine and report every
-// planted release, through whichever holder still points at the object.
+// kernel, the launching CTA released and then reused for another CTA,
+// and the launching warp released to its Def's warp free list, alone
+// and then reused by a new CTA. The audit must pass the untouched
+// machine and report every planted release, through whichever holder
+// still points at the object.
 func TestInvariantsCatchUseAfterRelease(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -206,8 +209,15 @@ func TestInvariantsCatchUseAfterRelease(t *testing.T) {
 		{"reused CTA", func(g *GPU, it flightItem) {
 			c := it.k.Parent
 			g.releaseCTA(c)
-			if kernel.NewCTA(c.Kernel, 0, g.cfg.WarpSize, g.takeCTA(c.Kernel.Def)) != c {
+			if g.newCTA(c.Kernel, 0) != c {
 				t.Fatal("the released CTA was not reused")
+			}
+		}},
+		{"launching warp", func(g *GPU, it flightItem) { g.releaseWarp(it.warp) }},
+		{"reused warp", func(g *GPU, it flightItem) {
+			g.releaseWarp(it.warp)
+			if c := g.newCTA(it.warp.CTA.Kernel, 0); c.Warps[0] != it.warp {
+				t.Fatal("the released warp was not reused")
 			}
 		}},
 	}
@@ -234,4 +244,72 @@ func TestInvariantsCatchUseAfterRelease(t *testing.T) {
 			t.Log(err)
 		})
 	}
+}
+
+// TestSuspendedCTAsHandBackWarps runs a nested launch whose parent CTAs
+// suspend at their sync with two launches per warp in flight. While the
+// launches fly, each shell keeps exactly the warps a flight item names;
+// once they land, with the children still running, the shells hold no
+// warp and the warps wait on the parent Def's free list. A shell that
+// keeps a landed warp must fail the audit.
+func TestSuspendedCTAsHandBackWarps(t *testing.T) {
+	def := dpParentLanes(512, 64, 2_000, 4, 2)
+	g := New(Options{Config: config.K20m(), Policy: runtime.Threshold{T: 0}, MaxCycles: 5_000})
+	g.LaunchHost(def)
+	resume := func(until kernel.Cycle) {
+		t.Helper()
+		g.maxCycles = until
+		var abort *AbortError
+		if _, err := g.Run(); !errors.As(err, &abort) || abort.Kind != AbortMaxCycles {
+			t.Fatalf("Run = %v, want a max-cycles abort at %d", err, until)
+		}
+		if err := g.checkInvariants(g.clock); err != nil {
+			t.Fatalf("audit at cycle %d: %v", g.clock, err)
+		}
+	}
+	resume(5_000)
+	shells := map[*kernel.CTA]uint32{}
+	for _, it := range g.flight {
+		p := it.k.Parent
+		if p.State != kernel.CTAWaitingSync {
+			t.Fatalf("parent CTA %d in state %d with its launches in flight, want suspended", p.Index, p.State)
+		}
+		if !slices.Contains(p.Warps, it.warp) {
+			t.Fatalf("shell %d dropped warp %d with a launch in flight", p.Index, it.warp.Index)
+		}
+		shells[p] = p.Gen
+	}
+	if len(shells) == 0 {
+		t.Fatal("no suspended CTA at cycle 5,000")
+	}
+	// Every launch lands by cycle 24,000; a child runs 8,000 cycles.
+	resume(30_000)
+	if len(g.flight) != 0 {
+		t.Fatalf("%d launches still in flight at cycle 30,000", len(g.flight))
+	}
+	var shell *kernel.CTA
+	for p, gen := range shells {
+		if p.State != kernel.CTAWaitingSync || p.Gen != gen || p.OutstandingChildren == 0 {
+			t.Fatalf("shell %d: state %d, gen %d (was %d), %d children; want still waiting", p.Index, p.State, p.Gen, gen, p.OutstandingChildren)
+		}
+		if len(p.Warps) != 0 {
+			t.Errorf("shell %d holds %d warps after every launch landed", p.Index, len(p.Warps))
+		}
+		shell = p
+	}
+	free := g.freeOf(def).warps
+	if want := len(shells) * def.WarpsPerCTA(g.cfg.WarpSize); len(free) != want {
+		t.Errorf("parent Def's warp free list holds %d warps, want %d", len(free), want)
+	}
+	// Plant the warp the engine would keep if processArrivals did not
+	// hand it back.
+	w := free[len(free)-1]
+	w.Released, w.CTA = false, shell
+	shell.Warps = append(shell.Warps, w)
+	err := g.checkInvariants(g.clock)
+	var inv *kernel.InvariantError
+	if !errors.As(err, &inv) || !strings.Contains(err.Error(), "suspended CTA") {
+		t.Fatalf("audit with a landed warp on a shell = %v, want a suspended-CTA InvariantError", err)
+	}
+	t.Log(err)
 }

@@ -58,6 +58,9 @@ func TestDirectQueuePartialHeadKeepsHeadship(t *testing.T) {
 	if a.NextCTA != 2 || b.NextCTA != 0 {
 		t.Fatalf("after tick 0: a=%d b=%d CTAs placed, want 2, 0", a.NextCTA, b.NextCTA)
 	}
+	if n := g.QueueLatency.N(); n != 1 {
+		t.Fatalf("after tick 0: %d queue latencies, want a's only", n)
+	}
 	mustAudit(t, g, 0)
 	// A failed placement leaves a at the head.
 	if placed := g.Dispatch(1, rejectAll); placed != 0 {
@@ -69,12 +72,16 @@ func TestDirectQueuePartialHeadKeepsHeadship(t *testing.T) {
 		t.Fatalf("after tick 2: a=%d b=%d CTAs placed, want 3, 1", a.NextCTA, b.NextCTA)
 	}
 	mustAudit(t, g, 2)
-	if b.FirstDispatch != 2 {
-		t.Errorf("b first dispatched at %d, want 2", b.FirstDispatch)
+	// Both arrived at 0: a first dispatched at 0 and b at 2.
+	if n, mean := g.QueueLatency.N(), g.QueueLatency.Value(); n != 2 || mean != 1 {
+		t.Errorf("queue latency: %d kernels, mean %v; want 2 with mean 1 (b first dispatched at 2)", n, mean)
 	}
 	g.Dispatch(3, acceptAll)
 	if !b.Dispatched() || g.HasDispatchable() {
 		t.Errorf("b.NextCTA = %d, HasDispatchable = %v; want b done and nothing left", b.NextCTA, g.HasDispatchable())
+	}
+	if n := g.QueueLatency.N(); n != 2 {
+		t.Errorf("after b's last CTA: %d queue latencies, want 2 (one per kernel, at its first dispatch)", n)
 	}
 	mustAudit(t, g, 3)
 }

@@ -168,7 +168,6 @@ func (g *GMU) Dispatch(now kernel.Cycle, place PlaceFunc) int {
 				continue
 			}
 			if first {
-				k.FirstDispatch = now
 				g.QueueLatency.Add(float64(now - k.ArrivalCycle))
 				g.mQueueLat.Observe(uint64(now - k.ArrivalCycle))
 			}
@@ -290,7 +289,7 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 			if err := k.CheckParents(now); err != nil {
 				return err
 			}
-			left := k.GridCTAs - k.NextCTA
+			left := k.GridCTAs - int(k.NextCTA)
 			if left < 0 {
 				return kernel.Invariantf(now, "gmu", "HWQ %d: %v dispatched %d of %d CTAs",
 					qi, k, k.NextCTA, k.GridCTAs)
@@ -312,7 +311,7 @@ func (g *GMU) CheckInvariants(now kernel.Cycle) error {
 		if err := k.CheckParents(now); err != nil {
 			return err
 		}
-		left := k.GridCTAs - k.NextCTA
+		left := k.GridCTAs - int(k.NextCTA)
 		if left <= 0 {
 			return kernel.Invariantf(now, "gmu", "direct queue: %v dispatched %d of %d CTAs",
 				k, k.NextCTA, k.GridCTAs)

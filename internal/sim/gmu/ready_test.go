@@ -84,7 +84,7 @@ func TestHasDispatchableMatchesScan(t *testing.T) {
 					if !k.Dispatched() || (!k.Yielded && !k.Aggregated && g.hwqs[qi].Front() != k) {
 						continue
 					}
-					k.CTAsDone = k.GridCTAs
+					k.CTAsDone = int32(k.GridCTAs)
 					g.KernelCompleted(now, k)
 					live = append(live[:i], live[i+1:]...)
 					break

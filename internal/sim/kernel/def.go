@@ -12,14 +12,18 @@
 // launch configuration (grid, live threads, argument) rides on each
 // LaunchCandidate and Kernel, as CUDA separates a kernel from its
 // <<<grid, block>>>(args). Runtime instances are recycled: the simulator
-// releases device kernels, and CTAs with their warps and programs, to
-// free lists it owns, and NewCTA reinitialises a released CTA in place.
+// releases device kernels, CTA shells, and warps with their programs to
+// free lists it owns, and NewCTA reinitialises a released shell and
+// warps in place.
 // Each recycled object carries a generation (Gen, bumped at every
 // release) and a Released mark, so the invariant audit can reject a
 // pointer that outlived the object it meant.
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StreamID identifies a software-managed work queue (a CUDA stream /
 // "c_stream" in the paper). Kernels with the same StreamID execute
@@ -128,8 +132,8 @@ func (d *Def) ValidateLaunch(grid, threads int) error {
 		return err
 	}
 	switch {
-	case grid <= 0:
-		return fmt.Errorf("kernel %s: GridCTAs = %d, want > 0", d.Name, grid)
+	case grid <= 0 || grid > math.MaxInt32:
+		return fmt.Errorf("kernel %s: GridCTAs = %d, want in [1,%d]", d.Name, grid, math.MaxInt32)
 	case threads < 0 || threads > grid*d.CTAThreads:
 		return fmt.Errorf("kernel %s: Threads = %d out of range [0,%d]",
 			d.Name, threads, grid*d.CTAThreads)

@@ -32,7 +32,11 @@ const (
 	CTADone
 )
 
-// Kernel is a runtime kernel instance flowing through the GMU.
+// Kernel is a runtime kernel instance flowing through the GMU. Device
+// kernels are the largest population of live objects in a nested run
+// (tens of thousands queued at once), so the fields are ordered to pack
+// and the per-kernel CTA counters are 32 bits wide: ValidateLaunch caps
+// a grid at math.MaxInt32 CTAs, as CUDA caps gridDim.x.
 type Kernel struct {
 	ID  int
 	Def *Def
@@ -42,53 +46,56 @@ type Kernel struct {
 	GridCTAs int
 	Threads  int
 	Arg      int
-	Stream   StreamID
 	// Parent is the CTA that launched this kernel; nil for host launches.
 	// Its OutstandingChildren counter is decremented when this kernel
 	// completes (DeviceSynchronize accounting). ParentGen is Parent's Gen
 	// at the launch: the CTA cannot be released while this kernel counts
 	// against it, so a different Gen means a use after release.
-	Parent    *CTA
-	ParentGen uint32
-	// Aggregated marks a DTBL CTA group: dispatched from the direct
-	// queue, bypassing HWQ slots.
-	Aggregated bool
-	// Workload is the number of work items this kernel processes
-	// (for offload accounting).
-	Workload int
+	Parent *CTA
 
 	// Timing (filled by the simulator).
-	LaunchCycle   Cycle // decision/API-call cycle
-	ArrivalCycle  Cycle // entered the pending pool (post launch overhead)
-	FirstDispatch Cycle
-	DoneCycle     Cycle
+	LaunchCycle  Cycle // decision/API-call cycle
+	ArrivalCycle Cycle // entered the pending pool (post launch overhead)
+
+	Stream    StreamID
+	ParentGen uint32
 
 	// Progress.
-	NextCTA  int // next CTA index to dispatch
-	CTAsDone int
+	NextCTA  int32 // next CTA index to dispatch
+	CTAsDone int32
 	// SuspendedCTAs counts CTAs parked in CTAWaitingSync. When a fully
 	// dispatched kernel has every remaining CTA suspended it may yield
 	// its HWQ slot so descendants queued behind it can dispatch.
-	SuspendedCTAs int
-	// Yielded marks a kernel that released its HWQ headship while
-	// suspended (it completes off-queue).
-	Yielded bool
+	SuspendedCTAs int32
 
 	// Gen counts the kernel's releases to the simulator's free list, and
 	// Released marks it as sitting there (see the package doc).
 	Gen      uint32
 	Released bool
+
+	// Aggregated marks a DTBL CTA group: dispatched from the direct
+	// queue, bypassing HWQ slots.
+	Aggregated bool
+	// Yielded marks a kernel that released its HWQ headship while
+	// suspended (it completes off-queue).
+	Yielded bool
 }
 
 // CheckParents audits k's Parent chain: every launching CTA up to the
 // host kernel must be live and of the Gen its child's launch recorded,
-// since a CTA outlives all of its children. It returns a
-// *InvariantError for a released or stale parent, or nil.
+// since a CTA outlives all of its children, and a suspended one may
+// hold only its own live warps with a launch in flight. Every suspended
+// CTA has a live child, so the chains of the live kernels reach them
+// all. It returns a *InvariantError for the first violation, or nil.
 func (k *Kernel) CheckParents(now Cycle) error {
 	for ; k.Parent != nil; k = k.Parent.Kernel {
-		if p := k.Parent; p.Released || p.Gen != k.ParentGen {
+		p := k.Parent
+		if p.Released || p.Gen != k.ParentGen {
 			return Invariantf(now, "kernel", "%v has released or stale parent CTA %d (gen %d, launched at gen %d)",
 				k, p.Index, p.Gen, k.ParentGen)
+		}
+		if err := p.checkShell(now); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -103,29 +110,34 @@ func (k *Kernel) MarkReleased() {
 // FullySuspended reports whether the kernel dispatched everything and all
 // incomplete CTAs are waiting on children.
 func (k *Kernel) FullySuspended() bool {
-	return k.Dispatched() && k.CTAsDone+k.SuspendedCTAs >= k.GridCTAs
+	return k.Dispatched() && int(k.CTAsDone+k.SuspendedCTAs) >= k.GridCTAs
 }
 
 // IsChild reports whether this kernel was launched from the device.
 func (k *Kernel) IsChild() bool { return k.Parent != nil }
 
 // Dispatched reports whether all CTAs have been sent to SMXs.
-func (k *Kernel) Dispatched() bool { return k.NextCTA >= k.GridCTAs }
+func (k *Kernel) Dispatched() bool { return int(k.NextCTA) >= k.GridCTAs }
 
 // Done reports whether all CTAs completed.
-func (k *Kernel) Done() bool { return k.CTAsDone >= k.GridCTAs }
+func (k *Kernel) Done() bool { return int(k.CTAsDone) >= k.GridCTAs }
 
 func (k *Kernel) String() string {
 	return fmt.Sprintf("kernel %d (%s, %d CTAs, stream %d)", k.ID, k.Def.Name, k.GridCTAs, k.Stream)
 }
 
 // CTA is a runtime CTA instance resident on (or detached from) an SMX.
+// Once it suspends at DeviceSynchronize it is a shell: its warps go back
+// to the simulator's free list as their launches land, and what waits
+// for the children is the kernel, index, state, child count and Gen.
 type CTA struct {
 	Kernel *Kernel
 	Index  int // CTA index within the grid
 	State  CTAState
 	SMX    int // SMX the CTA runs on (valid while CTARunning)
 
+	// Warps are the CTA's warps while it runs; a suspended CTA keeps
+	// only those whose launches are still in flight (see CheckParents).
 	Warps []*Warp
 
 	StartCycle Cycle // first cycle on the SMX
@@ -149,13 +161,27 @@ type CTA struct {
 	// Released marks it as sitting there (see the package doc).
 	Gen      uint32
 	Released bool
-	// progs is the Def whose NewProgram built the warps' programs, so a
-	// reuse for the same Def can hand each program back to it.
-	progs *Def
 }
 
 // RunningWarps returns the count of warps still executing instructions.
 func (c *CTA) RunningWarps() int { return c.runningWarps }
+
+// checkShell audits a suspended CTA: every warp it still holds is live,
+// its own, and has a launch in flight, since a warp whose launches all
+// landed goes back to the free list. It returns a *InvariantError, or
+// nil.
+func (c *CTA) checkShell(now Cycle) error {
+	if c.State != CTAWaitingSync {
+		return nil
+	}
+	for _, w := range c.Warps {
+		if w.Released || w.CTA != c || w.PendingLaunches <= 0 {
+			return Invariantf(now, "kernel", "suspended CTA %d of %v holds warp %d (released %t, %d launches in flight)",
+				c.Index, c.Kernel, w.Index, w.Released, w.PendingLaunches)
+		}
+	}
+	return nil
+}
 
 // Warp is a runtime warp instance.
 type Warp struct {
@@ -192,27 +218,26 @@ type Warp struct {
 	// Exec carries launch feedback into the program.
 	Exec Exec
 
-	// Gen counts the warp's releases (with its CTA) to the simulator's
-	// free list, and Released marks it as sitting there.
+	// Gen counts the warp's releases to the simulator's free list, and
+	// Released marks it as sitting there (see the package doc).
 	Gen      uint32
 	Released bool
 }
 
 // NewCTA materializes CTA `index` of kernel k with its warps and their
-// programs. warpSize is the hardware warp width. reuse, when non-nil, is
-// a released CTA (see MarkReleased) to reinitialise instead of
-// allocating: its warps are reused with their launch-buffer and Accepted
-// capacity, and when it last ran k's Def each warp's program is handed
-// back to NewProgram.
-func NewCTA(k *Kernel, index, warpSize int, reuse *CTA) *CTA {
+// programs. warpSize is the hardware warp width. shell, when non-nil, is
+// a released CTA (see CTA.MarkReleased) to reinitialise instead of
+// allocating. spare, when non-nil, holds released warps (see
+// Warp.MarkReleased) whose programs k.Def's NewProgram built: NewCTA
+// takes the warps it needs from its end, keeping their launch-buffer
+// and Accepted capacity and handing each program back to NewProgram,
+// and allocates the rest.
+func NewCTA(k *Kernel, index, warpSize int, shell *CTA, spare *[]*Warp) *CTA {
 	d := k.Def
-	c := reuse
+	c := shell
 	if c == nil {
-		c = &CTA{} //spawnvet:allow hotpath miss path of the simulator's CTA free list (sim.GPU.takeCTA)
+		c = &CTA{} //spawnvet:allow hotpath miss path of the simulator's CTA shell free list (sim.GPU.newCTA)
 	}
-	// Warps of the CTA's earlier lives, kept past len by the reslice.
-	spare := c.Warps[:cap(c.Warps)]
-	progs := c.progs
 	*c = CTA{
 		Kernel:    k,
 		Index:     index,
@@ -223,7 +248,6 @@ func NewCTA(k *Kernel, index, warpSize int, reuse *CTA) *CTA {
 		SharedMem: d.SharedMemBytes,
 		Threads:   ThreadCount(d.CTAThreads),
 		Gen:       c.Gen,
-		progs:     d,
 	}
 	for w := 0; w < d.WarpsPerCTA(warpSize); w++ {
 		lanes := d.WarpLanes(k.Threads, index, w, warpSize)
@@ -232,13 +256,13 @@ func NewCTA(k *Kernel, index, warpSize int, reuse *CTA) *CTA {
 		}
 		var wp *Warp
 		var old Program
-		if w < len(spare) && spare[w] != nil {
-			wp = spare[w]
-			if progs == d {
-				old = wp.Prog
-			}
+		if spare != nil && len(*spare) > 0 {
+			n := len(*spare) - 1
+			wp, old = (*spare)[n], (*spare)[n].Prog
+			(*spare)[n] = nil
+			*spare = (*spare)[:n]
 		} else {
-			wp = &Warp{} //spawnvet:allow hotpath miss path of the simulator's CTA free list: a reused CTA keeps its warps (sim.GPU.takeCTA)
+			wp = &Warp{} //spawnvet:allow hotpath miss path of the simulator's per-Def warp free list (sim.GPU.newCTA)
 		}
 		*wp = Warp{
 			CTA:       c,
@@ -256,15 +280,18 @@ func NewCTA(k *Kernel, index, warpSize int, reuse *CTA) *CTA {
 	return c
 }
 
-// MarkReleased records that c went back to a free list with its warps,
-// which keep their programs for the next NewCTA of the same Def.
+// MarkReleased records that c went back to a free list as a shell; its
+// warps go to their own list first (Warp.MarkReleased).
 func (c *CTA) MarkReleased() {
 	c.Gen++
 	c.Released = true
-	for _, w := range c.Warps {
-		w.Gen++
-		w.Released = true
-	}
+}
+
+// MarkReleased records that w went back to a free list, keeping its
+// program for the next NewCTA of the same Def.
+func (w *Warp) MarkReleased() {
+	w.Gen++
+	w.Released = true
 }
 
 // WarpRetired records that a warp finished or parked at sync.

@@ -1,8 +1,12 @@
 package kernel
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func trivialProgram(arg, cta, warp, lanes int, old Program) Program {
@@ -41,12 +45,17 @@ func TestDefValidate(t *testing.T) {
 	if err := testDef(0, 64, 0).Validate(); err != nil {
 		t.Errorf("valid gridless def rejected: %v", err)
 	}
+	// One CTA past the 32-bit counters' range; on a 32-bit int it wraps
+	// negative, which is rejected too.
+	huge := math.MaxInt32
+	huge++
 	bad := []*Def{
 		{},
 		{Name: "x", GridCTAs: 0, CTAThreads: 32, NewProgram: trivialProgram},
 		{Name: "x", GridCTAs: 1, CTAThreads: 0, NewProgram: trivialProgram},
 		{Name: "x", GridCTAs: 1, CTAThreads: 32, Threads: 40, NewProgram: trivialProgram},
 		{Name: "x", GridCTAs: 1, CTAThreads: 32},
+		{Name: "x", GridCTAs: huge, CTAThreads: 32, NewProgram: trivialProgram},
 	}
 	for i, d := range bad {
 		if err := d.ValidateLaunch(d.GridCTAs, d.Threads); err == nil {
@@ -84,7 +93,7 @@ func TestNewCTAPartialWarps(t *testing.T) {
 	// 70 live threads in a 128-thread CTA: warps of 32, 32, 6; the 4th
 	// warp has zero live lanes and must not be created.
 	d := testDef(1, 128, 70)
-	c := NewCTA(testKernel(d), 0, 32, nil)
+	c := NewCTA(testKernel(d), 0, 32, nil, nil)
 	if got := len(c.Warps); got != 3 {
 		t.Fatalf("warps = %d, want 3", got)
 	}
@@ -102,7 +111,7 @@ func TestNewCTAPartialWarps(t *testing.T) {
 func TestNewCTASecondCTAOfPartialGrid(t *testing.T) {
 	// 40 threads, CTAs of 32: CTA 1 has 8 live threads.
 	d := testDef(2, 32, 40)
-	c := NewCTA(testKernel(d), 1, 32, nil)
+	c := NewCTA(testKernel(d), 1, 32, nil, nil)
 	if got := len(c.Warps); got != 1 {
 		t.Fatalf("warps = %d, want 1", got)
 	}
@@ -115,7 +124,7 @@ func TestCTAResourceReservation(t *testing.T) {
 	d := testDef(1, 128, 0)
 	d.RegsPerThread = 24
 	d.SharedMemBytes = 4096
-	c := NewCTA(testKernel(d), 0, 32, nil)
+	c := NewCTA(testKernel(d), 0, 32, nil, nil)
 	if c.Regs != 24*128 {
 		t.Errorf("Regs = %d, want %d", c.Regs, 24*128)
 	}
@@ -129,7 +138,7 @@ func TestCTAResourceReservation(t *testing.T) {
 
 func TestWarpRetired(t *testing.T) {
 	d := testDef(1, 64, 0)
-	c := NewCTA(testKernel(d), 0, 32, nil)
+	c := NewCTA(testKernel(d), 0, 32, nil, nil)
 	if c.WarpRetired(1) {
 		t.Error("first retirement should not complete a 2-warp CTA")
 	}
@@ -161,7 +170,7 @@ func TestKernelLifecyclePredicates(t *testing.T) {
 	if !k.Done() {
 		t.Error("kernel with all CTAs done not reported so")
 	}
-	k.Parent = NewCTA(k, 0, 32, nil)
+	k.Parent = NewCTA(k, 0, 32, nil, nil)
 	if !k.IsChild() {
 		t.Error("kernel with parent CTA not reported as child")
 	}
@@ -215,7 +224,7 @@ func TestNewCTALaneConservation(t *testing.T) {
 		k := testKernel(d)
 		total := 0
 		for i := 0; i < grid; i++ {
-			c := NewCTA(k, i, 32, nil)
+			c := NewCTA(k, i, 32, nil, nil)
 			for _, w := range c.Warps {
 				if w.Lanes <= 0 || w.Lanes > 32 {
 					return false
@@ -259,10 +268,11 @@ type idleProgram struct{ _ int }
 
 func (*idleProgram) Next(*Exec, *Instr) bool { return false }
 
-// TestNewCTAReusesReleasedCTA reinitialises a released CTA: the same
-// CTA and warp objects come back live with a new Gen and empty launch
-// buffers that keep their capacity, and NewProgram gets each warp's old
-// program back only when the CTA last ran the same Def.
+// TestNewCTAReusesReleasedCTA reinitialises a released shell with
+// released warps: the same objects come back live with a new Gen and
+// empty launch buffers that keep their capacity, NewProgram gets each
+// warp's old program back, and a warp list short of warps allocates the
+// rest with no old program.
 func TestNewCTAReusesReleasedCTA(t *testing.T) {
 	var olds []Program
 	d := testDef(2, 64, 0)
@@ -271,36 +281,92 @@ func TestNewCTAReusesReleasedCTA(t *testing.T) {
 		return &idleProgram{}
 	}
 	k := testKernel(d)
-	c := NewCTA(k, 0, 32, nil)
-	w0 := c.Warps[0]
+	c := NewCTA(k, 0, 32, nil, nil)
+	w0, w1 := c.Warps[0], c.Warps[1]
 	w0.LaunchBuf = append(w0.LaunchBuf, LaunchCandidate{Lane: 3})
 	w0.Exec.Accepted = append(w0.Exec.Accepted, true)
 	prog := w0.Prog
+	// The simulator's release order: the warps to their Def's list,
+	// then the shell.
+	var spare []*Warp
+	for _, w := range c.Warps {
+		w.MarkReleased()
+		spare = append(spare, w)
+	}
+	c.Warps = c.Warps[:0]
 	c.MarkReleased()
 	if !c.Released || !w0.Released || c.Gen != 1 || w0.Gen != 1 {
 		t.Fatalf("MarkReleased: CTA released %t gen %d, warp released %t gen %d", c.Released, c.Gen, w0.Released, w0.Gen)
 	}
 	olds = olds[:0]
-	if got := NewCTA(k, 1, 32, c); got != c || c.Warps[0] != w0 {
-		t.Fatal("reuse did not return the released CTA and its warps")
+	// NewCTA takes warps from the end of the list: w1 becomes warp 0.
+	if got := NewCTA(k, 1, 32, c, &spare); got != c || c.Warps[0] != w1 || c.Warps[1] != w0 || len(spare) != 0 {
+		t.Fatal("reuse did not return the released shell and warps")
 	}
 	switch {
 	case c.Released || w0.Released || c.Gen != 1 || w0.Gen != 1:
 		t.Errorf("reused CTA released %t gen %d, warp released %t gen %d", c.Released, c.Gen, w0.Released, w0.Gen)
-	case c.Index != 1 || c.State != CTAQueued || c.RunningWarps() != 2:
-		t.Errorf("reused CTA index %d state %d running %d", c.Index, c.State, c.RunningWarps())
+	case c.Index != 1 || c.State != CTAQueued || c.RunningWarps() != 2 || w0.CTA != c || w0.Index != 1:
+		t.Errorf("reused CTA index %d state %d running %d; warp index %d", c.Index, c.State, c.RunningWarps(), w0.Index)
 	case len(w0.LaunchBuf) != 0 || cap(w0.LaunchBuf) == 0 || len(w0.Exec.Accepted) != 0 || cap(w0.Exec.Accepted) == 0:
 		t.Errorf("launch buffers %d/%d, accepted %d/%d: want empty with capacity",
 			len(w0.LaunchBuf), cap(w0.LaunchBuf), len(w0.Exec.Accepted), cap(w0.Exec.Accepted))
-	case len(olds) != 2 || olds[0] != prog:
+	case len(olds) != 2 || olds[1] != prog:
 		t.Errorf("NewProgram got %v, want the released programs of the same Def", olds)
 	}
-	c.MarkReleased()
-	other := testDef(1, 64, 0)
-	other.NewProgram = d.NewProgram
+	w1.MarkReleased()
+	spare = append(spare[:0], w1)
 	olds = olds[:0]
-	NewCTA(testKernel(other), 0, 32, c)
-	if len(olds) != 2 || olds[0] != nil || olds[1] != nil {
-		t.Errorf("NewProgram for another Def got %v, want no old programs", olds)
+	if c2 := NewCTA(k, 0, 32, nil, &spare); c2.Warps[0] != w1 || c2.Warps[1] == w0 {
+		t.Error("a short warp list must give up its warp and allocate the rest")
+	}
+	if len(olds) != 2 || olds[0] == nil || olds[1] != nil {
+		t.Errorf("NewProgram from a one-warp list got %v, want one old program then none", olds)
+	}
+}
+
+// TestKernelSize holds the device Kernel, tens of thousands of which
+// are live at once in a nested run, to 112 bytes.
+func TestKernelSize(t *testing.T) {
+	if got := unsafe.Sizeof(Kernel{}); got > 112 {
+		t.Errorf("Kernel is %d bytes, want at most 112", got)
+	}
+}
+
+// TestCheckParentsAuditsShells audits a suspended parent's warps
+// through its child's Parent chain: a shell may keep only live warps of
+// its own with a launch still in flight.
+func TestCheckParentsAuditsShells(t *testing.T) {
+	d := testDef(1, 64, 0)
+	p := NewCTA(testKernel(d), 0, 32, nil, nil)
+	child := &Kernel{Def: d, GridCTAs: 1, Threads: 32, Parent: p}
+	if err := child.CheckParents(7); err != nil {
+		t.Fatalf("running parent: %v", err)
+	}
+	p.State = CTAWaitingSync
+	for _, w := range p.Warps {
+		w.PendingLaunches = 1
+	}
+	if err := child.CheckParents(7); err != nil {
+		t.Fatalf("shell whose warps all have a launch in flight: %v", err)
+	}
+	other := NewCTA(testKernel(d), 1, 32, nil, nil)
+	for _, tc := range []struct {
+		name  string
+		plant func(w *Warp)
+	}{
+		{"landed", func(w *Warp) { w.PendingLaunches = 0 }},
+		{"released", func(w *Warp) { w.MarkReleased() }},
+		{"reused", func(w *Warp) { w.CTA = other }},
+	} {
+		w := p.Warps[1]
+		saved := *w
+		tc.plant(w)
+		err := child.CheckParents(7)
+		var inv *InvariantError
+		if !errors.As(err, &inv) || !strings.Contains(err.Error(), "suspended CTA") {
+			t.Errorf("%s warp on a shell: audit = %v, want a suspended-CTA InvariantError", tc.name, err)
+		}
+		*w = saved
 	}
 }

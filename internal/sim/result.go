@@ -102,7 +102,7 @@ func (g *GPU) result() *Result {
 		QueueLatency:            g.gmu.QueueLatency.Value(),
 		AvgConcurrentParentCTAs: g.parentCTAs.Average(uint64(end)),
 		AvgConcurrentChildCTAs:  g.childCTAs.Average(uint64(end)),
-		ChildCTAExec:            &g.childCTAExec,
+		ChildCTAExec:            g.childCTAExec,
 		LaunchCycles:            g.launchCycles.AppendTo(nil),
 		DRAMAccesses:            g.mem.DRAMAccesses,
 		Transactions:            g.mem.Transactions,

@@ -260,12 +260,14 @@ type GPU struct {
 	flight      flightHeap
 	liveKernels int
 
-	// Free lists. Device kernels are released at completeKernel, CTAs
-	// (with their warps and programs) at completeCTA, one list per Def
-	// so a reused CTA hands each warp a program of the same code. Host
-	// kernels are never released: LaunchHost returns them to the caller.
+	// Free lists. Device kernels are released at completeKernel, CTA
+	// shells at completeCTA, and warps with their programs once their
+	// CTA left its SMX and their launches landed (releaseLandedWarps).
+	// Shells and warps have one list per Def, so a reused warp hands
+	// NewProgram a program of the same code. Host kernels are never
+	// released: LaunchHost returns them to the caller.
 	freeKernels stats.Seq[*kernel.Kernel]
-	freeCTAs    []ctaPool
+	freeLists   []defFree
 	// launchBufs holds the candidate buffers of decided launch
 	// instructions: a warp holds one only while its launch is being
 	// decided, so warps parked at a sync keep none.
@@ -325,7 +327,10 @@ type GPU struct {
 	offeredWork   int64
 	offloadedWork int64
 
-	childCTAExec stats.Histogram
+	// childCTAExec is its own allocation, not a field: the Result
+	// points at it, and a pointer into the GPU would keep the whole
+	// machine, free lists included, live as long as the Result.
+	childCTAExec *stats.Histogram
 	childQueued  int
 
 	sampleInterval kernel.Cycle
@@ -376,6 +381,8 @@ func NewChecked(opts Options) (*GPU, error) {
 		checkInv:    opts.CheckInvariants,
 		invEvery:    invariantEvery,
 		ctx:         opts.Context,
+
+		childCTAExec: new(stats.Histogram),
 	}
 	for _, s := range opts.Sinks {
 		if s != nil {
@@ -503,44 +510,69 @@ func (g *GPU) streamFor(w *kernel.Warp) kernel.StreamID {
 	return g.newStream()
 }
 
-// ctaPool is the free list of released CTAs whose warps run def's
-// programs.
-type ctaPool struct {
-	def  *kernel.Def
-	ctas []*kernel.CTA
+// defFree holds the released CTA shells of def's CTAs, whose Warps
+// keep the capacity def's warp count needs, and the released warps that
+// keep the programs def's NewProgram built.
+type defFree struct {
+	def   *kernel.Def
+	ctas  []*kernel.CTA
+	warps []*kernel.Warp
 }
 
-// ctaPoolOf returns def's CTA free list, adding an empty one on first
-// use (a run has a handful of Defs).
-func (g *GPU) ctaPoolOf(def *kernel.Def) *ctaPool {
-	for i := range g.freeCTAs {
-		if g.freeCTAs[i].def == def {
-			return &g.freeCTAs[i]
+// freeOf returns def's free lists, adding empty ones on first use (a
+// run has a handful of Defs).
+func (g *GPU) freeOf(def *kernel.Def) *defFree {
+	for i := range g.freeLists {
+		if g.freeLists[i].def == def {
+			return &g.freeLists[i]
 		}
 	}
-	g.freeCTAs = append(g.freeCTAs, ctaPool{def: def})
-	return &g.freeCTAs[len(g.freeCTAs)-1]
+	g.freeLists = append(g.freeLists, defFree{def: def})
+	return &g.freeLists[len(g.freeLists)-1]
 }
 
-// takeCTA pops a released CTA that last ran def, or returns nil (and
-// kernel.NewCTA allocates).
-func (g *GPU) takeCTA(def *kernel.Def) *kernel.CTA {
-	p := g.ctaPoolOf(def)
-	n := len(p.ctas)
-	if n == 0 {
-		return nil
+// newCTA materializes CTA index of k from def's free lists (kernel.NewCTA
+// allocates on a miss).
+func (g *GPU) newCTA(k *kernel.Kernel, index int) *kernel.CTA {
+	f := g.freeOf(k.Def)
+	var shell *kernel.CTA
+	if n := len(f.ctas); n > 0 {
+		shell = f.ctas[n-1]
+		f.ctas[n-1] = nil
+		f.ctas = f.ctas[:n-1]
 	}
-	c := p.ctas[n-1]
-	p.ctas = p.ctas[:n-1]
-	return c
+	return kernel.NewCTA(k, index, g.cfg.WarpSize, shell, &f.warps)
 }
 
-// releaseCTA returns a completed CTA, with its warps and programs, to
-// its Def's free list.
+// releaseWarp returns w, with its program, to its Def's free list.
+func (g *GPU) releaseWarp(w *kernel.Warp) {
+	w.MarkReleased()
+	f := g.freeOf(w.CTA.Kernel.Def)
+	f.warps = append(f.warps, w)
+}
+
+// releaseLandedWarps releases every warp of c, which has left its SMX,
+// whose launches all landed; c keeps only the warps a flight item still
+// names, and processArrivals releases each as its last launch lands.
+func (g *GPU) releaseLandedWarps(c *kernel.CTA) {
+	kept := c.Warps[:0]
+	for _, w := range c.Warps {
+		if w.PendingLaunches > 0 {
+			kept = append(kept, w)
+			continue
+		}
+		g.releaseWarp(w)
+	}
+	clear(c.Warps[len(kept):])
+	c.Warps = kept
+}
+
+// releaseCTA returns a completed CTA, whose warps are all released, to
+// its Def's shell free list.
 func (g *GPU) releaseCTA(c *kernel.CTA) {
 	c.MarkReleased()
-	p := g.ctaPoolOf(c.Kernel.Def)
-	p.ctas = append(p.ctas, c)
+	f := g.freeOf(c.Kernel.Def)
+	f.ctas = append(f.ctas, c)
 }
 
 // kernelBlock is how many kernels a free-list miss allocates at once:
@@ -600,7 +632,6 @@ func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchC
 		Parent:      w.CTA,
 		ParentGen:   w.CTA.Gen,
 		Aggregated:  aggregated,
-		Workload:    cand.Workload,
 		LaunchCycle: now,
 		Gen:         k.Gen,
 	}
@@ -795,7 +826,10 @@ func (g *GPU) ctaExecDone(now kernel.Cycle, c *kernel.CTA) {
 		g.completeCTA(now, c)
 		return
 	}
+	// The suspended CTA is a shell: its warps never issue again, and
+	// each goes back to the free list once no flight item names it.
 	c.State = kernel.CTAWaitingSync
+	g.releaseLandedWarps(c)
 	g.emit(trace.Event{Cycle: uint64(now), Kind: trace.CTASuspended, Kernel: c.Kernel.ID, CTA: c.Index})
 	k := c.Kernel
 	k.SuspendedCTAs++
@@ -828,11 +862,10 @@ func (g *GPU) completeCTA(now kernel.Cycle, c *kernel.CTA) {
 	}
 	c.State = kernel.CTADone
 	g.emit(trace.Event{Cycle: uint64(now), Kind: trace.CTACompleted, Kernel: c.Kernel.ID, CTA: c.Index})
-	for _, w := range c.Warps {
-		w.State = kernel.WarpDone
-	}
 	k := c.Kernel
 	k.CTAsDone++
+	// No launch of c is in flight, so every warp it holds goes.
+	g.releaseLandedWarps(c)
 	g.releaseCTA(c)
 	if k.Done() {
 		g.completeKernel(now, k)
@@ -848,7 +881,6 @@ func (g *GPU) completeCTA(now kernel.Cycle, c *kernel.CTA) {
 // completeKernel retires a kernel and wakes its parent CTA if this was
 // the last outstanding child (completion can cascade through nesting).
 func (g *GPU) completeKernel(now kernel.Cycle, k *kernel.Kernel) {
-	k.DoneCycle = now
 	g.emit(trace.Event{Cycle: uint64(now), Kind: trace.KernelCompleted, Kernel: k.ID, CTA: -1})
 	g.gmu.KernelCompleted(now, k)
 	// The freed HWQ slot can expose a new dispatchable queue head.
@@ -946,7 +978,7 @@ func (g *GPU) place(k *kernel.Kernel) bool {
 			continue
 		}
 		g.rrSMX = (mi + 1) % len(g.smxs)
-		c := kernel.NewCTA(k, k.NextCTA, g.cfg.WarpSize, g.takeCTA(k.Def))
+		c := g.newCTA(k, int(k.NextCTA))
 		k.NextCTA++
 		m.Place(g.clock, c, &g.ageSeq)
 		// Place makes the new warps ready now: lower the wake mirror.
@@ -1009,8 +1041,11 @@ func (g *GPU) processArrivals(now kernel.Cycle) bool {
 	for len(g.flight) > 0 && g.flight[0].at <= now {
 		it := g.flight.pop()
 		it.k.ArrivalCycle = now
-		if it.warp != nil {
-			it.warp.PendingLaunches--
+		if w := it.warp; w != nil {
+			w.PendingLaunches--
+			if w.PendingLaunches == 0 && w.CTA.State == kernel.CTAWaitingSync {
+				g.releaseLandedWarps(w.CTA)
+			}
 		}
 		if it.k.IsChild() {
 			g.childQueued++

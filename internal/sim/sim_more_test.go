@@ -1,7 +1,9 @@
 package sim
 
 import (
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/runtime"
@@ -240,4 +242,37 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	if c[trace.CTASuspended] == 0 {
 		t.Errorf("no suspension events despite sync-waiting parents: %v", c)
 	}
+}
+
+// TestResultDoesNotPinGPU drops a finished GPU while keeping its
+// Result: the collector must free the GPU, whose free lists hold every
+// kernel, CTA and warp of the run. A Result pointing into the GPU kept
+// all of it live for as long as the caller kept the Result.
+func TestResultDoesNotPinGPU(t *testing.T) {
+	freed := make(chan struct{})
+	res := func() *Result {
+		g := New(Options{Config: config.K20m(), Policy: runtime.Threshold{T: 0}})
+		g.LaunchHost(dpParent(64, 8, 10, 4))
+		// The GPU sits in cycles (each SMX points at its config), which
+		// a finalizer on it would never break: watch its pointer-free wake
+		// mirror instead, which only the GPU references.
+		goruntime.SetFinalizer(&g.smxReady[0], func(*kernel.Cycle) { close(freed) })
+		res, err := g.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}()
+	for i := 0; i < 50; i++ {
+		goruntime.GC()
+		select {
+		case <-freed:
+			if res.ChildCTAExec.N() == 0 {
+				t.Error("Result lost its child CTA execution times")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatalf("GPU still live after 50 collections while its Result (%d cycles) is held", res.Cycles)
 }

@@ -277,11 +277,11 @@ func (m *SMX) component() string { return fmt.Sprintf("smx %d", m.ID) }
 // back to the hardware totals, resident CTAs in the running state on
 // this SMX, and warp launch-buffer cursors in range. No list may hold
 // a released object or a stale pointer to a recycled one: resident CTAs
-// are live and listed once, and every scheduled warp (the greedy one
-// included) is live, belongs to a resident CTA and sits in the
-// scheduler its index maps to, in strictly increasing age order. It
-// returns a *kernel.InvariantError describing the first violation, or
-// nil.
+// are live and listed once with their own live warps, and every
+// scheduled warp (the greedy one included) is live, belongs to a
+// resident CTA and sits in the scheduler its index maps to, in strictly
+// increasing age order. It returns a *kernel.InvariantError describing
+// the first violation, or nil.
 func (m *SMX) CheckInvariants(now kernel.Cycle) error {
 	cfg := m.cfg
 	if n := len(m.resident); n > cfg.MaxCTAsPerSM {
@@ -319,6 +319,12 @@ func (m *SMX) CheckInvariants(now kernel.Cycle) error {
 		regs += c.Regs
 		shmem += c.SharedMem
 		for _, w := range c.Warps {
+			if w.Released || w.CTA != c {
+				// Parked warps leave the scheduler lists, so only this
+				// walk sees one released before its CTA left the SMX.
+				return kernel.Invariantf(now, m.component(), "resident CTA %d of %v holds released warp %d (released %t) or a stale one",
+					c.Index, c.Kernel, w.Index, w.Released)
+			}
 			if w.LaunchCursor < 0 || w.LaunchCursor > len(w.LaunchBuf) {
 				return kernel.Invariantf(now, m.component(), "warp %d of CTA %d: launch cursor %d outside [0,%d]",
 					w.Index, c.Index, w.LaunchCursor, len(w.LaunchBuf))

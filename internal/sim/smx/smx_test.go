@@ -18,7 +18,7 @@ func mkCTA(threads, regsPerThread, shmem int) *kernel.CTA {
 		RegsPerThread: regsPerThread, SharedMemBytes: kernel.Bytes(shmem),
 		NewProgram: prog,
 	}
-	return kernel.NewCTA(&kernel.Kernel{Def: d, GridCTAs: 1, Threads: threads}, 0, 32, nil)
+	return kernel.NewCTA(&kernel.Kernel{Def: d, GridCTAs: 1, Threads: threads}, 0, 32, nil, nil)
 }
 
 func TestPlaceReleaseAccounting(t *testing.T) {
@@ -242,5 +242,31 @@ func TestReleaseDropsWarpsFromSchedulers(t *testing.T) {
 	m.scheds[0].warps = append(m.scheds[0].warps, b.Warps[1])
 	if err := m.CheckInvariants(1); err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Errorf("audit with a warp in the wrong scheduler = %v", err)
+	}
+}
+
+// TestAuditCatchesReleasedParkedWarp releases a warp parked at its
+// sync while its CTA still runs here. The warp has left the scheduler
+// list, so the resident-CTA walk must report it, released and then
+// reused by another CTA.
+func TestAuditCatchesReleasedParkedWarp(t *testing.T) {
+	cfg := config.K20m()
+	m := New(0, &cfg)
+	var age uint64
+	c := mkCTA(64, 16, 0)
+	m.Place(0, c, &age)
+	w := c.Warps[0]
+	w.State = kernel.WarpAtSync
+	m.scheds[0].prune()
+	if err := m.CheckInvariants(1); err != nil {
+		t.Fatalf("audit with a parked warp: %v", err)
+	}
+	w.MarkReleased()
+	if err := m.CheckInvariants(1); err == nil || !strings.Contains(err.Error(), "released warp") {
+		t.Errorf("audit with a released parked warp = %v", err)
+	}
+	w.Released, w.CTA = false, mkCTA(64, 16, 0)
+	if err := m.CheckInvariants(1); err == nil || !strings.Contains(err.Error(), "stale") {
+		t.Errorf("audit with a parked warp reused by another CTA = %v", err)
 	}
 }
